@@ -7,13 +7,22 @@ are *not* hiding: the path discloses the leaf position.  Completeness,
 soundness against non-members, nullifier semantics and message binding are
 the behaviours the protocol layer relies on, and a hiding backend could be
 swapped in without touching callers.
+
+The protocol keeps its registration set in a ``Registry``, which caches the
+Merkle tree: the first root or proof request after a mutation builds the
+levels and a first-occurrence index, and later requests reuse them until the
+next ``append`` or ``remove`` drops the cache.  Roots therefore cost O(1) and
+proofs O(log n) while the set is unchanged.  ``accumulate`` and
+``prove_membership`` also accept any plain sequence, for which they build
+the tree afresh.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence, Union
 
 DIGEST_SIZE = 32
 _H_KEY = b"wsfba-hash-v1"
@@ -24,11 +33,14 @@ _SIB_RIGHT = 0  # sibling sits to the right of the running node
 _SIB_LEFT = 1
 
 
+# The key block is compressed once here; every call copies the keyed state.
+_H_BASE = hashlib.blake2b(key=_H_KEY, digest_size=DIGEST_SIZE)
+
+
 def h(*parts: bytes) -> bytes:
     """The single keyed 256-bit hash used for commitments, trees and tie-breaks."""
-    ctx = hashlib.blake2b(key=_H_KEY, digest_size=DIGEST_SIZE)
-    for p in parts:
-        ctx.update(p)
+    ctx = _H_BASE.copy()
+    ctx.update(b"".join(parts))
     return ctx.digest()
 
 
@@ -81,12 +93,80 @@ def _padded_leaves(reg_ids: Sequence[bytes]) -> list[bytes]:
     return leaves
 
 
-def accumulate(reg_ids: Sequence[bytes]) -> bytes:
-    """Canonical binary Merkle root over the ordered registration set."""
+def _build_levels(reg_ids: Sequence[bytes]) -> list[list[bytes]]:
+    """Every level of the Merkle tree, padded leaves first, root level last."""
     level = _padded_leaves(reg_ids)
+    levels = [level]
     while len(level) > 1:
         level = [h(level[i], level[i + 1]) for i in range(0, len(level), 2)]
-    return level[0]
+        levels.append(level)
+    return levels
+
+
+# (levels from padded leaves up to the root, {reg_id: first index})
+_Tree = tuple[list[list[bytes]], dict[bytes, int]]
+
+
+class Registry:
+    """The ordered registration set, with its Merkle tree cached between mutations.
+
+    Supports ``append``, ``remove`` (first occurrence), ``in``, ``len`` and
+    iteration.  The tree levels and the first-occurrence index are built on
+    the first root or proof request after a mutation; every mutation drops
+    them.
+    """
+
+    def __init__(self, reg_ids: Iterable[bytes] = ()):
+        self._ids = list(reg_ids)
+        self._counts = Counter(self._ids)  # O(1) ``in``
+        self._cache: _Tree | None = None
+
+    def append(self, rid: bytes) -> None:
+        self._ids.append(rid)
+        self._counts[rid] += 1
+        self._cache = None
+
+    def remove(self, rid: bytes) -> None:
+        """Remove the first occurrence of ``rid``; ValueError when absent."""
+        self._ids.remove(rid)
+        self._counts[rid] -= 1
+        if not self._counts[rid]:
+            del self._counts[rid]
+        self._cache = None
+
+    def __contains__(self, rid: object) -> bool:
+        return rid in self._counts
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __iter__(self) -> Iterator[bytes]:
+        return iter(self._ids)
+
+    def tree(self) -> _Tree:
+        """The levels and first-occurrence index, built once per mutation."""
+        if self._cache is None:
+            first: dict[bytes, int] = {}
+            for i, rid in enumerate(self._ids):
+                first.setdefault(rid, i)
+            self._cache = (_build_levels(self._ids), first)
+        return self._cache
+
+
+RegIds = Union[Registry, Sequence[bytes]]
+
+
+def _tree(reg_ids: RegIds) -> _Tree:
+    """A Registry's cached tree, or a fresh one for any other sequence."""
+    if not isinstance(reg_ids, Registry):
+        reg_ids = Registry(reg_ids)
+    return reg_ids.tree()
+
+
+def accumulate(reg_ids: RegIds) -> bytes:
+    """Canonical binary Merkle root over the ordered registration set."""
+    levels, _ = _tree(reg_ids)
+    return levels[-1][0]
 
 
 @dataclass(frozen=True)
@@ -106,33 +186,29 @@ def _path_bytes(leaf: bytes, siblings: Sequence[tuple[int, bytes]]) -> bytes:
     return b"".join(out)
 
 
-def prove_membership(secret: Secret, reg_ids: Sequence[bytes], message: bytes) -> MembershipProof:
+def prove_membership(secret: Secret, reg_ids: RegIds, message: bytes) -> MembershipProof:
     """Produce a proof that h(S||r) is in the set, bound to ``message``.
 
     Proves for the first occurrence of the registration id.  Raises
     NotAMember when the secret was never registered.
     """
     target = reg_id(secret)
-    leaves = _padded_leaves(reg_ids)
+    levels, first = _tree(reg_ids)
     try:
-        index = list(reg_ids).index(target)
-    except ValueError:
+        pos = first[target]
+    except KeyError:
         raise NotAMember("secret does not match any registration") from None
 
     siblings: list[tuple[int, bytes]] = []
-    level = leaves
-    pos = index
-    while len(level) > 1:
+    for level in levels[:-1]:
         if pos % 2 == 0:
             siblings.append((_SIB_RIGHT, level[pos + 1]))
         else:
             siblings.append((_SIB_LEFT, level[pos - 1]))
-        level = [h(level[i], level[i + 1]) for i in range(0, len(level), 2)]
         pos //= 2
-    root = level[0]
     sib_tuple = tuple(siblings)
     binding = h(_path_bytes(target, sib_tuple), secret.s, message)
-    return MembershipProof(root=root, leaf=target, serial=secret.s,
+    return MembershipProof(root=levels[-1][0], leaf=target, serial=secret.s,
                            siblings=sib_tuple, binding=binding)
 
 

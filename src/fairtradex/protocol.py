@@ -119,7 +119,7 @@ class Protocol:
         self.phase: Optional[Phase] = None
         self.round = 0
         self.last_phase_change = 0
-        self.clients: list[bytes] = []
+        self.clients = membership.Registry()
         self.client_commits: dict[bytes, bytes] = {}   # serial -> commitment
         self.mm_commits: dict[str, bytes] = {}         # player  -> commitment
         self.revealed_buys: list[Order] = []

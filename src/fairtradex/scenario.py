@@ -208,7 +208,7 @@ class _View:
 
     @property
     def registry(self):
-        return list(self.runner.protocol.clients)
+        return self.runner.protocol.clients
 
     @property
     def y(self) -> int:

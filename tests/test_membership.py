@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairtradex import membership
 from fairtradex.membership import (DIGEST_SIZE, EmptySet, MalformedProof,
-                                   NotAMember, accumulate,
+                                   NotAMember, Registry, accumulate,
                                    deserialize_proof, gen_secret, h,
                                    prove_membership, reg_id, serialize_proof,
                                    verify_membership)
@@ -168,3 +169,80 @@ class TestTranscriptShape:
         assert t1.leaf != t2.leaf
         assert t1.siblings != t2.siblings
         assert t1.binding != t2.binding
+
+
+POOL = [gen_secret(s) for s in range(6)]
+POOL_IDS = [reg_id(s) for s in POOL]
+
+
+def naive_root(ids: list[bytes]) -> bytes:
+    # independent recomputation: duplicate-last padding to a power of two >= 2
+    level = list(ids)
+    while len(level) < 2 or len(level) & (len(level) - 1):
+        level.append(level[-1])
+    while len(level) > 1:
+        level = [raw_h(level[i] + level[i + 1]) for i in range(0, len(level), 2)]
+    return level[0]
+
+
+def check_against_plain(reg: Registry, plain: list[bytes]) -> None:
+    assert list(reg) == plain and len(reg) == len(plain)
+    if not plain:
+        with pytest.raises(EmptySet):
+            accumulate(reg)
+        return
+    root = accumulate(reg)
+    assert root == accumulate(plain) == naive_root(plain)
+    for sec, sid in zip(POOL, POOL_IDS):
+        assert (sid in reg) == (sid in plain)
+        if sid in plain:
+            proof = prove_membership(sec, reg, b"m")
+            assert proof == prove_membership(sec, plain, b"m")
+            assert verify_membership(proof, root, b"m", set())
+        else:
+            with pytest.raises(NotAMember):
+                prove_membership(sec, reg, b"m")
+
+
+class TestRegistry:
+    @given(start=st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33]),
+           data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_cached_tree_matches_plain_list_after_every_step(self, start, data):
+        """Root, membership and every member's proof agree with a fresh
+        build over a plain list copy after each append/remove, duplicates
+        included; a stale cache shows up as a mismatch."""
+        pick = st.sampled_from(POOL_IDS)
+        reg = Registry(data.draw(pick) for _ in range(start))
+        plain = list(reg)
+        check_against_plain(reg, plain)
+        for add, rid in data.draw(st.lists(st.tuples(st.booleans(), pick), max_size=12)):
+            if add:
+                reg.append(rid)
+                plain.append(rid)
+            elif rid in plain:
+                reg.remove(rid)
+                plain.remove(rid)
+            else:
+                with pytest.raises(ValueError):
+                    reg.remove(rid)
+            check_against_plain(reg, plain)
+
+    def test_tree_built_once_per_mutation(self, monkeypatch):
+        reg = Registry(POOL_IDS[:5])
+        builds = []
+        real = membership._build_levels
+        monkeypatch.setattr(membership, "_build_levels",
+                            lambda ids: builds.append(list(ids)) or real(ids))
+        root = accumulate(reg)
+        for sec in POOL[:5]:
+            assert prove_membership(sec, reg, b"m").root == root
+        assert accumulate(reg) == root
+        assert len(builds) == 1
+        reg.append(POOL_IDS[5])
+        reg.remove(POOL_IDS[0])
+        assert len(builds) == 1
+        new_root = accumulate(reg)
+        assert prove_membership(POOL[5], reg, b"m").root == new_root
+        assert builds == [POOL_IDS[:5], POOL_IDS[1:]]
+        assert new_root == naive_root(POOL_IDS[1:])

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from fairtradex.scenario import Runner, ScenarioError, derive_seed, validate_con
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 TWO_MM = SCENARIOS / "two_mm_competition.json"
+GOLDEN_DIGESTS = Path(__file__).parent / "golden" / "scenario_digests.json"
 
 
 def load(name="two_mm_competition.json"):
@@ -123,6 +125,16 @@ class TestCli:
         self.run_cli("run", str(TWO_MM), "--outdir", str(tmp_path / "b"))
         for name in ("trace.jsonl", "settlements.json", "summary.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(json.loads(GOLDEN_DIGESTS.read_text())))
+    def test_bundled_scenario_outputs_match_golden_digests(self, tmp_path, name):
+        """sha256 of each output, pinned across commits: a change that alters
+        any output must update the fixture and say why."""
+        golden = json.loads(GOLDEN_DIGESTS.read_text())[name]
+        assert self.run_cli("run", str(SCENARIOS / name), "--outdir", str(tmp_path)) == 0
+        digests = {out: hashlib.sha256((tmp_path / out).read_bytes()).hexdigest()
+                   for out in golden}
+        assert digests == golden
 
     def test_multi_seed_runs_in_subdirs(self, tmp_path):
         code = self.run_cli("run", str(TWO_MM), "--outdir", str(tmp_path),
