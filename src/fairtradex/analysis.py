@@ -1,5 +1,6 @@
-"""Rational-agent analysis: impact process, closed-form utilities,
-best-response equilibrium checks, and the execution-cost comparison model.
+"""Rational-agent analysis: closed-form utilities, best-response
+equilibrium checks, and the execution-cost comparison model.  (The fair
+price's impact process is the scenario runner's, ``Runner.current_y``.)
 
 Everything here works in floating point; nothing feeds back into
 settlement.  Quoter profit follows the two-leg expectation
@@ -14,59 +15,15 @@ fixed width, and which vanishes at (p=y, w=1, d=1).
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .auction import AuctionBook, filter_by_width, find_clearing_price, select_tight_market, settle
-from .units import ANY, MKT, TOKEN_A, TOKEN_B, Market, Order, market_width
-
-# ---------------------------------------------------------------------------
-# Fair-price process with multiplicative impact
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class MifpProcess:
-    """Market-implied fair price with multiplicative impact delta >= 1.
-
-    A buy moves the price to delta*y, a sell to y/delta.  The path is
-    tracked through the net-buy exponent so a buy followed by a sell lands
-    back on the starting price exactly.
-    """
-
-    y0: float
-    delta: float
-    seed: int = 0
-    _rng: random.Random = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.y0 <= 0:
-            raise ValueError("y0 must be positive")
-        if self.delta < 1:
-            raise ValueError("delta must be >= 1")
-        self._rng = random.Random(self.seed)
-
-    def random_trades(self, n: int, notional: float = 1.0) -> list[float]:
-        """Fair-coin order flow: n signed notionals, deterministic per seed."""
-        return [notional * self._rng.choice((1, -1)) for _ in range(n)]
-
-
-def run_mifp(proc: MifpProcess, trades: Sequence[float]) -> list[float]:
-    """Price path under the impact rule; element 0 is the starting price."""
-    path = [proc.y0]
-    k = 0
-    for t in trades:
-        if t > 0:
-            k += 1
-        elif t < 0:
-            k -= 1
-        path.append(proc.y0 * proc.delta ** k)
-    return path
-
+from .auction import (AuctionBook, filter_by_width, find_clearing_price, select_tight_market,
+                      settle, tight_market_orders)
+from .units import MKT, TOKEN_A, TOKEN_B, Market, Order, market_width, quote
 
 # ---------------------------------------------------------------------------
 # Closed-form utilities
@@ -321,13 +278,6 @@ def _best_response_closed_form(profile: StrategyProfile, grid: DeviationGrid,
 # ---------------------------------------------------------------------------
 
 
-def _quote(ref: int, w: Fraction) -> tuple[int, int]:
-    root = math.sqrt(float(w))
-    bid = max(1, round(ref / root))
-    offer = max(bid, round(ref * root))
-    return bid, offer
-
-
 @dataclass(frozen=True)
 class _EngineGame:
     """Width-sensitive batch auction round, evaluated at a fixed flow pattern.
@@ -351,7 +301,7 @@ class _EngineGame:
         depth = 10 * self.n_clients * self.client_size_a
         revealed = []
         for i, (ref, w) in enumerate(mm_strats):
-            bid, offer = _quote(ref, w)
+            bid, offer = quote(ref, w)
             revealed.append((f"m{i}", Market(bid=bid, size_bid=depth,
                                              offer=offer, size_offer=depth)))
         tight = select_tight_market(revealed)
@@ -372,10 +322,9 @@ class _EngineGame:
                                    size=size_b, price=price,
                                    width_req=cs.width_req))
             oid += 1
-        buys.append(Order(oid=oid, owner=player, tkn=TOKEN_A, size=m.size_bid,
-                          price=m.bid, width_req=ANY))
-        sells.append(Order(oid=oid + 1, owner=player, tkn=TOKEN_B,
-                           size=m.size_offer, price=m.offer, width_req=ANY))
+        buy, sell = tight_market_orders(player, m, oid, m.size_bid, m.size_offer)
+        buys.append(buy)
+        sells.append(sell)
 
         book = AuctionBook(buy_orders=tuple(buys), sell_orders=tuple(sells),
                            w_tight=w_tight, tight_market=tight)

@@ -21,8 +21,8 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .membership import h
-from .units import (ANY, MKT, Market, Order, Width, encode_market,
-                    market_width, width_geq)
+from .units import (ANY, MKT, TOKEN_A, TOKEN_B, Market, Order, Width,
+                    encode_market, market_width, width_geq)
 
 
 class InvalidClearingPrice(Exception):
@@ -114,6 +114,20 @@ def select_tight_market(
             best = (player, market)
             best_key = (w, digest)
     return best
+
+
+def tight_market_orders(player: str, market: Market, oid: int,
+                        size_bid: int, size_offer: int) -> tuple[Order, Order]:
+    """The tight market's two implicit width-ANY limit orders.
+
+    A buy of ``size_bid`` A atoms at the bid (oid ``oid``) and a sell of
+    ``size_offer`` B atoms at the offer (oid ``oid + 1``).  The caller
+    picks the sizes: the protocol caps them by the quoter's escrow.
+    """
+    return (Order(oid=oid, owner=player, tkn=TOKEN_A, size=size_bid,
+                  price=market.bid, width_req=ANY),
+            Order(oid=oid + 1, owner=player, tkn=TOKEN_B, size=size_offer,
+                  price=market.offer, width_req=ANY))
 
 
 def _buy_eligible(o: Order, cp: int) -> bool:
@@ -340,28 +354,42 @@ def settle(book: AuctionBook, cp: int) -> ClearingResult:
                           imbalance_a=buy_vol - sell_vol * cp, fills=tuple(fills))
 
 
+def conservation_problems(cp: int, volume_b: int,
+                          fills: Iterable[tuple[int, str, int, int, int, int]]) -> list[str]:
+    """Exact-conservation problems of a settlement at ``cp`` (empty if none).
+
+    ``fills`` yields ``(oid, side, size, executed, received, refunded)``
+    rows, ``side`` being "buy" or "sell".  Every fill must account for its
+    whole size, trade whole lots at ``cp``, and the A and B legs summed over
+    all fills must both balance at ``volume_b`` B atoms.
+    """
+    problems = []
+    a_spent = a_received = b_received = b_delivered = 0
+    for oid, side, size, executed, received, refunded in fills:
+        if executed + refunded != size:
+            problems.append(f"{side} fill {oid}: executed + refunded != size")
+        if side == "buy":
+            if executed != received * cp:
+                problems.append(f"buy fill {oid}: A spent != lots * cp")
+            a_spent += executed
+            b_received += received
+        else:
+            if received != executed * cp:
+                problems.append(f"sell fill {oid}: A received != delivered * cp")
+            b_delivered += executed
+            a_received += received
+    if not (a_spent == a_received == volume_b * cp):
+        problems.append("A legs do not balance")
+    if not (b_received == b_delivered == volume_b):
+        problems.append("B legs do not balance")
+    return problems
+
+
 def validate_clearing_result(book: AuctionBook, res: ClearingResult) -> None:
     """Assert the exact-conservation invariants of a settlement."""
     orders = {o.oid: o for o in (*book.buy_orders, *book.sell_orders)}
-    a_spent = a_received = b_received = b_delivered = 0
-    for f in res.fills:
-        o = orders[f.oid]
-        if o.side == "buy":
-            if f.executed != f.received * res.cp:
-                raise AssertionError(f"buy fill {f.oid}: A spent != lots * cp")
-            if f.executed + f.refunded != o.size:
-                raise AssertionError(f"buy fill {f.oid}: executed + refunded != size")
-            a_spent += f.executed
-            b_received += f.received
-        else:
-            if f.received != f.executed * res.cp:
-                raise AssertionError(f"sell fill {f.oid}: A received != delivered * cp")
-            if f.executed + f.refunded != o.size:
-                raise AssertionError(f"sell fill {f.oid}: executed + refunded != size")
-            b_delivered += f.executed
-            a_received += f.received
-    v = res.volume_settled_b
-    if not (a_spent == a_received == v * res.cp):
-        raise AssertionError("A legs do not balance")
-    if not (b_received == b_delivered == v):
-        raise AssertionError("B legs do not balance")
+    rows = ((f.oid, orders[f.oid].side, orders[f.oid].size, f.executed, f.received, f.refunded)
+            for f in res.fills)
+    problems = conservation_problems(res.cp, res.volume_settled_b, rows)
+    if problems:
+        raise AssertionError("; ".join(problems))

@@ -12,10 +12,12 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .auction import filter_by_width, find_clearing_price, settle, verify_clearing_price, volumes_at
+from .auction import (conservation_problems, filter_by_width, find_clearing_price, settle,
+                      verify_clearing_price, volumes_at)
 from .analysis import DEFAULT_SLIPPAGE, cost_table
 from .scenario import InvariantViolation, Runner, ScenarioError, SUMMARY_HEADER
 from .serialize import book_from_json, dumps_canonical, result_to_json
+from .units import check_price, check_quantity
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -125,31 +127,28 @@ def _cmd_costs(args) -> int:
 
 
 def _check_report(reports: list) -> list[str]:
+    """Conservation problems of a settlements report, per round.
+
+    Raises ValueError on a malformed report.  Width-removed orders must be
+    full refunds and stay out of the conservation sums.
+    """
     problems = []
     for rep in reports:
-        cp, vol = rep["cp"], rep["volume_b"]
-        a_spent = a_received = b_received = b_delivered = 0
+        if not isinstance(rep, dict) or not isinstance(rep.get("fills"), list):
+            raise ValueError("each report must be an object with a list of fills")
+        where = f"round {rep['round']}"
+        rows = []
         for f in rep["fills"]:
-            if f.get("width_removed"):
-                if f["executed"] or f["received"] or f["refunded"] != f["size"]:
-                    problems.append(f"round {rep['round']} oid {f['oid']}: bad width-removed refund")
-                continue
-            if f["executed"] + f["refunded"] != f["size"]:
-                problems.append(f"round {rep['round']} oid {f['oid']}: executed+refunded != size")
-            if f["side"] == "buy":
-                if f["executed"] != f["received"] * cp:
-                    problems.append(f"round {rep['round']} oid {f['oid']}: A spent != lots*cp")
-                a_spent += f["executed"]
-                b_received += f["received"]
-            else:
-                if f["received"] != f["executed"] * cp:
-                    problems.append(f"round {rep['round']} oid {f['oid']}: A received != size*cp")
-                b_delivered += f["executed"]
-                a_received += f["received"]
-        if not (a_spent == a_received == vol * cp):
-            problems.append(f"round {rep['round']}: A conservation broken")
-        if not (b_received == b_delivered == vol):
-            problems.append(f"round {rep['round']}: B conservation broken")
+            if not isinstance(f, dict) or f.get("side") not in ("buy", "sell"):
+                raise ValueError(f"{where}: each fill must be an object with side buy or sell")
+            size, executed, received, refunded = (
+                check_quantity(f[k]) for k in ("size", "executed", "received", "refunded"))
+            if not f.get("width_removed"):
+                rows.append((f["oid"], f["side"], size, executed, received, refunded))
+            elif executed or received or refunded != size:
+                problems.append(f"{where} oid {f['oid']}: bad width-removed refund")
+        cp, volume_b = check_price(rep["cp"]), check_quantity(rep["volume_b"])
+        problems += [f"{where}: {p}" for p in conservation_problems(cp, volume_b, rows)]
     return problems
 
 

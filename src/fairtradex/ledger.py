@@ -8,8 +8,6 @@ be asserted globally at any point.
 
 from __future__ import annotations
 
-import json
-
 from .units import check_quantity, sub_quantity
 
 PROTOCOL_ACCOUNT = "protocol"
@@ -52,9 +50,6 @@ class Ledger:
         """Deep, detached copy for conservation assertions."""
         return {acct: dict(tkns) for acct, tkns in self._balances.items()}
 
-    def total_supply(self, tkn: str) -> int:
-        return sum(tkns.get(tkn, 0) for tkns in self._balances.values())
-
     def supplies(self) -> dict[str, int]:
         """Per-token totals over all accounts, burn sink included."""
         out: dict[str, int] = {}
@@ -62,19 +57,3 @@ class Ledger:
             for tkn, amt in tkns.items():
                 out[tkn] = out.get(tkn, 0) + amt
         return out
-
-    def to_canonical_json(self) -> str:
-        """Sorted-key JSON document; stable across runs for golden tests."""
-        clean = {
-            acct: {tkn: amt for tkn, amt in sorted(tkns.items()) if amt}
-            for acct, tkns in sorted(self._balances.items())
-        }
-        return json.dumps(clean, sort_keys=True, separators=(",", ":"))
-
-
-def snapshot_supplies(snap: dict[str, dict[str, int]]) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for tkns in snap.values():
-        for tkn, amt in tkns.items():
-            out[tkn] = out.get(tkn, 0) + amt
-    return out

@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import membership
 from .auction import (AuctionBook, filter_by_width, select_tight_market,
-                      settle, verify_clearing_price)
+                      settle, tight_market_orders, verify_clearing_price)
 from .chain import (CLIENT_REGISTER, CLIENT_REVEAL, COMMIT_CLIENT, COMMIT_MM,
                     CP, MM_REVEAL, ExecutedTx, Tx)
 from .ledger import PROTOCOL_ACCOUNT, Ledger
@@ -372,12 +372,10 @@ class Protocol:
             offer_size = min(m.size_offer, int(self.params.e_mm / (self.params.p_a * m.offer)))
             self.ledger.transfer(player, PROTOCOL_ACCOUNT, TOKEN_A, bid_size)
             self.ledger.transfer(player, PROTOCOL_ACCOUNT, TOKEN_B, offer_size)
-            self.revealed_buys.append(Order(oid=self._next_oid(), owner=player,
-                                            tkn=TOKEN_A, size=bid_size,
-                                            price=m.bid, width_req=ANY))
-            self.revealed_sells.append(Order(oid=self._next_oid(), owner=player,
-                                             tkn=TOKEN_B, size=offer_size,
-                                             price=m.offer, width_req=ANY))
+            buy, sell = tight_market_orders(player, m, self._oid, bid_size, offer_size)
+            self._oid += 2
+            self.revealed_buys.append(buy)
+            self.revealed_sells.append(sell)
         self.revealed_mkts = []
 
         for serial in list(self.client_commits):

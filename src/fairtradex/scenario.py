@@ -8,7 +8,6 @@ and the chain's ordering policy is the only adversarial degree of freedom.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +28,7 @@ from .protocol import (ClientCommitPayload, ClientRevealPayload, CpPayload,
 from .serialize import (dumps_canonical, fraction_from_json, price_to_json,
                         width_to_json)
 from .units import (MKT, TOKEN_A, TOKEN_B, TOKEN_REF, WITHDRAW, Market,
-                    ProtocolParams)
+                    ProtocolParams, quote)
 
 
 class ScenarioError(Exception):
@@ -76,9 +75,6 @@ SCENARIO_SCHEMA = {
                 "p_a": _RATIONAL,
                 "t_blocks": {"type": "integer", "minimum": 1},
                 "alpha": _RATIONAL,
-                "f_mcf": _RATIONAL,
-                "delta": _RATIONAL,
-                "min_tick": {"type": "integer"},
             },
         },
         "mifp": {
@@ -150,16 +146,9 @@ def _params_from_config(d: dict) -> ProtocolParams:
             f_r=d["f_r"], res_bounty=d["res_bounty"],
             p_a=fraction_from_json(d["p_a"]), t_blocks=d["t_blocks"],
             alpha=fraction_from_json(d.get("alpha", 0)),
-            f_mcf=fraction_from_json(d.get("f_mcf", "121/100")),
-            delta=fraction_from_json(d.get("delta", 1)),
-            min_tick=d.get("min_tick", 1),
         )
     except (ValueError, KeyError) as e:
         raise ScenarioError(f"config error in params: {e}") from None
-
-
-def _sqrt_fraction(w: Fraction) -> float:
-    return math.sqrt(w.numerator) / math.sqrt(w.denominator)
 
 
 def payload_to_json(payload: Any) -> Any:
@@ -314,10 +303,7 @@ class MMAgent:
         self.market: Optional[Market] = None
 
     def _make_market(self, view: _View, params: ProtocolParams) -> Market:
-        ref = view.y if self.ref == "mifp" else int(self.ref)
-        root = _sqrt_fraction(self.width)
-        bid = max(1, round(ref / root))
-        offer = max(bid, round(ref * root))
+        bid, offer = quote(view.y if self.ref == "mifp" else int(self.ref), self.width)
         min_bid = ceil(Fraction(params.q_not) / params.p_a)
         min_offer = ceil(Fraction(params.q_not) / (params.p_a * offer))
         return Market(bid=bid, size_bid=self.size_mult * min_bid,
@@ -398,7 +384,13 @@ class Runner:
 
         mifp = config["mifp"]
         self._y0 = mifp["y0"]
-        self._mifp_delta = fraction_from_json(mifp.get("delta", 1))
+        try:
+            self._mifp_delta = fraction_from_json(mifp.get("delta", 1))
+        except ValueError as e:
+            raise ScenarioError(f"config error in mifp: {e}") from None
+        if self._mifp_delta < 1:
+            raise ScenarioError(f"config error in mifp: delta must be >= 1, "
+                                f"got {self._mifp_delta}")
         self._net_buys = 0
         self._direction_rng = random.Random(
             derive_seed(mifp.get("seed", derive_seed(self.seed, "mifp")), "directions"))

@@ -30,7 +30,10 @@ def fraction_from_json(v: Any) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
-        return Fraction(v)  # accepts "p/q" and decimal strings
+        try:
+            return Fraction(v)  # accepts "p/q" and decimal strings
+        except ZeroDivisionError:
+            raise ValueError(f"not a rational: {v!r}") from None
     raise ValueError(f"not a rational: {v!r}")
 
 
@@ -62,11 +65,6 @@ def price_from_json(v: Any) -> Price:
     raise ValueError(f"not a price: {v!r}")
 
 
-def order_to_json(o: Order) -> dict:
-    return {"oid": o.oid, "owner": o.owner, "side": o.side, "size": o.size,
-            "price": price_to_json(o.price), "width": width_to_json(o.width_req)}
-
-
 def order_from_json(d: dict) -> Order:
     side = d["side"]
     if side not in ("buy", "sell"):
@@ -75,18 +73,6 @@ def order_from_json(d: dict) -> Order:
                  tkn="A" if side == "buy" else "B", size=int(d["size"]),
                  price=price_from_json(d["price"]),
                  width_req=width_from_json(d.get("width", "any")))
-
-
-def book_to_json(book: AuctionBook) -> dict:
-    doc = {
-        "w_tight": width_to_json(book.w_tight),
-        "orders": [order_to_json(o) for o in (*book.buy_orders, *book.sell_orders)],
-    }
-    if book.tight_market is not None:
-        player, m = book.tight_market
-        doc["tight_market"] = {"player": player, "bid": m.bid, "size_bid": m.size_bid,
-                               "offer": m.offer, "size_offer": m.size_offer}
-    return doc
 
 
 def book_from_json(doc: dict) -> AuctionBook:

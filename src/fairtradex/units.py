@@ -149,6 +149,20 @@ def market_width(m: Market) -> Fraction:
     return Fraction(m.offer, m.bid)
 
 
+def quote(ref: int, w: Fraction) -> tuple[int, int]:
+    """(bid, offer) in ticks of a market of width ``w`` around ``ref``.
+
+    The bid is ``ref / sqrt(w)`` and the offer ``ref * sqrt(w)``, clamped
+    to ``1 <= bid <= offer``.  Both are rounded from floating point, so an
+    exact tie can land either way: ``quote(55, 121/100)`` offers 61 because
+    55 * 1.1 evaluates to 60.50000000000001.
+    """
+    root = math.sqrt(float(w))
+    bid = max(1, round(ref / root))
+    offer = max(bid, round(ref * root))
+    return bid, offer
+
+
 def reference_price(m: Market) -> float:
     """Geometric mean of bid and offer; analysis only, never settlement."""
     if m.bid == m.offer:
@@ -248,9 +262,6 @@ class ProtocolParams:
     p_a: Fraction
     t_blocks: int
     alpha: Fraction = Fraction(0)
-    f_mcf: Fraction = Fraction(121, 100)
-    delta: Fraction = Fraction(1)
-    min_tick: int = 1
 
     def __post_init__(self):
         for name in ("e_client", "e_mm", "q_not", "f_r", "res_bounty"):
@@ -263,12 +274,6 @@ class ProtocolParams:
             raise QuantityError("t_blocks must be >= 1")
         if not 0 <= self.alpha < 1:
             raise QuantityError("alpha must lie in [0, 1)")
-        if self.f_mcf <= 1:
-            raise QuantityError("f_mcf must exceed 1")
-        if self.delta < 1:
-            raise QuantityError("delta must be >= 1")
-        if self.min_tick != 1:
-            raise QuantityError("only min_tick = 1 is supported; scale the tick grid instead")
 
     @property
     def t_eff(self) -> int:

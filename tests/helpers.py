@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from fairtradex.auction import AuctionBook
+from fairtradex.auction import AuctionBook, tight_market_orders
 from fairtradex.chain import ExecutedTx, Tx
 from fairtradex.ledger import Ledger
 from fairtradex.units import ANY, MKT, TOKEN_A, TOKEN_B, TOKEN_REF, Market, Order, ProtocolParams
@@ -85,10 +85,9 @@ def random_book(rng: random.Random, max_orders: int = 12, band: int = 32,
         size_bid = max(q_not, sum(o.size for o in sells) * offer + 1)
         size_offer = max(q_not, sum(o.size for o in buys) // bid + q_not + 1)
         m = Market(bid=bid, size_bid=size_bid, offer=offer, size_offer=size_offer)
-        buys.append(Order(oid=oid, owner="mm", tkn=TOKEN_A, size=size_bid,
-                          price=bid, width_req=ANY))
-        sells.append(Order(oid=oid + 1, owner="mm", tkn=TOKEN_B, size=size_offer,
-                           price=offer, width_req=ANY))
+        buy, sell = tight_market_orders("mm", m, oid, size_bid, size_offer)
+        buys.append(buy)
+        sells.append(sell)
         w_tight = Fraction(offer, bid)
         tight = ("mm", m)
     return AuctionBook(buy_orders=tuple(buys), sell_orders=tuple(sells),

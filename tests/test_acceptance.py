@@ -4,6 +4,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 output.  Tolerances are pinned here and nowhere else.
 """
 
+import csv
 import itertools
 import json
 import random
@@ -12,6 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 from fairtradex.analysis import (ClientProfile, MMProfile, StrategyProfile,
                                  best_response_check, mm_expected_profit,
                                  p_ref_argmax)
@@ -303,8 +305,40 @@ def test_criterion_5_quoter_argmax_and_zero_profit():
           "parameter draws; zero profit on the width-1 line")
 
 
-def test_criterion_6_best_response_reports():
-    REPORTS.mkdir(exist_ok=True)
+# Archived report floats may move in the last digits across platforms and
+# numpy versions; structure, labels and flags must match exactly.
+ARCHIVE_REL_TOL = 1e-9
+ARCHIVE_ABS_TOL = 1e-12   # float noise around zero, e.g. an archived gain of 5.6e-17
+
+
+def _assert_matches_archive(got, want, where):
+    if isinstance(want, float):
+        assert isinstance(got, float), where
+        assert got == pytest.approx(want, rel=ARCHIVE_REL_TOL, abs=ARCHIVE_ABS_TOL), where
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), where
+        for k in want:
+            _assert_matches_archive(got[k], want[k], f"{where}.{k}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_matches_archive(g, w, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, where
+
+
+def _csv_cells(path):
+    """CSV rows with every numeric cell parsed as a float."""
+    def cell(v):
+        try:
+            return float(v)
+        except ValueError:
+            return v
+    with open(path, newline="") as fh:
+        return [[cell(v) for v in row] for row in csv.reader(fh)]
+
+
+def test_criterion_6_best_response_reports(tmp_path):
     f_mcf = Fraction(121, 100)
     monopoly = StrategyProfile(client=ClientProfile(order_type="mkt", width_req=f_mcf),
                                mm=MMProfile(width=f_mcf))
@@ -316,13 +350,16 @@ def test_criterion_6_best_response_reports():
     assert rep2.paths >= 10_000
     assert rep2.confirmed, [e for e in rep2.entries if e.improves]
     for name, rep in (("best_response_n1", rep1), ("best_response_n2", rep2)):
-        with open(REPORTS / f"{name}.json", "w") as fh:
+        with open(tmp_path / f"{name}.json", "w") as fh:
             json.dump(rep.to_json_dict(), fh, indent=1, sort_keys=True)
             fh.write("\n")
-        (REPORTS / f"{name}.csv").write_text(rep.to_csv())
+        (tmp_path / f"{name}.csv").write_text(rep.to_csv())
+        for ext, load in ((".json", lambda p: json.loads(p.read_text())), (".csv", _csv_cells)):
+            _assert_matches_archive(load(tmp_path / f"{name}{ext}"),
+                                    load(REPORTS / f"{name}{ext}"), f"{name}{ext}")
     print(f"PASS criterion 6: no improving deviation in either profile "
           f"(N=1 max gain {rep1.max_gain:.2e}; N=2 max gain {rep2.max_gain:.2e}); "
-          f"reports archived under reports/")
+          f"both reports match the archive under reports/")
 
 
 def test_criterion_7_cost_matrix_reproduction(capsys):

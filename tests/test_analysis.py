@@ -1,15 +1,20 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fairtradex.analysis import (AMM, DIRECTION_REVEALING, FAIRTRADEX,
                                  IDENTITY_REVEALING, P1, P2, ClientProfile,
-                                 CostModel, DEFAULT_IMPACT_TABLE, MifpProcess,
-                                 MMProfile, StrategyProfile, best_response_check,
+                                 CostModel, DEFAULT_IMPACT_TABLE, MMProfile,
+                                 StrategyProfile, best_response_check,
                                  client_utility, cost_table, execution_cost,
                                  mm_buyer_leg, mm_expected_profit, mm_seller_leg,
-                                 p_ref_argmax, run_mifp)
+                                 p_ref_argmax)
+from fairtradex.scenario import Runner, ScenarioError
+
+TWO_MM = Path(__file__).resolve().parent.parent / "scenarios" / "two_mm_competition.json"
 
 
 class TestQuoterProfit:
@@ -64,27 +69,61 @@ class TestClientUtility:
         assert client_utility(100.0 / 1.2, 100.0, "sell", 1.21) < 0
 
 
+class _ScriptedFlow:
+    """Stands in for the runner's direction RNG: replays a fixed flow."""
+
+    def __init__(self, directions):
+        self._it = iter(directions)
+
+    def choice(self, _options):
+        return next(self._it)
+
+
 class TestMifp:
+    """The fair-price path has one implementation: the scenario runner's,
+    exact in Fractions and rounded to ticks only when read."""
+
+    @staticmethod
+    def runner(delta, directions=None):
+        cfg = json.loads(TWO_MM.read_text())
+        cfg["mifp"]["delta"] = delta
+        runner = Runner(cfg)
+        if directions is not None:
+            runner._direction_rng = _ScriptedFlow(directions)
+        return runner
+
     def test_no_impact_means_constant_path(self):
-        proc = MifpProcess(y0=100.0, delta=1.0)
-        assert run_mifp(proc, [1, -1, 1, 1, -1]) == [100.0] * 6
+        runner = self.runner(1)
+        y0 = runner.current_y()
+        for _ in range(50):
+            runner.next_direction()
+            assert runner.current_y() == y0
 
     def test_buy_then_sell_returns_exactly(self):
-        proc = MifpProcess(y0=100.0, delta=1.01)
-        assert run_mifp(proc, [1, -1])[-1] == 100.0
+        runner = self.runner("101/100", [1, -1])
+        y0 = runner.current_y()
+        assert runner.next_direction() == 1
+        assert runner.current_y() == round(Fraction(101, 100) * y0) != y0
+        assert runner.next_direction() == -1
+        assert runner.current_y() == y0
 
     def test_ten_buys_compound(self):
-        proc = MifpProcess(y0=100.0, delta=1.01)
-        assert run_mifp(proc, [1] * 10)[-1] == 100.0 * 1.01 ** 10
+        runner = self.runner("101/100", [1] * 10)
+        y0 = runner.current_y()
+        for k in range(1, 11):
+            runner.next_direction()
+            assert runner.current_y() == round(y0 * Fraction(101, 100) ** k)
 
     def test_random_flow_deterministic_per_seed(self):
-        a = MifpProcess(y0=100.0, delta=1.01, seed=5).random_trades(50)
-        b = MifpProcess(y0=100.0, delta=1.01, seed=5).random_trades(50)
-        assert a == b and set(a) <= {1.0, -1.0}
+        a, b = self.runner("101/100"), self.runner("101/100")
+        flow_a = [a.next_direction() for _ in range(50)]
+        assert flow_a == [b.next_direction() for _ in range(50)]
+        assert set(flow_a) == {1, -1}
 
     def test_delta_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            MifpProcess(y0=100.0, delta=0.99)
+        for delta in (0, "0", "1/2", "99/100", "1/0", "x"):
+            with pytest.raises(ScenarioError, match="mifp"):
+                self.runner(delta)
 
 
 class TestExecutionCost:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -7,12 +8,16 @@ from pathlib import Path
 
 import pytest
 
+from fairtradex.auction import (filter_by_width, find_clearing_price, settle,
+                                validate_clearing_result)
 from fairtradex.cli import main
 from fairtradex.scenario import Runner, ScenarioError, derive_seed, validate_config
+from fairtradex.serialize import book_from_json
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 TWO_MM = SCENARIOS / "two_mm_competition.json"
 GOLDEN_DIGESTS = Path(__file__).parent / "golden" / "scenario_digests.json"
+GOLDEN_BOOK = Path(__file__).parent / "golden" / "clearing_fixture.json"
 
 
 def load(name="two_mm_competition.json"):
@@ -214,6 +219,55 @@ class TestCli:
         tampered = tmp_path / "tampered.json"
         tampered.write_text(json.dumps(reports))
         assert self.run_cli("check", str(tampered)) == 3
+
+    @staticmethod
+    def golden_settlement():
+        """The golden book cleared and settled, plus its one-round report."""
+        book, _ = filter_by_width(book_from_json(json.loads(GOLDEN_BOOK.read_text())["book"]))
+        res = settle(book, find_clearing_price(book).cp)
+        orders = {o.oid: o for o in (*book.buy_orders, *book.sell_orders)}
+        fills = [{"oid": f.oid, "side": orders[f.oid].side, "size": orders[f.oid].size,
+                  "executed": f.executed, "received": f.received, "refunded": f.refunded,
+                  "width_removed": False} for f in res.fills]
+        report = {"round": 0, "cp": res.cp, "volume_b": res.volume_settled_b, "fills": fills}
+        return book, res, report
+
+    def check_exit_code(self, tmp_path, reports):
+        path = tmp_path / "settlements.json"
+        path.write_text(json.dumps(reports))
+        return self.run_cli("check", str(path))
+
+    @pytest.mark.parametrize("side, field", [(side, field) for side in ("buy", "sell")
+                                             for field in ("executed", "received", "refunded")]
+                             + [(None, "volume_b")])
+    def test_both_checkers_flag_tampering(self, tmp_path, side, field):
+        book, res, report = self.golden_settlement()
+        validate_clearing_result(book, res)
+        assert self.check_exit_code(tmp_path, [report]) == 0
+        if side is None:
+            res = dataclasses.replace(res, volume_settled_b=res.volume_settled_b + 1)
+            report["volume_b"] += 1
+        else:
+            i = next(i for i, f in enumerate(report["fills"]) if f["side"] == side)
+            fills = list(res.fills)
+            fills[i] = dataclasses.replace(fills[i], **{field: getattr(fills[i], field) + 1})
+            res = dataclasses.replace(res, fills=tuple(fills))
+            report["fills"][i][field] += 1
+        with pytest.raises(AssertionError):
+            validate_clearing_result(book, res)
+        assert self.check_exit_code(tmp_path, [report]) == 3
+
+    @pytest.mark.parametrize("tamper", [
+        lambda reps: reps[0]["fills"][0].update(executed=str(reps[0]["fills"][0]["executed"])),
+        lambda reps: reps[0].update(cp=None),
+        lambda reps: reps.append(["not", "an", "object"]),
+        lambda reps: reps[0]["fills"][-1].update(side="bogus"),
+    ], ids=["string-amount", "null-cp", "non-object-entry", "unknown-side"])
+    def test_check_malformed_report_exit_2(self, tmp_path, capsys, tamper):
+        reports = [self.golden_settlement()[2]]
+        tamper(reports)
+        assert self.check_exit_code(tmp_path, reports) == 2
+        assert "malformed report" in capsys.readouterr().err
 
     def test_console_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "fairtradex.cli", "costs"],

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from fairtradex.units import (ANY, MKT, WITHDRAW, Market, Order, ProtocolParams,
                               QuantityError, check_quantity, market_width,
-                              notional, reference_price, sub_quantity, width_geq)
+                              notional, quote, reference_price, sub_quantity,
+                              width_geq)
 
 
 class TestWidth:
@@ -46,6 +47,18 @@ class TestMarket:
         assert bid * (1 - 1e-12) <= p <= (bid + spread) * (1 + 1e-12)
         assert p * p == pytest.approx(bid * (bid + spread), rel=1e-12)
         assert market_width(m) >= 1
+
+
+class TestQuote:
+    @pytest.mark.parametrize("ref, width, expected", [
+        (110, Fraction(1), (110, 110)),
+        (110, Fraction(121, 100), (100, 121)),
+        (55, Fraction(121, 100), (50, 61)),      # 55 * 1.1 rounds up from 60.50000000000001
+        (100, Fraction(9, 4), (67, 150)),
+        (1, Fraction(4), (1, 2)),                # bid clamped to one tick
+    ])
+    def test_table(self, ref, width, expected):
+        assert quote(ref, width) == expected
 
 
 class TestNotional:
