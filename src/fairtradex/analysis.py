@@ -327,7 +327,7 @@ class _EngineGame:
         sells.append(sell)
 
         book = AuctionBook(buy_orders=tuple(buys), sell_orders=tuple(sells),
-                           w_tight=w_tight, tight_market=tight)
+                           w_tight=w_tight)
         filtered, _removed = filter_by_width(book)
         cand = find_clearing_price(filtered)
         utilities = {f"m{i}": 0.0 for i in range(len(mm_strats))}

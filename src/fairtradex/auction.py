@@ -34,7 +34,6 @@ class AuctionBook:
     buy_orders: tuple[Order, ...]
     sell_orders: tuple[Order, ...]
     w_tight: Width = ANY
-    tight_market: Optional[tuple[str, Market]] = None
 
 
 @dataclass(frozen=True)

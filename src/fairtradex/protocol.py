@@ -107,15 +107,9 @@ def _well_formed_reveal(p: "ClientRevealPayload") -> bool:
 
 
 class Protocol:
-    def __init__(self, params: ProtocolParams, ledger: Ledger,
-                 request_deadline: int | None = None,
-                 reveal_deadline: int | None = None):
+    def __init__(self, params: ProtocolParams, ledger: Ledger):
         self.params = params
         self.ledger = ledger
-        # deadlines default to the maximal inclusion delay
-        self.request_deadline = request_deadline or params.t_eff
-        self.reveal_deadline = reveal_deadline or params.t_eff
-
         self.phase: Optional[Phase] = None
         self.round = 0
         self.last_phase_change = 0
@@ -329,14 +323,19 @@ class Protocol:
     # -- phase transitions ---------------------------------------------------
 
     def on_block_end(self, height: int) -> list[str]:
-        """Evaluate deadline and early-exit conditions after a block executes."""
+        """Evaluate deadline and early-exit conditions after a block executes.
+
+        The commit and the reveal window each last the maximal inclusion
+        delay, ``params.t_eff`` blocks.
+        """
+        t_eff = self.params.t_eff
         events: list[str] = []
-        if self.phase is Phase.COMMIT and height >= self.last_phase_change + self.request_deadline:
+        if self.phase is Phase.COMMIT and height >= self.last_phase_change + t_eff:
             self.phase = Phase.REVEAL
             self.last_phase_change = height
             events.append("phase:reveal")
         if self.phase is Phase.REVEAL:
-            deadline = height >= self.last_phase_change + self.reveal_deadline
+            deadline = height >= self.last_phase_change + t_eff
             all_revealed = not self.client_commits and not self.mm_commits
             if deadline or all_revealed:
                 self._end_reveal_phase(height)
@@ -401,7 +400,7 @@ class Protocol:
     def current_book(self) -> AuctionBook:
         return AuctionBook(buy_orders=tuple(self.revealed_buys),
                            sell_orders=tuple(self.revealed_sells),
-                           w_tight=self.w_tight, tight_market=self.tight_market)
+                           w_tight=self.w_tight)
 
     def _handle_cp(self, etx: ExecutedTx) -> dict:
         p = etx.tx.payload

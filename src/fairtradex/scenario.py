@@ -151,6 +151,17 @@ def _params_from_config(d: dict) -> ProtocolParams:
         raise ScenarioError(f"config error in params: {e}") from None
 
 
+def _rational_at_least_one(value: Any, where: str) -> Fraction:
+    """Parse a rational config value that must be >= 1 (a width or a delta)."""
+    try:
+        r = fraction_from_json(value)
+    except ValueError as e:
+        raise ScenarioError(f"config error in {where}: {e}") from None
+    if r < 1:
+        raise ScenarioError(f"config error in {where}: must be >= 1, got {r}")
+    return r
+
+
 def payload_to_json(payload: Any) -> Any:
     """Deterministic JSON form of a tx payload (bytes fields hex-encoded)."""
     if isinstance(payload, RegisterPayload):
@@ -177,72 +188,42 @@ def payload_to_json(payload: Any) -> Any:
     return {"repr": repr(payload)}
 
 
-class _View:
-    """Read-only state handed to agents at the top of each block."""
-
-    def __init__(self, runner: "Runner"):
-        self.runner = runner
-
-    @property
-    def phase(self):
-        return self.runner.protocol.phase
-
-    @property
-    def round(self):
-        return self.runner.protocol.round
-
-    @property
-    def height(self):
-        return self.runner.chain.height
-
-    @property
-    def registry(self):
-        return self.runner.protocol.clients
-
-    @property
-    def y(self) -> int:
-        return self.runner.current_y()
-
-
-@dataclass
-class _ClientState:
-    secret: Any = None
-    registered: bool = False
-    committed_round: int = -1
-    revealed_round: int = -1
-    order: Optional[tuple] = None  # (tkn, size, price, width)
-    next_secret: Any = None
-
-
 class ClientAgent:
     def __init__(self, pid: str, strategy: dict, rounds: int, seed: int):
         self.pid = pid
         self.rounds = rounds
+        self.seed = seed  # the scenario seed; every secret derives from it
         self.order_kind = strategy.get("order", "mkt")
         self.side = strategy.get("side", "random")
         self.notional = strategy.get("notional", 0)
-        self.width_req = fraction_from_json(strategy.get("width_req", "121/100"))
+        self.width_req = _rational_at_least_one(
+            strategy.get("width_req", "121/100"), f"agent {pid!r} strategy.width_req")
         self.limit_price = strategy.get("limit_price")
+        if self.order_kind == "limit" and self.limit_price is None:
+            raise ScenarioError(f"config error in agent {pid!r} strategy.order: "
+                                f"a limit order needs limit_price")
         self.commit = strategy.get("commit", True)
         self.reveal = strategy.get("reveal", True)
         self.re_register = strategy.get("re_register", rounds > 1)
-        self.rng = random.Random(seed)
-        self.state = _ClientState()
+        self.secret = None
+        self.committed_round = -1
+        self.revealed_round = -1
+        self.order: Optional[tuple] = None  # (tkn, size, price, width)
         self._secret_counter = 0
 
-    def _fresh_secret(self, scenario_seed: int):
+    def _fresh_secret(self):
         self._secret_counter += 1
-        return gen_secret(derive_seed(scenario_seed, f"client:{self.pid}:{self._secret_counter}"))
+        return gen_secret(derive_seed(self.seed, f"client:{self.pid}:{self._secret_counter}"))
 
-    def plan_registration(self, scenario_seed: int) -> Tx:
-        self.state.secret = self._fresh_secret(scenario_seed)
-        return Tx(kind=CLIENT_REGISTER, payload=RegisterPayload(reg_id(self.state.secret)),
+    def plan_registration(self) -> Tx:
+        self.secret = self._fresh_secret()
+        return Tx(kind=CLIENT_REGISTER, payload=RegisterPayload(reg_id(self.secret)),
                   sender=self.pid)
 
-    def _sized_order(self, view: _View, params: ProtocolParams):
+    def _sized_order(self, runner: "Runner", params: ProtocolParams):
         side = self.side
         if side == "random":
-            side = "buy" if view.runner.next_direction() > 0 else "sell"
+            side = "buy" if runner.next_direction() > 0 else "sell"
         price = MKT if self.order_kind == "mkt" else self.limit_price
         if self.order_kind == "withdraw":
             price = WITHDRAW
@@ -250,51 +231,53 @@ class ClientAgent:
         if side == "buy":
             size = int(Fraction(self.notional) / params.p_a)
             return (TOKEN_A, size, price, self.width_req)
-        hint = view.y if price is MKT else price
+        hint = runner.current_y() if price is MKT else price
         size = int(Fraction(self.notional) / (params.p_a * hint))
         return (TOKEN_B, size, price, self.width_req)
 
-    def on_block(self, view: _View, scenario_seed: int) -> list[tuple[str, Tx]]:
-        st = self.state
-        proto = view.runner.protocol
-        params = proto.params
-        out: list[tuple[str, Tx]] = []
-        if view.phase is Phase.COMMIT and self.commit and st.committed_round < view.round:
-            if reg_id(st.secret) not in proto.clients:
-                return out  # registration not confirmed yet
-            st.order = self._sized_order(view, params)
-            tkn, size, price, width = st.order
+    def on_block(self, runner: "Runner") -> list[tuple[str, Tx]]:
+        proto = runner.protocol
+        rnd = proto.round
+        if proto.phase is Phase.COMMIT and self.commit and self.committed_round < rnd:
+            if reg_id(self.secret) not in proto.clients:
+                return []  # registration not confirmed yet
+            self.order = self._sized_order(runner, proto.params)
+            tkn, size, price, width = self.order
             com = client_commitment(tkn, size, price, width)
-            proof = prove_membership(st.secret, view.registry, com)
+            proof = prove_membership(self.secret, proto.clients, com)
             tx = Tx(kind=COMMIT_CLIENT, sender=RELAYED,
-                    payload=ClientCommitPayload(com=com, serial=st.secret.s, proof=proof))
-            st.committed_round = view.round
-            out.append(("relay", tx))
-        elif (view.phase is Phase.REVEAL and self.reveal
-                and st.committed_round == view.round and st.revealed_round < view.round):
-            tkn, size, price, width = st.order
-            stay = self.re_register and view.round + 1 < self.rounds
+                    payload=ClientCommitPayload(com=com, serial=self.secret.s, proof=proof))
+            self.committed_round = rnd
+            return [("relay", tx)]
+        if (proto.phase is Phase.REVEAL and self.reveal
+                and self.committed_round == rnd and self.revealed_round < rnd):
+            tkn, size, price, width = self.order
+            stay = self.re_register and rnd + 1 < self.rounds
             new_token = None
             if stay:
-                st.next_secret = self._fresh_secret(scenario_seed)
-                new_token = reg_id(st.next_secret)
+                next_secret = self._fresh_secret()
+                new_token = reg_id(next_secret)
             tx = Tx(kind=CLIENT_REVEAL, sender=self.pid,
                     payload=ClientRevealPayload(
                         tkn=tkn, size=size, price=price, width=width,
-                        serial=st.secret.s, randomness=st.secret.r,
-                        reg_id=reg_id(st.secret), reg_token_new=new_token))
-            st.revealed_round = view.round
+                        serial=self.secret.s, randomness=self.secret.r,
+                        reg_id=reg_id(self.secret), reg_token_new=new_token))
+            self.revealed_round = rnd
             if stay:
-                st.secret = st.next_secret
-            out.append(("submit", tx))
-        return out
+                self.secret = next_secret
+            return [("submit", tx)]
+        return []
 
 
 class MMAgent:
-    def __init__(self, pid: str, strategy: dict, seed: int):
+    def __init__(self, pid: str, strategy: dict):
         self.pid = pid
-        self.width = fraction_from_json(strategy.get("width", 1))
+        self.width = _rational_at_least_one(strategy.get("width", 1),
+                                            f"agent {pid!r} strategy.width")
         self.ref = strategy.get("ref", "mifp")
+        if self.ref != "mifp" and not (isinstance(self.ref, int) and self.ref >= 1):
+            raise ScenarioError(f"config error in agent {pid!r} strategy.ref: "
+                                f"expected \"mifp\" or a tick count >= 1, got {self.ref!r}")
         self.size_mult = strategy.get("size_mult", 2)
         self.commit = strategy.get("commit", True)
         self.reveal = strategy.get("reveal", True)
@@ -302,28 +285,29 @@ class MMAgent:
         self.revealed_round = -1
         self.market: Optional[Market] = None
 
-    def _make_market(self, view: _View, params: ProtocolParams) -> Market:
-        bid, offer = quote(view.y if self.ref == "mifp" else int(self.ref), self.width)
+    def _make_market(self, runner: "Runner", params: ProtocolParams) -> Market:
+        bid, offer = quote(runner.current_y() if self.ref == "mifp" else self.ref, self.width)
         min_bid = ceil(Fraction(params.q_not) / params.p_a)
         min_offer = ceil(Fraction(params.q_not) / (params.p_a * offer))
         return Market(bid=bid, size_bid=self.size_mult * min_bid,
                       offer=offer, size_offer=self.size_mult * min_offer)
 
-    def on_block(self, view: _View, scenario_seed: int) -> list[tuple[str, Tx]]:
-        out: list[tuple[str, Tx]] = []
-        if view.phase is Phase.COMMIT and self.commit and self.committed_round < view.round:
-            self.market = self._make_market(view, view.runner.protocol.params)
+    def on_block(self, runner: "Runner") -> list[tuple[str, Tx]]:
+        proto = runner.protocol
+        rnd = proto.round
+        if proto.phase is Phase.COMMIT and self.commit and self.committed_round < rnd:
+            self.market = self._make_market(runner, proto.params)
             tx = Tx(kind=COMMIT_MM, sender=self.pid,
                     payload=MMCommitPayload(mm_commitment(self.market)))
-            self.committed_round = view.round
-            out.append(("submit", tx))
-        elif (view.phase is Phase.REVEAL and self.reveal
-                and self.committed_round == view.round and self.revealed_round < view.round):
+            self.committed_round = rnd
+            return [("submit", tx)]
+        if (proto.phase is Phase.REVEAL and self.reveal
+                and self.committed_round == rnd and self.revealed_round < rnd):
             tx = Tx(kind=MM_REVEAL, sender=self.pid,
                     payload=MMRevealPayload(self.market))
-            self.revealed_round = view.round
-            out.append(("submit", tx))
-        return out
+            self.revealed_round = rnd
+            return [("submit", tx)]
+        return []
 
 
 class BountyHunterAgent:
@@ -332,15 +316,15 @@ class BountyHunterAgent:
         self.invalid_first = strategy.get("invalid_first", False)
         self.attempted_round = -1
 
-    def on_block(self, view: _View, scenario_seed: int) -> list[tuple[str, Tx]]:
-        if view.phase is not Phase.RESOLUTION or self.attempted_round >= view.round:
+    def on_block(self, runner: "Runner") -> list[tuple[str, Tx]]:
+        proto = runner.protocol
+        if proto.phase is not Phase.RESOLUTION or self.attempted_round >= proto.round:
             return []
-        proto = view.runner.protocol
         book, _removed = filter_by_width(proto.current_book())
         cand = find_clearing_price(book)
         if cand is None:
             return []
-        self.attempted_round = view.round
+        self.attempted_round = proto.round
         out = []
         if self.invalid_first:
             # a doomed proposal first, in the same block, to forfeit a deposit
@@ -384,20 +368,12 @@ class Runner:
 
         mifp = config["mifp"]
         self._y0 = mifp["y0"]
-        try:
-            self._mifp_delta = fraction_from_json(mifp.get("delta", 1))
-        except ValueError as e:
-            raise ScenarioError(f"config error in mifp: {e}") from None
-        if self._mifp_delta < 1:
-            raise ScenarioError(f"config error in mifp: delta must be >= 1, "
-                                f"got {self._mifp_delta}")
+        self._mifp_delta = _rational_at_least_one(mifp.get("delta", 1), "mifp.delta")
         self._net_buys = 0
         self._direction_rng = random.Random(
             derive_seed(mifp.get("seed", derive_seed(self.seed, "mifp")), "directions"))
 
         self.clients: list[ClientAgent] = []
-        self.mms: list[MMAgent] = []
-        self.hunters: list[BountyHunterAgent] = []
         self.agents: list = []
         seen = set()
         for spec in config["agents"]:
@@ -409,18 +385,13 @@ class Runner:
                 self.ledger.mint(pid, tkn, amt)
             strategy = spec.get("strategy", {})
             if spec["role"] == "client":
-                agent = ClientAgent(pid, strategy, self.rounds,
-                                    derive_seed(self.seed, f"agent:{pid}"))
+                agent = ClientAgent(pid, strategy, self.rounds, self.seed)
                 self.clients.append(agent)
                 self.agents.append(agent)
             elif spec["role"] == "mm":
-                agent = MMAgent(pid, strategy, derive_seed(self.seed, f"agent:{pid}"))
-                self.mms.append(agent)
-                self.agents.append(agent)
+                self.agents.append(MMAgent(pid, strategy))
             elif spec["role"] == "bounty_hunter":
-                agent = BountyHunterAgent(pid, strategy)
-                self.hunters.append(agent)
-                self.agents.append(agent)
+                self.agents.append(BountyHunterAgent(pid, strategy))
             else:
                 self.chain.register_relayer(pid)
         self.ledger.mint(PROTOCOL_ACCOUNT, TOKEN_REF, config.get("protocol_funding", 0))
@@ -451,18 +422,16 @@ class Runner:
             "digest": digest, "effects": effects,
         })
 
-    def _step_block(self, collect_agent_txs: bool = True) -> None:
-        if collect_agent_txs:
-            view = _View(self)
-            for agent in self.agents:
-                for channel, tx in agent.on_block(view, self.seed):
-                    if channel == "relay":
-                        try:
-                            self.chain.relay(tx, self.protocol.commit_looks_valid)
-                        except InvalidProof:
-                            pass  # relayers silently drop it
-                    else:
-                        self.chain.submit(tx)
+    def _step_block(self) -> None:
+        for agent in self.agents:
+            for channel, tx in agent.on_block(self):
+                if channel == "relay":
+                    try:
+                        self.chain.relay(tx, self.protocol.commit_looks_valid)
+                    except InvalidProof:
+                        pass  # relayers silently drop it
+                else:
+                    self.chain.submit(tx)
         for etx in self.chain.advance_block():
             effects = self.protocol.handle(etx)
             self._record(etx, effects)
@@ -483,11 +452,12 @@ class Runner:
                 f"token conservation broken: {supplies} != {self._initial_supplies}")
 
     def run(self) -> RunResult:
-        # registration window: queue all registrations, then let them land
+        # registration window: queue all registrations, then let them land;
+        # every agent stays silent while protocol.phase is None
         for agent in self.clients:
-            self.chain.submit(agent.plan_registration(self.seed))
+            self.chain.submit(agent.plan_registration())
         while self.chain.pending:
-            self._step_block(collect_agent_txs=False)
+            self._step_block()
         self.protocol.initialise(self.chain.height)
         init_height = self.chain.height
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Any
 
 from .auction import AuctionBook, ClearingResult
-from .units import ANY, MKT, WITHDRAW, Market, Order, Price, Width
+from .units import ANY, MKT, WITHDRAW, Order, Price, Width
 
 
 def dumps_canonical(obj: Any) -> str:
@@ -80,14 +80,8 @@ def book_from_json(doc: dict) -> AuctionBook:
     for od in doc["orders"]:
         o = order_from_json(od)
         (buys if o.side == "buy" else sells).append(o)
-    tight = None
-    if "tight_market" in doc:
-        t = doc["tight_market"]
-        tight = (t["player"], Market(bid=int(t["bid"]), size_bid=int(t["size_bid"]),
-                                     offer=int(t["offer"]), size_offer=int(t["size_offer"])))
     return AuctionBook(buy_orders=tuple(buys), sell_orders=tuple(sells),
-                       w_tight=width_from_json(doc.get("w_tight", "any")),
-                       tight_market=tight)
+                       w_tight=width_from_json(doc.get("w_tight", "any")))
 
 
 def result_to_json(res: ClearingResult) -> dict:

@@ -163,13 +163,6 @@ def quote(ref: int, w: Fraction) -> tuple[int, int]:
     return bid, offer
 
 
-def reference_price(m: Market) -> float:
-    """Geometric mean of bid and offer; analysis only, never settlement."""
-    if m.bid == m.offer:
-        return float(m.bid)
-    return math.sqrt(m.bid * m.offer)
-
-
 @dataclass(frozen=True)
 class Order:
     """A revealed order.  ``tkn`` is the token being sold: selling A buys the
@@ -197,25 +190,6 @@ class Order:
     @property
     def side(self) -> str:
         return "buy" if self.tkn == TOKEN_A else "sell"
-
-
-def notional(q: int, tkn: str, p_a: Fraction, price_hint: int | None = None) -> int:
-    """Value of ``q`` atoms of ``tkn`` in reference units, floored.
-
-    A tokens are valued at ``p_a`` each; B tokens need a price hint (A per B)
-    and are valued at ``p_a * price_hint``.
-    """
-    check_quantity(q)
-    if p_a <= 0:
-        raise QuantityError(f"p_a must be positive, got {p_a}")
-    if tkn == TOKEN_A:
-        return int(q * p_a)  # Fraction*int floors via int()
-    if tkn == TOKEN_B:
-        if price_hint is None:
-            raise QuantityError("valuing B tokens requires a price hint")
-        check_price(price_hint)
-        return int(q * p_a * price_hint)
-    raise QuantityError(f"unknown token {tkn!r}")
 
 
 def encode_price(p: Price) -> bytes:

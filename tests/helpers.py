@@ -77,7 +77,6 @@ def random_book(rng: random.Random, max_orders: int = 12, band: int = 32,
         (buys if side == "buy" else sells).append(order)
         oid += 1
     w_tight = ANY
-    tight = None
     if with_spanning_market:
         mid = base_price + band // 2
         half = rng.randint(0, band // 4)
@@ -89,9 +88,7 @@ def random_book(rng: random.Random, max_orders: int = 12, band: int = 32,
         buys.append(buy)
         sells.append(sell)
         w_tight = Fraction(offer, bid)
-        tight = ("mm", m)
-    return AuctionBook(buy_orders=tuple(buys), sell_orders=tuple(sells),
-                       w_tight=w_tight, tight_market=tight)
+    return AuctionBook(buy_orders=tuple(buys), sell_orders=tuple(sells), w_tight=w_tight)
 
 
 def make_params(**overrides) -> ProtocolParams:

@@ -31,9 +31,8 @@ def sell(oid, size, price, width=ANY, owner=None):
                  price=price, width_req=width)
 
 
-def book_of(buys, sells, w_tight=ANY, tight=None):
-    return AuctionBook(buy_orders=tuple(buys), sell_orders=tuple(sells),
-                       w_tight=w_tight, tight_market=tight)
+def book_of(buys, sells, w_tight=ANY):
+    return AuctionBook(buy_orders=tuple(buys), sell_orders=tuple(sells), w_tight=w_tight)
 
 
 class TestWidthFilter:
@@ -255,7 +254,7 @@ class TestSettle:
                                    o.width_req) for o in b.buy_orders),
             sell_orders=tuple(Order(o.oid, o.owner, o.tkn, o.size * factor, o.price,
                                     o.width_req) for o in b.sell_orders),
-            w_tight=b.w_tight, tight_market=b.tight_market)
+            w_tight=b.w_tight)
         res2 = settle(scaled, cand.cp)
         validate_clearing_result(scaled, res2)
         assert res2.volume_settled_b >= factor * res.volume_settled_b

@@ -1,0 +1,36 @@
+"""The benchmark's tracer wraps fairtradex functions where callers look them
+up; a renamed or moved function makes ``install`` raise ``KeyError``."""
+
+import importlib.util
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def load_tracer_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_install_then_uninstall_restores_every_name():
+    tracer_mod = load_tracer_module()
+    originals = {}
+
+    class RecordingTracer(tracer_mod.Tracer):
+        def patch(self, owner, attr, wrapper):
+            # a name wrapped twice keeps the object it had before the first wrap
+            originals.setdefault((owner, attr), owner.__dict__[attr])
+            super().patch(owner, attr, wrapper)
+
+    tracer = RecordingTracer()
+    try:
+        tracer_mod.install(tracer)
+        assert originals
+        for (owner, attr), original in originals.items():
+            assert owner.__dict__[attr] is not original, f"{owner.__name__}.{attr}"
+    finally:
+        tracer.uninstall()
+    for (owner, attr), original in originals.items():
+        assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr}"

@@ -166,6 +166,26 @@ class TestCli:
         assert self.run_cli("run", str(bad), "--outdir", str(tmp_path)) == 2
         assert "q_not" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("agent, field, value", [
+        ("mm1", "width", 0),
+        ("mm1", "width", "1/0"),
+        ("mm1", "width", "x"),
+        ("mm1", "width", "1/2"),
+        ("mm1", "ref", "abc"),
+        ("mm1", "ref", 0),
+        ("mm1", "ref", -5),
+        ("c1", "width_req", "1/2"),
+        ("c1", "order", "limit"),            # no limit_price
+    ])
+    def test_run_bad_strategy_exit_2(self, tmp_path, capsys, agent, field, value):
+        cfg = load()
+        next(a for a in cfg["agents"] if a["id"] == agent)["strategy"][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert self.run_cli("run", str(bad), "--outdir", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert repr(agent) in err and f"strategy.{field}" in err
+
     def test_clear_golden_book(self, capsys):
         golden = Path(__file__).parent / "golden" / "clearing_fixture.json"
         doc = json.loads(golden.read_text())

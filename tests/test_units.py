@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -6,9 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fairtradex.units import (ANY, MKT, WITHDRAW, Market, Order, ProtocolParams,
-                              QuantityError, check_quantity, market_width,
-                              notional, quote, reference_price, sub_quantity,
-                              width_geq)
+                              QuantityError, check_quantity, market_width, quote,
+                              sub_quantity, width_geq)
 
 
 class TestWidth:
@@ -24,29 +22,16 @@ class TestWidth:
 
 
 class TestMarket:
-    def test_width_examples(self):
+    @given(bid=st.integers(1, 10**6), spread=st.integers(0, 10**6))
+    def test_width_examples(self, bid, spread):
         assert market_width(Market(90, 1, 110, 1)) == Fraction(11, 9)
         assert market_width(Market(100, 1, 100, 1)) == 1
         assert market_width(Market(100, 1, 121, 1)) == Fraction(121, 100)
+        assert market_width(Market(bid, 1, bid + spread, 1)) >= 1
 
     def test_inverted_market_rejected(self):
         with pytest.raises(QuantityError):
             Market(bid=110, size_bid=1, offer=90, size_offer=1)
-
-    def test_reference_price_examples(self):
-        assert reference_price(Market(100, 1, 100, 1)) == 100.0
-        assert reference_price(Market(100, 1, 121, 1)) == pytest.approx(110.0)
-        # sqrt(9900), checked against the float library to 12 digits
-        assert reference_price(Market(90, 1, 110, 1)) == pytest.approx(
-            math.sqrt(9900), rel=1e-12)
-
-    @given(bid=st.integers(1, 10**6), spread=st.integers(0, 10**6))
-    def test_reference_price_between_bid_and_offer(self, bid, spread):
-        m = Market(bid, 1, bid + spread, 1)
-        p = reference_price(m)
-        assert bid * (1 - 1e-12) <= p <= (bid + spread) * (1 + 1e-12)
-        assert p * p == pytest.approx(bid * (bid + spread), rel=1e-12)
-        assert market_width(m) >= 1
 
 
 class TestQuote:
@@ -59,20 +44,6 @@ class TestQuote:
     ])
     def test_table(self, ref, width, expected):
         assert quote(ref, width) == expected
-
-
-class TestNotional:
-    def test_examples(self):
-        assert notional(10, "A", Fraction(2)) == 20
-        assert notional(5, "B", Fraction(2), price_hint=3) == 30
-        assert notional(0, "A", Fraction(2)) == 0
-
-    def test_floor_rounding(self):
-        assert notional(3, "A", Fraction(1, 2)) == 1
-
-    def test_b_requires_hint(self):
-        with pytest.raises(QuantityError):
-            notional(5, "B", Fraction(2))
 
 
 class TestQuantity:
