@@ -58,12 +58,15 @@ def mm_expected_profit(x, y, p_ref, w, delta):
     return 0.5 * mm_buyer_leg(x, y, p_ref, w, delta) + 0.5 * mm_seller_leg(x, y, p_ref, w, delta)
 
 
-def p_ref_argmax(x: float, y: float, w: float, delta: float,
-                 step_divisor: int = 1000) -> float:
-    """Grid argmax of the quoter profit over p_ref in [y/2, 2y]."""
-    grid = np.arange(y / 2, 2 * y + y / (2 * step_divisor), y / step_divisor)
-    profits = mm_expected_profit(x, y, grid, w, delta)
-    return float(grid[int(np.argmax(profits))])
+def p_ref_grid(y: float) -> np.ndarray:
+    """The 1,501 reference prices y/2, y/2 + y/1000, ..., 2y."""
+    return np.arange(y / 2, 2 * y + y / 2000, y / 1000)
+
+
+def p_ref_argmax(x: float, y: float, w: float, delta: float) -> float:
+    """Grid argmax of the quoter profit over ``p_ref_grid(y)``."""
+    grid = p_ref_grid(y)
+    return float(grid[int(np.argmax(mm_expected_profit(x, y, grid, w, delta)))])
 
 
 def client_utility(trade_price: float, y: float, side: str, f_mcf: float) -> float:
@@ -192,11 +195,12 @@ class BestResponseReport:
 
 
 def _closed_form_mm_utility(x: float, y: float, p_ref: float, w: float,
-                            delta: float, client_width: float) -> float:
-    # orders requesting a tighter market than quoted never trade
+                            delta: float, client_width: float):
+    # orders requesting a tighter market than quoted never trade; p_ref
+    # may be an array of reference prices
     if w > client_width:
         return 0.0
-    return float(mm_expected_profit(x, y, p_ref, w, delta))
+    return mm_expected_profit(x, y, p_ref, w, delta)
 
 
 def _closed_form_client_utility(order_type: str, width_req: float,
@@ -230,17 +234,15 @@ def _best_response_closed_form(profile: StrategyProfile, grid: DeviationGrid,
 
     # quoter deviations over the (reference price, width) grid, plus a fine
     # scan of reference prices at the profile width
-    ref_points = set(grid.mm_ref_prices)
-    fine = np.arange(y / 2, 2 * y + y / 2000, y / 1000)
     for w_dev in grid.mm_widths:
-        for p_dev in sorted(ref_points):
+        for p_dev in sorted(set(grid.mm_ref_prices)):
             u = _closed_form_mm_utility(notional, y, float(p_dev), float(w_dev), delta, cw)
             entries.append(DeviationResult(
                 player="mm", label=f"quote p_ref={p_dev} w={w_dev}",
                 utility_profile=base_mm, utility_deviation=u,
                 gain=u - base_mm, tolerance=epsilon))
-    u_fine = [_closed_form_mm_utility(notional, y, float(p), mm_w, delta, cw) for p in fine]
-    best_fine = max(u_fine)
+    fine = p_ref_grid(y)
+    best_fine = float(np.max(_closed_form_mm_utility(notional, y, fine, mm_w, delta, cw)))
     entries.append(DeviationResult(
         player="mm", label=f"fine p_ref scan at w={profile.mm.width} ({len(fine)} points)",
         utility_profile=base_mm, utility_deviation=best_fine,
@@ -355,64 +357,58 @@ class _EngineGame:
         return utilities
 
 
-def _pattern_utilities(game: _EngineGame, mm_strats, client_strats) -> dict[tuple, dict]:
-    """Engine outcome for every distinct direction pattern (cached: the
-    Monte Carlo flow for fixed sizes only has 2^k distinct patterns)."""
-    out = {}
-    for bits in range(2 ** game.n_clients):
-        pattern = tuple(1 if bits & (1 << i) else -1 for i in range(game.n_clients))
-        out[pattern] = game.evaluate(mm_strats, client_strats, pattern)
-    return out
+def _outcome_table(game: _EngineGame, mm_strats, client_strats) -> dict[str, np.ndarray]:
+    """Every player's engine utility for each of the 2^k client flow
+    patterns, indexed by pattern number: bit i is set when client i buys."""
+    k = game.n_clients
+    outcomes = [game.evaluate(mm_strats, client_strats,
+                              tuple(1 if bits >> i & 1 else -1 for i in range(k)))
+                for bits in range(2 ** k)]
+    return {player: np.array([u[player] for u in outcomes]) for player in outcomes[0]}
 
 
 def _best_response_monte_carlo(profile: StrategyProfile, grid: DeviationGrid,
-                               y: int, f_mcf: Fraction, notional: float,
-                               paths: int, n_clients: int, seed: int) -> BestResponseReport:
-    client_size_a = 10 * y  # divisible by y so seller sizes are exact
-    game = _EngineGame(y=y, f_mcf=f_mcf, n_clients=n_clients,
-                       client_size_a=client_size_a)
+                               y: int, f_mcf: Fraction, paths: int,
+                               seed: int) -> BestResponseReport:
+    # four clients, each sized divisibly by y so seller sizes are exact
+    game = _EngineGame(y=y, f_mcf=f_mcf, n_clients=4, client_size_a=10 * y)
     base_ref = profile.mm.ref_price if profile.mm.ref_price is not None else y
     base_mm = [(base_ref, profile.mm.width), (base_ref, profile.mm.width)]
-    base_clients = [profile.client] * n_clients
+    base_clients = [profile.client] * game.n_clients
+    base = _outcome_table(game, base_mm, base_clients)
 
     rng = np.random.default_rng(seed)
-    flows = rng.integers(0, 2, size=(paths, n_clients)) * 2 - 1  # common random numbers
-
-    def utilities_per_path(mm_strats, client_strats, player: str) -> np.ndarray:
-        table = _pattern_utilities(game, mm_strats, client_strats)
-        keys = {pattern: u[player] for pattern, u in table.items()}
-        return np.array([keys[tuple(row)] for row in flows])
+    flows = rng.integers(0, 2, size=(paths, game.n_clients)) * 2 - 1  # common random numbers
+    path_pattern = (flows > 0) @ (1 << np.arange(game.n_clients))
 
     entries: list[DeviationResult] = []
 
-    def paired_check(player: str, label: str, base: np.ndarray, dev: np.ndarray) -> None:
-        diff = dev - base
+    def paired_check(player: str, label: str, mm_strats, client_strats) -> None:
+        key = "m0" if player == "mm0" else "c0"
+        base_u = base[key][path_pattern]
+        dev_u = _outcome_table(game, mm_strats, client_strats)[key][path_pattern]
+        diff = dev_u - base_u
         gain = float(diff.mean())
         se = float(diff.std(ddof=1) / math.sqrt(len(diff))) if len(diff) > 1 else 0.0
         entries.append(DeviationResult(
             player=player, label=label,
-            utility_profile=float(base.mean()), utility_deviation=float(dev.mean()),
+            utility_profile=float(base_u.mean()), utility_deviation=float(dev_u.mean()),
             gain=gain, tolerance=2 * se + 1e-9))
 
-    base_u_mm = utilities_per_path(base_mm, base_clients, "m0")
     for w_dev in grid.mm_widths:
         for ref_dev in grid.mm_ref_prices:
             if (ref_dev, w_dev) == (base_ref, profile.mm.width):
                 continue
-            dev_mm = [(ref_dev, w_dev), base_mm[1]]
-            dev_u = utilities_per_path(dev_mm, base_clients, "m0")
-            paired_check("mm0", f"quote p_ref={ref_dev} w={w_dev}", base_u_mm, dev_u)
+            paired_check("mm0", f"quote p_ref={ref_dev} w={w_dev}",
+                         [(ref_dev, w_dev), base_mm[1]], base_clients)
 
-    base_u_c = utilities_per_path(base_mm, base_clients, "c0")
     for w_dev in grid.client_widths:
         strat = ClientProfile(order_type="mkt", width_req=w_dev)
-        dev_u = utilities_per_path(base_mm, [strat] + base_clients[1:], "c0")
-        paired_check("client0", f"mkt width_req={w_dev}", base_u_c, dev_u)
+        paired_check("client0", f"mkt width_req={w_dev}", base_mm, [strat] + base_clients[1:])
     for lp in grid.client_limit_prices:
         strat = ClientProfile(order_type="limit", width_req=profile.client.width_req,
                               limit_price=int(lp))
-        dev_u = utilities_per_path(base_mm, [strat] + base_clients[1:], "c0")
-        paired_check("client0", f"limit {lp}", base_u_c, dev_u)
+        paired_check("client0", f"limit {lp}", base_mm, [strat] + base_clients[1:])
 
     max_gain = max(e.gain for e in entries)
     return BestResponseReport(
@@ -427,22 +423,23 @@ def best_response_check(profile: StrategyProfile, n_mms: int,
                         grid: Optional[DeviationGrid] = None, *,
                         y: int = 110, f_mcf: Fraction = Fraction(121, 100),
                         delta: float = 1.0, notional: float = 1.0,
-                        paths: int = 10000, n_clients: int = 4,
-                        seed: int = 7) -> BestResponseReport:
+                        paths: int = 10000, seed: int = 7) -> BestResponseReport:
     """Check a strategy profile for improving unilateral deviations.
 
-    Single-quoter games use the closed-form expected profit (deterministic,
-    epsilon = 1e-9 * notional); games with two or more quoters run the
-    auction engine path by path under common random client flow and test
-    each deviation's mean gain against two standard errors.
+    One quoter (``n_mms=1``) uses the closed-form expected profit
+    (deterministic, epsilon = 1e-9 * notional); two quoters (``n_mms=2``)
+    run the auction engine for four clients path by path under common
+    random client flow and test each deviation's mean gain against two
+    standard errors.
     """
+    if n_mms not in (1, 2):
+        raise ValueError(f"n_mms must be 1 or 2, got {n_mms!r}")
     if grid is None:
         grid = default_grid(y, f_mcf)
     if n_mms == 1:
         return _best_response_closed_form(profile, grid, y, f_mcf, delta,
                                           notional, epsilon=1e-9 * notional)
-    return _best_response_monte_carlo(profile, grid, y, f_mcf, notional,
-                                      paths, n_clients, seed)
+    return _best_response_monte_carlo(profile, grid, y, f_mcf, paths, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -45,10 +45,33 @@ def derive_seed(seed: int, component: str) -> int:
 
 
 _RATIONAL = {"type": ["integer", "string"]}
+_BOOL = {"type": "boolean"}
 _FUNDING = {
     "type": "object",
     "additionalProperties": False,
     "properties": {t: {"type": "integer", "minimum": 0} for t in (TOKEN_REF, TOKEN_A, TOKEN_B)},
+}
+
+
+def _strategy(**properties: dict) -> jsonschema.Draft202012Validator:
+    return jsonschema.Draft202012Validator(
+        {"type": "object", "additionalProperties": False, "properties": properties})
+
+
+#: each role's strategy schema accepts exactly the keys its agent reads
+_STRATEGIES = {
+    "client": _strategy(
+        order={"enum": ["mkt", "limit", "withdraw"]},
+        side={"enum": ["buy", "sell", "random"]},
+        notional={"type": "integer", "minimum": 1},
+        width_req=_RATIONAL,
+        limit_price={"type": "integer", "minimum": 1},
+        commit=_BOOL, reveal=_BOOL, re_register=_BOOL),
+    "mm": _strategy(width=_RATIONAL, ref={"type": ["integer", "string"]},
+                    size_mult={"type": "integer", "minimum": 1},
+                    commit=_BOOL, reveal=_BOOL),
+    "relayer": _strategy(),
+    "bounty_hunter": _strategy(invalid_first=_BOOL),
 }
 
 SCENARIO_SCHEMA = {
@@ -95,26 +118,10 @@ SCENARIO_SCHEMA = {
                 "required": ["id", "role"],
                 "properties": {
                     "id": {"type": "string", "minLength": 1},
-                    "role": {"enum": ["client", "mm", "relayer", "bounty_hunter"]},
+                    "role": {"enum": list(_STRATEGIES)},
                     "funding": _FUNDING,
-                    "strategy": {
-                        "type": "object",
-                        "additionalProperties": False,
-                        "properties": {
-                            "order": {"enum": ["mkt", "limit", "withdraw", "silent"]},
-                            "side": {"enum": ["buy", "sell", "random"]},
-                            "notional": {"type": "integer", "minimum": 1},
-                            "width_req": _RATIONAL,
-                            "limit_price": {"type": "integer", "minimum": 1},
-                            "commit": {"type": "boolean"},
-                            "reveal": {"type": "boolean"},
-                            "re_register": {"type": "boolean"},
-                            "width": _RATIONAL,
-                            "ref": {"type": ["integer", "string"]},
-                            "size_mult": {"type": "integer", "minimum": 1},
-                            "invalid_first": {"type": "boolean"},
-                        },
-                    },
+                    # checked against the role's schema in validate_config
+                    "strategy": {"type": "object"},
                 },
             },
         },
@@ -137,6 +144,12 @@ def validate_config(config: dict) -> None:
     except jsonschema.ValidationError as e:
         path = ".".join(str(p) for p in e.absolute_path) or "<root>"
         raise ScenarioError(f"config error at {path}: {e.message}") from None
+    for agent in config["agents"]:
+        error = jsonschema.exceptions.best_match(
+            _STRATEGIES[agent["role"]].iter_errors(agent.get("strategy", {})))
+        if error is not None:
+            field = ".".join(["strategy", *map(str, error.absolute_path)])
+            raise ScenarioError(f"config error in agent {agent['id']!r} {field}: {error.message}")
 
 
 def _params_from_config(d: dict) -> ProtocolParams:
@@ -195,7 +208,10 @@ class ClientAgent:
         self.seed = seed  # the scenario seed; every secret derives from it
         self.order_kind = strategy.get("order", "mkt")
         self.side = strategy.get("side", "random")
-        self.notional = strategy.get("notional", 0)
+        self.notional = strategy.get("notional")
+        if self.order_kind != "withdraw" and self.notional is None:
+            raise ScenarioError(f"config error in agent {pid!r} strategy.notional: "
+                                f"a {self.order_kind} order needs notional")
         self.width_req = _rational_at_least_one(
             strategy.get("width_req", "121/100"), f"agent {pid!r} strategy.width_req")
         self.limit_price = strategy.get("limit_price")

@@ -297,7 +297,7 @@ def test_criterion_5_quoter_argmax_and_zero_profit():
         y = float(rng.uniform(5.0, 5e3))
         w = float(rng.uniform(1.0, 3.0))
         d = float(rng.uniform(1.0, 1.5))
-        p_star = p_ref_argmax(x, y, w, d, step_divisor=1000)
+        p_star = p_ref_argmax(x, y, w, d)
         assert abs(p_star - y) <= y / 1000 + 1e-9 * y
     for x in (1.0, 123.0, 7.7e8):
         assert abs(mm_expected_profit(x, 321.0, 321.0, 1.0, 1.0)) <= 1e-12 * x

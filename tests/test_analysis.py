@@ -9,12 +9,13 @@ from fairtradex.analysis import (AMM, DIRECTION_REVEALING, FAIRTRADEX,
                                  IDENTITY_REVEALING, P1, P2, ClientProfile,
                                  CostModel, DEFAULT_IMPACT_TABLE, MMProfile,
                                  StrategyProfile, best_response_check,
-                                 client_utility, cost_table, execution_cost,
+                                 client_utility, cost_table, default_grid, execution_cost,
                                  mm_buyer_leg, mm_expected_profit, mm_seller_leg,
                                  p_ref_argmax)
 from fairtradex.scenario import Runner, ScenarioError
 
-TWO_MM = Path(__file__).resolve().parent.parent / "scenarios" / "two_mm_competition.json"
+REPO = Path(__file__).resolve().parent.parent
+TWO_MM = REPO / "scenarios" / "two_mm_competition.json"
 
 
 class TestQuoterProfit:
@@ -193,6 +194,52 @@ class TestBestResponse:
     def test_competitive_profile_confirmed_small(self):
         rep = best_response_check(COMPETITIVE, n_mms=2, paths=2000)
         assert rep.mode == "monte-carlo" and rep.confirmed
+
+    @pytest.mark.parametrize("n_mms", [3, 0, -1])
+    def test_unsupported_quoter_count_rejected(self, n_mms):
+        with pytest.raises(ValueError, match="n_mms"):
+            best_response_check(COMPETITIVE, n_mms=n_mms, paths=200)
+
+    def test_competitive_profile_exact_expectation(self):
+        """The 2^4 client flow patterns are equally likely, so a deviation's
+        exact expected gain is the pattern mean of its outcome table minus
+        the base profile's.  No deviation of the default grid gains, so a
+        Monte Carlo seed that flags one has drawn a sampling false positive."""
+        from fairtradex.analysis import _EngineGame, _outcome_table
+        y, f_mcf = 110, Fraction(121, 100)
+        grid = default_grid(y, f_mcf)
+        game = _EngineGame(y=y, f_mcf=f_mcf, n_clients=4, client_size_a=10 * y)
+        mms = [(y, Fraction(1))] * 2
+        clients = [COMPETITIVE.client] * 4
+        base = _outcome_table(game, mms, clients)
+        deviations = [(f"mm0 p_ref={ref} w={w}", "m0", [(ref, w), mms[1]], clients)
+                      for w in grid.mm_widths for ref in grid.mm_ref_prices
+                      if (ref, w) != mms[0]]
+        deviations += [(f"client0 mkt width_req={w}", "c0", mms,
+                        [ClientProfile(order_type="mkt", width_req=w)] + clients[1:])
+                       for w in grid.client_widths]
+        deviations += [(f"client0 limit {lp}", "c0", mms,
+                        [ClientProfile(order_type="limit", width_req=f_mcf,
+                                       limit_price=lp)] + clients[1:])
+                       for lp in grid.client_limit_prices]
+        assert len(deviations) == 88
+        gains = {label: float(np.mean(_outcome_table(game, m, c)[key] - base[key]))
+                 for label, key, m, c in deviations}
+        assert max(gains.values()) <= 0.0, {k: g for k, g in gains.items() if g > 0}
+
+    def test_archive_regenerates_byte_for_byte(self, tmp_path, monkeypatch):
+        """The README's regeneration recipe, run in an empty directory,
+        writes the four archived report files byte for byte."""
+        readme = (REPO / "README.md").read_text()
+        recipe = next(block.split("\n", 1)[1] for block in readme.split("```")[1::2]
+                      if block.startswith("python") and "best_response_check(" in block)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "reports").mkdir()
+        exec(recipe, {})
+        for name in ("best_response_n1", "best_response_n2"):
+            for ext in (".json", ".csv"):
+                got = (tmp_path / "reports" / f"{name}{ext}").read_bytes()
+                assert got == (REPO / "reports" / f"{name}{ext}").read_bytes(), f"{name}{ext}"
 
     def test_widening_deviator_loses_flow(self):
         """One quoter widening to 1.1 against a width-1 rival loses the

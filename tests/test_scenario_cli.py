@@ -186,6 +186,43 @@ class TestCli:
         err = capsys.readouterr().err
         assert repr(agent) in err and f"strategy.{field}" in err
 
+    @pytest.mark.parametrize("agent, strategy, field", [
+        ("mm1", {"notional": 5}, "notional"),           # a client key on a quoter
+        ("mm1", {"width_req": "1/2"}, "width_req"),
+        ("hunter", {"width": 3}, "width"),              # a quoter key on a bounty hunter
+        ("relay1", {"reveal": False}, "reveal"),        # relayers have no strategy keys
+        ("c1", {"size_mult": 2}, "size_mult"),
+        ("c1", {"order": "silent", "side": "buy"}, "silent"),
+        ("c1", {"order": "silent", "side": "sell"}, "silent"),
+    ])
+    def test_run_key_outside_role_exit_2(self, tmp_path, capsys, agent, strategy, field):
+        cfg = load()
+        next(a for a in cfg["agents"] if a["id"] == agent).setdefault("strategy", {}).update(strategy)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert self.run_cli("run", str(bad), "--outdir", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert repr(agent) in err and field in err
+
+    @pytest.mark.parametrize("order", [{"order": "mkt"}, {"order": "limit", "limit_price": 120}])
+    def test_run_client_without_notional_exit_2(self, tmp_path, capsys, order):
+        cfg = load()
+        strategy = next(a for a in cfg["agents"] if a["id"] == "c1")["strategy"]
+        del strategy["notional"]
+        strategy.update(order)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert self.run_cli("run", str(bad), "--outdir", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert "'c1'" in err and "strategy.notional" in err
+
+    def test_withdraw_client_needs_no_notional(self):
+        cfg = load()
+        strategy = next(a for a in cfg["agents"] if a["id"] == "c1")["strategy"]
+        del strategy["notional"]
+        strategy["order"] = "withdraw"
+        assert not Runner(cfg).run().stalled
+
     def test_clear_golden_book(self, capsys):
         golden = Path(__file__).parent / "golden" / "clearing_fixture.json"
         doc = json.loads(golden.read_text())
