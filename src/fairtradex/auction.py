@@ -12,12 +12,19 @@ Conventions used throughout (all arithmetic exact):
   clearing-price logic.
 * Settlement moves whole B atoms ("lots" of ``cp`` A atoms each), so a buy
   order can execute at most ``size // cp`` lots; sub-lot dust is refunded.
+* Volumes come from one depth view per book (limits sorted once, with
+  running size sums), so a clear costs one sort plus O(log n) per
+  candidate price: O(n log n) in all.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .membership import h
@@ -34,6 +41,11 @@ class AuctionBook:
     buy_orders: tuple[Order, ...]
     sell_orders: tuple[Order, ...]
     w_tight: Width = ANY
+
+    @cached_property
+    def _depth(self) -> _Depth:
+        """The book's depth view, built on first use and kept: a book is immutable."""
+        return _Depth(self)
 
 
 @dataclass(frozen=True)
@@ -129,12 +141,42 @@ def tight_market_orders(player: str, market: Market, oid: int,
                   price=market.offer, width_req=ANY))
 
 
-def _buy_eligible(o: Order, cp: int) -> bool:
-    return o.price is MKT or (isinstance(o.price, int) and o.price >= cp)
+class _Depth:
+    """Eligible volume at any tick, from one sort of a book's limit orders.
 
+    A buy limit is eligible at ``cp`` when ``limit >= cp`` and a sell limit
+    when ``limit <= cp``; market orders are eligible at every tick and
+    withdrawals at none.  Buy sizes are summed from the highest limit down
+    and sell sizes from the lowest up, each sum starting from that side's
+    market-order total, so both volumes at a tick are two bisections away.
+    """
 
-def _sell_eligible(o: Order, cp: int) -> bool:
-    return o.price is MKT or (isinstance(o.price, int) and o.price <= cp)
+    def __init__(self, book: AuctionBook):
+        self._buys = sorted((o for o in book.buy_orders if isinstance(o.price, int)),
+                            key=attrgetter("price"))
+        self._sells = sorted((o for o in book.sell_orders if isinstance(o.price, int)),
+                             key=attrgetter("price"))
+        self._mkt_buys = [o for o in book.buy_orders if o.price is MKT]
+        self._mkt_sells = [o for o in book.sell_orders if o.price is MKT]
+        self._buy_limits = [o.price for o in self._buys]
+        self._sell_limits = [o.price for o in self._sells]
+        # _buy_from[i]: A atoms of _buys[i:] plus every market buy
+        self._buy_from = list(accumulate(
+            (o.size for o in reversed(self._buys)),
+            initial=sum(o.size for o in self._mkt_buys)))[::-1]
+        # _sell_upto[j]: B atoms of _sells[:j] plus every market sell
+        self._sell_upto = list(accumulate(
+            (o.size for o in self._sells), initial=sum(o.size for o in self._mkt_sells)))
+        self.limits = sorted({*self._buy_limits, *self._sell_limits})
+
+    def volumes(self, cp: int) -> tuple[int, int]:
+        return (self._buy_from[bisect_left(self._buy_limits, cp)],
+                self._sell_upto[bisect_right(self._sell_limits, cp)])
+
+    def eligible(self, cp: int) -> tuple[list[Order], list[Order]]:
+        """The buy and sell orders eligible at ``cp``."""
+        return (self._mkt_buys + self._buys[bisect_left(self._buy_limits, cp):],
+                self._mkt_sells + self._sells[:bisect_right(self._sell_limits, cp)])
 
 
 def volumes_at(book: AuctionBook, cp: int) -> tuple[int, int]:
@@ -142,9 +184,7 @@ def volumes_at(book: AuctionBook, cp: int) -> tuple[int, int]:
 
     ``cp`` may be 0 for the verifier's adjacent-tick check below price 1.
     """
-    buy_vol = sum(o.size for o in book.buy_orders if _buy_eligible(o, cp))
-    sell_vol = sum(o.size for o in book.sell_orders if _sell_eligible(o, cp))
-    return buy_vol, sell_vol
+    return book._depth.volumes(cp)
 
 
 def candidate_prices(book: AuctionBook) -> list[int]:
@@ -159,8 +199,8 @@ def candidate_prices(book: AuctionBook) -> list[int]:
     all-market-order book is a single segment anchored only by its balance
     point.)
     """
-    limits = sorted({o.price for o in (*book.buy_orders, *book.sell_orders)
-                     if isinstance(o.price, int)})
+    depth = book._depth
+    limits = depth.limits
     cands: set[int] = set()
     for l in limits:
         cands.update((l - 1, l, l + 1))
@@ -171,7 +211,7 @@ def candidate_prices(book: AuctionBook) -> list[int]:
     for a, b in zip(boundaries, ends):
         if b is not None and a > b:
             continue
-        buy_vol, sell_vol = volumes_at(book, a)
+        buy_vol, sell_vol = depth.volumes(a)
         if sell_vol == 0 or buy_vol == 0:
             continue
         balance = buy_vol // sell_vol
@@ -194,9 +234,10 @@ def find_clearing_price(book: AuctionBook) -> Optional[ClearingCandidate]:
     """
     if not book.buy_orders or not book.sell_orders:
         return None
+    volumes = book._depth.volumes
     best: Optional[ClearingCandidate] = None
     for cp in candidate_prices(book):
-        buy_vol, sell_vol = volumes_at(book, cp)
+        buy_vol, sell_vol = volumes(cp)
         vol = min(buy_vol, sell_vol * cp)
         imb = buy_vol - sell_vol * cp
         if vol == 0:
@@ -322,8 +363,10 @@ def settle(book: AuctionBook, cp: int) -> ClearingResult:
     ``cp`` A atoms, so conservation holds bit-for-bit: total A spent equals
     total A received equals ``volume * cp``, and likewise for B.  Callers
     that need the local-optimality guarantee (the protocol's resolution
-    path) run ``verify_clearing_price`` first; here only a price that
-    trades nothing is rejected.
+    path) run ``verify_clearing_price`` first; here only a price with no
+    volume in A units is rejected.  That check counts sub-lot dust, so a
+    price at which every eligible buy is smaller than ``cp`` passes and
+    settles zero lots, refunding every order.
     """
     if not isinstance(cp, int) or cp < 1:
         raise InvalidClearingPrice(f"not a price: {cp!r}")
@@ -331,8 +374,7 @@ def settle(book: AuctionBook, cp: int) -> ClearingResult:
     if min(buy_vol, sell_vol * cp) == 0:
         raise InvalidClearingPrice(f"no volume trades at cp={cp}")
 
-    eligible_buys = [o for o in book.buy_orders if _buy_eligible(o, cp)]
-    eligible_sells = [o for o in book.sell_orders if _sell_eligible(o, cp)]
+    eligible_buys, eligible_sells = book._depth.eligible(cp)
     buy_capacity = sum(o.size // cp for o in eligible_buys)
     volume = min(buy_capacity, sell_vol)
 

@@ -1,6 +1,7 @@
 """Command-line entry points: run scenarios, clear books, print cost tables.
 
-Exit codes: 0 success, 2 configuration/input error, 3 invariant violation.
+Exit codes: 0 success, 2 configuration/input error, 3 invariant violation,
+4 a scenario run stalled (its outputs are still written).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .units import check_price, check_quantity
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
+EXIT_STALLED = 4
 
 
 def _fmt_cell(v) -> str:
@@ -53,6 +55,7 @@ def _run_one(config: dict, outdir: str) -> int:
     if result.stalled:
         print(f"warning: stalled after {result.rounds_completed} of "
               f"{config['rounds']} rounds", file=sys.stderr)
+        return EXIT_STALLED
     return EXIT_OK
 
 
@@ -74,12 +77,10 @@ def _cmd_run(args) -> int:
             if args.jobs > 1:
                 with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                     futures = [pool.submit(_run_one, cfg, od) for cfg, od in jobs]
-                    for f in futures:
-                        f.result()
+                    codes = [f.result() for f in futures]
             else:
-                for cfg, od in jobs:
-                    _run_one(cfg, od)
-            return EXIT_OK
+                codes = [_run_one(cfg, od) for cfg, od in jobs]
+            return EXIT_STALLED if EXIT_STALLED in codes else EXIT_OK
         return _run_one(config, outdir)
     except ScenarioError as e:
         print(f"error: {e}", file=sys.stderr)

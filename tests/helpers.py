@@ -91,6 +91,28 @@ def random_book(rng: random.Random, max_orders: int = 12, band: int = 32,
     return AuctionBook(buy_orders=tuple(buys), sell_orders=tuple(sells), w_tight=w_tight)
 
 
+def wide_book(rng: random.Random, n_orders: int, lo: int = 1_000,
+              hi: int = 100_000) -> AuctionBook:
+    """Large book with distinct limit prices drawn from ticks [lo, hi).
+
+    About 10% market orders; each order asks for one of five widths against
+    a tight width of 11/10, so about a fifth are width-filtered.  Buys sell
+    up to 10^6 A atoms and sells up to 20 B atoms, which puts the balance
+    price inside the tick range.
+    """
+    widths = (ANY, Fraction(1), Fraction(11, 10), Fraction(121, 100), Fraction(3, 2))
+    buys, sells = [], []
+    for oid, limit in enumerate(rng.sample(range(lo, hi), n_orders)):
+        is_buy = rng.random() < 0.5
+        size = rng.randint(1, 10**6) if is_buy else rng.randint(1, 20)
+        price = MKT if rng.random() < 0.1 else limit
+        order = Order(oid=oid, owner=f"p{oid}", tkn=TOKEN_A if is_buy else TOKEN_B,
+                      size=size, price=price, width_req=rng.choice(widths))
+        (buys if is_buy else sells).append(order)
+    return AuctionBook(buy_orders=tuple(buys), sell_orders=tuple(sells),
+                       w_tight=Fraction(11, 10))
+
+
 def make_params(**overrides) -> ProtocolParams:
     base = dict(e_client=1_000, e_mm=25_000, q_not=10_000, f_r=10,
                 res_bounty=50, p_a=Fraction(1), t_blocks=2)

@@ -1,10 +1,11 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairtradex.auction import (AuctionBook, InvalidClearingPrice,
@@ -14,9 +15,9 @@ from fairtradex.auction import (AuctionBook, InvalidClearingPrice,
                                 validate_clearing_result, verify_clearing_price,
                                 volumes_at)
 from fairtradex.serialize import book_from_json, result_to_json
-from fairtradex.units import ANY, MKT, TOKEN_A, TOKEN_B, Market, Order
+from fairtradex.units import ANY, MKT, TOKEN_A, TOKEN_B, WITHDRAW, Market, Order
 
-from helpers import naive_clear, random_book
+from helpers import naive_clear, random_book, wide_book
 
 GOLDEN = Path(__file__).parent / "golden" / "clearing_fixture.json"
 
@@ -107,6 +108,65 @@ class TestVolumes:
         b = book_of([], [sell(0, 7, 100)])
         assert volumes_at(b, 100)[1] == 7
 
+    @given(orders=st.lists(st.tuples(st.booleans(), st.integers(1, 50),
+                                     st.one_of(st.just(MKT), st.just(WITHDRAW),
+                                               st.integers(1, 30))),
+                           max_size=14))
+    @example(orders=[])
+    @example(orders=[(True, 5, MKT), (False, 2, MKT)])           # market orders only
+    @example(orders=[(True, 5, 7), (True, 3, 7), (True, 1, 2)])  # one-sided, duplicates
+    @example(orders=[(False, 5, 1), (False, 4, 1), (True, 9, 1)])
+    @settings(max_examples=300, deadline=None)
+    def test_view_matches_direct_sum_at_every_tick(self, orders):
+        """The depth view against a direct sum over the orders, ``cp = 0`` included."""
+        b = book_of([buy(i, size, price) for i, (is_buy, size, price) in enumerate(orders)
+                     if is_buy],
+                    [sell(i, size, price) for i, (is_buy, size, price) in enumerate(orders)
+                     if not is_buy])
+        top = max((price for _, _, price in orders if isinstance(price, int)), default=0)
+        for cp in range(top + 3):
+            buys = [o for o in b.buy_orders
+                    if o.price is MKT or (isinstance(o.price, int) and o.price >= cp)]
+            sells = [o for o in b.sell_orders
+                     if o.price is MKT or (isinstance(o.price, int) and o.price <= cp)]
+            assert volumes_at(b, cp) == (sum(o.size for o in buys), sum(o.size for o in sells))
+            eligible_buys, eligible_sells = b._depth.eligible(cp)
+            assert sorted(o.oid for o in eligible_buys) == sorted(o.oid for o in buys)
+            assert sorted(o.oid for o in eligible_sells) == sorted(o.oid for o in sells)
+
+
+# wide distinct-limit books: (seed, orders, highest tick) -> candidate count
+# and sha256 of the comma-joined candidate list, pinned so that any change to
+# the candidate set shows
+WIDE_CANDIDATES = {
+    (1, 200, 11_000): (410, "066e5b12af5e5291090142f98032e651b3dba0b42dc2d4f1347e31e836015a63"),
+    (2, 500, 100_000): (1069, "c4daa4429c08408fd6a9ae01f06f762aa365b1c089fbb1b6246c32dac0f2f2f8"),
+    (3, 1000, 100_000): (2160, "260991f1ca58173745319f672d195f686bc3705dd698d728ab2c60639dbc4d7c"),
+}
+
+
+def filtered_wide_book(seed, n_orders, hi):
+    return filter_by_width(wide_book(random.Random(seed), n_orders, hi=hi))[0]
+
+
+class TestCandidates:
+    @pytest.mark.parametrize("buys, sells, expected", [
+        ([buy(0, 100, MKT)], [sell(1, 3, MKT)], [1, 33, 34]),
+        ([buy(0, 100, MKT), buy(1, 250, 52)], [sell(2, 4, 50), sell(3, 2, 48)],
+         [47, 48, 49, 50, 51, 52, 53]),
+        ([buy(0, 90, 40), buy(1, 60, 40)], [sell(2, 1, 40), sell(3, 2, 35), sell(4, 1, MKT)],
+         [1, 34, 35, 36, 39, 40, 41]),
+        ([buy(0, 10, 90)], [sell(1, 10, 110)], [89, 90, 91, 109, 110, 111]),
+    ])
+    def test_small_books(self, buys, sells, expected):
+        assert candidate_prices(book_of(buys, sells)) == expected
+
+    @pytest.mark.parametrize("seed, n_orders, hi", sorted(WIDE_CANDIDATES))
+    def test_wide_books(self, seed, n_orders, hi):
+        cands = candidate_prices(filtered_wide_book(seed, n_orders, hi))
+        digest = hashlib.sha256(",".join(map(str, cands)).encode()).hexdigest()
+        assert (len(cands), digest) == WIDE_CANDIDATES[seed, n_orders, hi]
+
 
 class TestOracle:
     def test_golden_fixture(self):
@@ -142,6 +202,20 @@ class TestOracle:
                 assert naive is None
             else:
                 assert naive == (cand.cp, cand.volume_a, cand.imbalance_a)
+
+    @pytest.mark.parametrize("seed, n_orders, hi", sorted(WIDE_CANDIDATES))
+    def test_wide_books_agree_with_naive_enumerator(self, seed, n_orders, hi):
+        b = filtered_wide_book(seed, n_orders, hi)
+        cand = find_clearing_price(b)
+        assert naive_clear(b) == (cand.cp, cand.volume_a, cand.imbalance_a)
+
+    @pytest.mark.xfail(strict=True, reason="the oracle ranks volume in A units, where "
+                       "sub-lot dust counts: cp=60 trades 60 A of dust and no lot")
+    def test_oracle_price_settles_at_least_one_lot(self):
+        b = book_of([buy(0, 30, MKT), buy(1, 30, MKT)], [sell(2, 1, MKT)])
+        cand = find_clearing_price(b)
+        assert verify_clearing_price(b, cand.cp, cand.volume_a, cand.imbalance_a)
+        assert settle(b, cand.cp).volume_settled_b >= 1
 
 
 class TestVerifier:

@@ -158,6 +158,24 @@ class TestCli:
         assert (tmp_path / "env" / "trace.jsonl").exists()
         assert not (tmp_path / "flag").exists()
 
+    def test_run_stalled_exit_4(self, tmp_path, capsys):
+        # no quoter commits and every client buys: no price trades, so no
+        # round closes
+        cfg = load()
+        for agent in cfg["agents"]:
+            if agent["role"] == "mm":
+                agent["strategy"]["commit"] = False
+            elif agent["role"] == "client":
+                agent["strategy"]["side"] = "buy"
+        stall = tmp_path / "stall.json"
+        stall.write_text(json.dumps(cfg))
+        assert self.run_cli("run", str(stall), "--outdir", str(tmp_path / "out")) == 4
+        assert "warning: stalled after 0 of 3 rounds" in capsys.readouterr().err
+        for name in ("trace.jsonl", "settlements.json", "summary.csv"):
+            assert (tmp_path / "out" / name).exists()
+        assert self.run_cli("run", str(stall), "--outdir", str(tmp_path / "seeds"),
+                            "--seeds", "1,2") == 4
+
     def test_run_config_error_exit_2(self, tmp_path, capsys):
         cfg = load()
         del cfg["params"]["q_not"]
