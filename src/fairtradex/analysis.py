@@ -289,6 +289,13 @@ class _EngineGame:
     selected market always spans the imbalance.  Utilities: quoters mark
     token deltas at the fair price y; clients use the signed log-distance
     convention scaled by their filled fraction.
+
+    A round is three steps.  The tight market depends on the quoters'
+    strategies alone, so ``tight_orders`` runs once per strategy profile;
+    ``filtered_book`` assembles one flow pattern's book from it and the
+    clients' orders; ``clear`` turns a filtered book into utilities, which
+    depend on nothing else, so ``_outcome_table`` clears each distinct
+    filtered book once per check.
     """
 
     y: int
@@ -296,10 +303,9 @@ class _EngineGame:
     n_clients: int
     client_size_a: int     # A atoms sold by a buyer of the swap
 
-    def evaluate(self, mm_strats: Sequence[tuple[int, Fraction]],
-                 client_strats: Sequence[ClientProfile],
-                 directions: Sequence[int]) -> dict[str, float]:
-        size_b = self.client_size_a // self.y
+    def tight_orders(self, mm_strats: Sequence[tuple[int, Fraction]]
+                     ) -> tuple[Order, Order, Fraction]:
+        """The selected tight market's buy and sell orders, and its width."""
         depth = 10 * self.n_clients * self.client_size_a
         revealed = []
         for i, (ref, w) in enumerate(mm_strats):
@@ -309,30 +315,38 @@ class _EngineGame:
         tight = select_tight_market(revealed)
         assert tight is not None
         player, m = tight
-        w_tight = market_width(m)
+        buy, sell = tight_market_orders(player, m, self.n_clients, m.size_bid, m.size_offer)
+        return buy, sell, market_width(m)
 
-        oid = 0
-        buys, sells = [], []
-        for i, (cs, d) in enumerate(zip(client_strats, directions)):
+    def client_orders(self, client_strats: Sequence[ClientProfile]) -> list[tuple[Order, Order]]:
+        """Client i's buy and sell order (oid i); its direction picks one."""
+        size_b = self.client_size_a // self.y
+        orders = []
+        for i, cs in enumerate(client_strats):
             price = MKT if cs.order_type == "mkt" else cs.limit_price
-            if d > 0:
-                buys.append(Order(oid=oid, owner=f"c{i}", tkn=TOKEN_A,
-                                  size=self.client_size_a, price=price,
-                                  width_req=cs.width_req))
-            else:
-                sells.append(Order(oid=oid, owner=f"c{i}", tkn=TOKEN_B,
-                                   size=size_b, price=price,
-                                   width_req=cs.width_req))
-            oid += 1
-        buy, sell = tight_market_orders(player, m, oid, m.size_bid, m.size_offer)
-        buys.append(buy)
-        sells.append(sell)
+            orders.append((Order(oid=i, owner=f"c{i}", tkn=TOKEN_A, size=self.client_size_a,
+                                 price=price, width_req=cs.width_req),
+                           Order(oid=i, owner=f"c{i}", tkn=TOKEN_B, size=size_b,
+                                 price=price, width_req=cs.width_req)))
+        return orders
 
-        book = AuctionBook(buy_orders=tuple(buys), sell_orders=tuple(sells),
+    @staticmethod
+    def filtered_book(tight: tuple[Order, Order, Fraction],
+                      client_orders: Sequence[tuple[Order, Order]],
+                      directions: Sequence[int]) -> AuctionBook:
+        """One flow pattern's book after the width filter."""
+        buy, sell, w_tight = tight
+        buys = [b for (b, _s), d in zip(client_orders, directions) if d > 0]
+        sells = [s for (_b, s), d in zip(client_orders, directions) if d <= 0]
+        book = AuctionBook(buy_orders=(*buys, buy), sell_orders=(*sells, sell),
                            w_tight=w_tight)
         filtered, _removed = filter_by_width(book)
+        return filtered
+
+    def clear(self, filtered: AuctionBook, n_mms: int) -> dict[str, float]:
+        """Every player's utility from clearing and settling ``filtered``."""
         cand = find_clearing_price(filtered)
-        utilities = {f"m{i}": 0.0 for i in range(len(mm_strats))}
+        utilities = {f"m{i}": 0.0 for i in range(n_mms)}
         utilities.update({f"c{i}": 0.0 for i in range(self.n_clients)})
         if cand is None:
             return utilities
@@ -356,14 +370,33 @@ class _EngineGame:
                     float(cand.cp), float(self.y), side, float(self.f_mcf))
         return utilities
 
+    def evaluate(self, mm_strats: Sequence[tuple[int, Fraction]],
+                 client_strats: Sequence[ClientProfile],
+                 directions: Sequence[int]) -> dict[str, float]:
+        book = self.filtered_book(self.tight_orders(mm_strats),
+                                  self.client_orders(client_strats), directions)
+        return self.clear(book, len(mm_strats))
 
-def _outcome_table(game: _EngineGame, mm_strats, client_strats) -> dict[str, np.ndarray]:
+
+def _outcome_table(game: _EngineGame, mm_strats, client_strats,
+                   memo: dict) -> dict[str, np.ndarray]:
     """Every player's engine utility for each of the 2^k client flow
-    patterns, indexed by pattern number: bit i is set when client i buys."""
+    patterns, indexed by pattern number: bit i is set when client i buys.
+
+    The tight market is chosen once for the profile.  ``memo`` maps a
+    filtered book to its utilities; sharing it across the profiles of one
+    check (one quoter count) clears each distinct book once."""
     k = game.n_clients
-    outcomes = [game.evaluate(mm_strats, client_strats,
-                              tuple(1 if bits >> i & 1 else -1 for i in range(k)))
-                for bits in range(2 ** k)]
+    n_mms = len(mm_strats)
+    tight = game.tight_orders(mm_strats)
+    orders = game.client_orders(client_strats)
+    outcomes = []
+    for bits in range(2 ** k):
+        book = game.filtered_book(tight, orders,
+                                  tuple(1 if bits >> i & 1 else -1 for i in range(k)))
+        if book not in memo:
+            memo[book] = game.clear(book, n_mms)
+        outcomes.append(memo[book])
     return {player: np.array([u[player] for u in outcomes]) for player in outcomes[0]}
 
 
@@ -375,21 +408,23 @@ def _best_response_monte_carlo(profile: StrategyProfile, grid: DeviationGrid,
     base_ref = profile.mm.ref_price if profile.mm.ref_price is not None else y
     base_mm = [(base_ref, profile.mm.width), (base_ref, profile.mm.width)]
     base_clients = [profile.client] * game.n_clients
-    base = _outcome_table(game, base_mm, base_clients)
+    memo: dict = {}
+    base = _outcome_table(game, base_mm, base_clients, memo)
 
     rng = np.random.default_rng(seed)
     flows = rng.integers(0, 2, size=(paths, game.n_clients)) * 2 - 1  # common random numbers
     path_pattern = (flows > 0) @ (1 << np.arange(game.n_clients))
+    base_paths = {key: base[key][path_pattern] for key in ("m0", "c0")}
 
     entries: list[DeviationResult] = []
 
     def paired_check(player: str, label: str, mm_strats, client_strats) -> None:
         key = "m0" if player == "mm0" else "c0"
-        base_u = base[key][path_pattern]
-        dev_u = _outcome_table(game, mm_strats, client_strats)[key][path_pattern]
+        base_u = base_paths[key]
+        dev_u = _outcome_table(game, mm_strats, client_strats, memo)[key][path_pattern]
         diff = dev_u - base_u
         gain = float(diff.mean())
-        se = float(diff.std(ddof=1) / math.sqrt(len(diff))) if len(diff) > 1 else 0.0
+        se = float(diff.std(ddof=1) / math.sqrt(len(diff)))
         entries.append(DeviationResult(
             player=player, label=label,
             utility_profile=float(base_u.mean()), utility_deviation=float(dev_u.mean()),
@@ -430,10 +465,12 @@ def best_response_check(profile: StrategyProfile, n_mms: int,
     (deterministic, epsilon = 1e-9 * notional); two quoters (``n_mms=2``)
     run the auction engine for four clients path by path under common
     random client flow and test each deviation's mean gain against two
-    standard errors.
+    standard errors, so they need at least two ``paths``.
     """
     if n_mms not in (1, 2):
         raise ValueError(f"n_mms must be 1 or 2, got {n_mms!r}")
+    if n_mms == 2 and paths < 2:
+        raise ValueError(f"paths must be at least 2 for n_mms=2, got {paths!r}")
     if grid is None:
         grid = default_grid(y, f_mcf)
     if n_mms == 1:

@@ -8,7 +8,8 @@ import pytest
 from fairtradex.analysis import (AMM, DIRECTION_REVEALING, FAIRTRADEX,
                                  IDENTITY_REVEALING, P1, P2, ClientProfile,
                                  CostModel, DEFAULT_IMPACT_TABLE, MMProfile,
-                                 StrategyProfile, best_response_check,
+                                 StrategyProfile, _EngineGame, _outcome_table,
+                                 best_response_check,
                                  client_utility, cost_table, default_grid, execution_cost,
                                  mm_buyer_leg, mm_expected_profit, mm_seller_leg,
                                  p_ref_argmax)
@@ -172,6 +173,29 @@ COMPETITIVE = StrategyProfile(client=ClientProfile(order_type="mkt", width_req=F
                               mm=MMProfile(width=Fraction(1)))
 
 
+def _competitive_deviations():
+    """The engine game of the competitive profile, its base entry and the
+    88 unilateral deviations of the default grid, each entry as
+    ``(label, utility key, quoter strategies, client strategies)``."""
+    y, f_mcf = 110, Fraction(121, 100)
+    grid = default_grid(y, f_mcf)
+    game = _EngineGame(y=y, f_mcf=f_mcf, n_clients=4, client_size_a=10 * y)
+    mms = [(y, Fraction(1))] * 2
+    clients = [COMPETITIVE.client] * 4
+    deviations = [(f"mm0 p_ref={ref} w={w}", "m0", [(ref, w), mms[1]], clients)
+                  for w in grid.mm_widths for ref in grid.mm_ref_prices
+                  if (ref, w) != mms[0]]
+    deviations += [(f"client0 mkt width_req={w}", "c0", mms,
+                    [ClientProfile(order_type="mkt", width_req=w)] + clients[1:])
+                   for w in grid.client_widths]
+    deviations += [(f"client0 limit {lp}", "c0", mms,
+                    [ClientProfile(order_type="limit", width_req=f_mcf,
+                                   limit_price=lp)] + clients[1:])
+                   for lp in grid.client_limit_prices]
+    assert len(deviations) == 88
+    return game, ("base", None, mms, clients), deviations
+
+
 class TestBestResponse:
     def test_single_quoter_profile_confirmed(self):
         rep = best_response_check(MONOPOLY, n_mms=1)
@@ -200,32 +224,59 @@ class TestBestResponse:
         with pytest.raises(ValueError, match="n_mms"):
             best_response_check(COMPETITIVE, n_mms=n_mms, paths=200)
 
+    @pytest.mark.parametrize("paths", [0, 1, -1])
+    def test_too_few_paths_rejected(self, paths):
+        # one path has no standard error and none has no mean
+        with pytest.raises(ValueError, match="paths"):
+            best_response_check(COMPETITIVE, n_mms=2, paths=paths)
+
     def test_competitive_profile_exact_expectation(self):
         """The 2^4 client flow patterns are equally likely, so a deviation's
         exact expected gain is the pattern mean of its outcome table minus
         the base profile's.  No deviation of the default grid gains, so a
         Monte Carlo seed that flags one has drawn a sampling false positive."""
-        from fairtradex.analysis import _EngineGame, _outcome_table
-        y, f_mcf = 110, Fraction(121, 100)
-        grid = default_grid(y, f_mcf)
-        game = _EngineGame(y=y, f_mcf=f_mcf, n_clients=4, client_size_a=10 * y)
-        mms = [(y, Fraction(1))] * 2
-        clients = [COMPETITIVE.client] * 4
-        base = _outcome_table(game, mms, clients)
-        deviations = [(f"mm0 p_ref={ref} w={w}", "m0", [(ref, w), mms[1]], clients)
-                      for w in grid.mm_widths for ref in grid.mm_ref_prices
-                      if (ref, w) != mms[0]]
-        deviations += [(f"client0 mkt width_req={w}", "c0", mms,
-                        [ClientProfile(order_type="mkt", width_req=w)] + clients[1:])
-                       for w in grid.client_widths]
-        deviations += [(f"client0 limit {lp}", "c0", mms,
-                        [ClientProfile(order_type="limit", width_req=f_mcf,
-                                       limit_price=lp)] + clients[1:])
-                       for lp in grid.client_limit_prices]
-        assert len(deviations) == 88
-        gains = {label: float(np.mean(_outcome_table(game, m, c)[key] - base[key]))
+        game, (_, _, mms, clients), deviations = _competitive_deviations()
+        memo: dict = {}
+        base = _outcome_table(game, mms, clients, memo)
+        gains = {label: float(np.mean(_outcome_table(game, m, c, memo)[key] - base[key]))
                  for label, key, m, c in deviations}
         assert max(gains.values()) <= 0.0, {k: g for k, g in gains.items() if g > 0}
+
+    def test_outcome_tables_match_evaluate_loop(self):
+        """Outcome tables built with one memo shared by the base profile and
+        all 88 deviations equal the plain per-pattern loop of ``evaluate``."""
+        game, base, deviations = _competitive_deviations()
+        memo: dict = {}
+        patterns = [tuple(1 if bits >> i & 1 else -1 for i in range(game.n_clients))
+                    for bits in range(2 ** game.n_clients)]
+        for label, _key, mms, clients in [base] + deviations:
+            table = _outcome_table(game, mms, clients, memo)
+            loop = [game.evaluate(mms, clients, p) for p in patterns]
+            assert set(table) == set(loop[0]), label
+            for player, utilities in table.items():
+                assert utilities.tolist() == [u[player] for u in loop], (label, player)
+
+    def test_check_clears_each_distinct_book_once(self, monkeypatch):
+        """One competitive check picks the tight market once per profile
+        (the base and its 88 deviations) and clears each distinct filtered
+        book once, out of 89 * 16 = 1,424 pattern books."""
+        from fairtradex import analysis
+        books, tights = [], []
+        oracle, select = analysis.find_clearing_price, analysis.select_tight_market
+
+        def counted_oracle(book):
+            books.append(book)
+            return oracle(book)
+
+        def counted_select(revealed):
+            tights.append(revealed)
+            return select(revealed)
+        monkeypatch.setattr(analysis, "find_clearing_price", counted_oracle)
+        monkeypatch.setattr(analysis, "select_tight_market", counted_select)
+        rep = best_response_check(COMPETITIVE, n_mms=2, paths=200)
+        assert len(rep.entries) == 88
+        assert len(tights) == 89
+        assert len(books) == len(set(books)) == 352 < 89 * 16
 
     def test_archive_regenerates_byte_for_byte(self, tmp_path, monkeypatch):
         """The README's regeneration recipe, run in an empty directory,
@@ -244,7 +295,6 @@ class TestBestResponse:
     def test_widening_deviator_loses_flow(self):
         """One quoter widening to 1.1 against a width-1 rival loses the
         tie-break and with it all traded flow; utility never improves."""
-        from fairtradex.analysis import _EngineGame
         import itertools
         game = _EngineGame(y=110, f_mcf=Fraction(121, 100), n_clients=4,
                            client_size_a=1100)
@@ -261,7 +311,6 @@ class TestBestResponse:
     def test_under_fair_limit_buy_loses_fills(self):
         """A limit buy below the fair price under the competitive profile
         never executes; fill probability drops to zero, utility cannot rise."""
-        from fairtradex.analysis import _EngineGame
         import itertools
         game = _EngineGame(y=110, f_mcf=Fraction(121, 100), n_clients=4,
                            client_size_a=1100)
