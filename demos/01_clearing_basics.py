@@ -9,9 +9,8 @@ with exact integer pro-rata fills.
 
 from fractions import Fraction
 
-from fairtradex.auction import (AuctionBook, find_clearing_price, settle,
-                                validate_clearing_result, verify_clearing_price,
-                                volumes_at)
+from fairtradex.auction import (AuctionBook, find_clearing_price, score_at, settle,
+                                validate_clearing_result, verify_clearing_price)
 from fairtradex.units import ANY, MKT, TOKEN_A, TOKEN_B, Order
 
 # A buy order sells token A (it buys the swap); a sell order sells token B.
@@ -43,8 +42,7 @@ print("local verifier accepts the oracle price")
 # them has a neighbour that clears more volume (or the same with a
 # smaller imbalance).
 for off in (cand.cp - 2, cand.cp - 1, cand.cp + 1):
-    bv, sv = volumes_at(book, off)
-    ok = verify_clearing_price(book, off, min(bv, sv * off), bv - sv * off)
+    ok = verify_clearing_price(book, off, *score_at(book, off))
     print(f"  cp={off}: verifier says {'valid' if ok else 'invalid'}")
 
 # Settlement trades whole B atoms; each costs exactly cp A atoms, so the

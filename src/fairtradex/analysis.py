@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -498,7 +498,6 @@ DEFAULT_SLIPPAGE = 0.005
 @dataclass(frozen=True)
 class PlayerProfile:
     direction_known: bool
-    identity_known: bool = True
 
 
 #: Balanced pseudo-random trader vs. a one-directional player.
@@ -548,19 +547,13 @@ def execution_cost(model: CostModel, player: PlayerProfile, notional: float,
     if model.protocol == DIRECTION_REVEALING:
         return _decimal_product(notional, impact)
     if model.protocol == IDENTITY_REVEALING:
-        exploitable = model_inferable(player)
-        return _decimal_product(notional, impact) if exploitable else 0.0
+        # a one-directional player's identity gives its direction away
+        return _decimal_product(notional, impact) if player.direction_known else 0.0
     raise ValueError(f"unknown protocol {model.protocol!r}")
 
 
-def model_inferable(player: PlayerProfile) -> bool:
-    """Direction inferable from identity: needs both to be exposed."""
-    return player.identity_known and player.direction_known
-
-
 def cost_table(impact_table: Optional[Mapping[float, float]] = None,
-               slippage: float = DEFAULT_SLIPPAGE,
-               notionals: Iterable[float] = (10_000, 500_000, 10_000_000)) -> tuple[list[str], list[list]]:
+               slippage: float = DEFAULT_SLIPPAGE) -> tuple[list[str], list[list]]:
     """The 6-row, 4-protocol execution-cost matrix (header, rows)."""
     table = DEFAULT_IMPACT_TABLE if impact_table is None else impact_table
     models = {
@@ -571,7 +564,7 @@ def cost_table(impact_table: Optional[Mapping[float, float]] = None,
     }
     header = ["order", FAIRTRADEX, "Uniswap", DIRECTION_REVEALING, IDENTITY_REVEALING]
     rows = []
-    for notional in notionals:
+    for notional in (10_000, 500_000, 10_000_000):
         for name, player in (("P1", P1), ("P2", P2)):
             rows.append([f"{name}-{int(notional)}"] +
                         [execution_cost(models[p], player, notional) for p in PROTOCOLS])

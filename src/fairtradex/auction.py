@@ -8,8 +8,8 @@ Conventions used throughout (all arithmetic exact):
 * Volume and imbalance comparisons are done in A units by cross
   multiplication: the tradable volume at price ``cp`` is
   ``min(buy_vol_a, sell_vol_b * cp)`` and the imbalance is
-  ``buy_vol_a - sell_vol_b * cp``.  No division appears anywhere in the
-  clearing-price logic.
+  ``buy_vol_a - sell_vol_b * cp``, both from ``score_at``.  No division
+  appears anywhere in the clearing-price logic.
 * Settlement moves whole B atoms ("lots" of ``cp`` A atoms each), so a buy
   order can execute at most ``size // cp`` lots; sub-lot dust is refunded.
 * Volumes come from one depth view per book (limits sorted once, with
@@ -23,13 +23,13 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, cycle
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .membership import h
 from .units import (ANY, MKT, TOKEN_A, TOKEN_B, Market, Order, Width,
-                    encode_market, market_width, width_geq)
+                    encode_market, market_width)
 
 
 class InvalidClearingPrice(Exception):
@@ -85,9 +85,9 @@ def filter_by_width(book: AuctionBook) -> tuple[AuctionBook, list[Order]]:
         return book, []
     kept_b, kept_s, removed = [], [], []
     for o in book.buy_orders:
-        (kept_b if width_geq(o.width_req, book.w_tight) else removed).append(o)
+        (kept_b if o.width_req >= book.w_tight else removed).append(o)
     for o in book.sell_orders:
-        (kept_s if width_geq(o.width_req, book.w_tight) else removed).append(o)
+        (kept_s if o.width_req >= book.w_tight else removed).append(o)
     filtered = replace(book, buy_orders=tuple(kept_b), sell_orders=tuple(kept_s))
     return filtered, removed
 
@@ -173,6 +173,16 @@ class _Depth:
         return (self._buy_from[bisect_left(self._buy_limits, cp)],
                 self._sell_upto[bisect_right(self._sell_limits, cp)])
 
+    def score(self, cp: int) -> tuple[int, int]:
+        """(volume, imbalance) in A units at ``cp``: the clearing objective.
+
+        Reads the same two sums as ``volumes`` without calling it: the
+        oracle scores every candidate price.
+        """
+        buy_vol = self._buy_from[bisect_left(self._buy_limits, cp)]
+        sell_a = self._sell_upto[bisect_right(self._sell_limits, cp)] * cp
+        return min(buy_vol, sell_a), buy_vol - sell_a
+
     def eligible(self, cp: int) -> tuple[list[Order], list[Order]]:
         """The buy and sell orders eligible at ``cp``."""
         return (self._mkt_buys + self._buys[bisect_left(self._buy_limits, cp):],
@@ -185,6 +195,11 @@ def volumes_at(book: AuctionBook, cp: int) -> tuple[int, int]:
     ``cp`` may be 0 for the verifier's adjacent-tick check below price 1.
     """
     return book._depth.volumes(cp)
+
+
+def score_at(book: AuctionBook, cp: int) -> tuple[int, int]:
+    """(volume, imbalance) in A units at ``cp``, which may be 0 as in ``volumes_at``."""
+    return book._depth.score(cp)
 
 
 def candidate_prices(book: AuctionBook) -> list[int]:
@@ -234,12 +249,10 @@ def find_clearing_price(book: AuctionBook) -> Optional[ClearingCandidate]:
     """
     if not book.buy_orders or not book.sell_orders:
         return None
-    volumes = book._depth.volumes
+    score = book._depth.score
     best: Optional[ClearingCandidate] = None
     for cp in candidate_prices(book):
-        buy_vol, sell_vol = volumes(cp)
-        vol = min(buy_vol, sell_vol * cp)
-        imb = buy_vol - sell_vol * cp
+        vol, imb = score(cp)
         if vol == 0:
             continue
         if (best is None or vol > best.volume_a
@@ -261,125 +274,95 @@ def verify_clearing_price(book: AuctionBook, cp: int, volume_a: int, imbalance_a
     """
     if not isinstance(cp, int) or cp < 1:
         return False
-    buy_vol, sell_vol = volumes_at(book, cp)
-    vol = min(buy_vol, sell_vol * cp)
-    imb = buy_vol - sell_vol * cp
-    if volume_a != vol or imbalance_a != imb:
-        return False
-    if vol == 0:
+    vol, imb = score_at(book, cp)
+    if volume_a != vol or imbalance_a != imb or vol == 0:
         return False
     if imb == 0:
         return True
-    probe = cp + 1 if imb > 0 else cp - 1
-    buy_vol2, sell_vol2 = volumes_at(book, probe)
-    vol2 = min(buy_vol2, sell_vol2 * probe)
-    imb2 = buy_vol2 - sell_vol2 * probe
+    vol2, imb2 = score_at(book, cp + 1 if imb > 0 else cp - 1)
     return vol2 < vol or (vol2 == vol and abs(imb2) >= abs(imb))
 
 
-def _allocate_group(entries: list[tuple[int, int, int]], amount: int) -> dict[int, int]:
-    """Pro-rate ``amount`` units over (oid, weight, cap) entries.
-
-    Floor pro-rata by weight with largest-remainder distribution; remainder
-    ties break by ascending oid; entries already at cap are skipped when
-    handing out remainders.  Requires amount <= sum of caps.
-    """
-    total_weight = sum(w for _, w, _ in entries)
-    fills: dict[int, int] = {}
-    remainders: list[tuple[Fraction, int]] = []
-    assigned = 0
-    for oid, weight, cap in entries:
-        share = Fraction(amount * weight, total_weight)
-        base = min(int(share), cap)
-        fills[oid] = base
-        assigned += base
-        remainders.append((share - base, oid))
-    leftover = amount - assigned
-    # sort: biggest fractional remainder first, then ascending oid
-    remainders.sort(key=lambda t: (-t[0], t[1]))
-    caps = {oid: cap for oid, _, cap in entries}
-    i = 0
-    while leftover > 0:
-        _, oid = remainders[i % len(remainders)]
-        if fills[oid] < caps[oid]:
-            fills[oid] += 1
-            leftover -= 1
-        i += 1
-    return fills
-
-
-def _allocate_side(groups: list[tuple[object, list[tuple[int, int, int]]]], total: int) -> dict[int, int]:
-    """Waterfall ``total`` units through priority-ordered groups.
-
-    Groups whose capacity fits entirely fill to cap; the group where the
-    residual lands is pro-rated; later groups get nothing.
-    """
-    fills: dict[int, int] = {}
-    remaining = total
-    for _, entries in groups:
-        cap_sum = sum(cap for _, _, cap in entries)
-        if remaining >= cap_sum:
-            for oid, _, cap in entries:
-                fills[oid] = cap
-            remaining -= cap_sum
-        else:
-            if remaining > 0:
-                fills.update(_allocate_group(entries, remaining))
-            for oid, _, _ in entries:
-                fills.setdefault(oid, 0)
-            remaining = 0
-    return fills
-
-
-def _priority_groups(orders: Iterable[Order], cp: int, side: str) -> list:
-    """Group eligible orders by price level, most aggressive level first.
+def _levels(orders: Iterable[Order], cp: int, side: str) -> list[list[tuple[int, int, int]]]:
+    """Eligible orders as (oid, size, lot cap) levels, most aggressive first.
 
     Market orders form the most aggressive level on both sides, so a limit
-    level at the margin is pro-rated before any market order.
+    level at the margin is pro-rated before any market order.  Entries in
+    a level are in ascending oid order.
     """
+    sign, lot = (-1, cp) if side == "buy" else (1, 1)
     by_level: dict[tuple[int, int], list[Order]] = {}
     for o in orders:
-        if o.price is MKT:
-            key = (0, 0)
-        elif side == "buy":
-            key = (1, -o.price)
-        else:
-            key = (1, o.price)
+        key = (0, 0) if o.price is MKT else (1, sign * o.price)
         by_level.setdefault(key, []).append(o)
-    groups = []
-    for key in sorted(by_level):
-        entries = []
-        for o in sorted(by_level[key], key=lambda o: o.oid):
-            cap = o.size // cp if side == "buy" else o.size
-            entries.append((o.oid, o.size, cap))
-        groups.append((key, entries))
-    return groups
+    return [sorted((o.oid, o.size, o.size // lot) for o in by_level[key])
+            for key in sorted(by_level)]
+
+
+def _waterfall(levels: list[list[tuple[int, int, int]]], total: int) -> dict[int, int]:
+    """Fill ``total`` units through priority-ordered levels of (oid, weight, cap).
+
+    Levels whose caps fit fill to cap.  The level where the residual lands
+    gets floor pro-rata shares by weight (no floor exceeds its cap: every
+    cap is ``w // c`` for one ``c`` per side), then the leftover one unit
+    at a time by largest remainder, ties by ascending oid, cycling past
+    entries at cap; later levels get nothing.  All in integers: a level's
+    entries share one weight sum ``w_sum``, so ``floor * w_sum - total * w``
+    ascending is remainder descending.  Absent orders fill zero.
+    """
+    fills: dict[int, int] = {}
+    for level in levels:
+        cap_sum = sum(cap for _, _, cap in level)
+        if total >= cap_sum:
+            for oid, _, cap in level:
+                fills[oid] = cap
+            total -= cap_sum
+            continue
+        w_sum = sum(w for _, w, _ in level)
+        ranked = []
+        leftover = total
+        for oid, w, cap in level:
+            floor = total * w // w_sum
+            fills[oid] = floor
+            leftover -= floor
+            ranked.append((floor * w_sum - total * w, oid, cap))
+        ranked.sort()
+        for _, oid, cap in cycle(ranked):
+            if not leftover:
+                break
+            if fills[oid] < cap:
+                fills[oid] += 1
+                leftover -= 1
+        break
+    return fills
 
 
 def settle(book: AuctionBook, cp: int) -> ClearingResult:
-    """Exact pro-rata settlement at ``cp``.
+    """Exact integer pro-rata settlement at ``cp``.
 
     Fills are denominated in whole B atoms; each buy lot costs exactly
     ``cp`` A atoms, so conservation holds bit-for-bit: total A spent equals
-    total A received equals ``volume * cp``, and likewise for B.  Callers
-    that need the local-optimality guarantee (the protocol's resolution
-    path) run ``verify_clearing_price`` first; here only a price with no
-    volume in A units is rejected.  That check counts sub-lot dust, so a
-    price at which every eligible buy is smaller than ``cp`` passes and
-    settles zero lots, refunding every order.
+    total A received equals ``volume * cp``, and likewise for B.  Each side
+    fills ``volume`` through ``_waterfall``, a buy capped at ``size // cp``
+    lots and a sell at its size.  Callers that need the
+    local-optimality guarantee (the protocol's resolution path) run
+    ``verify_clearing_price`` first; here only a price with no volume in A
+    units is rejected.  That check counts sub-lot dust, so a price at which
+    every eligible buy is smaller than ``cp`` passes and settles zero lots,
+    refunding every order.
     """
     if not isinstance(cp, int) or cp < 1:
         raise InvalidClearingPrice(f"not a price: {cp!r}")
-    buy_vol, sell_vol = volumes_at(book, cp)
-    if min(buy_vol, sell_vol * cp) == 0:
+    vol, imb = score_at(book, cp)
+    if vol == 0:
         raise InvalidClearingPrice(f"no volume trades at cp={cp}")
 
     eligible_buys, eligible_sells = book._depth.eligible(cp)
-    buy_capacity = sum(o.size // cp for o in eligible_buys)
-    volume = min(buy_capacity, sell_vol)
+    volume = min(sum(o.size // cp for o in eligible_buys),
+                 sum(o.size for o in eligible_sells))
 
-    buy_fills = _allocate_side(_priority_groups(eligible_buys, cp, "buy"), volume)
-    sell_fills = _allocate_side(_priority_groups(eligible_sells, cp, "sell"), volume)
+    buy_fills = _waterfall(_levels(eligible_buys, cp, "buy"), volume)
+    sell_fills = _waterfall(_levels(eligible_sells, cp, "sell"), volume)
 
     fills = []
     for o in sorted((*book.buy_orders, *book.sell_orders), key=lambda o: o.oid):
@@ -391,8 +374,7 @@ def settle(book: AuctionBook, cp: int) -> ClearingResult:
             delivered = sell_fills.get(o.oid, 0)
             fills.append(Fill(oid=o.oid, executed=delivered, received=delivered * cp,
                               refunded=o.size - delivered))
-    return ClearingResult(cp=cp, volume_settled_b=volume,
-                          imbalance_a=buy_vol - sell_vol * cp, fills=tuple(fills))
+    return ClearingResult(cp=cp, volume_settled_b=volume, imbalance_a=imb, fills=tuple(fills))
 
 
 def conservation_problems(cp: int, volume_b: int,
@@ -401,12 +383,15 @@ def conservation_problems(cp: int, volume_b: int,
 
     ``fills`` yields ``(oid, side, size, executed, received, refunded)``
     rows, ``side`` being "buy" or "sell".  Every fill must account for its
-    whole size, trade whole lots at ``cp``, and the A and B legs summed over
-    all fills must both balance at ``volume_b`` B atoms.
+    whole size with no negative amount, trade whole lots at ``cp``, and the
+    A and B legs summed over all fills must both balance at ``volume_b`` B
+    atoms.
     """
     problems = []
     a_spent = a_received = b_received = b_delivered = 0
     for oid, side, size, executed, received, refunded in fills:
+        if executed < 0 or received < 0 or refunded < 0:
+            problems.append(f"{side} fill {oid}: negative amount")
         if executed + refunded != size:
             problems.append(f"{side} fill {oid}: executed + refunded != size")
         if side == "buy":

@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .auction import (conservation_problems, filter_by_width, find_clearing_price, settle,
-                      verify_clearing_price, volumes_at)
+from .auction import (conservation_problems, filter_by_width, find_clearing_price, score_at,
+                      settle, verify_clearing_price)
 from .analysis import DEFAULT_SLIPPAGE, cost_table
 from .scenario import InvariantViolation, Runner, ScenarioError, SUMMARY_HEADER
 from .serialize import book_from_json, dumps_canonical, result_to_json
@@ -66,14 +65,13 @@ def _cmd_run(args) -> int:
     except (OSError, json.JSONDecodeError) as e:
         print(f"error: cannot read config: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    outdir = os.environ.get("FAIRTRADEX_OUTDIR", args.outdir)
     try:
         if args.seeds:
             seeds = [int(s) for s in args.seeds.split(",")]
             jobs = []
             for s in seeds:
                 cfg = dict(config, seed=s)
-                jobs.append((cfg, str(Path(outdir) / f"seed-{s}")))
+                jobs.append((cfg, str(Path(args.outdir) / f"seed-{s}")))
             if args.jobs > 1:
                 with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                     futures = [pool.submit(_run_one, cfg, od) for cfg, od in jobs]
@@ -81,7 +79,7 @@ def _cmd_run(args) -> int:
             else:
                 codes = [_run_one(cfg, od) for cfg, od in jobs]
             return EXIT_STALLED if EXIT_STALLED in codes else EXIT_OK
-        return _run_one(config, outdir)
+        return _run_one(config, args.outdir)
     except ScenarioError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
@@ -100,9 +98,7 @@ def _cmd_clear(args) -> int:
     filtered, removed = filter_by_width(book)
     if args.verify is not None:
         cp = args.verify
-        buy_vol, sell_vol = volumes_at(filtered, cp)
-        ok = verify_clearing_price(filtered, cp, min(buy_vol, sell_vol * cp),
-                                   buy_vol - sell_vol * cp)
+        ok = verify_clearing_price(filtered, cp, *score_at(filtered, cp))
         print(f"cp={cp}: {'valid' if ok else 'invalid'}")
         return EXIT_OK
     cand = find_clearing_price(filtered)

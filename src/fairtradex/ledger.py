@@ -8,7 +8,7 @@ be asserted globally at any point.
 
 from __future__ import annotations
 
-from .units import check_quantity, sub_quantity
+from .units import check_quantity
 
 PROTOCOL_ACCOUNT = "protocol"
 BURN_SINK = "burn"
@@ -38,7 +38,7 @@ class Ledger:
         have = self.balance(frm, tkn)
         if have < amt:
             raise InsufficientBalance(f"{frm} has {have} {tkn}, needs {amt}")
-        self._balances[frm][tkn] = sub_quantity(have, amt)
+        self._balances[frm][tkn] = have - amt
         acct = self._balances.setdefault(to, {})
         acct[tkn] = acct.get(tkn, 0) + amt
 

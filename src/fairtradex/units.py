@@ -32,15 +32,6 @@ def check_quantity(atoms: int) -> int:
     return atoms
 
 
-def sub_quantity(a: int, b: int) -> int:
-    """a - b, raising instead of going negative."""
-    check_quantity(a)
-    check_quantity(b)
-    if b > a:
-        raise QuantityError(f"quantity underflow: {a} - {b}")
-    return a - b
-
-
 def check_price(ticks: int) -> int:
     """Validate a price in ticks: integer and >= 1."""
     if not isinstance(ticks, int) or isinstance(ticks, bool):
@@ -95,15 +86,6 @@ def check_width(w: Width) -> Width:
     if w < 1:
         raise QuantityError(f"numeric width must be >= 1, got {w}")
     return w
-
-
-def width_geq(a: Width, b: Width) -> bool:
-    """a >= b under the ordering where ANY tops every numeric width."""
-    if a is ANY:
-        return True
-    if b is ANY:
-        return False
-    return a >= b
 
 
 class _SpecialPrice:

@@ -300,6 +300,16 @@ class TestSettle:
         assert fills[1].received == 1   # marginal limit takes the remainder
         assert fills[2].executed == 3
 
+    def test_marginal_level_skips_entries_at_lot_cap(self):
+        # six lots over four market buys with caps 5/0/2/1: floors 3/0/1/0
+        # leave two units; by remainder oid 3 takes one, oid 1 is skipped at
+        # its cap of 0 lots, and oid 0 takes the other
+        b = book_of([buy(0, 236, MKT), buy(1, 38, MKT), buy(2, 88, MKT), buy(3, 71, MKT)],
+                    [sell(4, 6, 41)])
+        res = settle(b, 41)
+        validate_clearing_result(b, res)
+        assert [f.received for f in res.fills[:4]] == [4, 0, 1, 1]
+
     def test_invalid_cp_raises(self):
         b = book_of([buy(0, 100, 50)], [sell(1, 2, 50)])
         with pytest.raises(InvalidClearingPrice):

@@ -152,12 +152,6 @@ class TestCli:
         b = (tmp_path / "seed-6" / "trace.jsonl").read_bytes()
         assert a != b
 
-    def test_outdir_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FAIRTRADEX_OUTDIR", str(tmp_path / "env"))
-        self.run_cli("run", str(TWO_MM), "--outdir", str(tmp_path / "flag"))
-        assert (tmp_path / "env" / "trace.jsonl").exists()
-        assert not (tmp_path / "flag").exists()
-
     def test_run_stalled_exit_4(self, tmp_path, capsys):
         # no quoter commits and every client buys: no price trades, so no
         # round closes
