@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from fairtradex.chain import (CLIENT_REGISTER, CLIENT_REVEAL, COMMIT_CLIENT,
                               COMMIT_MM, CP, MM_REVEAL, RELAYED, ExecutedTx, Tx)
-from fairtradex.auction import filter_by_width, find_clearing_price
+from fairtradex.auction import find_clearing_price
 from fairtradex.ledger import BURN_SINK, PROTOCOL_ACCOUNT, Ledger
 from fairtradex.membership import gen_secret, prove_membership, reg_id
 from fairtradex.protocol import (ClientCommitPayload, ClientRevealPayload,
@@ -81,12 +81,11 @@ deliver(Tx(kind=MM_REVEAL, sender="quoter", payload=MMRevealPayload(market)),
         height=params.t_eff)
 # lazy-quoter stays silent: its escrow burns at the deadline
 proto.on_block_end(2 * params.t_eff)
-print(f"reveal closed: tight market {proto.tight_market[0]} width {proto.w_tight}, "
+print(f"reveal closed: tight market {proto.tight_market[0]} width {proto.book.w_tight}, "
       f"burn sink holds {ledger.balance(BURN_SINK, TOKEN_REF)} REF")
 
 # -- resolution: anyone can propose the clearing price for a bounty ----------
-book, _ = filter_by_width(proto.current_book())
-cand = find_clearing_price(book)
+cand = find_clearing_price(proto.book)
 effects = deliver(Tx(kind=CP, sender="hunter",
                      payload=CpPayload(cp=cand.cp, volume_a=cand.volume_a,
                                        imbalance_a=cand.imbalance_a)),

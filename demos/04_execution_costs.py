@@ -8,8 +8,7 @@ venues that leak direction or identity pay impact (and AMMs pay slippage
 on top), growing super-linearly with order size.
 """
 
-from fairtradex.analysis import (AMM, DIRECTION_REVEALING, FAIRTRADEX,
-                                 IDENTITY_REVEALING, P1, P2, CostModel,
+from fairtradex.analysis import (IDENTITY_REVEALING, P1, P2, CostModel,
                                  DEFAULT_IMPACT_TABLE, cost_table,
                                  execution_cost)
 
@@ -26,8 +25,3 @@ m = CostModel(IDENTITY_REVEALING, DEFAULT_IMPACT_TABLE)
 print(f"\nidentity-revealing venue, 10M order: "
       f"P1 pays {execution_cost(m, P1, 10_000_000):,.0f}, "
       f"P2 pays {execution_cost(m, P2, 10_000_000):,.0f}")
-
-# impact between the tabulated notionals interpolates linearly on request
-amm = CostModel(AMM, DEFAULT_IMPACT_TABLE, slippage=0.005)
-print(f"AMM cost at an interpolated 2M notional: "
-      f"{execution_cost(amm, P1, 2_000_000, interpolate=True):,.0f}")

@@ -157,8 +157,14 @@ class BestResponseReport:
     epsilon_rule: str
     paths: int
     entries: list[DeviationResult]
-    max_gain: float
-    confirmed: bool
+
+    @property
+    def max_gain(self) -> float:
+        return max(e.gain for e in self.entries)
+
+    @property
+    def confirmed(self) -> bool:
+        return not any(e.improves for e in self.entries)
 
     def to_json_dict(self) -> dict:
         return {
@@ -266,13 +272,11 @@ def _best_response_closed_form(profile: StrategyProfile, grid: DeviationGrid,
                 utility_profile=base_c, utility_deviation=u,
                 gain=u - base_c, tolerance=epsilon))
 
-    max_gain = max(e.gain for e in entries)
     return BestResponseReport(
         mode="closed-form", n_mms=1,
         profile=f"client mkt width {profile.client.width_req}; quoter w={profile.mm.width} at fair price",
         epsilon_rule=f"epsilon = {epsilon!r} (1e-9 * notional)",
-        paths=0, entries=entries, max_gain=max_gain,
-        confirmed=not any(e.improves for e in entries))
+        paths=0, entries=entries)
 
 
 # ---------------------------------------------------------------------------
@@ -357,17 +361,14 @@ class _EngineGame:
             o = orders[f.oid]
             if o.side == "buy":
                 delta_ref = f.received * self.y - f.executed
-                fraction = f.executed / o.size
-                side = "buy"
             else:
                 delta_ref = f.received - f.executed * self.y
-                fraction = f.executed / o.size
-                side = "sell"
+            fraction = f.executed / o.size
             if o.owner.startswith("m"):
                 utilities[o.owner] += float(delta_ref)
             elif fraction > 0:
                 utilities[o.owner] += fraction * client_utility(
-                    float(cand.cp), float(self.y), side, float(self.f_mcf))
+                    float(cand.cp), float(self.y), o.side, float(self.f_mcf))
         return utilities
 
     def evaluate(self, mm_strats: Sequence[tuple[int, Fraction]],
@@ -445,13 +446,11 @@ def _best_response_monte_carlo(profile: StrategyProfile, grid: DeviationGrid,
                               limit_price=int(lp))
         paired_check("client0", f"limit {lp}", base_mm, [strat] + base_clients[1:])
 
-    max_gain = max(e.gain for e in entries)
     return BestResponseReport(
         mode="monte-carlo", n_mms=2,
         profile=f"clients mkt width {profile.client.width_req}; quoters w={profile.mm.width} at fair price",
         epsilon_rule="epsilon = 2 * SE of paired differences (common random numbers) + 1e-9",
-        paths=paths, entries=entries, max_gain=max_gain,
-        confirmed=not any(e.improves for e in entries))
+        paths=paths, entries=entries)
 
 
 def best_response_check(profile: StrategyProfile, n_mms: int,
@@ -511,22 +510,9 @@ class CostModel:
     impact_table: Mapping[float, float]
     slippage: float = 0.0
 
-    def impact(self, notional: float, interpolate: bool = False) -> float:
-        table = self.impact_table
-        if notional in table:
-            return table[notional]
-        if not interpolate:
-            raise KeyError(f"no impact entry for notional {notional}")
-        xs = sorted(table)
-        if notional <= xs[0]:
-            return table[xs[0]]
-        if notional >= xs[-1]:
-            return table[xs[-1]]
-        for lo, hi in zip(xs, xs[1:]):
-            if lo <= notional <= hi:
-                t = (notional - lo) / (hi - lo)
-                return table[lo] + t * (table[hi] - table[lo])
-        raise KeyError(notional)
+    def impact(self, notional: float) -> float:
+        """The tabulated impact fraction; ``KeyError`` for any other notional."""
+        return self.impact_table[notional]
 
 
 def _decimal_product(notional: float, *fractions: float) -> float:
@@ -536,12 +522,11 @@ def _decimal_product(notional: float, *fractions: float) -> float:
     return float(total)
 
 
-def execution_cost(model: CostModel, player: PlayerProfile, notional: float,
-                   interpolate: bool = False) -> float:
+def execution_cost(model: CostModel, player: PlayerProfile, notional: float) -> float:
     """Expected execution cost over explicit fees, per the comparison model."""
     if model.protocol == FAIRTRADEX:
         return 0.0
-    impact = model.impact(notional, interpolate)
+    impact = model.impact(notional)
     if model.protocol == AMM:
         return _decimal_product(notional, impact, model.slippage)
     if model.protocol == DIRECTION_REVEALING:

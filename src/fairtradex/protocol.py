@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import membership
-from .auction import (AuctionBook, filter_by_width, select_tight_market,
+from .auction import (AuctionBook, Fill, filter_by_width, select_tight_market,
                       settle, tight_market_orders, verify_clearing_price)
 from .chain import (CLIENT_REGISTER, CLIENT_REVEAL, COMMIT_CLIENT, COMMIT_MM,
                     CP, MM_REVEAL, ExecutedTx, Tx)
@@ -114,18 +114,24 @@ class Protocol:
         self.round = 0
         self.last_phase_change = 0
         self.clients = membership.Registry()
+        self.blacklisted: set[bytes] = set()
+        self.nullifiers: set[bytes] = set()
+        self.settlements: list[dict] = []
+        self._oid = 0
+        self._open_round()
+
+    def _open_round(self) -> None:
+        """Start a round: every per-round field, and only those, is set here."""
         self.client_commits: dict[bytes, bytes] = {}   # serial -> commitment
         self.mm_commits: dict[str, bytes] = {}         # player  -> commitment
         self.revealed_buys: list[Order] = []
         self.revealed_sells: list[Order] = []
         self.revealed_mkts: list[tuple[str, Market]] = []
-        self.blacklisted: set[bytes] = set()
-        self.nullifiers: set[bytes] = set()
         self.curr_auc_notional = 0
-        self.w_tight: Width = ANY
         self.tight_market: Optional[tuple[str, Market]] = None
-        self.settlements: list[dict] = []
-        self._oid = 0
+        # the width-filtered book, fixed when the reveal window closes
+        self.book: Optional[AuctionBook] = None
+        self.width_removed: list[Order] = []
         self._round_burned: list[dict] = []
         self._round_blacklisted: list[str] = []
 
@@ -343,18 +349,20 @@ class Protocol:
         return events
 
     def _end_reveal_phase(self, height: int) -> None:
-        """Close the reveal window: settle escrows, pick the tight market.
+        """Close the reveal window: settle escrows, pick the tight market, fix the book.
 
         Revealed markets are re-validated against current balances; the ones
         that still qualify get their escrow back and enter the tie-break.
         The tight market contributes two implicit width-ANY limit orders
         (sizes capped by the MM escrow).  Unrevealed client serials are
         blacklisted and their escrows burned; unrevealed MM escrows burn too.
+        Last, the width-filtered book is fixed as ``book`` (the dropped orders
+        as ``width_removed``): no handler changes orders during RESOLUTION.
         """
-        eligible = [(player, m) for player, m in self.revealed_mkts
-                    if self._mm_liquidity_ok(player, m)]
+        eligible = []
         for player, m in self.revealed_mkts:
-            if (player, m) in eligible:
+            if self._mm_liquidity_ok(player, m):
+                eligible.append((player, m))
                 self.ledger.transfer(PROTOCOL_ACCOUNT, player, TOKEN_REF, self.params.e_mm)
             else:
                 self.ledger.burn(PROTOCOL_ACCOUNT, TOKEN_REF, self.params.e_mm)
@@ -362,11 +370,11 @@ class Protocol:
                                            "amount": self.params.e_mm,
                                            "reason": "mm-liquidity-lapsed"})
 
-        tight = select_tight_market(self.revealed_mkts, eligible)
-        if tight is not None:
-            player, m = tight
-            self.tight_market = tight
-            self.w_tight = market_width(m)
+        self.tight_market = select_tight_market(self.revealed_mkts, eligible)
+        w_tight: Width = ANY
+        if self.tight_market is not None:
+            player, m = self.tight_market
+            w_tight = market_width(m)
             bid_size = min(m.size_bid, int(self.params.e_mm / self.params.p_a))
             offer_size = min(m.size_offer, int(self.params.e_mm / (self.params.p_a * m.offer)))
             self.ledger.transfer(player, PROTOCOL_ACCOUNT, TOKEN_A, bid_size)
@@ -375,7 +383,6 @@ class Protocol:
             self._oid += 2
             self.revealed_buys.append(buy)
             self.revealed_sells.append(sell)
-        self.revealed_mkts = []
 
         for serial in list(self.client_commits):
             self.blacklisted.add(serial)
@@ -392,17 +399,20 @@ class Protocol:
                                        "reason": "mm-no-reveal"})
             del self.mm_commits[player]
 
+        self.book, self.width_removed = filter_by_width(AuctionBook(
+            buy_orders=tuple(self.revealed_buys), sell_orders=tuple(self.revealed_sells),
+            w_tight=w_tight))
         self.phase = Phase.RESOLUTION
         self.last_phase_change = height
 
     # -- resolution ----------------------------------------------------------
 
-    def current_book(self) -> AuctionBook:
-        return AuctionBook(buy_orders=tuple(self.revealed_buys),
-                           sell_orders=tuple(self.revealed_sells),
-                           w_tight=self.w_tight)
-
     def _handle_cp(self, etx: ExecutedTx) -> dict:
+        """Verify a proposed clearing price against ``book``; if valid, settle it.
+
+        Settlement refunds each ``width_removed`` order in full; the report
+        has one row per order, sorted by oid.  Then the next round opens.
+        """
         p = etx.tx.payload
         sender = etx.tx.sender
         if (not isinstance(p, CpPayload)
@@ -415,8 +425,7 @@ class Protocol:
             return {"applied": False, "reason": "insufficient-balance"}
         self.ledger.transfer(sender, PROTOCOL_ACCOUNT, TOKEN_REF, self.params.res_bounty)
 
-        book, removed = filter_by_width(self.current_book())
-        if not verify_clearing_price(book, p.cp, p.volume_a, p.imbalance_a):
+        if not verify_clearing_price(self.book, p.cp, p.volume_a, p.imbalance_a):
             # deposit forfeited; the auction stays open for another attempt
             return {"applied": False, "reason": "invalid-cp", "deposit_lost": True}
         if self.ledger.balance(PROTOCOL_ACCOUNT, TOKEN_REF) < 2 * self.params.res_bounty:
@@ -425,28 +434,20 @@ class Protocol:
             self.ledger.transfer(PROTOCOL_ACCOUNT, sender, TOKEN_REF, self.params.res_bounty)
             return {"applied": False, "reason": "bounty-unfunded"}
 
-        result = settle(book, p.cp)
-        owners = {o.oid: o for o in (*book.buy_orders, *book.sell_orders)}
+        result = settle(self.book, p.cp)
+        owners = {o.oid: o for o in (*self.revealed_buys, *self.revealed_sells)}
+        removed = {o.oid for o in self.width_removed}
+        fills = (*result.fills, *(Fill(o.oid, 0, 0, o.size) for o in self.width_removed))
         fills_report = []
-        for f in result.fills:
+        for f in sorted(fills, key=lambda f: f.oid):
             o = owners[f.oid]
-            if o.side == "buy":
-                self.ledger.transfer(PROTOCOL_ACCOUNT, o.owner, TOKEN_B, f.received)
-                self.ledger.transfer(PROTOCOL_ACCOUNT, o.owner, TOKEN_A, f.refunded)
-            else:
-                self.ledger.transfer(PROTOCOL_ACCOUNT, o.owner, TOKEN_A, f.received)
-                self.ledger.transfer(PROTOCOL_ACCOUNT, o.owner, TOKEN_B, f.refunded)
+            other = TOKEN_B if o.tkn == TOKEN_A else TOKEN_A
+            self.ledger.transfer(PROTOCOL_ACCOUNT, o.owner, other, f.received)
+            self.ledger.transfer(PROTOCOL_ACCOUNT, o.owner, o.tkn, f.refunded)
             fills_report.append({"oid": f.oid, "owner": o.owner, "side": o.side,
                                  "price": price_to_json(o.price), "size": o.size,
                                  "executed": f.executed, "received": f.received,
-                                 "refunded": f.refunded, "width_removed": False})
-        for o in removed:
-            self.ledger.transfer(PROTOCOL_ACCOUNT, o.owner, o.tkn, o.size)
-            fills_report.append({"oid": o.oid, "owner": o.owner, "side": o.side,
-                                 "price": price_to_json(o.price), "size": o.size,
-                                 "executed": 0, "received": 0, "refunded": o.size,
-                                 "width_removed": True})
-        fills_report.sort(key=lambda d: d["oid"])
+                                 "refunded": f.refunded, "width_removed": f.oid in removed})
 
         self.ledger.transfer(PROTOCOL_ACCOUNT, sender, TOKEN_REF, 2 * self.params.res_bounty)
         report = {
@@ -454,21 +455,14 @@ class Protocol:
             "cp": result.cp,
             "volume_b": result.volume_settled_b,
             "imbalance_a": result.imbalance_a,
-            "w_tight": width_to_json(self.w_tight),
+            "w_tight": width_to_json(self.book.w_tight),
             "fills": fills_report,
             "burned": self._round_burned,
             "blacklisted": sorted(self._round_blacklisted),
             "bounty_winner": sender,
         }
         self.settlements.append(report)
-
-        self.revealed_buys = []
-        self.revealed_sells = []
-        self.tight_market = None
-        self.w_tight = ANY
-        self.curr_auc_notional = 0
-        self._round_burned = []
-        self._round_blacklisted = []
+        self._open_round()
         self.round += 1
         self.phase = Phase.COMMIT
         self.last_phase_change = etx.height

@@ -16,6 +16,7 @@ from typing import Any, Optional
 
 import jsonschema
 
+# filter_by_width is unused here; perfbench/tracer.py wraps it in this module
 from .auction import filter_by_width, find_clearing_price
 from .chain import (CLIENT_REGISTER, CLIENT_REVEAL, COMMIT_CLIENT, COMMIT_MM,
                     CP, MM_REVEAL, ORDERING_POLICIES, RELAYED, Chain,
@@ -336,8 +337,7 @@ class BountyHunterAgent:
         proto = runner.protocol
         if proto.phase is not Phase.RESOLUTION or self.attempted_round >= proto.round:
             return []
-        book, _removed = filter_by_width(proto.current_book())
-        cand = find_clearing_price(book)
+        cand = find_clearing_price(proto.book)
         if cand is None:
             return []
         self.attempted_round = proto.round

@@ -17,7 +17,7 @@ import pytest
 from fairtradex.analysis import (ClientProfile, MMProfile, StrategyProfile,
                                  best_response_check, mm_expected_profit,
                                  p_ref_argmax)
-from fairtradex.auction import (filter_by_width, find_clearing_price, settle,
+from fairtradex.auction import (find_clearing_price, settle,
                                 validate_clearing_result, verify_clearing_price)
 from fairtradex.chain import (CLIENT_REGISTER, CLIENT_REVEAL, COMMIT_CLIENT,
                               COMMIT_MM, CP, MM_REVEAL, NOOP, ORDERING_POLICIES,
@@ -184,8 +184,7 @@ def _fuzz_one_round(rng: random.Random) -> tuple[int, bool]:
 
     settled = False
     if proto.phase is Phase.RESOLUTION:
-        book, _ = filter_by_width(proto.current_book())
-        cand = find_clearing_price(book)
+        cand = find_clearing_price(proto.book)
         if cand is not None and rng.random() < 0.5:
             bogus = CpPayload(cand.cp, cand.volume_a + 1, cand.imbalance_a)
             proto.handle(etx(Tx(kind=CP, sender="liar", payload=bogus),

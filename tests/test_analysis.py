@@ -145,8 +145,6 @@ class TestExecutionCost:
         m = CostModel(AMM, DEFAULT_IMPACT_TABLE, slippage=0.005)
         with pytest.raises(KeyError):
             execution_cost(m, P1, 123_456)
-        assert execution_cost(m, P1, 255_000, interpolate=True) == pytest.approx(
-            255_000 * (0.00075 + 0.005))
 
     def test_table_shape_and_rows(self):
         header, rows = cost_table()

@@ -2,13 +2,14 @@ from fractions import Fraction
 
 from fairtradex.chain import (CLIENT_REGISTER, CLIENT_REVEAL, COMMIT_CLIENT,
                               COMMIT_MM, CP, MM_REVEAL, RELAYED, Tx)
+from fairtradex.cli import _check_report
 from fairtradex.ledger import BURN_SINK, PROTOCOL_ACCOUNT, Ledger
 from fairtradex.membership import gen_secret, prove_membership, reg_id
 from fairtradex.protocol import (ClientCommitPayload, ClientRevealPayload,
                                  CpPayload, MMCommitPayload, MMRevealPayload,
                                  Phase, Protocol, RegisterPayload,
                                  client_commitment, mm_commitment)
-from fairtradex.auction import filter_by_width, find_clearing_price
+from fairtradex.auction import find_clearing_price
 from fairtradex.units import (ANY, MKT, TOKEN_A, TOKEN_B, TOKEN_REF, WITHDRAW,
                               Market)
 
@@ -73,8 +74,7 @@ class World:
     def submit_cp(self, pid="hunter"):
         if self.ledger.balance(pid, TOKEN_REF) == 0:
             fund(self.ledger, pid, ref=10 * self.params.res_bounty)
-        book, _ = filter_by_width(self.proto.current_book())
-        cand = find_clearing_price(book)
+        cand = find_clearing_price(self.proto.book)
         assert cand is not None, "no crossable liquidity in test book"
         payload = CpPayload(cp=cand.cp, volume_a=cand.volume_a,
                             imbalance_a=cand.imbalance_a)
@@ -343,7 +343,7 @@ class TestEndRevealPhase:
         w.reveal_client("c1", MKT_BUY)
         w.next_phase()
         assert w.proto.phase is Phase.RESOLUTION
-        assert w.proto.w_tight is ANY and w.proto.tight_market is None
+        assert w.proto.book.w_tight is ANY and w.proto.tight_market is None
         assert len(w.proto.revealed_buys) == 1  # client-only book survives
 
     def test_unrevealed_client_blacklisted_and_burned(self):
@@ -417,8 +417,7 @@ class TestResolution:
     def test_invalid_cp_forfeits_deposit_and_leaves_auction_open(self):
         w = self.full_round()
         fund(w.ledger, "liar", ref=10 * w.params.res_bounty)
-        book, _ = filter_by_width(w.proto.current_book())
-        cand = find_clearing_price(book)
+        cand = find_clearing_price(w.proto.book)
         bogus = CpPayload(cp=cand.cp, volume_a=cand.volume_a + 1,
                           imbalance_a=cand.imbalance_a)
         before = w.ledger.balance("liar", TOKEN_REF)
@@ -444,6 +443,9 @@ class TestResolution:
     def test_round_isolation(self):
         w = self.full_round()
         w.submit_cp("hunter")
+        assert w.proto.book is None and w.proto.width_removed == []
+        assert not (w.proto.revealed_buys or w.proto.revealed_sells or w.proto.revealed_mkts)
+        assert w.proto.tight_market is None
         # round 1: a fresh commitment holds the reveal window open
         w.add_client("c3", 3, a=10**4)
         w.register("c3")
@@ -453,6 +455,36 @@ class TestResolution:
         # the round-0 serial is spent: its reveal must not apply
         eff = w.reveal_client("cb", MKT_BUY)
         assert not eff["applied"] and eff["reason"] == "unknown-serial"
+
+    def test_width_removed_order_refunded_in_full(self):
+        w = World()
+        w.add_client("cb", 1, a=10**4)
+        w.add_client("cs", 2, b=10**4)
+        w.add_client("cn", 3, a=10**4)
+        w.add_mm("m1")
+        narrow = (TOKEN_A, 500, MKT, Fraction(1))  # tighter than the 102/98 market
+        orders = {"cb": MKT_BUY, "cs": MKT_SELL, "cn": narrow}
+        for pid in orders:
+            w.register(pid)
+        w.start()
+        m = spanning_market(w)
+        w.commit_mm("m1", m)
+        for pid, order in orders.items():
+            w.commit_client(pid, order)
+        w.next_phase()
+        for pid, order in orders.items():
+            w.reveal_client(pid, order)
+        w.reveal_mm("m1", m)
+        w.next_phase()
+        fund(w.ledger, "hunter", ref=10 * w.params.res_bounty)
+        start = w.supplies()
+        assert w.submit_cp("hunter")["applied"]
+        [row] = [f for f in w.proto.settlements[0]["fills"] if f["owner"] == "cn"]
+        assert row["width_removed"] is True
+        assert (row["executed"], row["received"], row["refunded"]) == (0, 0, 500)
+        assert w.ledger.balance("cn", TOKEN_A) == 10**4
+        assert _check_report(w.proto.settlements) == []
+        assert w.supplies() == start
 
     def test_conservation_across_full_round(self):
         w = self.full_round()

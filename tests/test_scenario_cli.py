@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from fairtradex import auction
 from fairtradex.auction import (filter_by_width, find_clearing_price, settle,
                                 validate_clearing_result)
 from fairtradex.cli import main
@@ -102,6 +103,24 @@ class TestRunner:
         for h in settle_heights:
             assert h <= round_start + 3 * t_eff, (name, h, round_start)
             round_start = h
+
+    @pytest.mark.parametrize("name", ["two_mm_competition.json",
+                                      "monopoly_mm.json",
+                                      "adversarial_ordering.json"])
+    def test_one_depth_view_per_round(self, name, monkeypatch):
+        # the round's book is fixed at reveal close: the bounty hunter's
+        # oracle, every proposal's verifier and settlement share its view
+        built = []
+
+        class CountedDepth(auction._Depth):
+            def __init__(self, book):
+                built.append(book)
+                super().__init__(book)
+        monkeypatch.setattr(auction, "_Depth", CountedDepth)
+        cfg = load(name)
+        res = Runner(cfg).run()
+        assert res.rounds_completed == cfg["rounds"]
+        assert len(built) == cfg["rounds"]
 
     def test_n_psi_floor_warning(self):
         cfg = load()
