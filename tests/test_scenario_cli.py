@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,73 @@ GOLDEN_BOOK = Path(__file__).parent / "golden" / "clearing_fixture.json"
 
 def load(name="two_mm_competition.json"):
     return json.loads((SCENARIOS / name).read_text())
+
+
+def _node(cfg, path):
+    for key in path:
+        cfg = cfg[key]
+    return cfg
+
+
+def _set(*path, value):
+    def mutate(cfg):
+        _node(cfg, path[:-1])[path[-1]] = value
+        return cfg
+    return mutate
+
+
+def _drop(*path):
+    def mutate(cfg):
+        del _node(cfg, path[:-1])[path[-1]]
+        return cfg
+    return mutate
+
+
+MM1, C1, HUNTER = 0, 2, 7  # agent indices in two_mm_competition.json
+
+#: one malformed config per validation rule, and the field its error names
+MALFORMED = [
+    pytest.param(lambda cfg: [], "<root>", id="root-not-object"),
+    pytest.param(_set("agents", MM1, value="mm1"), "agents.0", id="agent-not-object"),
+    pytest.param(_set("agents", MM1, "strategy", value=[]), "strategy", id="strategy-not-object"),
+    *(pytest.param(_drop(key), key, id=f"missing-{key}")
+      for key in ("seed", "rounds", "params", "mifp", "agents")),
+    *(pytest.param(_drop("params", key), key, id=f"missing-params.{key}")
+      for key in ("e_client", "e_mm", "q_not", "f_r", "res_bounty", "p_a", "t_blocks")),
+    pytest.param(_drop("mifp", "y0"), "y0", id="missing-mifp.y0"),
+    pytest.param(_drop("agents", MM1, "id"), "id", id="missing-agent-id"),
+    pytest.param(_drop("agents", MM1, "role"), "role", id="missing-agent-role"),
+    *(pytest.param(_set(*path, "mystery", value=1), "mystery", id=f"unknown-key-{where}")
+      for where, path in (("root", ()), ("params", ("params",)), ("mifp", ("mifp",)),
+                          ("funding", ("agents", MM1, "funding")),
+                          ("outputs", ("outputs",)), ("agent", ("agents", MM1)))),
+    *(pytest.param(_set(*path, value=-1), ".".join(map(str, path[-2:])),
+                   id="negative-" + ".".join(map(str, path)))
+      for path in (("seed",), ("rounds",), ("protocol_funding",), ("n_psi",),
+                   ("params", "e_client"), ("params", "f_r"), ("mifp", "seed"),
+                   ("agents", MM1, "funding", "REF"))),
+    pytest.param(_set("agents", MM1, "strategy", "size_mult", value=0), "strategy.size_mult",
+                 id="zero-size_mult"),
+    pytest.param(_set("agents", C1, "strategy", "notional", value=0), "strategy.notional",
+                 id="zero-notional"),
+    pytest.param(_set("ordering_policy", value="fifo"), "ordering_policy", id="bad-ordering_policy"),
+    pytest.param(_set("agents", MM1, "role", value="oracle"), "role", id="bad-role"),
+    pytest.param(_set("agents", C1, "strategy", "order", value="stop"), "strategy.order",
+                 id="bad-order"),
+    pytest.param(_set("agents", C1, "strategy", "side", value="both"), "strategy.side",
+                 id="bad-side"),
+    pytest.param(_set("agents", MM1, "id", value=""), "agents.0.id", id="empty-id"),
+    pytest.param(_set("agents", MM1, "id", value=7), "agents.0.id", id="non-string-id"),
+    pytest.param(_set("mifp", "y0", value=0), "y0", id="zero-y0"),
+    pytest.param(_set("params", "t_blocks", value=0), "t_blocks", id="zero-t_blocks"),
+    pytest.param(_set("outputs", "trace", value=1), "outputs.trace", id="non-string-trace"),
+    pytest.param(_set("seed", value=True), "seed", id="bool-seed"),
+    pytest.param(_set("params", "p_a", value=1.5), "p_a", id="float-p_a"),
+    pytest.param(_set("agents", HUNTER, "strategy", value={"invalid_first": 1}),
+                 "strategy.invalid_first", id="non-bool-invalid_first"),
+    pytest.param(_set("agents", C1, "strategy", "commit", value="yes"), "strategy.commit",
+                 id="non-bool-commit"),
+]
 
 
 class TestConfigValidation:
@@ -47,6 +115,16 @@ class TestConfigValidation:
         cfg["agents"].append(copy.deepcopy(cfg["agents"][0]))
         with pytest.raises(ScenarioError, match="duplicate"):
             Runner(cfg)
+
+    @pytest.mark.parametrize("mutate, field", MALFORMED)
+    def test_malformed_config_names_the_field(self, tmp_path, capsys, mutate, field):
+        cfg = mutate(load())
+        with pytest.raises(ScenarioError, match=re.escape(field)):
+            validate_config(cfg)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["run", str(bad), "--outdir", str(tmp_path / "out")]) == 2
+        assert field in capsys.readouterr().err
 
 
 class TestSeedDerivation:
