@@ -15,7 +15,8 @@ from pathlib import Path
 from .auction import (conservation_problems, filter_by_width, find_clearing_price, score_at,
                       settle, verify_clearing_price)
 from .analysis import DEFAULT_SLIPPAGE, cost_table
-from .scenario import InvariantViolation, Runner, ScenarioError, SUMMARY_HEADER
+from .scenario import (InvariantViolation, Outputs, Runner, ScenarioConfig, ScenarioError,
+                       SUMMARY_HEADER, validate_config)
 from .serialize import book_from_json, dumps_canonical, result_to_json
 from .units import check_price, check_quantity
 
@@ -31,29 +32,27 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def _write_outputs(outdir: Path, outputs: dict, result) -> None:
+def _write_outputs(outdir: Path, outputs: Outputs, result) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
-    trace_path = outdir / outputs.get("trace", "trace.jsonl")
-    with open(trace_path, "w") as fh:
+    with open(outdir / outputs.trace, "w") as fh:
         for rec in result.trace:
             fh.write(dumps_canonical(rec) + "\n")
-    with open(outdir / outputs.get("settlements", "settlements.json"), "w") as fh:
+    with open(outdir / outputs.settlements, "w") as fh:
         fh.write(dumps_canonical(result.settlements) + "\n")
-    with open(outdir / outputs.get("summary", "summary.csv"), "w") as fh:
+    with open(outdir / outputs.summary, "w") as fh:
         fh.write(",".join(SUMMARY_HEADER) + "\n")
         for row in result.summary_rows:
             fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
 
 
-def _run_one(config: dict, outdir: str) -> int:
-    runner = Runner(config)
-    result = runner.run()
-    _write_outputs(Path(outdir), config.get("outputs", {}), result)
+def _run_one(config: ScenarioConfig, outdir: str) -> int:
+    result = Runner(config).run()
+    _write_outputs(Path(outdir), config.outputs, result)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     if result.stalled:
         print(f"warning: stalled after {result.rounds_completed} of "
-              f"{config['rounds']} rounds", file=sys.stderr)
+              f"{config.rounds} rounds", file=sys.stderr)
         return EXIT_STALLED
     return EXIT_OK
 
@@ -66,20 +65,17 @@ def _cmd_run(args) -> int:
         print(f"error: cannot read config: {e}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        if args.seeds:
-            seeds = [int(s) for s in args.seeds.split(",")]
-            jobs = []
-            for s in seeds:
-                cfg = dict(config, seed=s)
-                jobs.append((cfg, str(Path(args.outdir) / f"seed-{s}")))
-            if args.jobs > 1:
-                with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                    futures = [pool.submit(_run_one, cfg, od) for cfg, od in jobs]
-                    codes = [f.result() for f in futures]
-            else:
-                codes = [_run_one(cfg, od) for cfg, od in jobs]
-            return EXIT_STALLED if EXIT_STALLED in codes else EXIT_OK
-        return _run_one(config, args.outdir)
+        parsed = validate_config(config)
+        if not args.seeds:
+            return _run_one(parsed, args.outdir)
+        runs = [parsed.with_seed(s) for s in args.seeds]
+        outdirs = [str(Path(args.outdir) / f"seed-{s}") for s in args.seeds]
+        if args.jobs > 1:
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                codes = list(pool.map(_run_one, runs, outdirs))
+        else:
+            codes = list(map(_run_one, runs, outdirs))
+        return EXIT_STALLED if EXIT_STALLED in codes else EXIT_OK
     except ScenarioError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
@@ -167,6 +163,10 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
+def _seed_list(text: str) -> list[int]:
+    return [int(s) for s in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fairtradex")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a scenario config")
     p_run.add_argument("config", help="scenario JSON path")
     p_run.add_argument("--outdir", default="out", help="output directory")
-    p_run.add_argument("--seeds", default=None,
+    p_run.add_argument("--seeds", type=_seed_list, default=None,
                        help="comma-separated seeds; each runs into outdir/seed-N")
     p_run.add_argument("--jobs", type=int, default=1, help="parallel scenario processes")
     p_run.set_defaults(func=_cmd_run)

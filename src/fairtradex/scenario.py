@@ -9,12 +9,11 @@ and the chain's ordering policy is the only adversarial degree of freedom.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields, replace
 from fractions import Fraction
+from functools import partial
 from math import ceil
-from typing import Any, Optional
-
-import jsonschema
+from typing import Any, NoReturn, Optional, Union
 
 # filter_by_width is unused here; perfbench/tracer.py wraps it in this module
 from .auction import filter_by_width, find_clearing_price
@@ -45,135 +44,198 @@ def derive_seed(seed: int, component: str) -> int:
     return int.from_bytes(h(seed.to_bytes(8, "big"), component.encode())[:8], "big")
 
 
-_RATIONAL = {"type": ["integer", "string"]}
-_BOOL = {"type": "boolean"}
-_FUNDING = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {t: {"type": "integer", "minimum": 0} for t in (TOKEN_REF, TOKEN_A, TOKEN_B)},
-}
+def _fail(where: str, problem: str) -> NoReturn:
+    raise ScenarioError(f"config error at {where or '<root>'}: {problem}")
 
 
-def _strategy(**properties: dict) -> jsonschema.Draft202012Validator:
-    return jsonschema.Draft202012Validator(
-        {"type": "object", "additionalProperties": False, "properties": properties})
+def _at(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
 
 
-#: each role's strategy schema accepts exactly the keys its agent reads
-_STRATEGIES = {
-    "client": _strategy(
-        order={"enum": ["mkt", "limit", "withdraw"]},
-        side={"enum": ["buy", "sell", "random"]},
-        notional={"type": "integer", "minimum": 1},
-        width_req=_RATIONAL,
-        limit_price={"type": "integer", "minimum": 1},
-        commit=_BOOL, reveal=_BOOL, re_register=_BOOL),
-    "mm": _strategy(width=_RATIONAL, ref={"type": ["integer", "string"]},
-                    size_mult={"type": "integer", "minimum": 1},
-                    commit=_BOOL, reveal=_BOOL),
-    "relayer": _strategy(),
-    "bounty_hunter": _strategy(invalid_first=_BOOL),
-}
-
-SCENARIO_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["seed", "rounds", "params", "mifp", "agents"],
-    "properties": {
-        "seed": {"type": "integer", "minimum": 0},
-        "rounds": {"type": "integer", "minimum": 0},
-        "ordering_policy": {"enum": sorted(ORDERING_POLICIES)},
-        "protocol_funding": {"type": "integer", "minimum": 0},
-        # assumed anonymity-set floor; recorded, never computed
-        "n_psi": {"type": "integer", "minimum": 0},
-        "params": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["e_client", "e_mm", "q_not", "f_r", "res_bounty", "p_a", "t_blocks"],
-            "properties": {
-                "e_client": {"type": "integer", "minimum": 0},
-                "e_mm": {"type": "integer", "minimum": 0},
-                "q_not": {"type": "integer", "minimum": 0},
-                "f_r": {"type": "integer", "minimum": 0},
-                "res_bounty": {"type": "integer", "minimum": 0},
-                "p_a": _RATIONAL,
-                "t_blocks": {"type": "integer", "minimum": 1},
-                "alpha": _RATIONAL,
-            },
-        },
-        "mifp": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["y0"],
-            "properties": {
-                "y0": {"type": "integer", "minimum": 1},
-                "delta": _RATIONAL,
-                "seed": {"type": "integer", "minimum": 0},
-            },
-        },
-        "agents": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["id", "role"],
-                "properties": {
-                    "id": {"type": "string", "minLength": 1},
-                    "role": {"enum": list(_STRATEGIES)},
-                    "funding": _FUNDING,
-                    # checked against the role's schema in validate_config
-                    "strategy": {"type": "object"},
-                },
-            },
-        },
-        "outputs": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "trace": {"type": "string"},
-                "settlements": {"type": "string"},
-                "summary": {"type": "string"},
-            },
-        },
-    },
-}
+def _object(value: Any, where: str, keys) -> dict:
+    """``value`` as a JSON object whose keys all lie in ``keys``."""
+    if type(value) is not dict:
+        _fail(where, f"expected an object, got {value!r}")
+    for key in value:
+        if key not in keys:
+            _fail(_at(where, key), "unknown key")
+    return value
 
 
-def validate_config(config: dict) -> None:
+def _parse(cls, value: Any, where: str, parsers: Optional[dict] = None):
+    """Build the frozen dataclass ``cls`` from a JSON object, one parser per field.
+
+    A field's parser is in its metadata, or in ``parsers`` for a class
+    defined elsewhere; a field without a default is required.
+    """
+    raw = _object(value, where, cls.__dataclass_fields__)
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in raw:
+            parse = parsers[f.name] if parsers else f.metadata["parse"]
+            kwargs[f.name] = parse(raw[f.name], _at(where, f.name))
+        elif f.default is MISSING and f.default_factory is MISSING:
+            _fail(_at(where, f.name), "required key missing")
     try:
-        jsonschema.validate(config, SCENARIO_SCHEMA)
-    except jsonschema.ValidationError as e:
-        path = ".".join(str(p) for p in e.absolute_path) or "<root>"
-        raise ScenarioError(f"config error at {path}: {e.message}") from None
-    for agent in config["agents"]:
-        error = jsonschema.exceptions.best_match(
-            _STRATEGIES[agent["role"]].iter_errors(agent.get("strategy", {})))
-        if error is not None:
-            field = ".".join(["strategy", *map(str, error.absolute_path)])
-            raise ScenarioError(f"config error in agent {agent['id']!r} {field}: {error.message}")
+        return cls(**kwargs)
+    except ValueError as e:  # ProtocolParams' cross-field rules
+        _fail(where, str(e))
 
 
-def _params_from_config(d: dict) -> ProtocolParams:
+def _field(parse, default=MISSING, **kwargs):
+    return field(default=default, metadata={"parse": parse}, **kwargs)
+
+
+def _check(test, expected: str):
+    """A parser that keeps a JSON value passing ``test`` and names any other."""
+    def parse(value: Any, where: str):
+        if not test(value):
+            _fail(where, f"expected {expected}, got {value!r}")
+        return value
+    return parse
+
+
+def _choice(*options: str):
+    return _check(lambda v: v in options, f"one of {list(options)}")
+
+
+# an integer field takes only a JSON integer: not True, not 42.0
+_amount = _check(lambda v: type(v) is int and v >= 0, "an integer >= 0")
+_positive = _check(lambda v: type(v) is int and v >= 1, "an integer >= 1")
+# derive_seed encodes a seed in 8 bytes
+_seed = _check(lambda v: type(v) is int and 0 <= v < 2**64, "an integer in [0, 2**64)")
+_boolean = _check(lambda v: type(v) is bool, "a boolean")
+_string = _check(lambda v: type(v) is str, "a string")
+_id = _check(lambda v: type(v) is str and v != "", "a non-empty string")
+_ref = _check(lambda v: v == "mifp" or type(v) is int and v >= 1,
+              '"mifp" or a tick count >= 1')
+
+
+def _rational(value: Any, where: str) -> Fraction:
     try:
-        return ProtocolParams(
-            e_client=d["e_client"], e_mm=d["e_mm"], q_not=d["q_not"],
-            f_r=d["f_r"], res_bounty=d["res_bounty"],
-            p_a=fraction_from_json(d["p_a"]), t_blocks=d["t_blocks"],
-            alpha=fraction_from_json(d.get("alpha", 0)),
-        )
-    except (ValueError, KeyError) as e:
-        raise ScenarioError(f"config error in params: {e}") from None
+        return fraction_from_json(value)
+    except ValueError as e:
+        _fail(where, str(e))
 
 
 def _rational_at_least_one(value: Any, where: str) -> Fraction:
     """Parse a rational config value that must be >= 1 (a width or a delta)."""
-    try:
-        r = fraction_from_json(value)
-    except ValueError as e:
-        raise ScenarioError(f"config error in {where}: {e}") from None
+    r = _rational(value, where)
     if r < 1:
-        raise ScenarioError(f"config error in {where}: must be >= 1, got {r}")
+        _fail(where, f"must be >= 1, got {r}")
     return r
+
+
+def _funding(value: Any, where: str) -> tuple[tuple[str, int], ...]:
+    raw = _object(value, where, (TOKEN_REF, TOKEN_A, TOKEN_B))
+    return tuple((tkn, _amount(amt, _at(where, tkn))) for tkn, amt in raw.items())
+
+
+_PARAMS = {**dict.fromkeys(("e_client", "e_mm", "q_not", "f_r", "res_bounty"), _amount),
+           "p_a": _rational, "t_blocks": _positive, "alpha": _rational}
+
+
+@dataclass(frozen=True)
+class ClientStrategy:
+    order: str = _field(_choice("mkt", "limit", "withdraw"), "mkt")
+    side: str = _field(_choice("buy", "sell", "random"), "random")
+    notional: Optional[int] = _field(_positive, None)  # REF value; a withdraw reads none
+    width_req: Fraction = _field(_rational_at_least_one, Fraction(121, 100))
+    limit_price: Optional[int] = _field(_positive, None)
+    commit: bool = _field(_boolean, True)
+    reveal: bool = _field(_boolean, True)
+    re_register: bool = _field(_boolean, True)  # moot in a one-round scenario
+
+
+@dataclass(frozen=True)
+class MMStrategy:
+    width: Fraction = _field(_rational_at_least_one, Fraction(1))
+    ref: Union[str, int] = _field(_ref, "mifp")  # quote around the fair price or a fixed tick
+    size_mult: int = _field(_positive, 2)
+    commit: bool = _field(_boolean, True)
+    reveal: bool = _field(_boolean, True)
+
+
+@dataclass(frozen=True)
+class HunterStrategy:
+    invalid_first: bool = _field(_boolean, False)
+
+
+#: each role's strategy accepts exactly the keys its agent reads
+_STRATEGIES = {"client": ClientStrategy, "mm": MMStrategy, "relayer": None,
+               "bounty_hunter": HunterStrategy}
+
+
+@dataclass(frozen=True)
+class AgentConfig:
+    id: str = _field(_id)
+    role: str = _field(_choice(*_STRATEGIES))
+    funding: tuple[tuple[str, int], ...] = _field(_funding, ())
+    # the raw JSON object until _agents parses it for the role
+    strategy: Union[ClientStrategy, MMStrategy, HunterStrategy, None] = _field(
+        lambda value, where: value, default_factory=dict)
+
+
+def _agents(value: Any, where: str) -> tuple[AgentConfig, ...]:
+    if type(value) is not list:
+        _fail(where, f"expected an array, got {value!r}")
+    agents, seen = [], set()
+    for i, item in enumerate(value):
+        agent = _parse(AgentConfig, item, f"{where}.{i}")
+        if agent.id in seen:
+            _fail(where, f"duplicate id {agent.id!r}")
+        seen.add(agent.id)
+        at = f"agent {agent.id!r} strategy"
+        cls = _STRATEGIES[agent.role]
+        if cls is None:
+            _object(agent.strategy, at, ())  # a relayer reads no strategy keys
+            strategy = None
+        else:
+            strategy = _parse(cls, agent.strategy, at)
+        if cls is ClientStrategy:
+            if strategy.order != "withdraw" and strategy.notional is None:
+                _fail(f"{at}.notional", f"a {strategy.order} order needs notional")
+            if strategy.order == "limit" and strategy.limit_price is None:
+                _fail(f"{at}.order", "a limit order needs limit_price")
+        agents.append(replace(agent, strategy=strategy))
+    return tuple(agents)
+
+
+@dataclass(frozen=True)
+class MifpConfig:
+    """The market-implied fair price path: y0 ticks, moved by delta per order."""
+    y0: int = _field(_positive)
+    delta: Fraction = _field(_rational_at_least_one, Fraction(1))
+    seed: Optional[int] = _field(_seed, None)  # None: derived from the scenario seed
+
+
+@dataclass(frozen=True)
+class Outputs:
+    trace: str = _field(_string, "trace.jsonl")
+    settlements: str = _field(_string, "settlements.json")
+    summary: str = _field(_string, "summary.csv")
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """A parsed scenario: each field's type, bound and default, once."""
+    seed: int = _field(_seed)
+    rounds: int = _field(_amount)
+    params: ProtocolParams = _field(partial(_parse, ProtocolParams, parsers=_PARAMS))
+    mifp: MifpConfig = _field(partial(_parse, MifpConfig))
+    agents: tuple[AgentConfig, ...] = _field(_agents)
+    ordering_policy: str = _field(_choice(*sorted(ORDERING_POLICIES)), "identity")
+    protocol_funding: int = _field(_amount, 0)
+    n_psi: int = _field(_amount, 0)  # assumed anonymity-set floor; recorded, never computed
+    outputs: Outputs = _field(partial(_parse, Outputs), Outputs())
+
+    def with_seed(self, seed: Any) -> "ScenarioConfig":
+        return replace(self, seed=_seed(seed, "seed"))
+
+
+def validate_config(config: dict) -> ScenarioConfig:
+    """Parse a scenario's JSON object; a bad field raises ScenarioError naming it."""
+    return _parse(ScenarioConfig, config, "")
 
 
 def payload_to_json(payload: Any) -> Any:
@@ -203,25 +265,11 @@ def payload_to_json(payload: Any) -> Any:
 
 
 class ClientAgent:
-    def __init__(self, pid: str, strategy: dict, rounds: int, seed: int):
+    def __init__(self, pid: str, strategy: ClientStrategy, rounds: int, seed: int):
         self.pid = pid
+        self.strategy = strategy
         self.rounds = rounds
         self.seed = seed  # the scenario seed; every secret derives from it
-        self.order_kind = strategy.get("order", "mkt")
-        self.side = strategy.get("side", "random")
-        self.notional = strategy.get("notional")
-        if self.order_kind != "withdraw" and self.notional is None:
-            raise ScenarioError(f"config error in agent {pid!r} strategy.notional: "
-                                f"a {self.order_kind} order needs notional")
-        self.width_req = _rational_at_least_one(
-            strategy.get("width_req", "121/100"), f"agent {pid!r} strategy.width_req")
-        self.limit_price = strategy.get("limit_price")
-        if self.order_kind == "limit" and self.limit_price is None:
-            raise ScenarioError(f"config error in agent {pid!r} strategy.order: "
-                                f"a limit order needs limit_price")
-        self.commit = strategy.get("commit", True)
-        self.reveal = strategy.get("reveal", True)
-        self.re_register = strategy.get("re_register", rounds > 1)
         self.secret = None
         self.committed_round = -1
         self.revealed_round = -1
@@ -238,24 +286,24 @@ class ClientAgent:
                   sender=self.pid)
 
     def _sized_order(self, runner: "Runner", params: ProtocolParams):
-        side = self.side
+        s = self.strategy
+        side = s.side
         if side == "random":
             side = "buy" if runner.next_direction() > 0 else "sell"
-        price = MKT if self.order_kind == "mkt" else self.limit_price
-        if self.order_kind == "withdraw":
-            price = WITHDRAW
-            return (TOKEN_A, 1, price, self.width_req)
+        if s.order == "withdraw":
+            return (TOKEN_A, 1, WITHDRAW, s.width_req)
+        price = MKT if s.order == "mkt" else s.limit_price
         if side == "buy":
-            size = int(Fraction(self.notional) / params.p_a)
-            return (TOKEN_A, size, price, self.width_req)
+            size = int(Fraction(s.notional) / params.p_a)
+            return (TOKEN_A, size, price, s.width_req)
         hint = runner.current_y() if price is MKT else price
-        size = int(Fraction(self.notional) / (params.p_a * hint))
-        return (TOKEN_B, size, price, self.width_req)
+        size = int(Fraction(s.notional) / (params.p_a * hint))
+        return (TOKEN_B, size, price, s.width_req)
 
     def on_block(self, runner: "Runner") -> list[tuple[str, Tx]]:
         proto = runner.protocol
         rnd = proto.round
-        if proto.phase is Phase.COMMIT and self.commit and self.committed_round < rnd:
+        if proto.phase is Phase.COMMIT and self.strategy.commit and self.committed_round < rnd:
             if reg_id(self.secret) not in proto.clients:
                 return []  # registration not confirmed yet
             self.order = self._sized_order(runner, proto.params)
@@ -266,10 +314,10 @@ class ClientAgent:
                     payload=ClientCommitPayload(com=com, serial=self.secret.s, proof=proof))
             self.committed_round = rnd
             return [("relay", tx)]
-        if (proto.phase is Phase.REVEAL and self.reveal
+        if (proto.phase is Phase.REVEAL and self.strategy.reveal
                 and self.committed_round == rnd and self.revealed_round < rnd):
             tkn, size, price, width = self.order
-            stay = self.re_register and rnd + 1 < self.rounds
+            stay = self.strategy.re_register and rnd + 1 < self.rounds
             new_token = None
             if stay:
                 next_secret = self._fresh_secret()
@@ -287,38 +335,31 @@ class ClientAgent:
 
 
 class MMAgent:
-    def __init__(self, pid: str, strategy: dict):
+    def __init__(self, pid: str, strategy: MMStrategy):
         self.pid = pid
-        self.width = _rational_at_least_one(strategy.get("width", 1),
-                                            f"agent {pid!r} strategy.width")
-        self.ref = strategy.get("ref", "mifp")
-        if self.ref != "mifp" and not (isinstance(self.ref, int) and self.ref >= 1):
-            raise ScenarioError(f"config error in agent {pid!r} strategy.ref: "
-                                f"expected \"mifp\" or a tick count >= 1, got {self.ref!r}")
-        self.size_mult = strategy.get("size_mult", 2)
-        self.commit = strategy.get("commit", True)
-        self.reveal = strategy.get("reveal", True)
+        self.strategy = strategy
         self.committed_round = -1
         self.revealed_round = -1
         self.market: Optional[Market] = None
 
     def _make_market(self, runner: "Runner", params: ProtocolParams) -> Market:
-        bid, offer = quote(runner.current_y() if self.ref == "mifp" else self.ref, self.width)
+        s = self.strategy
+        bid, offer = quote(runner.current_y() if s.ref == "mifp" else s.ref, s.width)
         min_bid = ceil(Fraction(params.q_not) / params.p_a)
         min_offer = ceil(Fraction(params.q_not) / (params.p_a * offer))
-        return Market(bid=bid, size_bid=self.size_mult * min_bid,
-                      offer=offer, size_offer=self.size_mult * min_offer)
+        return Market(bid=bid, size_bid=s.size_mult * min_bid,
+                      offer=offer, size_offer=s.size_mult * min_offer)
 
     def on_block(self, runner: "Runner") -> list[tuple[str, Tx]]:
         proto = runner.protocol
         rnd = proto.round
-        if proto.phase is Phase.COMMIT and self.commit and self.committed_round < rnd:
+        if proto.phase is Phase.COMMIT and self.strategy.commit and self.committed_round < rnd:
             self.market = self._make_market(runner, proto.params)
             tx = Tx(kind=COMMIT_MM, sender=self.pid,
                     payload=MMCommitPayload(mm_commitment(self.market)))
             self.committed_round = rnd
             return [("submit", tx)]
-        if (proto.phase is Phase.REVEAL and self.reveal
+        if (proto.phase is Phase.REVEAL and self.strategy.reveal
                 and self.committed_round == rnd and self.revealed_round < rnd):
             tx = Tx(kind=MM_REVEAL, sender=self.pid,
                     payload=MMRevealPayload(self.market))
@@ -328,9 +369,9 @@ class MMAgent:
 
 
 class BountyHunterAgent:
-    def __init__(self, pid: str, strategy: dict):
+    def __init__(self, pid: str, strategy: HunterStrategy):
         self.pid = pid
-        self.invalid_first = strategy.get("invalid_first", False)
+        self.strategy = strategy
         self.attempted_round = -1
 
     def on_block(self, runner: "Runner") -> list[tuple[str, Tx]]:
@@ -342,7 +383,7 @@ class BountyHunterAgent:
             return []
         self.attempted_round = proto.round
         out = []
-        if self.invalid_first:
+        if self.strategy.invalid_first:
             # a doomed proposal first, in the same block, to forfeit a deposit
             bogus = CpPayload(cp=cand.cp, volume_a=cand.volume_a + 1,
                               imbalance_a=cand.imbalance_a)
@@ -369,48 +410,37 @@ SUMMARY_HEADER = ["round", "cp", "volume_b", "imbalance_a", "w_tight",
 
 
 class Runner:
-    def __init__(self, config: dict):
-        validate_config(config)
-        self.config = config
-        self.seed = config["seed"]
-        self.rounds = config["rounds"]
-        self.params = _params_from_config(config["params"])
+    def __init__(self, config: Union[dict, ScenarioConfig]):
+        """Build a run from a scenario's JSON object, or from one already parsed."""
+        self.config = cfg = config if isinstance(config, ScenarioConfig) else validate_config(config)
+        self.rounds = cfg.rounds
+        self.params = cfg.params
 
         self.ledger = Ledger()
-        policy = ORDERING_POLICIES[config.get("ordering_policy", "identity")]
-        self.chain = Chain(t_eff=self.params.t_eff, policy=policy,
-                           seed=derive_seed(self.seed, "ordering"))
+        self.chain = Chain(t_eff=self.params.t_eff, policy=ORDERING_POLICIES[cfg.ordering_policy],
+                           seed=derive_seed(cfg.seed, "ordering"))
         self.protocol = Protocol(self.params, self.ledger)
 
-        mifp = config["mifp"]
-        self._y0 = mifp["y0"]
-        self._mifp_delta = _rational_at_least_one(mifp.get("delta", 1), "mifp.delta")
         self._net_buys = 0
-        self._direction_rng = random.Random(
-            derive_seed(mifp.get("seed", derive_seed(self.seed, "mifp")), "directions"))
+        mifp_seed = derive_seed(cfg.seed, "mifp") if cfg.mifp.seed is None else cfg.mifp.seed
+        self._direction_rng = random.Random(derive_seed(mifp_seed, "directions"))
 
         self.clients: list[ClientAgent] = []
         self.agents: list = []
-        seen = set()
-        for spec in config["agents"]:
-            pid = spec["id"]
-            if pid in seen:
-                raise ScenarioError(f"config error in agents: duplicate id {pid!r}")
-            seen.add(pid)
-            for tkn, amt in spec.get("funding", {}).items():
-                self.ledger.mint(pid, tkn, amt)
-            strategy = spec.get("strategy", {})
-            if spec["role"] == "client":
-                agent = ClientAgent(pid, strategy, self.rounds, self.seed)
+        for spec in cfg.agents:
+            for tkn, amt in spec.funding:
+                self.ledger.mint(spec.id, tkn, amt)
+            if spec.role == "client":
+                agent = ClientAgent(spec.id, spec.strategy, self.rounds, cfg.seed)
                 self.clients.append(agent)
                 self.agents.append(agent)
-            elif spec["role"] == "mm":
-                self.agents.append(MMAgent(pid, strategy))
-            elif spec["role"] == "bounty_hunter":
-                self.agents.append(BountyHunterAgent(pid, strategy))
+            elif spec.role == "mm":
+                self.agents.append(MMAgent(spec.id, spec.strategy))
+            elif spec.role == "bounty_hunter":
+                self.agents.append(BountyHunterAgent(spec.id, spec.strategy))
             else:
-                self.chain.register_relayer(pid)
-        self.ledger.mint(PROTOCOL_ACCOUNT, TOKEN_REF, config.get("protocol_funding", 0))
+                self.chain.register_relayer(spec.id)
+        self.ledger.mint(PROTOCOL_ACCOUNT, TOKEN_REF, cfg.protocol_funding)
 
         self.trace: list[dict] = []
         self._initial_supplies = None
@@ -418,7 +448,7 @@ class Runner:
     # -- mifp ---------------------------------------------------------------
 
     def current_y(self) -> int:
-        y = self._y0 * self._mifp_delta ** self._net_buys
+        y = self.config.mifp.y0 * self.config.mifp.delta ** self._net_buys
         return max(1, round(y))
 
     def next_direction(self) -> int:
@@ -478,10 +508,9 @@ class Runner:
         init_height = self.chain.height
 
         warnings = []
-        n_psi = self.config.get("n_psi", 0)
-        if len(self.protocol.clients) < n_psi:
+        if len(self.protocol.clients) < self.config.n_psi:
             warnings.append(f"registrations ({len(self.protocol.clients)}) below "
-                            f"the assumed anonymity floor n_psi={n_psi}")
+                            f"the assumed anonymity floor n_psi={self.config.n_psi}")
 
         if self.rounds > 0:
             budget = self.rounds * (3 * self.params.t_eff + 4) + 4 * self.params.t_eff

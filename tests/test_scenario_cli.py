@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -90,6 +91,24 @@ MALFORMED = [
                  "strategy.invalid_first", id="non-bool-invalid_first"),
     pytest.param(_set("agents", C1, "strategy", "commit", value="yes"), "strategy.commit",
                  id="non-bool-commit"),
+    # an integer field takes only a JSON integer: each float used to crash
+    # the run or pass silently
+    *(pytest.param(_set(*path, value=value), field, id=f"float-{field}")
+      for path, value, field in (
+          (("seed",), 42.0, "seed"),
+          (("rounds",), 3.0, "rounds"),
+          (("mifp", "seed"), 3.0, "mifp.seed"),
+          (("agents", MM1, "funding", "REF"), 5000.0, "funding.REF"),
+          (("agents", MM1, "strategy", "size_mult"), 2.0, "strategy.size_mult"),
+          (("protocol_funding",), 10.0, "protocol_funding"),
+          (("params", "t_blocks"), 2.0, "params.t_blocks"),
+          (("agents", C1, "strategy", "notional"), 1100.0, "strategy.notional"),
+          (("mifp", "y0"), 110.0, "mifp.y0"),
+          (("n_psi",), 2.0, "n_psi"))),
+    pytest.param(_set("agents", C1, "strategy", value={"order": "limit", "notional": 1100,
+                                                       "limit_price": 120.0}),
+                 "strategy.limit_price", id="float-limit_price"),
+    pytest.param(_set("seed", value=2**64), "seed", id="seed-past-64-bits"),
 ]
 
 
@@ -274,6 +293,26 @@ class TestCli:
         bad.write_text(json.dumps(cfg))
         assert self.run_cli("run", str(bad), "--outdir", str(tmp_path)) == 2
         assert "q_not" in capsys.readouterr().err
+        # the config is parsed once, before any seed's run starts
+        assert self.run_cli("run", str(bad), "--outdir", str(tmp_path),
+                            "--seeds", "1,2", "--jobs", "2") == 2
+        assert "q_not" in capsys.readouterr().err
+        assert not (tmp_path / "seed-1").exists()
+
+    @pytest.mark.parametrize("seeds", ["1,x", "1.5", "1,,2"])
+    def test_run_non_integer_seeds_exit_2(self, tmp_path, capsys, seeds):
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli("run", str(TWO_MM), "--outdir", str(tmp_path), "--seeds", seeds)
+        assert exc.value.code == 2
+        assert "error: argument --seeds" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_run_seed_out_of_range_exit_2(self, tmp_path, capsys, seed):
+        assert self.run_cli("run", str(TWO_MM), "--outdir", str(tmp_path),
+                            "--seeds", f"1,{seed}") == 2
+        assert "error: config error at seed" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("agent, field, value", [
         ("mm1", "width", 0),
@@ -434,6 +473,14 @@ class TestCli:
         tamper(reports)
         assert self.check_exit_code(tmp_path, reports) == 2
         assert "malformed report" in capsys.readouterr().err
+
+    def test_modules_import_without_jsonschema(self):
+        code = ("import fairtradex.cli, fairtradex.scenario, fairtradex.analysis; import sys; "
+                "assert 'jsonschema' not in sys.modules")
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
 
     def test_console_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "fairtradex.cli", "costs"],
