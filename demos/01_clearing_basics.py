@@ -2,9 +2,9 @@
 Clearing a width-sensitive batch auction book
 =============================================
 
-Builds a small book by hand, finds the clearing price with the exhaustive
-oracle, checks it with the local adjacent-tick verifier, and settles it
-with exact integer pro-rata fills.
+Builds a small book by hand, finds the clearing price with the
+volume-maximising oracle, checks it with the local adjacent-tick verifier,
+and settles it with exact integer pro-rata fills.
 """
 
 from fractions import Fraction
@@ -27,8 +27,10 @@ book = AuctionBook(
     ),
 )
 
-# The oracle scans every tick from one below the lowest limit to one above
-# the highest, maximising traded A-notional, then minimising |imbalance|.
+# The oracle maximises traded A-notional, then minimises |imbalance|, then
+# takes the lowest tick.  Eligibility only changes at a limit and one tick
+# above it; between those ticks volume peaks where the sells first absorb
+# the buys, so it scores one tick per such segment.
 cand = find_clearing_price(book)
 print(f"clearing price: {cand.cp} ticks")
 print(f"traded notional: {cand.volume_a} A-atoms, imbalance {cand.imbalance_a:+d}")

@@ -13,8 +13,8 @@ Conventions used throughout (all arithmetic exact):
 * Settlement moves whole B atoms ("lots" of ``cp`` A atoms each), so a buy
   order can execute at most ``size // cp`` lots; sub-lot dust is refunded.
 * Volumes come from one depth view per book (limits sorted once, with
-  running size sums), so a clear costs one sort plus O(log n) per
-  candidate price: O(n log n) in all.
+  running size sums).  The oracle scores one tick per eligibility segment,
+  at most 2n + 1 of them, each in O(log n): O(n log n) per clear.
 """
 
 from __future__ import annotations
@@ -167,20 +167,16 @@ class _Depth:
         # _sell_upto[j]: B atoms of _sells[:j] plus every market sell
         self._sell_upto = list(accumulate(
             (o.size for o in self._sells), initial=sum(o.size for o in self._mkt_sells)))
-        self.limits = sorted({*self._buy_limits, *self._sell_limits})
+        self.limits = {*self._buy_limits, *self._sell_limits}
 
     def volumes(self, cp: int) -> tuple[int, int]:
         return (self._buy_from[bisect_left(self._buy_limits, cp)],
                 self._sell_upto[bisect_right(self._sell_limits, cp)])
 
     def score(self, cp: int) -> tuple[int, int]:
-        """(volume, imbalance) in A units at ``cp``: the clearing objective.
-
-        Reads the same two sums as ``volumes`` without calling it: the
-        oracle scores every candidate price.
-        """
-        buy_vol = self._buy_from[bisect_left(self._buy_limits, cp)]
-        sell_a = self._sell_upto[bisect_right(self._sell_limits, cp)] * cp
+        """(volume, imbalance) in A units at ``cp``: the clearing objective."""
+        buy_vol, sell_vol = self.volumes(cp)
+        sell_a = sell_vol * cp
         return min(buy_vol, sell_a), buy_vol - sell_a
 
     def eligible(self, cp: int) -> tuple[list[Order], list[Order]]:
@@ -203,60 +199,39 @@ def score_at(book: AuctionBook, cp: int) -> tuple[int, int]:
 
 
 def candidate_prices(book: AuctionBook) -> list[int]:
-    """Support set of ticks that contains every clearing-price optimum.
+    """Each constant-eligibility segment's optimal tick, ascending.
 
-    Order eligibility only changes at limit prices, so between consecutive
-    limits the tradable volume min(B, S * cp) is piecewise linear in cp and
-    |imbalance| is V-shaped around the balance point B / S.  The optimum of
-    (max volume, min |imbalance|, lowest price) therefore lies on a limit
-    price, one tick beside it, or at a segment's balance point; scanning
-    those ticks is exhaustive without walking the whole grid.  (An
-    all-market-order book is a single segment anchored only by its balance
-    point.)
+    Eligibility changes only at a limit ``l`` (a sell joins) and at
+    ``l + 1`` (a buy leaves), so those ticks and 1 start the segments.  On
+    a segment the buy volume B and sell volume S are fixed: the volume
+    min(B, S * cp) rises until S * cp >= B, and |imbalance| rises after
+    that, so the best tick under (max volume, min |imbalance|, lowest
+    price) is ceil(B / S), clamped into the segment.  A segment where one
+    side is empty trades nothing and gets no tick; every listed tick trades.
     """
     depth = book._depth
-    limits = depth.limits
-    cands: set[int] = set()
-    for l in limits:
-        cands.update((l - 1, l, l + 1))
-    # constant-eligibility segments: below all limits, between neighbours,
-    # and above all limits; eligibility is sampled at each segment's first tick
-    boundaries = [1] + [l + 1 for l in limits]
-    ends = [l - 1 for l in limits] + [None]
-    for a, b in zip(boundaries, ends):
-        if b is not None and a > b:
-            continue
+    starts = sorted({1, *depth.limits, *(l + 1 for l in depth.limits)})
+    cands = []
+    for a, nxt in zip(starts, [*starts[1:], None]):
         buy_vol, sell_vol = depth.volumes(a)
-        if sell_vol == 0 or buy_vol == 0:
-            continue
-        balance = buy_vol // sell_vol
-        for cp in (balance, balance + 1):
-            cp = max(cp, a)
-            if b is not None:
-                cp = min(cp, b)
-            cands.add(cp)
-        cands.add(a)
-        if b is not None:
-            cands.add(b)
-    return sorted(c for c in cands if c >= 1)
+        if buy_vol and sell_vol:
+            cp = max(a, -(-buy_vol // sell_vol))
+            cands.append(cp if nxt is None else min(cp, nxt - 1))
+    return cands
 
 
 def find_clearing_price(book: AuctionBook) -> Optional[ClearingCandidate]:
-    """Exhaustive clearing-price oracle.
+    """Clearing-price oracle: the best of ``candidate_prices``.
 
     Maximises traded volume, then minimises |imbalance|, then picks the
     lowest price.  Returns None when no price trades positive volume.
     """
-    if not book.buy_orders or not book.sell_orders:
-        return None
     score = book._depth.score
     best: Optional[ClearingCandidate] = None
     for cp in candidate_prices(book):
         vol, imb = score(cp)
-        if vol == 0:
-            continue
         if (best is None or vol > best.volume_a
-                or (vol == best.volume_a and (abs(imb), cp) < (abs(best.imbalance_a), best.cp))):
+                or (vol == best.volume_a and abs(imb) < abs(best.imbalance_a))):
             best = ClearingCandidate(cp=cp, volume_a=vol, imbalance_a=imb)
     return best
 

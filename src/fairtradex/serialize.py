@@ -65,20 +65,32 @@ def price_from_json(v: Any) -> Price:
     raise ValueError(f"not a price: {v!r}")
 
 
+def _integer(d: dict, field: str) -> int:
+    """``d[field]``, which must be a JSON integer: not ``true``, ``100.9`` or ``"100"``."""
+    v = d[field]
+    if type(v) is not int:
+        raise ValueError(f"order {field} must be an integer, got {v!r}")
+    return v
+
+
 def order_from_json(d: dict) -> Order:
     side = d["side"]
     if side not in ("buy", "sell"):
         raise ValueError(f"side must be buy or sell, got {side!r}")
-    return Order(oid=int(d["oid"]), owner=d.get("owner", "anon"),
-                 tkn="A" if side == "buy" else "B", size=int(d["size"]),
+    return Order(oid=_integer(d, "oid"), owner=d.get("owner", "anon"),
+                 tkn="A" if side == "buy" else "B", size=_integer(d, "size"),
                  price=price_from_json(d["price"]),
                  width_req=width_from_json(d.get("width", "any")))
 
 
 def book_from_json(doc: dict) -> AuctionBook:
-    buys, sells = [], []
+    """A book from its JSON form; every order's ``oid`` must be distinct."""
+    buys, sells, oids = [], [], set()
     for od in doc["orders"]:
         o = order_from_json(od)
+        if o.oid in oids:
+            raise ValueError(f"duplicate order oid {o.oid}")
+        oids.add(o.oid)
         (buys if o.side == "buy" else sells).append(o)
     return AuctionBook(buy_orders=tuple(buys), sell_orders=tuple(sells),
                        w_tight=width_from_json(doc.get("w_tight", "any")))

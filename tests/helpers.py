@@ -25,13 +25,7 @@ def naive_clear(book):
 
     if not book.buy_orders or not book.sell_orders:
         return None
-    total_buy = sum(o.size for o in book.buy_orders)
-    total_sell = sum(o.size for o in book.sell_orders)
-    limits = [o.price for o in (*book.buy_orders, *book.sell_orders)
-              if isinstance(o.price, int)]
-    hi = max(limits, default=1) + 1
-    hi = max(hi, -(-total_buy // total_sell) + 1)
-    cps = np.arange(1, hi + 1, dtype=np.int64)
+    cps = np.arange(1, naive_bound(book) + 1, dtype=np.int64)
 
     buy_vol = np.zeros_like(cps)
     for o in book.buy_orders:
@@ -56,6 +50,19 @@ def naive_clear(book):
     tied &= np.abs(imb) == best_imb
     cp = int(cps[tied][0])
     return cp, int(best_vol), int(imb[tied][0])
+
+
+def naive_bound(book):
+    """Highest tick ``naive_clear`` scans, for a book with both sides non-empty.
+
+    One past the highest limit, and one past the tick where every sell
+    absorbs every buy: above both, volume is flat and |imbalance| grows.
+    """
+    total_buy = sum(o.size for o in book.buy_orders)
+    total_sell = sum(o.size for o in book.sell_orders)
+    limits = [o.price for o in (*book.buy_orders, *book.sell_orders)
+              if isinstance(o.price, int)]
+    return max(max(limits, default=1) + 1, -(-total_buy // total_sell) + 1)
 
 
 def random_book(rng: random.Random, max_orders: int = 12, band: int = 32,

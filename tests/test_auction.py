@@ -17,7 +17,7 @@ from fairtradex.auction import (AuctionBook, InvalidClearingPrice,
 from fairtradex.serialize import book_from_json, result_to_json
 from fairtradex.units import ANY, MKT, TOKEN_A, TOKEN_B, WITHDRAW, Market, Order
 
-from helpers import naive_clear, random_book, wide_book
+from helpers import naive_bound, naive_clear, random_book, wide_book
 
 GOLDEN = Path(__file__).parent / "golden" / "clearing_fixture.json"
 
@@ -34,6 +34,19 @@ def sell(oid, size, price, width=ANY, owner=None):
 
 def book_of(buys, sells, w_tight=ANY):
     return AuctionBook(buy_orders=tuple(buys), sell_orders=tuple(sells), w_tight=w_tight)
+
+
+#: (is_buy, size, price) order lists over ticks 1-30, with market orders and withdrawals
+ORDERS = st.lists(st.tuples(st.booleans(), st.integers(1, 50),
+                            st.one_of(st.just(MKT), st.just(WITHDRAW), st.integers(1, 30))),
+                  max_size=14)
+
+
+def book_of_tuples(orders):
+    return book_of([buy(i, size, price) for i, (is_buy, size, price) in enumerate(orders)
+                    if is_buy],
+                   [sell(i, size, price) for i, (is_buy, size, price) in enumerate(orders)
+                    if not is_buy])
 
 
 class TestWidthFilter:
@@ -108,10 +121,7 @@ class TestVolumes:
         b = book_of([], [sell(0, 7, 100)])
         assert volumes_at(b, 100)[1] == 7
 
-    @given(orders=st.lists(st.tuples(st.booleans(), st.integers(1, 50),
-                                     st.one_of(st.just(MKT), st.just(WITHDRAW),
-                                               st.integers(1, 30))),
-                           max_size=14))
+    @given(orders=ORDERS)
     @example(orders=[])
     @example(orders=[(True, 5, MKT), (False, 2, MKT)])           # market orders only
     @example(orders=[(True, 5, 7), (True, 3, 7), (True, 1, 2)])  # one-sided, duplicates
@@ -119,10 +129,7 @@ class TestVolumes:
     @settings(max_examples=300, deadline=None)
     def test_view_matches_direct_sum_at_every_tick(self, orders):
         """The depth view against a direct sum over the orders, ``cp = 0`` included."""
-        b = book_of([buy(i, size, price) for i, (is_buy, size, price) in enumerate(orders)
-                     if is_buy],
-                    [sell(i, size, price) for i, (is_buy, size, price) in enumerate(orders)
-                     if not is_buy])
+        b = book_of_tuples(orders)
         top = max((price for _, _, price in orders if isinstance(price, int)), default=0)
         for cp in range(top + 3):
             buys = [o for o in b.buy_orders
@@ -139,9 +146,9 @@ class TestVolumes:
 # and sha256 of the comma-joined candidate list, pinned so that any change to
 # the candidate set shows
 WIDE_CANDIDATES = {
-    (1, 200, 11_000): (410, "066e5b12af5e5291090142f98032e651b3dba0b42dc2d4f1347e31e836015a63"),
-    (2, 500, 100_000): (1069, "c4daa4429c08408fd6a9ae01f06f762aa365b1c089fbb1b6246c32dac0f2f2f8"),
-    (3, 1000, 100_000): (2160, "260991f1ca58173745319f672d195f686bc3705dd698d728ab2c60639dbc4d7c"),
+    (1, 200, 11_000): (275, "0b62f8d0b002065559e7ade4e452820def117d4077f5f1bd1c1438a00f1d44ba"),
+    (2, 500, 100_000): (714, "a348455ed20e03b3b58c23bc22249256a4c1f399ad9e09a25265d3426e263561"),
+    (3, 1000, 100_000): (1443, "d7ea35b703416393918635e6f0ea73503732fa84b0793af3d9988ce89ee2c154"),
 }
 
 
@@ -151,15 +158,44 @@ def filtered_wide_book(seed, n_orders, hi):
 
 class TestCandidates:
     @pytest.mark.parametrize("buys, sells, expected", [
-        ([buy(0, 100, MKT)], [sell(1, 3, MKT)], [1, 33, 34]),
+        ([buy(0, 100, MKT)], [sell(1, 3, MKT)], [34]),
         ([buy(0, 100, MKT), buy(1, 250, 52)], [sell(2, 4, 50), sell(3, 2, 48)],
-         [47, 48, 49, 50, 51, 52, 53]),
+         [48, 49, 50, 51, 52, 53]),
         ([buy(0, 90, 40), buy(1, 60, 40)], [sell(2, 1, 40), sell(3, 2, 35), sell(4, 1, MKT)],
-         [1, 34, 35, 36, 39, 40, 41]),
-        ([buy(0, 10, 90)], [sell(1, 10, 110)], [89, 90, 91, 109, 110, 111]),
+         [34, 35, 39, 40]),
+        ([buy(0, 10, 90)], [sell(1, 10, 110)], []),
     ])
     def test_small_books(self, buys, sells, expected):
         assert candidate_prices(book_of(buys, sells)) == expected
+
+    @given(orders=ORDERS)
+    @example(orders=[])
+    @example(orders=[(True, 100, MKT), (False, 3, MKT)])        # one unbounded segment
+    @example(orders=[(True, 5, 1), (False, 4, 1), (True, 9, 2), (False, 1, 3)])
+    @example(orders=[(True, 5, 7), (False, 2, WITHDRAW)])        # one side withdrawn
+    @settings(max_examples=300, deadline=None)
+    def test_one_optimum_per_segment(self, orders):
+        """Each segment's best tick under the oracle's ranking, by a dense scan.
+
+        Segments start at 1, at every limit and one past every limit; the
+        last one is scanned far enough that volume is flat and |imbalance|
+        only grows past its end.
+        """
+        b = book_of_tuples(orders)
+        limits = {price for _, _, price in orders if isinstance(price, int)}
+        starts = sorted({1} | limits | {l + 1 for l in limits})
+        total_buy = sum(size for is_buy, size, _ in orders if is_buy)
+        expected = []
+        for a, nxt in zip(starts, starts[1:] + [starts[-1] + total_buy + 2]):
+            ranked = []
+            for cp in range(a, nxt):
+                buy_vol, sell_vol = volumes_at(b, cp)
+                vol = min(buy_vol, sell_vol * cp)
+                ranked.append((-vol, abs(buy_vol - sell_vol * cp), cp))
+            neg_vol, _, cp = min(ranked)
+            if neg_vol < 0:
+                expected.append(cp)
+        assert candidate_prices(b) == expected
 
     @pytest.mark.parametrize("seed, n_orders, hi", sorted(WIDE_CANDIDATES))
     def test_wide_books(self, seed, n_orders, hi):
@@ -194,8 +230,13 @@ class TestOracle:
 
     def test_agrees_with_naive_enumerator(self):
         rng = random.Random(1234)
-        for _ in range(300):
-            b = random_book(rng)
+        books = [random_book(rng) for _ in range(300)]
+        # limits at ticks 1-3, many adjacent: the segment edges
+        books += [random_book(rng, base_price=rng.randint(1, 2), band=rng.randint(2, 4),
+                              max_size=rng.randint(1, 5)) for _ in range(300)]
+        # market orders only: one unbounded segment
+        books.append(book_of([buy(0, 100, MKT), buy(1, 7, MKT)], [sell(2, 3, MKT)]))
+        for b in books:
             cand = find_clearing_price(b)
             naive = naive_clear(b)
             if cand is None:
@@ -248,21 +289,19 @@ class TestVerifier:
         b = book_of([buy(0, 100, 60)], [sell(1, 1, 40)])
         assert not verify_clearing_price(b, 1, *self.claims(b, 1))
 
-    def test_tightness_conjecture_logged_not_fatal(self):
-        """Verifier-accepted prices should hit the oracle's max volume on
-        books with a spanning market; counterexamples are logged only."""
+    def test_accepted_prices_reach_max_volume_with_spanning_market(self):
+        """On books with a spanning market, every price the verifier accepts
+        trades the oracle's max volume: scanned up to ``naive_clear``'s bound."""
         rng = random.Random(7)
-        counterexamples = 0
-        for _ in range(200):
+        counterexamples = []
+        for i in range(200):
             b = random_book(rng, with_spanning_market=True, q_not=500)
             cand = find_clearing_price(b)
-            dense = range(1, max(candidate_prices(b), default=1) + 2)
-            for cp in dense:
+            for cp in range(1, naive_bound(b) + 1):
                 vol, imb = self.claims(b, cp)
                 if verify_clearing_price(b, cp, vol, imb) and vol < cand.volume_a:
-                    counterexamples += 1
-        if counterexamples:
-            print(f"tightness conjecture counterexamples: {counterexamples}")
+                    counterexamples.append((i, cp))
+        assert counterexamples == []
 
 
 class TestSettle:

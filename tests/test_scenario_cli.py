@@ -398,6 +398,26 @@ class TestCli:
         p.write_text("{nope")
         assert self.run_cli("clear", "--book", str(p)) == 2
 
+    @pytest.mark.parametrize("order, field", [
+        ({"size": 100.9}, "size"),
+        ({"size": "100"}, "size"),
+        ({"size": True}, "size"),
+        ({"oid": True}, "oid"),      # would be oid 1, which the book already has
+        ({"oid": 1.0}, "oid"),
+        ({"oid": 2}, "oid"),         # the book's second order has oid 2
+        ({"oid": None}, "oid"),
+        ({"side": "both"}, "side"),
+        ({"price": 98.5}, "price"),
+    ], ids=["float-size", "string-size", "bool-size", "bool-oid", "float-oid",
+            "duplicate-oid", "null-oid", "bad-side", "float-price"])
+    def test_clear_malformed_book_names_the_field(self, tmp_path, capsys, order, field):
+        book = json.loads(GOLDEN_BOOK.read_text())["book"]
+        book["orders"][0].update(order)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(book))
+        assert self.run_cli("clear", "--book", str(p)) == 2
+        assert field in capsys.readouterr().err
+
     def test_costs_default_matrix(self, capsys):
         assert self.run_cli("costs") == 0
         lines = capsys.readouterr().out.strip().splitlines()
