@@ -14,7 +14,8 @@ Conventions used throughout (all arithmetic exact):
   order can execute at most ``size // cp`` lots; sub-lot dust is refunded.
 * Volumes come from one depth view per book (limits sorted once, with
   running size sums).  The oracle scores one tick per eligibility segment,
-  at most 2n + 1 of them, each in O(log n): O(n log n) per clear.
+  at most n + 1 of them, each in O(log n): O(n log n) per clear; settlement
+  reads its price levels from the same view.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, cycle
+from itertools import accumulate, cycle, groupby
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
@@ -142,13 +143,14 @@ def tight_market_orders(player: str, market: Market, oid: int,
 
 
 class _Depth:
-    """Eligible volume at any tick, from one sort of a book's limit orders.
+    """A book's price structure, from one sort of its limit orders.
 
     A buy limit is eligible at ``cp`` when ``limit >= cp`` and a sell limit
     when ``limit <= cp``; market orders are eligible at every tick and
     withdrawals at none.  Buy sizes are summed from the highest limit down
     and sell sizes from the lowest up, each sum starting from that side's
-    market-order total, so both volumes at a tick are two bisections away.
+    market-order total, so both volumes at a tick are two bisections away,
+    and the eligible orders are one slice of each sorted side.
     """
 
     def __init__(self, book: AuctionBook):
@@ -167,7 +169,6 @@ class _Depth:
         # _sell_upto[j]: B atoms of _sells[:j] plus every market sell
         self._sell_upto = list(accumulate(
             (o.size for o in self._sells), initial=sum(o.size for o in self._mkt_sells)))
-        self.limits = {*self._buy_limits, *self._sell_limits}
 
     def volumes(self, cp: int) -> tuple[int, int]:
         return (self._buy_from[bisect_left(self._buy_limits, cp)],
@@ -179,10 +180,17 @@ class _Depth:
         sell_a = sell_vol * cp
         return min(buy_vol, sell_a), buy_vol - sell_a
 
-    def eligible(self, cp: int) -> tuple[list[Order], list[Order]]:
-        """The buy and sell orders eligible at ``cp``."""
-        return (self._mkt_buys + self._buys[bisect_left(self._buy_limits, cp):],
-                self._mkt_sells + self._sells[:bisect_right(self._sell_limits, cp)])
+    def levels(self, cp: int) -> tuple[list[list[Order]], list[list[Order]]]:
+        """Each side's orders eligible at ``cp`` as price levels, most aggressive first.
+
+        The market orders lead as one level (empty if there are none), so a
+        limit level at the margin is pro-rated before any market order; then
+        buys run from the highest limit down and sells from the lowest up.
+        """
+        buys = reversed(self._buys[bisect_left(self._buy_limits, cp):])
+        sells = self._sells[:bisect_right(self._sell_limits, cp)]
+        return ([self._mkt_buys, *(list(g) for _, g in groupby(buys, attrgetter("price")))],
+                [self._mkt_sells, *(list(g) for _, g in groupby(sells, attrgetter("price")))])
 
 
 def volumes_at(book: AuctionBook, cp: int) -> tuple[int, int]:
@@ -201,16 +209,16 @@ def score_at(book: AuctionBook, cp: int) -> tuple[int, int]:
 def candidate_prices(book: AuctionBook) -> list[int]:
     """Each constant-eligibility segment's optimal tick, ascending.
 
-    Eligibility changes only at a limit ``l`` (a sell joins) and at
-    ``l + 1`` (a buy leaves), so those ticks and 1 start the segments.  On
-    a segment the buy volume B and sell volume S are fixed: the volume
+    Eligibility changes only at a sell limit (the sell joins) and one past
+    a buy limit (the buy leaves), so those ticks and 1 start the segments.
+    On a segment the buy volume B and sell volume S are fixed: the volume
     min(B, S * cp) rises until S * cp >= B, and |imbalance| rises after
     that, so the best tick under (max volume, min |imbalance|, lowest
     price) is ceil(B / S), clamped into the segment.  A segment where one
     side is empty trades nothing and gets no tick; every listed tick trades.
     """
     depth = book._depth
-    starts = sorted({1, *depth.limits, *(l + 1 for l in depth.limits)})
+    starts = sorted({1, *depth._sell_limits, *(l + 1 for l in depth._buy_limits)})
     cands = []
     for a, nxt in zip(starts, [*starts[1:], None]):
         buy_vol, sell_vol = depth.volumes(a)
@@ -258,49 +266,34 @@ def verify_clearing_price(book: AuctionBook, cp: int, volume_a: int, imbalance_a
     return vol2 < vol or (vol2 == vol and abs(imb2) >= abs(imb))
 
 
-def _levels(orders: Iterable[Order], cp: int, side: str) -> list[list[tuple[int, int, int]]]:
-    """Eligible orders as (oid, size, lot cap) levels, most aggressive first.
+def _waterfall(levels: list[list[Order]], total: int, lot: int) -> dict[int, int]:
+    """Fill ``total`` lots through priority-ordered levels of orders.
 
-    Market orders form the most aggressive level on both sides, so a limit
-    level at the margin is pro-rated before any market order.  Entries in
-    a level are in ascending oid order.
-    """
-    sign, lot = (-1, cp) if side == "buy" else (1, 1)
-    by_level: dict[tuple[int, int], list[Order]] = {}
-    for o in orders:
-        key = (0, 0) if o.price is MKT else (1, sign * o.price)
-        by_level.setdefault(key, []).append(o)
-    return [sorted((o.oid, o.size, o.size // lot) for o in by_level[key])
-            for key in sorted(by_level)]
-
-
-def _waterfall(levels: list[list[tuple[int, int, int]]], total: int) -> dict[int, int]:
-    """Fill ``total`` units through priority-ordered levels of (oid, weight, cap).
-
-    Levels whose caps fit fill to cap.  The level where the residual lands
-    gets floor pro-rata shares by weight (no floor exceeds its cap: every
-    cap is ``w // c`` for one ``c`` per side), then the leftover one unit
-    at a time by largest remainder, ties by ascending oid, cycling past
-    entries at cap; later levels get nothing.  All in integers: a level's
-    entries share one weight sum ``w_sum``, so ``floor * w_sum - total * w``
+    An order's cap is ``size // lot`` lots (``lot`` is ``cp`` for buys, 1
+    for sells).  Levels whose caps fit fill to cap.  The level where the
+    residual lands gets floor pro-rata shares by size (no floor exceeds its
+    cap: every cap shares one ``lot``), then the leftover one lot at a time
+    by largest remainder, ties by ascending oid, cycling past entries at
+    cap; later levels get nothing.  All in integers: a level's entries
+    share one size sum ``w_sum``, so ``floor * w_sum - total * size``
     ascending is remainder descending.  Absent orders fill zero.
     """
     fills: dict[int, int] = {}
     for level in levels:
-        cap_sum = sum(cap for _, _, cap in level)
+        cap_sum = sum(o.size // lot for o in level)
         if total >= cap_sum:
-            for oid, _, cap in level:
-                fills[oid] = cap
+            for o in level:
+                fills[o.oid] = o.size // lot
             total -= cap_sum
             continue
-        w_sum = sum(w for _, w, _ in level)
+        w_sum = sum(o.size for o in level)
         ranked = []
         leftover = total
-        for oid, w, cap in level:
-            floor = total * w // w_sum
-            fills[oid] = floor
+        for o in level:
+            floor = total * o.size // w_sum
+            fills[o.oid] = floor
             leftover -= floor
-            ranked.append((floor * w_sum - total * w, oid, cap))
+            ranked.append((floor * w_sum - total * o.size, o.oid, o.size // lot))
         ranked.sort()
         for _, oid, cap in cycle(ranked):
             if not leftover:
@@ -318,13 +311,13 @@ def settle(book: AuctionBook, cp: int) -> ClearingResult:
     Fills are denominated in whole B atoms; each buy lot costs exactly
     ``cp`` A atoms, so conservation holds bit-for-bit: total A spent equals
     total A received equals ``volume * cp``, and likewise for B.  Each side
-    fills ``volume`` through ``_waterfall``, a buy capped at ``size // cp``
-    lots and a sell at its size.  Callers that need the
-    local-optimality guarantee (the protocol's resolution path) run
-    ``verify_clearing_price`` first; here only a price with no volume in A
-    units is rejected.  That check counts sub-lot dust, so a price at which
-    every eligible buy is smaller than ``cp`` passes and settles zero lots,
-    refunding every order.
+    fills ``volume`` through ``_waterfall`` over the depth view's price
+    levels, a buy capped at ``size // cp`` lots and a sell at its size.
+    Callers that need the local-optimality guarantee (the protocol's
+    resolution path) run ``verify_clearing_price`` first; here only a price
+    with no volume in A units is rejected.  That check counts sub-lot dust,
+    so a price at which every eligible buy is smaller than ``cp`` passes and
+    settles zero lots, refunding every order.
     """
     if not isinstance(cp, int) or cp < 1:
         raise InvalidClearingPrice(f"not a price: {cp!r}")
@@ -332,12 +325,12 @@ def settle(book: AuctionBook, cp: int) -> ClearingResult:
     if vol == 0:
         raise InvalidClearingPrice(f"no volume trades at cp={cp}")
 
-    eligible_buys, eligible_sells = book._depth.eligible(cp)
-    volume = min(sum(o.size // cp for o in eligible_buys),
-                 sum(o.size for o in eligible_sells))
+    buy_levels, sell_levels = book._depth.levels(cp)
+    volume = min(sum(o.size // cp for level in buy_levels for o in level),
+                 sum(o.size for level in sell_levels for o in level))
 
-    buy_fills = _waterfall(_levels(eligible_buys, cp, "buy"), volume)
-    sell_fills = _waterfall(_levels(eligible_sells, cp, "sell"), volume)
+    buy_fills = _waterfall(buy_levels, volume, cp)
+    sell_fills = _waterfall(sell_levels, volume, 1)
 
     fills = []
     for o in sorted((*book.buy_orders, *book.sell_orders), key=lambda o: o.oid):

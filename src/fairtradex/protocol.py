@@ -365,10 +365,7 @@ class Protocol:
                 eligible.append((player, m))
                 self.ledger.transfer(PROTOCOL_ACCOUNT, player, TOKEN_REF, self.params.e_mm)
             else:
-                self.ledger.burn(PROTOCOL_ACCOUNT, TOKEN_REF, self.params.e_mm)
-                self._round_burned.append({"player": player, "token": TOKEN_REF,
-                                           "amount": self.params.e_mm,
-                                           "reason": "mm-liquidity-lapsed"})
+                self._burn(player, self.params.e_mm, "mm-liquidity-lapsed")
 
         self.tight_market = select_tight_market(self.revealed_mkts, eligible)
         w_tight: Width = ANY
@@ -387,16 +384,10 @@ class Protocol:
         for serial in list(self.client_commits):
             self.blacklisted.add(serial)
             self._round_blacklisted.append(serial.hex())
-            self.ledger.burn(PROTOCOL_ACCOUNT, TOKEN_REF, self.params.e_client)
-            self._round_burned.append({"player": None, "token": TOKEN_REF,
-                                       "amount": self.params.e_client,
-                                       "reason": "client-no-reveal"})
+            self._burn(None, self.params.e_client, "client-no-reveal")
             del self.client_commits[serial]
         for player in list(self.mm_commits):
-            self.ledger.burn(PROTOCOL_ACCOUNT, TOKEN_REF, self.params.e_mm)
-            self._round_burned.append({"player": player, "token": TOKEN_REF,
-                                       "amount": self.params.e_mm,
-                                       "reason": "mm-no-reveal"})
+            self._burn(player, self.params.e_mm, "mm-no-reveal")
             del self.mm_commits[player]
 
         self.book, self.width_removed = filter_by_width(AuctionBook(
@@ -404,6 +395,12 @@ class Protocol:
             w_tight=w_tight))
         self.phase = Phase.RESOLUTION
         self.last_phase_change = height
+
+    def _burn(self, player: Optional[str], amount: int, reason: str) -> None:
+        """Burn an escrow of ``amount`` REF and record it in the round's report."""
+        self.ledger.burn(PROTOCOL_ACCOUNT, TOKEN_REF, amount)
+        self._round_burned.append({"player": player, "token": TOKEN_REF,
+                                   "amount": amount, "reason": reason})
 
     # -- resolution ----------------------------------------------------------
 

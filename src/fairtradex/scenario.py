@@ -106,7 +106,9 @@ _positive = _check(lambda v: type(v) is int and v >= 1, "an integer >= 1")
 _seed = _check(lambda v: type(v) is int and 0 <= v < 2**64, "an integer in [0, 2**64)")
 _boolean = _check(lambda v: type(v) is bool, "a boolean")
 _string = _check(lambda v: type(v) is str, "a string")
-_id = _check(lambda v: type(v) is str and v != "", "a non-empty string")
+# the Runner relays a transaction by its sender, so no agent may be RELAYED
+_id = _check(lambda v: type(v) is str and v not in ("", RELAYED),
+             f"a non-empty string other than {RELAYED!r}")
 _ref = _check(lambda v: v == "mifp" or type(v) is int and v >= 1,
               '"mifp" or a tick count >= 1')
 
@@ -144,7 +146,6 @@ class ClientStrategy:
     limit_price: Optional[int] = _field(_positive, None)
     commit: bool = _field(_boolean, True)
     reveal: bool = _field(_boolean, True)
-    re_register: bool = _field(_boolean, True)  # moot in a one-round scenario
 
 
 @dataclass(frozen=True)
@@ -161,18 +162,155 @@ class HunterStrategy:
     invalid_first: bool = _field(_boolean, False)
 
 
-#: each role's strategy accepts exactly the keys its agent reads
-_STRATEGIES = {"client": ClientStrategy, "mm": MMStrategy, "relayer": None,
-               "bounty_hunter": HunterStrategy}
+@dataclass(frozen=True)
+class RelayerStrategy:
+    """A relayer reads no strategy keys: it only carries relayed commits."""
+
+
+class ClientAgent:
+    def __init__(self, pid: str, strategy: ClientStrategy):
+        self.pid = pid
+        self.strategy = strategy
+        self.secret = None
+        self.committed_round = -1
+        self.revealed_round = -1
+        self.order: Optional[tuple] = None  # (tkn, size, price, width)
+        self._secret_counter = 0
+
+    def _fresh_secret(self, runner: "Runner"):
+        # every secret derives from the scenario seed
+        self._secret_counter += 1
+        return gen_secret(derive_seed(runner.config.seed,
+                                      f"client:{self.pid}:{self._secret_counter}"))
+
+    def plan_registration(self, runner: "Runner") -> Tx:
+        self.secret = self._fresh_secret(runner)
+        return Tx(kind=CLIENT_REGISTER, payload=RegisterPayload(reg_id(self.secret)),
+                  sender=self.pid)
+
+    def _sized_order(self, runner: "Runner", params: ProtocolParams):
+        s = self.strategy
+        side = s.side
+        if side == "random":
+            side = "buy" if runner.next_direction() > 0 else "sell"
+        if s.order == "withdraw":
+            return (TOKEN_A, 1, WITHDRAW, s.width_req)
+        price = MKT if s.order == "mkt" else s.limit_price
+        if side == "buy":
+            size = int(Fraction(s.notional) / params.p_a)
+            return (TOKEN_A, size, price, s.width_req)
+        hint = runner.current_y() if price is MKT else price
+        size = int(Fraction(s.notional) / (params.p_a * hint))
+        return (TOKEN_B, size, price, s.width_req)
+
+    def on_block(self, runner: "Runner") -> list[Tx]:
+        proto = runner.protocol
+        rnd = proto.round
+        if proto.phase is Phase.COMMIT and self.strategy.commit and self.committed_round < rnd:
+            if reg_id(self.secret) not in proto.clients:
+                return []  # registration not confirmed yet
+            self.order = self._sized_order(runner, proto.params)
+            tkn, size, price, width = self.order
+            com = client_commitment(tkn, size, price, width)
+            proof = prove_membership(self.secret, proto.clients, com)
+            tx = Tx(kind=COMMIT_CLIENT, sender=RELAYED,
+                    payload=ClientCommitPayload(com=com, serial=self.secret.s, proof=proof))
+            self.committed_round = rnd
+            return [tx]
+        if (proto.phase is Phase.REVEAL and self.strategy.reveal
+                and self.committed_round == rnd and self.revealed_round < rnd):
+            tkn, size, price, width = self.order
+            stay = rnd + 1 < runner.rounds
+            new_token = None
+            if stay:
+                next_secret = self._fresh_secret(runner)
+                new_token = reg_id(next_secret)
+            tx = Tx(kind=CLIENT_REVEAL, sender=self.pid,
+                    payload=ClientRevealPayload(
+                        tkn=tkn, size=size, price=price, width=width,
+                        serial=self.secret.s, randomness=self.secret.r,
+                        reg_id=reg_id(self.secret), reg_token_new=new_token))
+            self.revealed_round = rnd
+            if stay:
+                self.secret = next_secret
+            return [tx]
+        return []
+
+
+class MMAgent:
+    def __init__(self, pid: str, strategy: MMStrategy):
+        self.pid = pid
+        self.strategy = strategy
+        self.committed_round = -1
+        self.revealed_round = -1
+        self.market: Optional[Market] = None
+
+    def _make_market(self, runner: "Runner", params: ProtocolParams) -> Market:
+        s = self.strategy
+        bid, offer = quote(runner.current_y() if s.ref == "mifp" else s.ref, s.width)
+        min_bid = ceil(Fraction(params.q_not) / params.p_a)
+        min_offer = ceil(Fraction(params.q_not) / (params.p_a * offer))
+        return Market(bid=bid, size_bid=s.size_mult * min_bid,
+                      offer=offer, size_offer=s.size_mult * min_offer)
+
+    def on_block(self, runner: "Runner") -> list[Tx]:
+        proto = runner.protocol
+        rnd = proto.round
+        if proto.phase is Phase.COMMIT and self.strategy.commit and self.committed_round < rnd:
+            self.market = self._make_market(runner, proto.params)
+            tx = Tx(kind=COMMIT_MM, sender=self.pid,
+                    payload=MMCommitPayload(mm_commitment(self.market)))
+            self.committed_round = rnd
+            return [tx]
+        if (proto.phase is Phase.REVEAL and self.strategy.reveal
+                and self.committed_round == rnd and self.revealed_round < rnd):
+            tx = Tx(kind=MM_REVEAL, sender=self.pid,
+                    payload=MMRevealPayload(self.market))
+            self.revealed_round = rnd
+            return [tx]
+        return []
+
+
+class BountyHunterAgent:
+    def __init__(self, pid: str, strategy: HunterStrategy):
+        self.pid = pid
+        self.strategy = strategy
+        self.attempted_round = -1
+
+    def on_block(self, runner: "Runner") -> list[Tx]:
+        proto = runner.protocol
+        if proto.phase is not Phase.RESOLUTION or self.attempted_round >= proto.round:
+            return []
+        cand = find_clearing_price(proto.book)
+        if cand is None:
+            return []
+        self.attempted_round = proto.round
+        out = []
+        if self.strategy.invalid_first:
+            # a doomed proposal first, in the same block, to forfeit a deposit
+            bogus = CpPayload(cp=cand.cp, volume_a=cand.volume_a + 1,
+                              imbalance_a=cand.imbalance_a)
+            out.append(Tx(kind=CP, sender=self.pid, payload=bogus))
+        payload = CpPayload(cp=cand.cp, volume_a=cand.volume_a,
+                            imbalance_a=cand.imbalance_a)
+        out.append(Tx(kind=CP, sender=self.pid, payload=payload))
+        return out
+
+
+#: each role's strategy record (exactly the keys its agent reads) and agent
+#: class; a relayer is no agent, the chain assigns it relayed transactions
+_ROLES = {"client": (ClientStrategy, ClientAgent), "mm": (MMStrategy, MMAgent),
+          "relayer": (RelayerStrategy, None),
+          "bounty_hunter": (HunterStrategy, BountyHunterAgent)}
 
 
 @dataclass(frozen=True)
 class AgentConfig:
     id: str = _field(_id)
-    role: str = _field(_choice(*_STRATEGIES))
+    role: str = _field(_choice(*_ROLES))
     funding: tuple[tuple[str, int], ...] = _field(_funding, ())
     # the raw JSON object until _agents parses it for the role
-    strategy: Union[ClientStrategy, MMStrategy, HunterStrategy, None] = _field(
+    strategy: Union[ClientStrategy, MMStrategy, HunterStrategy, RelayerStrategy] = _field(
         lambda value, where: value, default_factory=dict)
 
 
@@ -186,13 +324,8 @@ def _agents(value: Any, where: str) -> tuple[AgentConfig, ...]:
             _fail(where, f"duplicate id {agent.id!r}")
         seen.add(agent.id)
         at = f"agent {agent.id!r} strategy"
-        cls = _STRATEGIES[agent.role]
-        if cls is None:
-            _object(agent.strategy, at, ())  # a relayer reads no strategy keys
-            strategy = None
-        else:
-            strategy = _parse(cls, agent.strategy, at)
-        if cls is ClientStrategy:
+        strategy = _parse(_ROLES[agent.role][0], agent.strategy, at)
+        if agent.role == "client":
             if strategy.order != "withdraw" and strategy.notional is None:
                 _fail(f"{at}.notional", f"a {strategy.order} order needs notional")
             if strategy.order == "limit" and strategy.limit_price is None:
@@ -264,136 +397,6 @@ def payload_to_json(payload: Any) -> Any:
     return {"repr": repr(payload)}
 
 
-class ClientAgent:
-    def __init__(self, pid: str, strategy: ClientStrategy, rounds: int, seed: int):
-        self.pid = pid
-        self.strategy = strategy
-        self.rounds = rounds
-        self.seed = seed  # the scenario seed; every secret derives from it
-        self.secret = None
-        self.committed_round = -1
-        self.revealed_round = -1
-        self.order: Optional[tuple] = None  # (tkn, size, price, width)
-        self._secret_counter = 0
-
-    def _fresh_secret(self):
-        self._secret_counter += 1
-        return gen_secret(derive_seed(self.seed, f"client:{self.pid}:{self._secret_counter}"))
-
-    def plan_registration(self) -> Tx:
-        self.secret = self._fresh_secret()
-        return Tx(kind=CLIENT_REGISTER, payload=RegisterPayload(reg_id(self.secret)),
-                  sender=self.pid)
-
-    def _sized_order(self, runner: "Runner", params: ProtocolParams):
-        s = self.strategy
-        side = s.side
-        if side == "random":
-            side = "buy" if runner.next_direction() > 0 else "sell"
-        if s.order == "withdraw":
-            return (TOKEN_A, 1, WITHDRAW, s.width_req)
-        price = MKT if s.order == "mkt" else s.limit_price
-        if side == "buy":
-            size = int(Fraction(s.notional) / params.p_a)
-            return (TOKEN_A, size, price, s.width_req)
-        hint = runner.current_y() if price is MKT else price
-        size = int(Fraction(s.notional) / (params.p_a * hint))
-        return (TOKEN_B, size, price, s.width_req)
-
-    def on_block(self, runner: "Runner") -> list[tuple[str, Tx]]:
-        proto = runner.protocol
-        rnd = proto.round
-        if proto.phase is Phase.COMMIT and self.strategy.commit and self.committed_round < rnd:
-            if reg_id(self.secret) not in proto.clients:
-                return []  # registration not confirmed yet
-            self.order = self._sized_order(runner, proto.params)
-            tkn, size, price, width = self.order
-            com = client_commitment(tkn, size, price, width)
-            proof = prove_membership(self.secret, proto.clients, com)
-            tx = Tx(kind=COMMIT_CLIENT, sender=RELAYED,
-                    payload=ClientCommitPayload(com=com, serial=self.secret.s, proof=proof))
-            self.committed_round = rnd
-            return [("relay", tx)]
-        if (proto.phase is Phase.REVEAL and self.strategy.reveal
-                and self.committed_round == rnd and self.revealed_round < rnd):
-            tkn, size, price, width = self.order
-            stay = self.strategy.re_register and rnd + 1 < self.rounds
-            new_token = None
-            if stay:
-                next_secret = self._fresh_secret()
-                new_token = reg_id(next_secret)
-            tx = Tx(kind=CLIENT_REVEAL, sender=self.pid,
-                    payload=ClientRevealPayload(
-                        tkn=tkn, size=size, price=price, width=width,
-                        serial=self.secret.s, randomness=self.secret.r,
-                        reg_id=reg_id(self.secret), reg_token_new=new_token))
-            self.revealed_round = rnd
-            if stay:
-                self.secret = next_secret
-            return [("submit", tx)]
-        return []
-
-
-class MMAgent:
-    def __init__(self, pid: str, strategy: MMStrategy):
-        self.pid = pid
-        self.strategy = strategy
-        self.committed_round = -1
-        self.revealed_round = -1
-        self.market: Optional[Market] = None
-
-    def _make_market(self, runner: "Runner", params: ProtocolParams) -> Market:
-        s = self.strategy
-        bid, offer = quote(runner.current_y() if s.ref == "mifp" else s.ref, s.width)
-        min_bid = ceil(Fraction(params.q_not) / params.p_a)
-        min_offer = ceil(Fraction(params.q_not) / (params.p_a * offer))
-        return Market(bid=bid, size_bid=s.size_mult * min_bid,
-                      offer=offer, size_offer=s.size_mult * min_offer)
-
-    def on_block(self, runner: "Runner") -> list[tuple[str, Tx]]:
-        proto = runner.protocol
-        rnd = proto.round
-        if proto.phase is Phase.COMMIT and self.strategy.commit and self.committed_round < rnd:
-            self.market = self._make_market(runner, proto.params)
-            tx = Tx(kind=COMMIT_MM, sender=self.pid,
-                    payload=MMCommitPayload(mm_commitment(self.market)))
-            self.committed_round = rnd
-            return [("submit", tx)]
-        if (proto.phase is Phase.REVEAL and self.strategy.reveal
-                and self.committed_round == rnd and self.revealed_round < rnd):
-            tx = Tx(kind=MM_REVEAL, sender=self.pid,
-                    payload=MMRevealPayload(self.market))
-            self.revealed_round = rnd
-            return [("submit", tx)]
-        return []
-
-
-class BountyHunterAgent:
-    def __init__(self, pid: str, strategy: HunterStrategy):
-        self.pid = pid
-        self.strategy = strategy
-        self.attempted_round = -1
-
-    def on_block(self, runner: "Runner") -> list[tuple[str, Tx]]:
-        proto = runner.protocol
-        if proto.phase is not Phase.RESOLUTION or self.attempted_round >= proto.round:
-            return []
-        cand = find_clearing_price(proto.book)
-        if cand is None:
-            return []
-        self.attempted_round = proto.round
-        out = []
-        if self.strategy.invalid_first:
-            # a doomed proposal first, in the same block, to forfeit a deposit
-            bogus = CpPayload(cp=cand.cp, volume_a=cand.volume_a + 1,
-                              imbalance_a=cand.imbalance_a)
-            out.append(("submit", Tx(kind=CP, sender=self.pid, payload=bogus)))
-        payload = CpPayload(cp=cand.cp, volume_a=cand.volume_a,
-                            imbalance_a=cand.imbalance_a)
-        out.append(("submit", Tx(kind=CP, sender=self.pid, payload=payload)))
-        return out
-
-
 @dataclass
 class RunResult:
     trace: list[dict]
@@ -425,21 +428,15 @@ class Runner:
         mifp_seed = derive_seed(cfg.seed, "mifp") if cfg.mifp.seed is None else cfg.mifp.seed
         self._direction_rng = random.Random(derive_seed(mifp_seed, "directions"))
 
-        self.clients: list[ClientAgent] = []
         self.agents: list = []
         for spec in cfg.agents:
             for tkn, amt in spec.funding:
                 self.ledger.mint(spec.id, tkn, amt)
-            if spec.role == "client":
-                agent = ClientAgent(spec.id, spec.strategy, self.rounds, cfg.seed)
-                self.clients.append(agent)
-                self.agents.append(agent)
-            elif spec.role == "mm":
-                self.agents.append(MMAgent(spec.id, spec.strategy))
-            elif spec.role == "bounty_hunter":
-                self.agents.append(BountyHunterAgent(spec.id, spec.strategy))
-            else:
+            _, cls = _ROLES[spec.role]
+            if cls is None:
                 self.chain.register_relayer(spec.id)
+            else:
+                self.agents.append(cls(spec.id, spec.strategy))
         self.ledger.mint(PROTOCOL_ACCOUNT, TOKEN_REF, cfg.protocol_funding)
 
         self.trace: list[dict] = []
@@ -470,8 +467,8 @@ class Runner:
 
     def _step_block(self) -> None:
         for agent in self.agents:
-            for channel, tx in agent.on_block(self):
-                if channel == "relay":
+            for tx in agent.on_block(self):
+                if tx.sender == RELAYED:
                     try:
                         self.chain.relay(tx, self.protocol.commit_looks_valid)
                     except InvalidProof:
@@ -500,8 +497,9 @@ class Runner:
     def run(self) -> RunResult:
         # registration window: queue all registrations, then let them land;
         # every agent stays silent while protocol.phase is None
-        for agent in self.clients:
-            self.chain.submit(agent.plan_registration())
+        for agent in self.agents:
+            if isinstance(agent, ClientAgent):
+                self.chain.submit(agent.plan_registration(self))
         while self.chain.pending:
             self._step_block()
         self.protocol.initialise(self.chain.height)

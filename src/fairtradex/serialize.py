@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Any
 
 from .auction import AuctionBook, ClearingResult
-from .units import ANY, MKT, WITHDRAW, Order, Price, Width
+from .units import ANY, MKT, WITHDRAW, Order, Price, Width, check_width
 
 
 def dumps_canonical(obj: Any) -> str:
@@ -84,7 +84,11 @@ def order_from_json(d: dict) -> Order:
 
 
 def book_from_json(doc: dict) -> AuctionBook:
-    """A book from its JSON form; every order's ``oid`` must be distinct."""
+    """A book from its JSON form; oids are distinct and ``w_tight`` is a width."""
+    try:
+        w_tight = check_width(width_from_json(doc.get("w_tight", "any")))
+    except ValueError as e:
+        raise ValueError(f"w_tight: {e}") from None
     buys, sells, oids = [], [], set()
     for od in doc["orders"]:
         o = order_from_json(od)
@@ -92,8 +96,7 @@ def book_from_json(doc: dict) -> AuctionBook:
             raise ValueError(f"duplicate order oid {o.oid}")
         oids.add(o.oid)
         (buys if o.side == "buy" else sells).append(o)
-    return AuctionBook(buy_orders=tuple(buys), sell_orders=tuple(sells),
-                       w_tight=width_from_json(doc.get("w_tight", "any")))
+    return AuctionBook(buy_orders=tuple(buys), sell_orders=tuple(sells), w_tight=w_tight)
 
 
 def result_to_json(res: ClearingResult) -> dict:

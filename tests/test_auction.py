@@ -137,18 +137,27 @@ class TestVolumes:
             sells = [o for o in b.sell_orders
                      if o.price is MKT or (isinstance(o.price, int) and o.price <= cp)]
             assert volumes_at(b, cp) == (sum(o.size for o in buys), sum(o.size for o in sells))
-            eligible_buys, eligible_sells = b._depth.eligible(cp)
-            assert sorted(o.oid for o in eligible_buys) == sorted(o.oid for o in buys)
-            assert sorted(o.oid for o in eligible_sells) == sorted(o.oid for o in sells)
+            buy_levels, sell_levels = b._depth.levels(cp)
+            for levels, direct, sign in ((buy_levels, buys, -1), (sell_levels, sells, 1)):
+                # the market level first, then one price per limit level,
+                # from the most aggressive limit to the least
+                assert all(o.price is MKT for o in levels[0])
+                prices = []
+                for level in levels[1:]:
+                    assert level and {o.price for o in level} == {level[0].price}
+                    prices.append(sign * level[0].price)
+                assert prices == sorted(set(prices))
+                assert (sorted(o.oid for level in levels for o in level)
+                        == sorted(o.oid for o in direct))
 
 
 # wide distinct-limit books: (seed, orders, highest tick) -> candidate count
 # and sha256 of the comma-joined candidate list, pinned so that any change to
 # the candidate set shows
 WIDE_CANDIDATES = {
-    (1, 200, 11_000): (275, "0b62f8d0b002065559e7ade4e452820def117d4077f5f1bd1c1438a00f1d44ba"),
-    (2, 500, 100_000): (714, "a348455ed20e03b3b58c23bc22249256a4c1f399ad9e09a25265d3426e263561"),
-    (3, 1000, 100_000): (1443, "d7ea35b703416393918635e6f0ea73503732fa84b0793af3d9988ce89ee2c154"),
+    (1, 200, 11_000): (139, "25a3be9f1b45794327f4a58d706d4af1a020fdfd176094500d2d270e4f7d95e4"),
+    (2, 500, 100_000): (358, "9a07eaeb5284ab0c08002cba0f008f1cbbcebb4bb1fed186a9e680f8019e35a8"),
+    (3, 1000, 100_000): (724, "732763a0629a7d31a79c3a7da03f055ff3b64c5b0f8b6cd13acbaa116659f154"),
 }
 
 
@@ -160,9 +169,9 @@ class TestCandidates:
     @pytest.mark.parametrize("buys, sells, expected", [
         ([buy(0, 100, MKT)], [sell(1, 3, MKT)], [34]),
         ([buy(0, 100, MKT), buy(1, 250, 52)], [sell(2, 4, 50), sell(3, 2, 48)],
-         [48, 49, 50, 51, 52, 53]),
+         [49, 52, 53]),
         ([buy(0, 90, 40), buy(1, 60, 40)], [sell(2, 1, 40), sell(3, 2, 35), sell(4, 1, MKT)],
-         [34, 35, 39, 40]),
+         [34, 39, 40]),
         ([buy(0, 10, 90)], [sell(1, 10, 110)], []),
     ])
     def test_small_books(self, buys, sells, expected):
@@ -177,13 +186,19 @@ class TestCandidates:
     def test_one_optimum_per_segment(self, orders):
         """Each segment's best tick under the oracle's ranking, by a dense scan.
 
-        Segments start at 1, at every limit and one past every limit; the
-        last one is scanned far enough that volume is flat and |imbalance|
-        only grows past its end.
+        Segments start at 1, at every sell limit and one past every buy
+        limit, and adjacent segments differ in (buy volume, sell volume);
+        the last one is scanned far enough that volume is flat and
+        |imbalance| only grows past its end.
         """
         b = book_of_tuples(orders)
-        limits = {price for _, _, price in orders if isinstance(price, int)}
-        starts = sorted({1} | limits | {l + 1 for l in limits})
+        starts = sorted({1}
+                        | {price for is_buy, _, price in orders
+                           if not is_buy and isinstance(price, int)}
+                        | {price + 1 for is_buy, _, price in orders
+                           if is_buy and isinstance(price, int)})
+        for a, nxt in zip(starts, starts[1:]):
+            assert volumes_at(b, a) != volumes_at(b, nxt)
         total_buy = sum(size for is_buy, size, _ in orders if is_buy)
         expected = []
         for a, nxt in zip(starts, starts[1:] + [starts[-1] + total_buy + 2]):
@@ -338,6 +353,14 @@ class TestSettle:
         assert fills[0].received == 2   # market order fills to capacity
         assert fills[1].received == 1   # marginal limit takes the remainder
         assert fills[2].executed == 3
+
+    def test_more_aggressive_limit_fills_first(self):
+        # two lots trade on the short side: the higher buy limit and the
+        # lower sell limit take both, whatever the order of the book
+        b = book_of([buy(0, 100, 50), buy(1, 100, 55)], [sell(2, 2, MKT)])
+        assert [f.received for f in settle(b, 50).fills[:2]] == [0, 2]
+        b = book_of([buy(0, 100, MKT)], [sell(1, 2, 50), sell(2, 2, 45)])
+        assert [f.executed for f in settle(b, 50).fills[1:]] == [0, 2]
 
     def test_marginal_level_skips_entries_at_lot_cap(self):
         # six lots over four market buys with caps 5/0/2/1: floors 3/0/1/0

@@ -82,6 +82,8 @@ MALFORMED = [
                  id="bad-side"),
     pytest.param(_set("agents", MM1, "id", value=""), "agents.0.id", id="empty-id"),
     pytest.param(_set("agents", MM1, "id", value=7), "agents.0.id", id="non-string-id"),
+    # the Runner relays a transaction by its sender, so that id is reserved
+    pytest.param(_set("agents", MM1, "id", value="RELAYED"), "agents.0.id", id="reserved-id"),
     pytest.param(_set("mifp", "y0", value=0), "y0", id="zero-y0"),
     pytest.param(_set("params", "t_blocks", value=0), "t_blocks", id="zero-t_blocks"),
     pytest.param(_set("outputs", "trace", value=1), "outputs.trace", id="non-string-trace"),
@@ -398,21 +400,27 @@ class TestCli:
         p.write_text("{nope")
         assert self.run_cli("clear", "--book", str(p)) == 2
 
-    @pytest.mark.parametrize("order, field", [
-        ({"size": 100.9}, "size"),
-        ({"size": "100"}, "size"),
-        ({"size": True}, "size"),
-        ({"oid": True}, "oid"),      # would be oid 1, which the book already has
-        ({"oid": 1.0}, "oid"),
-        ({"oid": 2}, "oid"),         # the book's second order has oid 2
-        ({"oid": None}, "oid"),
-        ({"side": "both"}, "side"),
-        ({"price": 98.5}, "price"),
+    @pytest.mark.parametrize("mutate, field", [
+        (_set("orders", 0, "size", value=100.9), "size"),
+        (_set("orders", 0, "size", value="100"), "size"),
+        (_set("orders", 0, "size", value=True), "size"),
+        # would be oid 1, which the book already has
+        (_set("orders", 0, "oid", value=True), "oid"),
+        (_set("orders", 0, "oid", value=1.0), "oid"),
+        # the book's second order has oid 2
+        (_set("orders", 0, "oid", value=2), "oid"),
+        (_set("orders", 0, "oid", value=None), "oid"),
+        (_set("orders", 0, "side", value="both"), "side"),
+        (_set("orders", 0, "price", value=98.5), "price"),
+        # a width below 1 used to clear with exit 0
+        (_set("w_tight", value="1/2"), "w_tight"),
+        (_set("w_tight", value=0), "w_tight"),
+        (_set("w_tight", value="-3"), "w_tight"),
     ], ids=["float-size", "string-size", "bool-size", "bool-oid", "float-oid",
-            "duplicate-oid", "null-oid", "bad-side", "float-price"])
-    def test_clear_malformed_book_names_the_field(self, tmp_path, capsys, order, field):
-        book = json.loads(GOLDEN_BOOK.read_text())["book"]
-        book["orders"][0].update(order)
+            "duplicate-oid", "null-oid", "bad-side", "float-price",
+            "half-w_tight", "zero-w_tight", "negative-w_tight"])
+    def test_clear_malformed_book_names_the_field(self, tmp_path, capsys, mutate, field):
+        book = mutate(json.loads(GOLDEN_BOOK.read_text())["book"])
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(book))
         assert self.run_cli("clear", "--book", str(p)) == 2
