@@ -15,7 +15,7 @@ fixed width, and which vanishes at (p=y, w=1, d=1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -286,7 +286,7 @@ def _best_response_closed_form(profile: StrategyProfile, grid: DeviationGrid,
 
 @dataclass(frozen=True)
 class _EngineGame:
-    """Width-sensitive batch auction round, evaluated at a fixed flow pattern.
+    """Width-sensitive batch auction round, evaluated over client flow patterns.
 
     Client i sells A (buys the swap) when its direction is +1, with a fixed
     per-client notional.  Quoter sizes dwarf total client flow, so the
@@ -294,12 +294,12 @@ class _EngineGame:
     token deltas at the fair price y; clients use the signed log-distance
     convention scaled by their filled fraction.
 
-    A round is three steps.  The tight market depends on the quoters'
-    strategies alone, so ``tight_orders`` runs once per strategy profile;
-    ``filtered_book`` assembles one flow pattern's book from it and the
-    clients' orders; ``clear`` turns a filtered book into utilities, which
-    depend on nothing else, so ``_outcome_table`` clears each distinct
-    filtered book once per check.
+    The tight market and the width filter depend on the strategy profile
+    alone, so ``outcome_table`` quotes, picks the tight market and filters
+    once per profile; each flow pattern then takes the kept orders on its
+    clients' sides.  ``clear`` turns a filtered book into utilities, which
+    depend on nothing else, so one memo shared by a check clears each
+    distinct book once.
     """
 
     y: int
@@ -307,9 +307,17 @@ class _EngineGame:
     n_clients: int
     client_size_a: int     # A atoms sold by a buyer of the swap
 
-    def tight_orders(self, mm_strats: Sequence[tuple[int, Fraction]]
-                     ) -> tuple[Order, Order, Fraction]:
-        """The selected tight market's buy and sell orders, and its width."""
+    def outcome_table(self, mm_strats: Sequence[tuple[int, Fraction]],
+                      client_strats: Sequence[ClientProfile],
+                      memo: dict) -> dict[str, np.ndarray]:
+        """Every player's utility for each of the 2^k client flow patterns,
+        indexed by pattern number: bit i is set when client i buys.
+
+        ``memo`` maps what reaches ``clear`` (the tight market and each kept
+        client order's oid, token and price; widths no longer matter once
+        the filter has run) to its utilities.  Sharing it across the
+        profiles of one check (one quoter count) clears each distinct book
+        once."""
         depth = 10 * self.n_clients * self.client_size_a
         revealed = []
         for i, (ref, w) in enumerate(mm_strats):
@@ -318,34 +326,30 @@ class _EngineGame:
                                              offer=offer, size_offer=depth)))
         tight = select_tight_market(revealed)
         assert tight is not None
-        player, m = tight
-        buy, sell = tight_market_orders(player, m, self.n_clients, m.size_bid, m.size_offer)
-        return buy, sell, market_width(m)
-
-    def client_orders(self, client_strats: Sequence[ClientProfile]) -> list[tuple[Order, Order]]:
-        """Client i's buy and sell order (oid i); its direction picks one."""
-        size_b = self.client_size_a // self.y
-        orders = []
+        m = tight[1]
+        buy, sell = tight_market_orders(tight[0], m, self.n_clients, m.size_bid, m.size_offer)
+        # client i's buy and sell order (oid i); its direction picks one
+        buys, sells = [], []
         for i, cs in enumerate(client_strats):
             price = MKT if cs.order_type == "mkt" else cs.limit_price
-            orders.append((Order(oid=i, owner=f"c{i}", tkn=TOKEN_A, size=self.client_size_a,
-                                 price=price, width_req=cs.width_req),
-                           Order(oid=i, owner=f"c{i}", tkn=TOKEN_B, size=size_b,
-                                 price=price, width_req=cs.width_req)))
-        return orders
-
-    @staticmethod
-    def filtered_book(tight: tuple[Order, Order, Fraction],
-                      client_orders: Sequence[tuple[Order, Order]],
-                      directions: Sequence[int]) -> AuctionBook:
-        """One flow pattern's book after the width filter."""
-        buy, sell, w_tight = tight
-        buys = [b for (b, _s), d in zip(client_orders, directions) if d > 0]
-        sells = [s for (_b, s), d in zip(client_orders, directions) if d <= 0]
-        book = AuctionBook(buy_orders=(*buys, buy), sell_orders=(*sells, sell),
-                           w_tight=w_tight)
-        filtered, _removed = filter_by_width(book)
-        return filtered
+            buys.append(Order(oid=i, owner=f"c{i}", tkn=TOKEN_A, size=self.client_size_a,
+                              price=price, width_req=cs.width_req))
+            sells.append(Order(oid=i, owner=f"c{i}", tkn=TOKEN_B, size=self.client_size_a // self.y,
+                               price=price, width_req=cs.width_req))
+        kept, _removed = filter_by_width(AuctionBook(
+            buy_orders=(*buys, buy), sell_orders=(*sells, sell), w_tight=market_width(m)))
+        # the tight orders are width ANY, so each side keeps its own last
+        kept_buys, kept_sells = kept.buy_orders[:-1], kept.sell_orders[:-1]
+        outcomes = []
+        for bits in range(2 ** self.n_clients):
+            flow_buys = tuple(o for o in kept_buys if bits >> o.oid & 1)
+            flow_sells = tuple(o for o in kept_sells if not bits >> o.oid & 1)
+            key = (tight, tuple((o.oid, o.tkn, o.price) for o in (*flow_buys, *flow_sells)))
+            if key not in memo:
+                memo[key] = self.clear(replace(kept, buy_orders=(*flow_buys, buy),
+                                               sell_orders=(*flow_sells, sell)), len(mm_strats))
+            outcomes.append(memo[key])
+        return {player: np.array([u[player] for u in outcomes]) for player in outcomes[0]}
 
     def clear(self, filtered: AuctionBook, n_mms: int) -> dict[str, float]:
         """Every player's utility from clearing and settling ``filtered``."""
@@ -371,35 +375,6 @@ class _EngineGame:
                     float(cand.cp), float(self.y), o.side, float(self.f_mcf))
         return utilities
 
-    def evaluate(self, mm_strats: Sequence[tuple[int, Fraction]],
-                 client_strats: Sequence[ClientProfile],
-                 directions: Sequence[int]) -> dict[str, float]:
-        book = self.filtered_book(self.tight_orders(mm_strats),
-                                  self.client_orders(client_strats), directions)
-        return self.clear(book, len(mm_strats))
-
-
-def _outcome_table(game: _EngineGame, mm_strats, client_strats,
-                   memo: dict) -> dict[str, np.ndarray]:
-    """Every player's engine utility for each of the 2^k client flow
-    patterns, indexed by pattern number: bit i is set when client i buys.
-
-    The tight market is chosen once for the profile.  ``memo`` maps a
-    filtered book to its utilities; sharing it across the profiles of one
-    check (one quoter count) clears each distinct book once."""
-    k = game.n_clients
-    n_mms = len(mm_strats)
-    tight = game.tight_orders(mm_strats)
-    orders = game.client_orders(client_strats)
-    outcomes = []
-    for bits in range(2 ** k):
-        book = game.filtered_book(tight, orders,
-                                  tuple(1 if bits >> i & 1 else -1 for i in range(k)))
-        if book not in memo:
-            memo[book] = game.clear(book, n_mms)
-        outcomes.append(memo[book])
-    return {player: np.array([u[player] for u in outcomes]) for player in outcomes[0]}
-
 
 def _best_response_monte_carlo(profile: StrategyProfile, grid: DeviationGrid,
                                y: int, f_mcf: Fraction, paths: int,
@@ -410,7 +385,7 @@ def _best_response_monte_carlo(profile: StrategyProfile, grid: DeviationGrid,
     base_mm = [(base_ref, profile.mm.width), (base_ref, profile.mm.width)]
     base_clients = [profile.client] * game.n_clients
     memo: dict = {}
-    base = _outcome_table(game, base_mm, base_clients, memo)
+    base = game.outcome_table(base_mm, base_clients, memo)
 
     rng = np.random.default_rng(seed)
     flows = rng.integers(0, 2, size=(paths, game.n_clients)) * 2 - 1  # common random numbers
@@ -422,7 +397,7 @@ def _best_response_monte_carlo(profile: StrategyProfile, grid: DeviationGrid,
     def paired_check(player: str, label: str, mm_strats, client_strats) -> None:
         key = "m0" if player == "mm0" else "c0"
         base_u = base_paths[key]
-        dev_u = _outcome_table(game, mm_strats, client_strats, memo)[key][path_pattern]
+        dev_u = game.outcome_table(mm_strats, client_strats, memo)[key][path_pattern]
         diff = dev_u - base_u
         gain = float(diff.mean())
         se = float(diff.std(ddof=1) / math.sqrt(len(diff)))
@@ -510,10 +485,6 @@ class CostModel:
     impact_table: Mapping[float, float]
     slippage: float = 0.0
 
-    def impact(self, notional: float) -> float:
-        """The tabulated impact fraction; ``KeyError`` for any other notional."""
-        return self.impact_table[notional]
-
 
 def _decimal_product(notional: float, *fractions: float) -> float:
     # decimal-specified fractions multiply exactly through rationals, so
@@ -526,7 +497,7 @@ def execution_cost(model: CostModel, player: PlayerProfile, notional: float) -> 
     """Expected execution cost over explicit fees, per the comparison model."""
     if model.protocol == FAIRTRADEX:
         return 0.0
-    impact = model.impact(notional)
+    impact = model.impact_table[notional]  # KeyError for an untabulated notional
     if model.protocol == AMM:
         return _decimal_product(notional, impact, model.slippage)
     if model.protocol == DIRECTION_REVEALING:

@@ -127,7 +127,6 @@ class Protocol:
         self.revealed_buys: list[Order] = []
         self.revealed_sells: list[Order] = []
         self.revealed_mkts: list[tuple[str, Market]] = []
-        self.curr_auc_notional = 0
         self.tight_market: Optional[tuple[str, Market]] = None
         # the width-filtered book, fixed when the reveal window closes
         self.book: Optional[AuctionBook] = None
@@ -208,7 +207,8 @@ class Protocol:
             return {"applied": False, "reason": "not-relayed"}
         if self.phase is not Phase.COMMIT:
             return {"applied": False, "reason": "phase"}
-        if not self.curr_auc_notional < self.params.q_not:
+        # during COMMIT entries are only added, each under a fresh serial
+        if not len(self.client_commits) * self.params.e_client < self.params.q_not:
             return {"applied": False, "reason": "notional-cap"}
         if p.serial in self.blacklisted:
             return {"applied": False, "reason": "blacklisted-serial"}
@@ -218,7 +218,6 @@ class Protocol:
         # consumes the serial as a nullifier on success
         if not membership.verify_membership(p.proof, root, p.com, self.nullifiers):
             return {"applied": False, "reason": "bad-proof"}
-        self.curr_auc_notional += self.params.e_client
         self.client_commits[p.serial] = p.com
         self.ledger.transfer(PROTOCOL_ACCOUNT, etx.relayer, TOKEN_REF, self.params.f_r)
         return {"applied": True, "relayer": etx.relayer,

@@ -77,7 +77,10 @@ def order_from_json(d: dict) -> Order:
     side = d["side"]
     if side not in ("buy", "sell"):
         raise ValueError(f"side must be buy or sell, got {side!r}")
-    return Order(oid=_integer(d, "oid"), owner=d.get("owner", "anon"),
+    owner = d.get("owner", "anon")
+    if not isinstance(owner, str):
+        raise ValueError(f"order owner must be a string, got {owner!r}")
+    return Order(oid=_integer(d, "oid"), owner=owner,
                  tkn="A" if side == "buy" else "B", size=_integer(d, "size"),
                  price=price_from_json(d["price"]),
                  width_req=width_from_json(d.get("width", "any")))
@@ -85,12 +88,18 @@ def order_from_json(d: dict) -> Order:
 
 def book_from_json(doc: dict) -> AuctionBook:
     """A book from its JSON form; oids are distinct and ``w_tight`` is a width."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"<root>: book must be an object, got {doc!r}")
     try:
         w_tight = check_width(width_from_json(doc.get("w_tight", "any")))
     except ValueError as e:
         raise ValueError(f"w_tight: {e}") from None
+    if not isinstance(doc["orders"], list):
+        raise ValueError(f"orders must be a list, got {doc['orders']!r}")
     buys, sells, oids = [], [], set()
-    for od in doc["orders"]:
+    for i, od in enumerate(doc["orders"]):
+        if not isinstance(od, dict):
+            raise ValueError(f"orders.{i} must be an object, got {od!r}")
         o = order_from_json(od)
         if o.oid in oids:
             raise ValueError(f"duplicate order oid {o.oid}")

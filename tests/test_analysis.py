@@ -8,12 +8,14 @@ import pytest
 from fairtradex.analysis import (AMM, DIRECTION_REVEALING, FAIRTRADEX,
                                  IDENTITY_REVEALING, P1, P2, ClientProfile,
                                  CostModel, DEFAULT_IMPACT_TABLE, MMProfile,
-                                 StrategyProfile, _EngineGame, _outcome_table,
-                                 best_response_check,
+                                 StrategyProfile, _EngineGame, best_response_check,
                                  client_utility, cost_table, default_grid, execution_cost,
                                  mm_buyer_leg, mm_expected_profit, mm_seller_leg,
                                  p_ref_argmax)
+from fairtradex.auction import (AuctionBook, filter_by_width, select_tight_market,
+                                tight_market_orders)
 from fairtradex.scenario import Runner, ScenarioError
+from fairtradex.units import MKT, TOKEN_A, TOKEN_B, Market, Order, market_width, quote
 
 REPO = Path(__file__).resolve().parent.parent
 TWO_MM = REPO / "scenarios" / "two_mm_competition.json"
@@ -194,6 +196,34 @@ def _competitive_deviations():
     return game, ("base", None, mms, clients), deviations
 
 
+def _reference_books(game, mm_strats, client_strats):
+    """Each flow pattern's book, built in full and filtered on its own: the
+    tight market's two orders plus each client's order on its side."""
+    depth = 10 * game.n_clients * game.client_size_a
+    revealed = []
+    for i, (ref, w) in enumerate(mm_strats):
+        bid, offer = quote(ref, w)
+        revealed.append((f"m{i}", Market(bid=bid, size_bid=depth, offer=offer, size_offer=depth)))
+    player, m = select_tight_market(revealed)
+    buy, sell = tight_market_orders(player, m, game.n_clients, depth, depth)
+    books = []
+    for bits in range(2 ** game.n_clients):
+        buys, sells = [], []
+        for i, cs in enumerate(client_strats):
+            price = MKT if cs.order_type == "mkt" else cs.limit_price
+            if bits >> i & 1:
+                buys.append(Order(oid=i, owner=f"c{i}", tkn=TOKEN_A, size=game.client_size_a,
+                                  price=price, width_req=cs.width_req))
+            else:
+                sells.append(Order(oid=i, owner=f"c{i}", tkn=TOKEN_B,
+                                   size=game.client_size_a // game.y,
+                                   price=price, width_req=cs.width_req))
+        filtered, _removed = filter_by_width(AuctionBook(
+            buy_orders=(*buys, buy), sell_orders=(*sells, sell), w_tight=market_width(m)))
+        books.append(filtered)
+    return books
+
+
 class TestBestResponse:
     def test_single_quoter_profile_confirmed(self):
         rep = best_response_check(MONOPOLY, n_mms=1)
@@ -235,32 +265,36 @@ class TestBestResponse:
         Monte Carlo seed that flags one has drawn a sampling false positive."""
         game, (_, _, mms, clients), deviations = _competitive_deviations()
         memo: dict = {}
-        base = _outcome_table(game, mms, clients, memo)
-        gains = {label: float(np.mean(_outcome_table(game, m, c, memo)[key] - base[key]))
+        base = game.outcome_table(mms, clients, memo)
+        gains = {label: float(np.mean(game.outcome_table(m, c, memo)[key] - base[key]))
                  for label, key, m, c in deviations}
         assert max(gains.values()) <= 0.0, {k: g for k, g in gains.items() if g > 0}
 
     def test_outcome_tables_match_evaluate_loop(self):
         """Outcome tables built with one memo shared by the base profile and
-        all 88 deviations equal the plain per-pattern loop of ``evaluate``."""
+        all 88 deviations equal a plain per-pattern loop: each pattern's
+        full book (the tight market's orders plus each client's order on
+        its side), filtered by width, then cleared."""
         game, base, deviations = _competitive_deviations()
         memo: dict = {}
-        patterns = [tuple(1 if bits >> i & 1 else -1 for i in range(game.n_clients))
-                    for bits in range(2 ** game.n_clients)]
         for label, _key, mms, clients in [base] + deviations:
-            table = _outcome_table(game, mms, clients, memo)
-            loop = [game.evaluate(mms, clients, p) for p in patterns]
+            table = game.outcome_table(mms, clients, memo)
+            loop = [game.clear(book, len(mms))
+                    for book in _reference_books(game, mms, clients)]
             assert set(table) == set(loop[0]), label
             for player, utilities in table.items():
                 assert utilities.tolist() == [u[player] for u in loop], (label, player)
 
     def test_check_clears_each_distinct_book_once(self, monkeypatch):
-        """One competitive check picks the tight market once per profile
-        (the base and its 88 deviations) and clears each distinct filtered
-        book once, out of 89 * 16 = 1,424 pattern books."""
+        """One competitive check picks the tight market and filters once
+        per profile (the base and its 88 deviations), and clears each
+        distinct book once, out of 89 * 16 = 1,424 profile-pattern pairs.
+        Books that differ only in a kept client's width request clear
+        alike, so they count once: 240 clears."""
         from fairtradex import analysis
-        books, tights = [], []
+        books, tights, filtered = [], [], []
         oracle, select = analysis.find_clearing_price, analysis.select_tight_market
+        width_filter = analysis.filter_by_width
 
         def counted_oracle(book):
             books.append(book)
@@ -269,12 +303,59 @@ class TestBestResponse:
         def counted_select(revealed):
             tights.append(revealed)
             return select(revealed)
+
+        def counted_filter(book):
+            filtered.append(book)
+            return width_filter(book)
         monkeypatch.setattr(analysis, "find_clearing_price", counted_oracle)
         monkeypatch.setattr(analysis, "select_tight_market", counted_select)
+        monkeypatch.setattr(analysis, "filter_by_width", counted_filter)
         rep = best_response_check(COMPETITIVE, n_mms=2, paths=200)
         assert len(rep.entries) == 88
-        assert len(tights) == 89
-        assert len(books) == len(set(books)) == 352 < 89 * 16
+        assert len(tights) == len(filtered) == 89
+        assert len(books) == len(set(books)) == 240 < 89 * 16
+
+    def test_single_quoter_closed_form_against_engine(self):
+        """Two models of the one-quoter game on the same default grid: the
+        closed form, and the engine's exact expected gain (the mean of a
+        deviation's outcome table minus the base table's mean) for four
+        clients.  The closed form finds no improving deviation.  The engine
+        finds three: whole-lot settlement lets the quoter raise its offer a
+        tick without losing a lot, and a client's limit inside the spread
+        moves the price it crosses other clients at, which the closed form
+        does not model.  The disagreement is pinned exactly, with no
+        tolerance."""
+        y, f_mcf = 110, Fraction(121, 100)
+        grid = default_grid(y, f_mcf)
+        game = _EngineGame(y=y, f_mcf=f_mcf, n_clients=4, client_size_a=10 * y)
+        mms, clients = [(y, MONOPOLY.mm.width)], [MONOPOLY.client] * 4
+        memo: dict = {}
+        base = game.outcome_table(mms, clients, memo)
+
+        def gain(key, m, c):
+            return float(np.mean(game.outcome_table(m, c, memo)[key] - base[key]))
+        engine = {f"quote p_ref={ref} w={w}": gain("m0", [(ref, w)], clients)
+                  for w in grid.mm_widths for ref in grid.mm_ref_prices}
+        engine.update({f"mkt width_req={w}": gain(
+            "c0", mms, [ClientProfile(order_type="mkt", width_req=w)] + clients[1:])
+            for w in grid.client_widths})
+        engine.update({f"limit {lp} width_req={f_mcf}": gain(
+            "c0", mms, [ClientProfile(order_type="limit", width_req=f_mcf,
+                                      limit_price=lp)] + clients[1:])
+            for lp in grid.client_limit_prices})
+
+        closed: dict[str, float] = {}
+        for e in best_response_check(MONOPOLY, n_mms=1, y=y, f_mcf=f_mcf).entries:
+            if not e.label.startswith("fine p_ref scan"):
+                # a client deviation's best gain over its two directions
+                closed[e.label] = max(e.gain, closed.get(e.label, e.gain))
+        assert set(closed) == set(engine) and len(engine) == 89
+        assert not any(g > 0 for g in closed.values())
+        disagree = {label: g for label, g in engine.items() if (g > 0) != (closed[label] > 0)}
+        assert set(disagree) == {"quote p_ref=111 w=121/100",
+                                 "limit 108 width_req=121/100",
+                                 "limit 109 width_req=121/100"}
+        assert disagree["quote p_ref=111 w=121/100"] == 1.5
 
     def test_archive_regenerates_byte_for_byte(self, tmp_path, monkeypatch):
         """The README's regeneration recipe, run in an empty directory,
@@ -293,15 +374,13 @@ class TestBestResponse:
     def test_widening_deviator_loses_flow(self):
         """One quoter widening to 1.1 against a width-1 rival loses the
         tie-break and with it all traded flow; utility never improves."""
-        import itertools
         game = _EngineGame(y=110, f_mcf=Fraction(121, 100), n_clients=4,
                            client_size_a=1100)
         clients = [ClientProfile(order_type="mkt", width_req=Fraction(121, 100))] * 4
         base = [(110, Fraction(1)), (110, Fraction(1))]
         widened = [(110, Fraction(11, 10)), (110, Fraction(1))]
-        pats = list(itertools.product((1, -1), repeat=4))
-        base_util = [game.evaluate(base, clients, p)["m0"] for p in pats]
-        dev_util = [game.evaluate(widened, clients, p)["m0"] for p in pats]
+        base_util = game.outcome_table(base, clients, {})["m0"]
+        dev_util = game.outcome_table(widened, clients, {})["m0"]
         assert sum(dev_util) <= sum(base_util) + 1e-9
         # the widened quote never trades: utility identically zero
         assert all(u == 0.0 for u in dev_util)
@@ -309,16 +388,15 @@ class TestBestResponse:
     def test_under_fair_limit_buy_loses_fills(self):
         """A limit buy below the fair price under the competitive profile
         never executes; fill probability drops to zero, utility cannot rise."""
-        import itertools
         game = _EngineGame(y=110, f_mcf=Fraction(121, 100), n_clients=4,
                            client_size_a=1100)
         base_clients = [ClientProfile(order_type="mkt", width_req=Fraction(121, 100))] * 4
         dev_clients = [ClientProfile(order_type="limit", width_req=Fraction(121, 100),
                                      limit_price=99)] + base_clients[1:]
         mm = [(110, Fraction(1)), (110, Fraction(1))]
-        pats = [p for p in itertools.product((1, -1), repeat=4) if p[0] == 1]
-        base_util = [game.evaluate(mm, base_clients, p)["c0"] for p in pats]
-        dev_util = [game.evaluate(mm, dev_clients, p)["c0"] for p in pats]
+        # the odd pattern numbers are the 8 patterns where client 0 buys
+        base_util = game.outcome_table(mm, base_clients, {})["c0"][1::2]
+        dev_util = game.outcome_table(mm, dev_clients, {})["c0"][1::2]
         assert all(u > 0 for u in base_util)     # market orders always fill
         assert all(u == 0.0 for u in dev_util)   # 99 < cp=110: never fills
 

@@ -159,7 +159,7 @@ class TestCommitClient:
         w.start()
         assert w.commit_client("c1", MKT_BUY)["applied"]
         assert w.commit_client("c2", MKT_BUY)["applied"]
-        assert w.proto.curr_auc_notional == w.params.q_not
+        assert len(w.proto.client_commits) * w.params.e_client == w.params.q_not
         eff = w.commit_client("c3", MKT_BUY)
         assert not eff["applied"] and eff["reason"] == "notional-cap"
 

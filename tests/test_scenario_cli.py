@@ -416,9 +416,15 @@ class TestCli:
         (_set("w_tight", value="1/2"), "w_tight"),
         (_set("w_tight", value=0), "w_tight"),
         (_set("w_tight", value="-3"), "w_tight"),
+        # these four used to crash with a traceback (exit 1) or clear
+        (lambda book: [], "<root>"),
+        (_set("orders", value=5), "orders"),
+        (_set("orders", 0, value=5), "orders.0"),
+        (_set("orders", 0, "owner", value=7), "owner"),
     ], ids=["float-size", "string-size", "bool-size", "bool-oid", "float-oid",
             "duplicate-oid", "null-oid", "bad-side", "float-price",
-            "half-w_tight", "zero-w_tight", "negative-w_tight"])
+            "half-w_tight", "zero-w_tight", "negative-w_tight",
+            "root-not-object", "orders-not-list", "order-not-object", "int-owner"])
     def test_clear_malformed_book_names_the_field(self, tmp_path, capsys, mutate, field):
         book = mutate(json.loads(GOLDEN_BOOK.read_text())["book"])
         p = tmp_path / "bad.json"
