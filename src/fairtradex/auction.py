@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, cycle, groupby
 from operator import attrgetter
@@ -117,15 +116,8 @@ def select_tight_market(
     if not eligible:
         return None
     seed = tie_break_seed(revealed)
-    best = None
-    best_key: tuple[Fraction, int] | None = None
-    for player, market in eligible:
-        w = market_width(market)
-        digest = tie_break_digest(seed, player, market)
-        if best_key is None or w < best_key[0] or (w == best_key[0] and digest > best_key[1]):
-            best = (player, market)
-            best_key = (w, digest)
-    return best
+    # max keeps the first of equal keys
+    return max(eligible, key=lambda e: (-market_width(e[1]), tie_break_digest(seed, *e)))
 
 
 def tight_market_orders(player: str, market: Market, oid: int,

@@ -5,14 +5,20 @@ Reveal and Resolution phases.  Handlers are driven by executed chain
 transactions; they are total: every guard failure is a recorded no-op, never
 an exception.  Phase deadlines are evaluated at block end via
 ``on_block_end``.
+
+``_KINDS`` is the single statement of each transaction kind's contract: its
+payload type, whether a relayer must carry it, the phase it is valid in and
+its handler.  ``Protocol.handle`` checks a row in this order: unknown-kind,
+malformed (not the row's payload type, or not ``well_formed``), not-relayed,
+phase; only then does the handler run its own guards.  The relayer dry run
+(``commit_looks_valid``) and the trace codec use the same ``well_formed``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from . import membership
 from .auction import (AuctionBook, Fill, filter_by_width, select_tight_market,
@@ -23,7 +29,8 @@ from .ledger import PROTOCOL_ACCOUNT, Ledger
 from .membership import MembershipProof, h
 from .serialize import price_to_json, width_to_json
 from .units import (ANY, MKT, TOKEN_A, TOKEN_B, TOKEN_REF, WITHDRAW, Market,
-                    Order, Price, ProtocolParams, Width, encode_market,
+                    Order, Price, ProtocolParams, QuantityError, Width,
+                    check_price, check_quantity, check_width, encode_market,
                     encode_order_fields, market_width)
 
 
@@ -86,24 +93,33 @@ def _is_digest(v) -> bool:
     return isinstance(v, bytes) and len(v) == 32
 
 
-def _is_price(v) -> bool:
-    if v is MKT or v is WITHDRAW:
-        return True
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+def _passes(check: Callable, v) -> bool:
+    """Whether the ``units`` validator ``check`` accepts ``v``."""
+    try:
+        check(v)
+    except QuantityError:
+        return False
+    return True
 
 
-def _is_width(v) -> bool:
-    return v is ANY or (isinstance(v, Fraction) and v >= 1)
-
-
-def _well_formed_reveal(p: "ClientRevealPayload") -> bool:
-    """Handlers must be total: reject adversarially typed fields up front."""
-    return (p.tkn in (TOKEN_A, TOKEN_B)
-            and isinstance(p.size, int) and not isinstance(p.size, bool) and p.size >= 0
-            and _is_price(p.price) and _is_width(p.width)
-            and _is_digest(p.serial) and _is_digest(p.randomness)
-            and _is_digest(p.reg_id)
-            and (p.reg_token_new is None or _is_digest(p.reg_token_new)))
+def well_formed(p: Any) -> bool:
+    """The payload check: one of the six payload types, every field passing."""
+    if isinstance(p, RegisterPayload):
+        return _is_digest(p.reg_id)
+    if isinstance(p, ClientCommitPayload):
+        return _is_digest(p.com) and _is_digest(p.serial) and isinstance(p.proof, MembershipProof)
+    if isinstance(p, MMCommitPayload):
+        return _is_digest(p.com)
+    if isinstance(p, ClientRevealPayload):
+        return (p.tkn in (TOKEN_A, TOKEN_B) and _passes(check_quantity, p.size)
+                and (p.price is MKT or p.price is WITHDRAW or _passes(check_price, p.price))
+                and _passes(check_width, p.width)
+                and _is_digest(p.serial) and _is_digest(p.randomness) and _is_digest(p.reg_id)
+                and (p.reg_token_new is None or _is_digest(p.reg_token_new)))
+    if isinstance(p, MMRevealPayload):
+        return isinstance(p.market, Market)
+    return isinstance(p, CpPayload) and all(isinstance(v, int) and not isinstance(v, bool)
+                                            for v in (p.cp, p.volume_a, p.imbalance_a))
 
 
 class Protocol:
@@ -155,40 +171,43 @@ class Protocol:
     def commit_looks_valid(self, tx: Tx) -> bool:
         """Relayer mempool check: would this client commit pay out?
 
-        Verifies the proof against the current registry without consuming
+        Runs the handler's payload check and proof guard without consuming
         the serial.  Execution re-checks everything.
         """
         p = tx.payload
-        if not isinstance(p, ClientCommitPayload):
-            return False
+        return (isinstance(p, ClientCommitPayload) and well_formed(p)
+                and self._proof_rejects(p, record=False) is None)
+
+    def _proof_rejects(self, p: ClientCommitPayload, record: bool) -> Optional[str]:
+        """The commit's proof guard: why ``p`` fails it, or None (``record`` consumes the serial)."""
+        if p.serial in self.blacklisted:
+            return "blacklisted-serial"
         root = self.registry_root()
-        if root is None or p.serial in self.blacklisted:
-            return False
-        return membership.verify_membership(p.proof, root, p.com,
-                                            self.nullifiers, record=False)
+        if root is None:
+            return "no-registrations"
+        if not membership.verify_membership(p.proof, root, p.com, self.nullifiers, record=record):
+            return "bad-proof"
+        return None
 
     # -- message handlers ----------------------------------------------------
 
     def handle(self, etx: ExecutedTx) -> dict:
-        tx = etx.tx
-        handler = {
-            CLIENT_REGISTER: self._handle_register,
-            COMMIT_CLIENT: self._handle_commit_client,
-            COMMIT_MM: self._handle_commit_mm,
-            CLIENT_REVEAL: self._handle_reveal_client,
-            MM_REVEAL: self._handle_reveal_mm,
-            CP: self._handle_cp,
-        }.get(tx.kind)
-        if handler is None:
+        """Enforce the kind's ``_KINDS`` row, then run its handler."""
+        row = _KINDS.get(etx.tx.kind)
+        if row is None:
             return {"applied": False, "reason": "unknown-kind"}
-        return handler(etx)
-
-    def _handle_register(self, etx: ExecutedTx) -> dict:
         p = etx.tx.payload
+        if not isinstance(p, row.payload) or not well_formed(p):
+            return {"applied": False, "reason": "malformed"}
+        if row.relayed and etx.relayer is None:
+            return {"applied": False, "reason": "not-relayed"}
+        if row.phase is not None and self.phase is not row.phase:
+            return {"applied": False, "reason": "phase"}
+        return row.handler(self, p, etx)
+
+    def _handle_register(self, p: RegisterPayload, etx: ExecutedTx) -> dict:
         sender = etx.tx.sender
         need = self.params.e_client + self.params.f_r
-        if not isinstance(p, RegisterPayload) or not _is_digest(p.reg_id):
-            return {"applied": False, "reason": "malformed"}
         if not self.ledger.balance(sender, TOKEN_REF) > need:
             return {"applied": False, "reason": "insufficient-balance"}
         self.ledger.transfer(sender, PROTOCOL_ACCOUNT, TOKEN_REF, need)
@@ -197,39 +216,20 @@ class Protocol:
         return {"applied": True, "registrations": len(self.clients),
                 "duplicate_reg_id": duplicate}
 
-    def _handle_commit_client(self, etx: ExecutedTx) -> dict:
-        p = etx.tx.payload
-        if (not isinstance(p, ClientCommitPayload) or not _is_digest(p.com)
-                or not _is_digest(p.serial)
-                or not isinstance(p.proof, MembershipProof)):
-            return {"applied": False, "reason": "malformed"}
-        if etx.relayer is None:
-            return {"applied": False, "reason": "not-relayed"}
-        if self.phase is not Phase.COMMIT:
-            return {"applied": False, "reason": "phase"}
+    def _handle_commit_client(self, p: ClientCommitPayload, etx: ExecutedTx) -> dict:
         # during COMMIT entries are only added, each under a fresh serial
         if not len(self.client_commits) * self.params.e_client < self.params.q_not:
             return {"applied": False, "reason": "notional-cap"}
-        if p.serial in self.blacklisted:
-            return {"applied": False, "reason": "blacklisted-serial"}
-        root = self.registry_root()
-        if root is None:
-            return {"applied": False, "reason": "no-registrations"}
-        # consumes the serial as a nullifier on success
-        if not membership.verify_membership(p.proof, root, p.com, self.nullifiers):
-            return {"applied": False, "reason": "bad-proof"}
+        reason = self._proof_rejects(p, record=True)
+        if reason is not None:
+            return {"applied": False, "reason": reason}
         self.client_commits[p.serial] = p.com
         self.ledger.transfer(PROTOCOL_ACCOUNT, etx.relayer, TOKEN_REF, self.params.f_r)
         return {"applied": True, "relayer": etx.relayer,
                 "client_commits": len(self.client_commits)}
 
-    def _handle_commit_mm(self, etx: ExecutedTx) -> dict:
-        p = etx.tx.payload
+    def _handle_commit_mm(self, p: MMCommitPayload, etx: ExecutedTx) -> dict:
         sender = etx.tx.sender
-        if not isinstance(p, MMCommitPayload) or not _is_digest(p.com):
-            return {"applied": False, "reason": "malformed"}
-        if self.phase is not Phase.COMMIT:
-            return {"applied": False, "reason": "phase"}
         if sender in self.mm_commits:
             return {"applied": False, "reason": "one-market-per-player"}
         if not self.ledger.balance(sender, TOKEN_REF) > self.params.e_mm:
@@ -241,23 +241,18 @@ class Protocol:
     def _client_size_cap(self, tkn: str, price: Price) -> Optional[int]:
         """Escrow-implied order size cap in sold-token atoms.
 
-        Sales of A cap at e_client / p_a.  Sales of B cap at
-        e_client / (p_a * limit price); a B market order carries no price so
-        no escrow cap can be evaluated for it (balance still bounds it).
+        Sales of A cap at the A atoms worth e_client, sales of B at the B
+        atoms worth e_client at the limit price; a B market order carries no
+        price so no escrow cap can be evaluated for it (balance still bounds it).
         """
         if tkn == TOKEN_A:
-            return int(self.params.e_client / self.params.p_a)
+            return int(self.params.atoms(self.params.e_client))
         if isinstance(price, int):
-            return int(self.params.e_client / (self.params.p_a * price))
+            return int(self.params.atoms(self.params.e_client, price))
         return None
 
-    def _handle_reveal_client(self, etx: ExecutedTx) -> dict:
-        p = etx.tx.payload
+    def _handle_reveal_client(self, p: ClientRevealPayload, etx: ExecutedTx) -> dict:
         sender = etx.tx.sender
-        if not isinstance(p, ClientRevealPayload) or not _well_formed_reveal(p):
-            return {"applied": False, "reason": "malformed"}
-        if self.phase is not Phase.REVEAL:
-            return {"applied": False, "reason": "phase"}
         if p.serial not in self.client_commits:
             return {"applied": False, "reason": "unknown-serial"}
         if h(p.serial, p.randomness) != p.reg_id:
@@ -282,19 +277,17 @@ class Protocol:
                       size=size, price=p.price, width_req=p.width)
         (self.revealed_buys if p.tkn == TOKEN_A else self.revealed_sells).append(order)
 
-        re_registered = False
-        escrow_back = False
-        if p.reg_token_new is None:
-            self.ledger.transfer(PROTOCOL_ACCOUNT, sender, TOKEN_REF, self.params.e_client)
-            escrow_back = True
-        elif self.ledger.balance(sender, TOKEN_REF) > self.params.f_r:
+        re_registered = (p.reg_token_new is not None
+                         and self.ledger.balance(sender, TOKEN_REF) > self.params.f_r)
+        if re_registered:
             # escrow stays behind the new registration; fee pot is refilled
             self.ledger.transfer(sender, PROTOCOL_ACCOUNT, TOKEN_REF, self.params.f_r)
             self.clients.append(p.reg_token_new)
-            re_registered = True
+        else:
+            self.ledger.transfer(PROTOCOL_ACCOUNT, sender, TOKEN_REF, self.params.e_client)
         self._consume_registration(p.serial, p.reg_id)
         return {"applied": True, "oid": order.oid, "size": size,
-                "escrow_returned": escrow_back, "re_registered": re_registered}
+                "escrow_returned": not re_registered, "re_registered": re_registered}
 
     def _consume_registration(self, serial: bytes, reg_id: bytes) -> None:
         del self.client_commits[serial]
@@ -303,18 +296,13 @@ class Protocol:
 
     def _mm_liquidity_ok(self, player: str, market: Market) -> bool:
         """Both quote legs must cover the minimum notional and be backed."""
-        pa, qn = self.params.p_a, self.params.q_not
-        if not qn / pa <= market.size_bid <= self.ledger.balance(player, TOKEN_A):
+        atoms, qn = self.params.atoms, self.params.q_not
+        if not atoms(qn) <= market.size_bid <= self.ledger.balance(player, TOKEN_A):
             return False
-        return qn / (pa * market.offer) <= market.size_offer <= self.ledger.balance(player, TOKEN_B)
+        return atoms(qn, market.offer) <= market.size_offer <= self.ledger.balance(player, TOKEN_B)
 
-    def _handle_reveal_mm(self, etx: ExecutedTx) -> dict:
-        p = etx.tx.payload
+    def _handle_reveal_mm(self, p: MMRevealPayload, etx: ExecutedTx) -> dict:
         sender = etx.tx.sender
-        if not isinstance(p, MMRevealPayload) or not isinstance(p.market, Market):
-            return {"applied": False, "reason": "malformed"}
-        if self.phase is not Phase.REVEAL:
-            return {"applied": False, "reason": "phase"}
         if sender not in self.mm_commits:
             return {"applied": False, "reason": "no-commitment"}
         if mm_commitment(p.market) != self.mm_commits[sender]:
@@ -371,8 +359,8 @@ class Protocol:
         if self.tight_market is not None:
             player, m = self.tight_market
             w_tight = market_width(m)
-            bid_size = min(m.size_bid, int(self.params.e_mm / self.params.p_a))
-            offer_size = min(m.size_offer, int(self.params.e_mm / (self.params.p_a * m.offer)))
+            bid_size = min(m.size_bid, int(self.params.atoms(self.params.e_mm)))
+            offer_size = min(m.size_offer, int(self.params.atoms(self.params.e_mm, m.offer)))
             self.ledger.transfer(player, PROTOCOL_ACCOUNT, TOKEN_A, bid_size)
             self.ledger.transfer(player, PROTOCOL_ACCOUNT, TOKEN_B, offer_size)
             buy, sell = tight_market_orders(player, m, self._oid, bid_size, offer_size)
@@ -403,20 +391,13 @@ class Protocol:
 
     # -- resolution ----------------------------------------------------------
 
-    def _handle_cp(self, etx: ExecutedTx) -> dict:
+    def _handle_cp(self, p: CpPayload, etx: ExecutedTx) -> dict:
         """Verify a proposed clearing price against ``book``; if valid, settle it.
 
         Settlement refunds each ``width_removed`` order in full; the report
         has one row per order, sorted by oid.  Then the next round opens.
         """
-        p = etx.tx.payload
         sender = etx.tx.sender
-        if (not isinstance(p, CpPayload)
-                or not all(isinstance(v, int) and not isinstance(v, bool)
-                           for v in (p.cp, p.volume_a, p.imbalance_a))):
-            return {"applied": False, "reason": "malformed"}
-        if self.phase is not Phase.RESOLUTION:
-            return {"applied": False, "reason": "phase"}
         if not self.ledger.balance(sender, TOKEN_REF) > self.params.res_bounty:
             return {"applied": False, "reason": "insufficient-balance"}
         self.ledger.transfer(sender, PROTOCOL_ACCOUNT, TOKEN_REF, self.params.res_bounty)
@@ -464,3 +445,21 @@ class Protocol:
         self.last_phase_change = etx.height
         return {"applied": True, "cp": result.cp,
                 "volume_b": result.volume_settled_b, "round_closed": self.round - 1}
+
+
+class _Kind(NamedTuple):
+    """One transaction kind's contract, enforced by ``Protocol.handle``."""
+    payload: type
+    relayed: bool               # a relayer must carry it
+    phase: Optional[Phase]      # the phase it is valid in; None for any
+    handler: Callable[[Protocol, Any, ExecutedTx], dict]
+
+
+_KINDS: dict[str, _Kind] = {
+    CLIENT_REGISTER: _Kind(RegisterPayload, False, None, Protocol._handle_register),
+    COMMIT_CLIENT: _Kind(ClientCommitPayload, True, Phase.COMMIT, Protocol._handle_commit_client),
+    COMMIT_MM: _Kind(MMCommitPayload, False, Phase.COMMIT, Protocol._handle_commit_mm),
+    CLIENT_REVEAL: _Kind(ClientRevealPayload, False, Phase.REVEAL, Protocol._handle_reveal_client),
+    MM_REVEAL: _Kind(MMRevealPayload, False, Phase.REVEAL, Protocol._handle_reveal_mm),
+    CP: _Kind(CpPayload, False, Phase.RESOLUTION, Protocol._handle_cp),
+}

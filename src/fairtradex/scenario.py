@@ -24,7 +24,7 @@ from .ledger import PROTOCOL_ACCOUNT, Ledger
 from .membership import gen_secret, h, prove_membership, reg_id, serialize_proof
 from .protocol import (ClientCommitPayload, ClientRevealPayload, CpPayload,
                        MMCommitPayload, MMRevealPayload, Phase, Protocol,
-                       RegisterPayload, client_commitment, mm_commitment)
+                       RegisterPayload, client_commitment, mm_commitment, well_formed)
 from .serialize import (dumps_canonical, fraction_from_json, price_to_json,
                         width_to_json)
 from .units import (MKT, TOKEN_A, TOKEN_B, TOKEN_REF, WITHDRAW, Market,
@@ -197,10 +197,10 @@ class ClientAgent:
             return (TOKEN_A, 1, WITHDRAW, s.width_req)
         price = MKT if s.order == "mkt" else s.limit_price
         if side == "buy":
-            size = int(Fraction(s.notional) / params.p_a)
+            size = int(params.atoms(s.notional))
             return (TOKEN_A, size, price, s.width_req)
         hint = runner.current_y() if price is MKT else price
-        size = int(Fraction(s.notional) / (params.p_a * hint))
+        size = int(params.atoms(s.notional, hint))
         return (TOKEN_B, size, price, s.width_req)
 
     def on_block(self, runner: "Runner") -> list[Tx]:
@@ -248,8 +248,8 @@ class MMAgent:
     def _make_market(self, runner: "Runner", params: ProtocolParams) -> Market:
         s = self.strategy
         bid, offer = quote(runner.current_y() if s.ref == "mifp" else s.ref, s.width)
-        min_bid = ceil(Fraction(params.q_not) / params.p_a)
-        min_offer = ceil(Fraction(params.q_not) / (params.p_a * offer))
+        min_bid = ceil(params.atoms(params.q_not))
+        min_offer = ceil(params.atoms(params.q_not, offer))
         return Market(bid=bid, size_bid=s.size_mult * min_bid,
                       offer=offer, size_offer=s.size_mult * min_offer)
 
@@ -372,7 +372,9 @@ def validate_config(config: dict) -> ScenarioConfig:
 
 
 def payload_to_json(payload: Any) -> Any:
-    """Deterministic JSON form of a tx payload (bytes fields hex-encoded)."""
+    """Deterministic JSON form of a tx payload (bytes hex-encoded); a malformed one's repr."""
+    if not well_formed(payload):
+        return {"repr": repr(payload)}
     if isinstance(payload, RegisterPayload):
         return {"reg_id": payload.reg_id.hex()}
     if isinstance(payload, ClientCommitPayload):
@@ -391,10 +393,8 @@ def payload_to_json(payload: Any) -> Any:
         m = payload.market
         return {"bid": m.bid, "size_bid": m.size_bid, "offer": m.offer,
                 "size_offer": m.size_offer}
-    if isinstance(payload, CpPayload):
-        return {"cp": payload.cp, "volume_a": payload.volume_a,
-                "imbalance_a": payload.imbalance_a}
-    return {"repr": repr(payload)}
+    return {"cp": payload.cp, "volume_a": payload.volume_a,
+            "imbalance_a": payload.imbalance_a}
 
 
 @dataclass

@@ -231,6 +231,10 @@ class ProtocolParams:
         if not 0 <= self.alpha < 1:
             raise QuantityError("alpha must lie in [0, 1)")
 
+    def atoms(self, ref: int, price: int = 1) -> Fraction:
+        """Exact token atoms worth ``ref`` REF: A atoms, or B atoms at ``price`` ticks."""
+        return ref / (self.p_a * price)
+
     @property
     def t_eff(self) -> int:
         """ceil(t_blocks / (1 - alpha)): worst-case inclusion delay."""

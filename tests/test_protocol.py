@@ -4,11 +4,13 @@ from fairtradex.chain import (CLIENT_REGISTER, CLIENT_REVEAL, COMMIT_CLIENT,
                               COMMIT_MM, CP, MM_REVEAL, RELAYED, Tx)
 from fairtradex.cli import _check_report
 from fairtradex.ledger import BURN_SINK, PROTOCOL_ACCOUNT, Ledger
-from fairtradex.membership import gen_secret, prove_membership, reg_id
-from fairtradex.protocol import (ClientCommitPayload, ClientRevealPayload,
+from fairtradex.membership import (MembershipProof, gen_secret, prove_membership,
+                                   reg_id)
+from fairtradex.protocol import (_KINDS, ClientCommitPayload, ClientRevealPayload,
                                  CpPayload, MMCommitPayload, MMRevealPayload,
                                  Phase, Protocol, RegisterPayload,
                                  client_commitment, mm_commitment)
+from fairtradex.scenario import payload_to_json
 from fairtradex.auction import find_clearing_price
 from fairtradex.units import (ANY, MKT, TOKEN_A, TOKEN_B, TOKEN_REF, WITHDRAW,
                               Market)
@@ -101,6 +103,27 @@ def spanning_market(world, mult=2):
 MKT_BUY = (TOKEN_A, 500, MKT, Fraction(121, 100))
 MKT_SELL = (TOKEN_B, 5, MKT, Fraction(121, 100))
 
+PHASES = (None, Phase.COMMIT, Phase.REVEAL, Phase.RESOLUTION)
+_Z = b"\0" * 32
+# payloads of each kind's own type with a field that fails the payload check
+BAD_PAYLOADS = [
+    (CLIENT_REGISTER, RegisterPayload(reg_id="x" * 32)),       # str, not bytes
+    (CLIENT_REGISTER, RegisterPayload(reg_id=b"short")),
+    (COMMIT_CLIENT, ClientCommitPayload(com=_Z, serial=_Z, proof="not-a-proof")),
+    (COMMIT_CLIENT, ClientCommitPayload(com=_Z, serial=[1], proof=MembershipProof(
+        root=_Z, leaf=_Z, serial=_Z, siblings=(), binding=_Z))),
+    (COMMIT_MM, MMCommitPayload(com="nope")),
+    (CLIENT_REVEAL, ClientRevealPayload(tkn="C", size=1, price=MKT, width=ANY,
+                                        serial=_Z, randomness=_Z, reg_id=_Z)),
+    (CLIENT_REVEAL, ClientRevealPayload(tkn="A", size=1, price=1.5, width=ANY,
+                                        serial=_Z, randomness=_Z, reg_id=_Z)),
+    (CLIENT_REVEAL, ClientRevealPayload(tkn="A", size=1, price=MKT, width=1.5,
+                                        serial=_Z, randomness=_Z, reg_id=_Z)),
+    (MM_REVEAL, MMRevealPayload(market="junk")),
+    (CP, CpPayload(cp=1.5, volume_a=1, imbalance_a=0)),
+    (CP, CpPayload(cp=True, volume_a=1, imbalance_a=0)),
+]
+
 
 class TestRegister:
     def test_funded_player_registers(self):
@@ -171,6 +194,12 @@ class TestCommitClient:
 
     def test_unrelayed_commit_rejected(self):
         w = self.setup_world()
+        eff = w.commit_client("c1", MKT_BUY, relayer=None)
+        assert not eff["applied"] and eff["reason"] == "not-relayed"
+
+    def test_relaying_is_checked_before_phase(self):
+        w = self.setup_world()
+        w.next_phase()  # now Reveal
         eff = w.commit_client("c1", MKT_BUY, relayer=None)
         assert not eff["applied"] and eff["reason"] == "not-relayed"
 
@@ -253,6 +282,21 @@ class TestRevealClient:
         assert eff["applied"] and eff["re_registered"] and not eff["escrow_returned"]
         assert w.ledger.balance("c1", TOKEN_REF) == ref_before - w.params.f_r
         assert reg_id(new_secret) in w.proto.clients
+
+    def test_unpaid_re_registration_returns_escrow(self):
+        # registering leaves the client exactly f_r REF: too little for the fee
+        w = World()
+        w.add_client("c1", 1, ref=w.params.e_client + 2 * w.params.f_r, a=10**4)
+        w.register("c1")
+        w.start()
+        w.commit_client("c1", MKT_BUY)
+        w.next_phase()
+        assert w.ledger.balance("c1", TOKEN_REF) == w.params.f_r
+        new_secret = gen_secret(42)
+        eff = w.reveal_client("c1", MKT_BUY, reg_token_new=reg_id(new_secret))
+        assert eff["applied"] and eff["escrow_returned"] and not eff["re_registered"]
+        assert w.ledger.balance("c1", TOKEN_REF) == w.params.f_r + w.params.e_client
+        assert len(w.proto.clients) == 0
 
     def test_double_reveal_rejected(self):
         w = self.setup_committed()
@@ -521,42 +565,31 @@ class TestPhaseGuardTotality:
     def test_every_kind_in_every_phase_is_total(self):
         kinds = [CLIENT_REGISTER, COMMIT_CLIENT, COMMIT_MM, CLIENT_REVEAL,
                  MM_REVEAL, CP, "garbage"]
-        for phase in (None, Phase.COMMIT, Phase.REVEAL, Phase.RESOLUTION):
+        for phase in PHASES:
             for kind in kinds:
                 w = self.world_in_phase(phase)
                 tx = Tx(kind=kind, sender="c1", payload={"junk": True})
                 eff = w.proto.handle(etx(tx, height=w.height))
-                assert eff["applied"] is False
+                reason = "unknown-kind" if kind == "garbage" else "malformed"
+                assert eff == {"applied": False, "reason": reason}, (phase, kind)
 
     def test_adversarially_typed_fields_are_noops(self):
-        from fairtradex.protocol import (ClientCommitPayload, ClientRevealPayload,
-                                         CpPayload, MMCommitPayload,
-                                         MMRevealPayload, RegisterPayload)
-        bad_payloads = [
-            (CLIENT_REGISTER, RegisterPayload(reg_id="x" * 32)),       # str, not bytes
-            (CLIENT_REGISTER, RegisterPayload(reg_id=b"short")),
-            (COMMIT_CLIENT, ClientCommitPayload(com=b"\0" * 32, serial=b"\0" * 32,
-                                                proof="not-a-proof")),
-            (COMMIT_MM, MMCommitPayload(com="nope")),
-            (CLIENT_REVEAL, ClientRevealPayload(tkn="C", size=1, price=MKT,
-                                                width=ANY, serial=b"\0" * 32,
-                                                randomness=b"\0" * 32,
-                                                reg_id=b"\0" * 32)),
-            (CLIENT_REVEAL, ClientRevealPayload(tkn="A", size=1, price=1.5,
-                                                width=ANY, serial=b"\0" * 32,
-                                                randomness=b"\0" * 32,
-                                                reg_id=b"\0" * 32)),
-            (CLIENT_REVEAL, ClientRevealPayload(tkn="A", size=1, price=MKT,
-                                                width=1.5, serial=b"\0" * 32,
-                                                randomness=b"\0" * 32,
-                                                reg_id=b"\0" * 32)),
-            (MM_REVEAL, MMRevealPayload(market="junk")),
-            (CP, CpPayload(cp=1.5, volume_a=1, imbalance_a=0)),
-            (CP, CpPayload(cp=True, volume_a=1, imbalance_a=0)),
-        ]
-        for phase in (Phase.COMMIT, Phase.REVEAL, Phase.RESOLUTION):
-            for kind, payload in bad_payloads:
+        for phase in PHASES:
+            for kind, payload in BAD_PAYLOADS:
                 w = self.world_in_phase(phase)
                 eff = w.proto.handle(etx(Tx(kind=kind, sender="c1", payload=payload),
                                          height=w.height))
-                assert eff["applied"] is False, (phase, kind, payload)
+                assert eff == {"applied": False, "reason": "malformed"}, (phase, kind, payload)
+
+    def test_dry_run_and_trace_codec_are_total(self):
+        w = self.world_in_phase(Phase.COMMIT)
+        for kind, payload in BAD_PAYLOADS:
+            assert payload_to_json(payload) == {"repr": repr(payload)}, payload
+            tx = Tx(kind=kind, sender=RELAYED, payload=payload)
+            assert w.proto.commit_looks_valid(tx) is False, payload
+
+    def test_kinds_table_covers_each_kind_once(self):
+        assert set(_KINDS) == {CLIENT_REGISTER, COMMIT_CLIENT, COMMIT_MM,
+                               CLIENT_REVEAL, MM_REVEAL, CP}
+        payloads = [row.payload for row in _KINDS.values()]
+        assert len(set(payloads)) == len(payloads) == 6
