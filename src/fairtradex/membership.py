@@ -15,6 +15,13 @@ next ``append`` or ``remove`` drops the cache.  Roots therefore cost O(1) and
 proofs O(log n) while the set is unchanged.  ``accumulate`` and
 ``prove_membership`` also accept any plain sequence, for which they build
 the tree afresh.
+
+Verification has two halves.  ``authentic`` is the pure half: the path
+hashes the leaf up to ``proof.root`` and the binding matches the message.
+Its verdict depends on the proof and the message alone, so a caller may
+keep it and reuse it.  ``admit`` is the state half: ``proof.root`` is the
+accepted root and the serial is fresh; it consumes the serial on success.
+``verify_membership`` runs both.
 """
 
 from __future__ import annotations
@@ -31,6 +38,8 @@ _H_KEY = b"wsfba-hash-v1"
 _NODE_LEAF = 2
 _SIB_RIGHT = 0  # sibling sits to the right of the running node
 _SIB_LEFT = 1
+_LEAF_TAG = bytes([_NODE_LEAF])
+_SIDE_TAGS = {_SIB_RIGHT: bytes([_SIB_RIGHT]), _SIB_LEFT: bytes([_SIB_LEFT])}
 
 
 # The key block is compressed once here; every call copies the keyed state.
@@ -179,9 +188,9 @@ class MembershipProof:
 
 
 def _path_bytes(leaf: bytes, siblings: Sequence[tuple[int, bytes]]) -> bytes:
-    out = [bytes([_NODE_LEAF]), leaf]
+    out = [_LEAF_TAG, leaf]
     for side, sib in siblings:
-        out.append(bytes([side]))
+        out.append(_SIDE_TAGS[side])
         out.append(sib)
     return b"".join(out)
 
@@ -212,17 +221,11 @@ def prove_membership(secret: Secret, reg_ids: RegIds, message: bytes) -> Members
                            siblings=sib_tuple, binding=binding)
 
 
-def verify_membership(proof: MembershipProof, root: bytes, message: bytes,
-                      nullifiers: set[bytes], *, record: bool = True) -> bool:
-    """Check a proof against the current root, message and nullifier set.
+def authentic(proof: MembershipProof, message: bytes) -> bool:
+    """The pure half: the path hashes the leaf to ``proof.root`` and the binding matches ``message``.
 
-    True iff the path authenticates the leaf under ``root``, the binding
-    matches ``message``, and the serial is fresh.  On success the serial is
-    added to ``nullifiers`` (unless ``record`` is False, used for relayer
-    dry-runs that must not consume the serial).
+    Reads nothing but its arguments, so its verdict may be kept and reused.
     """
-    if proof.root != root:
-        return False
     node = proof.leaf
     for side, sib in proof.siblings:
         if side == _SIB_RIGHT:
@@ -231,15 +234,34 @@ def verify_membership(proof: MembershipProof, root: bytes, message: bytes,
             node = h(sib, node)
         else:
             return False
-    if node != root:
-        return False
-    if proof.binding != h(_path_bytes(proof.leaf, proof.siblings), proof.serial, message):
-        return False
-    if proof.serial in nullifiers:
+    return (node == proof.root
+            and proof.binding == h(_path_bytes(proof.leaf, proof.siblings), proof.serial, message))
+
+
+def admit(proof: MembershipProof, root: bytes, nullifiers: set[bytes], *,
+          record: bool = True) -> bool:
+    """The state half: ``proof.root`` is ``root`` and the serial is fresh.
+
+    On success the serial is added to ``nullifiers`` unless ``record`` is
+    False.  Call it only for a proof that ``authentic`` accepts.
+    """
+    if proof.root != root or proof.serial in nullifiers:
         return False
     if record:
         nullifiers.add(proof.serial)
     return True
+
+
+def verify_membership(proof: MembershipProof, root: bytes, message: bytes,
+                      nullifiers: set[bytes], *, record: bool = True) -> bool:
+    """Check a proof against the current root, message and nullifier set.
+
+    True iff the path authenticates the leaf under ``root``, the binding
+    matches ``message``, and the serial is fresh.  On success the serial is
+    added to ``nullifiers`` unless ``record`` is False.  This is
+    ``authentic`` followed by ``admit``.
+    """
+    return authentic(proof, message) and admit(proof, root, nullifiers, record=record)
 
 
 def serialize_proof(proof: MembershipProof) -> bytes:

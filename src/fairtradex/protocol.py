@@ -12,6 +12,13 @@ its handler.  ``Protocol.handle`` checks a row in this order: unknown-kind,
 malformed (not the row's payload type, or not ``well_formed``), not-relayed,
 phase; only then does the handler run its own guards.  The relayer dry run
 (``commit_looks_valid``) and the trace codec use the same ``well_formed``.
+
+A client commit's proof is checked in the two halves ``membership`` splits
+verification into.  The dry run keeps the pure half's verdict (path and
+binding, which read only the payload) in a per-round dict keyed by the
+payload; the commit handler pops it, or computes it when the commit was
+never dry-run.  The state half (blacklist, root, nullifier) always runs at
+execution, so the kept verdict never depends on chain state.
 """
 
 from __future__ import annotations
@@ -93,6 +100,20 @@ def _is_digest(v) -> bool:
     return isinstance(v, bytes) and len(v) == 32
 
 
+def _is_path(siblings) -> bool:
+    """A tuple of (side, digest) pairs, each side 0 or 1."""
+    if type(siblings) is not tuple:
+        return False
+    for node in siblings:
+        if type(node) is not tuple or len(node) != 2:
+            return False
+        side, sib = node  # the digest test is _is_digest's, inlined on this hot loop
+        if (type(side) is not int or side not in (0, 1)
+                or not isinstance(sib, bytes) or len(sib) != 32):
+            return False
+    return True
+
+
 def _passes(check: Callable, v) -> bool:
     """Whether the ``units`` validator ``check`` accepts ``v``."""
     try:
@@ -107,7 +128,10 @@ def well_formed(p: Any) -> bool:
     if isinstance(p, RegisterPayload):
         return _is_digest(p.reg_id)
     if isinstance(p, ClientCommitPayload):
-        return _is_digest(p.com) and _is_digest(p.serial) and isinstance(p.proof, MembershipProof)
+        q = p.proof  # a proof whose fields pass is hashable, as the dry-run verdicts need
+        return (_is_digest(p.com) and _is_digest(p.serial) and isinstance(q, MembershipProof)
+                and _is_digest(q.root) and _is_digest(q.leaf) and _is_digest(q.serial)
+                and _is_digest(q.binding) and _is_path(q.siblings))
     if isinstance(p, MMCommitPayload):
         return _is_digest(p.com)
     if isinstance(p, ClientRevealPayload):
@@ -149,6 +173,8 @@ class Protocol:
         self.width_removed: list[Order] = []
         self._round_burned: list[dict] = []
         self._round_blacklisted: list[str] = []
+        # dry-run verdicts of ``membership.authentic``, popped at execution
+        self._authentic: dict[ClientCommitPayload, bool] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -172,20 +198,28 @@ class Protocol:
         """Relayer mempool check: would this client commit pay out?
 
         Runs the handler's payload check and proof guard without consuming
-        the serial.  Execution re-checks everything.
+        the serial, and keeps the proof's pure verdict for execution, which
+        re-checks everything else.
         """
         p = tx.payload
-        return (isinstance(p, ClientCommitPayload) and well_formed(p)
-                and self._proof_rejects(p, record=False) is None)
+        if not (tx.kind == COMMIT_CLIENT and isinstance(p, ClientCommitPayload)
+                and well_formed(p)):
+            return False
+        authentic = self._authentic[p] = membership.authentic(p.proof, p.com)
+        return self._proof_rejects(p, authentic, record=False) is None
 
-    def _proof_rejects(self, p: ClientCommitPayload, record: bool) -> Optional[str]:
-        """The commit's proof guard: why ``p`` fails it, or None (``record`` consumes the serial)."""
+    def _proof_rejects(self, p: ClientCommitPayload, authentic: bool,
+                       record: bool) -> Optional[str]:
+        """The commit's proof guard: why ``p`` fails it, or None (``record`` consumes the serial).
+
+        ``authentic`` is ``membership.authentic``'s verdict on ``p``.
+        """
         if p.serial in self.blacklisted:
             return "blacklisted-serial"
         root = self.registry_root()
         if root is None:
             return "no-registrations"
-        if not membership.verify_membership(p.proof, root, p.com, self.nullifiers, record=record):
+        if not (authentic and membership.admit(p.proof, root, self.nullifiers, record=record)):
             return "bad-proof"
         return None
 
@@ -217,10 +251,13 @@ class Protocol:
                 "duplicate_reg_id": duplicate}
 
     def _handle_commit_client(self, p: ClientCommitPayload, etx: ExecutedTx) -> dict:
+        authentic = self._authentic.pop(p, None)
         # during COMMIT entries are only added, each under a fresh serial
         if not len(self.client_commits) * self.params.e_client < self.params.q_not:
             return {"applied": False, "reason": "notional-cap"}
-        reason = self._proof_rejects(p, record=True)
+        if authentic is None:
+            authentic = membership.authentic(p.proof, p.com)
+        reason = self._proof_rejects(p, authentic, record=True)
         if reason is not None:
             return {"applied": False, "reason": reason}
         self.client_commits[p.serial] = p.com

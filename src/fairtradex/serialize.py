@@ -14,8 +14,12 @@ from .auction import AuctionBook, ClearingResult
 from .units import ANY, MKT, WITHDRAW, Order, Price, Width, check_width
 
 
+# built once: ``json.dumps`` with these options builds an encoder on every call
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def dumps_canonical(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(obj)
 
 
 def fraction_to_json(f: Fraction) -> Any:

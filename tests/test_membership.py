@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from fairtradex import membership
 from fairtradex.membership import (DIGEST_SIZE, EmptySet, MalformedProof,
-                                   NotAMember, Registry, accumulate,
-                                   deserialize_proof, gen_secret, h,
+                                   NotAMember, Registry, accumulate, admit,
+                                   authentic, deserialize_proof, gen_secret, h,
                                    prove_membership, reg_id, serialize_proof,
                                    verify_membership)
 
@@ -103,6 +103,23 @@ class TestProveVerify:
         proof = prove_membership(secrets[0], ids, b"m")
         assert verify_membership(proof, root, b"m", nullifiers, record=False)
         assert not nullifiers
+
+
+    def test_pure_half_reads_only_proof_and_message(self):
+        secrets = [gen_secret(s) for s in range(5)]
+        ids = [reg_id(s) for s in secrets]
+        proof = prove_membership(secrets[2], ids, b"m")
+        assert authentic(proof, b"m") and not authentic(proof, b"n")
+        # a later registration moves the root: the pure half still holds,
+        # the state half and the whole check fail
+        new_root = accumulate(ids + [reg_id(gen_secret(9))])
+        nullifiers = set()
+        assert not admit(proof, new_root, nullifiers)
+        assert not verify_membership(proof, new_root, b"m", nullifiers)
+        assert admit(proof, proof.root, nullifiers, record=False) and not nullifiers
+        assert verify_membership(proof, proof.root, b"m", nullifiers)
+        assert nullifiers == {proof.serial}
+        assert authentic(proof, b"m") and not admit(proof, proof.root, nullifiers)
 
 
 def flip_bit(blob: bytes, bit: int) -> bytes:

@@ -1,7 +1,13 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
+
+from fairtradex import membership
 from fairtradex.chain import (CLIENT_REGISTER, CLIENT_REVEAL, COMMIT_CLIENT,
-                              COMMIT_MM, CP, MM_REVEAL, RELAYED, Tx)
+                              COMMIT_MM, CP, MM_REVEAL, RELAYED, Chain,
+                              InvalidProof, Tx)
 from fairtradex.cli import _check_report
 from fairtradex.ledger import BURN_SINK, PROTOCOL_ACCOUNT, Ledger
 from fairtradex.membership import (MembershipProof, gen_secret, prove_membership,
@@ -10,7 +16,7 @@ from fairtradex.protocol import (_KINDS, ClientCommitPayload, ClientRevealPayloa
                                  CpPayload, MMCommitPayload, MMRevealPayload,
                                  Phase, Protocol, RegisterPayload,
                                  client_commitment, mm_commitment)
-from fairtradex.scenario import payload_to_json
+from fairtradex.scenario import Runner, payload_to_json
 from fairtradex.auction import find_clearing_price
 from fairtradex.units import (ANY, MKT, TOKEN_A, TOKEN_B, TOKEN_REF, WITHDRAW,
                               Market)
@@ -46,13 +52,28 @@ class World:
     def start(self):
         self.proto.initialise(self.height)
 
-    def commit_client(self, pid, order, relayer="relay1"):
+    def commit_tx(self, pid, order):
+        """``pid``'s relayed commit of ``order``, proved against the current registry."""
         tkn, size, price, width = order
         com = client_commitment(tkn, size, price, width)
         proof = prove_membership(self.secrets[pid], self.proto.clients, com)
-        tx = Tx(kind=COMMIT_CLIENT, sender=RELAYED,
-                payload=ClientCommitPayload(com=com, serial=self.secrets[pid].s, proof=proof))
-        return self.proto.handle(etx(tx, height=self.height, relayer=relayer))
+        return Tx(kind=COMMIT_CLIENT, sender=RELAYED,
+                  payload=ClientCommitPayload(com=com, serial=self.secrets[pid].s, proof=proof))
+
+    def commit_client(self, pid, order, relayer="relay1"):
+        """Execute ``pid``'s commit directly, without the relayer dry run."""
+        return self.proto.handle(etx(self.commit_tx(pid, order), height=self.height,
+                                     relayer=relayer))
+
+    def relay_commit(self, *txs, relayer="relay1"):
+        """Relay ``txs`` into one block as the Runner does.
+
+        Every tx is dry-run first; then the ones relayers carry execute in
+        order.  Returns their effects, None where relayers dropped the tx.
+        """
+        carried = [self.proto.commit_looks_valid(tx) for tx in txs]
+        return [self.proto.handle(etx(tx, height=self.height, relayer=relayer)) if ok else None
+                for tx, ok in zip(txs, carried)]
 
     def commit_mm(self, pid, market):
         tx = Tx(kind=COMMIT_MM, sender=pid, payload=MMCommitPayload(mm_commitment(market)))
@@ -112,6 +133,15 @@ BAD_PAYLOADS = [
     (COMMIT_CLIENT, ClientCommitPayload(com=_Z, serial=_Z, proof="not-a-proof")),
     (COMMIT_CLIENT, ClientCommitPayload(com=_Z, serial=[1], proof=MembershipProof(
         root=_Z, leaf=_Z, serial=_Z, siblings=(), binding=_Z))),
+    # the proof's own fields: digests, and a tuple of (0|1, digest) pairs
+    *((COMMIT_CLIENT, ClientCommitPayload(com=_Z, serial=_Z, proof=MembershipProof(
+        root=_Z, leaf=_Z, serial=_Z, binding=_Z, siblings=siblings)))
+      for siblings in ([1], [(0, _Z)], ((0, _Z, _Z),), ((2, _Z),), ((True, _Z),),
+                       ((0, b"short"),), ((0, "x" * 32),))),
+    (COMMIT_CLIENT, ClientCommitPayload(com=_Z, serial=_Z, proof=MembershipProof(
+        root=_Z, leaf="x" * 32, serial=_Z, siblings=(), binding=_Z))),
+    (COMMIT_CLIENT, ClientCommitPayload(com=_Z, serial=_Z, proof=MembershipProof(
+        root=_Z, leaf=_Z, serial=_Z, siblings=(), binding=b"short"))),
     (COMMIT_MM, MMCommitPayload(com="nope")),
     (CLIENT_REVEAL, ClientRevealPayload(tkn="C", size=1, price=MKT, width=ANY,
                                         serial=_Z, randomness=_Z, reg_id=_Z)),
@@ -202,6 +232,77 @@ class TestCommitClient:
         w.next_phase()  # now Reveal
         eff = w.commit_client("c1", MKT_BUY, relayer=None)
         assert not eff["applied"] and eff["reason"] == "not-relayed"
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def count_hashes(monkeypatch):
+    """Count the ``membership.h`` calls made from now on; returns the growing list."""
+    calls, real = [], membership.h
+
+    def counted(*parts):
+        calls.append(parts)
+        return real(*parts)
+    monkeypatch.setattr(membership, "h", counted)
+    return calls
+
+
+class TestProofVerdictReuse:
+    """The dry run's pure proof verdict is reused at execution, never beyond its Protocol."""
+
+    def setup_world(self):
+        w = World()
+        for i, pid in enumerate(["c1", "c2", "c3", "c4", "c5", "c6"], start=1):
+            w.add_client(pid, i, a=10**4)
+        for pid in ["c1", "c2", "c3", "c4", "c5"]:
+            w.register(pid)
+        w.start()
+        return w
+
+    def test_relayed_commit_hashes_its_path_once(self, monkeypatch):
+        w = self.setup_world()
+        tx = w.commit_tx("c1", MKT_BUY)   # proving built and cached the registry's tree
+        calls = count_hashes(monkeypatch)
+        assert w.relay_commit(tx)[0]["applied"]
+        assert len(tx.payload.proof.siblings) == 3
+        assert len(calls) == len(tx.payload.proof.siblings) + 1
+
+    def test_registration_between_dry_run_and_execution_voids_the_commit(self):
+        w = self.setup_world()
+        tx = w.commit_tx("c1", MKT_BUY)
+        assert w.proto.commit_looks_valid(tx)
+        assert w.register("c6")["applied"]
+        eff = w.proto.handle(etx(tx, height=w.height, relayer="relay1"))
+        assert eff == {"applied": False, "reason": "bad-proof"}
+        # the serial was not consumed: proved against the new root, it commits
+        assert w.relay_commit(w.commit_tx("c1", MKT_BUY))[0]["applied"]
+
+    def test_same_commit_relayed_twice_applies_once(self):
+        w = self.setup_world()
+        tx = w.commit_tx("c1", MKT_BUY)
+        first, second = w.relay_commit(tx, tx)
+        assert first["applied"]
+        assert second == {"applied": False, "reason": "bad-proof"}
+        assert w.ledger.balance("relay1", TOKEN_REF) == w.params.f_r
+
+    def test_fresh_protocol_checks_in_full(self, monkeypatch):
+        a, b = self.setup_world(), self.setup_world()
+        tx = a.commit_tx("c1", MKT_BUY)
+        assert b.commit_tx("c1", MKT_BUY) == tx
+        calls = count_hashes(monkeypatch)
+        assert a.relay_commit(tx)[0]["applied"]
+        assert b.relay_commit(tx)[0]["applied"]
+        assert len(calls) == 2 * (len(tx.payload.proof.siblings) + 1)
+
+    def test_fresh_runner_checks_in_full(self, monkeypatch):
+        config = json.loads((SCENARIOS / "two_mm_competition.json").read_text())
+        calls = count_hashes(monkeypatch)
+        first = Runner(config).run()
+        per_run = len(calls)
+        second = Runner(config).run()
+        assert len(calls) == 2 * per_run
+        assert second.trace == first.trace
 
 
 class TestCommitMM:
@@ -587,6 +688,32 @@ class TestPhaseGuardTotality:
             assert payload_to_json(payload) == {"repr": repr(payload)}, payload
             tx = Tx(kind=kind, sender=RELAYED, payload=payload)
             assert w.proto.commit_looks_valid(tx) is False, payload
+
+    def test_current_root_proof_with_unpaired_path_is_malformed(self):
+        for phase in PHASES:
+            w = self.world_in_phase(phase)
+            proof = MembershipProof(root=w.proto.registry_root(), leaf=_Z, serial=_Z,
+                                    siblings=[1], binding=_Z)
+            payload = ClientCommitPayload(com=_Z, serial=_Z, proof=proof)
+            tx = Tx(kind=COMMIT_CLIENT, sender=RELAYED, payload=payload)
+            assert w.proto.commit_looks_valid(tx) is False, phase
+            eff = w.proto.handle(etx(tx, height=w.height, relayer="relay1"))
+            assert eff == {"applied": False, "reason": "malformed"}, phase
+            assert payload_to_json(payload) == {"repr": repr(payload)}
+
+    def test_relayers_drop_a_commit_payload_under_another_kind(self):
+        w = self.world_in_phase(Phase.COMMIT)
+        payload = w.commit_tx("c1", MKT_SELL).payload
+        chain = Chain(t_eff=w.params.t_eff)
+        chain.register_relayer("relay1")
+        with pytest.raises(InvalidProof):
+            chain.relay(Tx(kind=MM_REVEAL, sender=RELAYED, payload=payload),
+                        w.proto.commit_looks_valid)
+        assert not chain.pending
+        # the same payload under its own kind is carried
+        chain.relay(Tx(kind=COMMIT_CLIENT, sender=RELAYED, payload=payload),
+                    w.proto.commit_looks_valid)
+        assert len(chain.pending) == 1
 
     def test_kinds_table_covers_each_kind_once(self):
         assert set(_KINDS) == {CLIENT_REGISTER, COMMIT_CLIENT, COMMIT_MM,
