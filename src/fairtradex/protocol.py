@@ -11,7 +11,8 @@ payload type, whether a relayer must carry it, the phase it is valid in and
 its handler.  ``Protocol.handle`` checks a row in this order: unknown-kind,
 malformed (not the row's payload type, or not ``well_formed``), not-relayed,
 phase; only then does the handler run its own guards.  The relayer dry run
-(``commit_looks_valid``) and the trace codec use the same ``well_formed``.
+(``commit_looks_valid``) uses the same ``well_formed``, and so does the
+trace codec for a record ``handle`` rejected as malformed or unknown-kind.
 
 A client commit's proof is checked in the two halves ``membership`` splits
 verification into.  The dry run keeps the pure half's verdict (path and
@@ -219,7 +220,9 @@ class Protocol:
         root = self.registry_root()
         if root is None:
             return "no-registrations"
-        if not (authentic and membership.admit(p.proof, root, self.nullifiers, record=record)):
+        # the commit is keyed and later revealed under p.serial, so it must be the proven one
+        if not (authentic and p.serial == p.proof.serial
+                and membership.admit(p.proof, root, self.nullifiers, record=record)):
             return "bad-proof"
         return None
 
@@ -283,9 +286,9 @@ class Protocol:
         price so no escrow cap can be evaluated for it (balance still bounds it).
         """
         if tkn == TOKEN_A:
-            return int(self.params.atoms(self.params.e_client))
+            return self.params.atoms_floor(self.params.e_client)
         if isinstance(price, int):
-            return int(self.params.atoms(self.params.e_client, price))
+            return self.params.atoms_floor(self.params.e_client, price)
         return None
 
     def _handle_reveal_client(self, p: ClientRevealPayload, etx: ExecutedTx) -> dict:
@@ -332,8 +335,12 @@ class Protocol:
             self.clients.remove(reg_id)
 
     def _mm_liquidity_ok(self, player: str, market: Market) -> bool:
-        """Both quote legs must cover the minimum notional and be backed."""
-        atoms, qn = self.params.atoms, self.params.q_not
+        """Both quote legs must cover the minimum notional and be backed.
+
+        A leg's size is whole atoms, so covering ``q_not`` exactly is the
+        same test as covering its ``atoms_ceil``.
+        """
+        atoms, qn = self.params.atoms_ceil, self.params.q_not
         if not atoms(qn) <= market.size_bid <= self.ledger.balance(player, TOKEN_A):
             return False
         return atoms(qn, market.offer) <= market.size_offer <= self.ledger.balance(player, TOKEN_B)
@@ -396,8 +403,8 @@ class Protocol:
         if self.tight_market is not None:
             player, m = self.tight_market
             w_tight = market_width(m)
-            bid_size = min(m.size_bid, int(self.params.atoms(self.params.e_mm)))
-            offer_size = min(m.size_offer, int(self.params.atoms(self.params.e_mm, m.offer)))
+            bid_size = min(m.size_bid, self.params.atoms_floor(self.params.e_mm))
+            offer_size = min(m.size_offer, self.params.atoms_floor(self.params.e_mm, m.offer))
             self.ledger.transfer(player, PROTOCOL_ACCOUNT, TOKEN_A, bid_size)
             self.ledger.transfer(player, PROTOCOL_ACCOUNT, TOKEN_B, offer_size)
             buy, sell = tight_market_orders(player, m, self._oid, bid_size, offer_size)

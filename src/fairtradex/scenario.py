@@ -12,7 +12,7 @@ import random
 from dataclasses import MISSING, dataclass, field, fields, replace
 from fractions import Fraction
 from functools import partial
-from math import ceil
+from json.encoder import encode_basestring_ascii
 from typing import Any, NoReturn, Optional, Union
 
 # filter_by_width is unused here; perfbench/tracer.py wraps it in this module
@@ -172,6 +172,7 @@ class ClientAgent:
         self.pid = pid
         self.strategy = strategy
         self.secret = None
+        self.reg_id: Optional[bytes] = None  # reg_id(self.secret), kept with it
         self.committed_round = -1
         self.revealed_round = -1
         self.order: Optional[tuple] = None  # (tkn, size, price, width)
@@ -185,8 +186,8 @@ class ClientAgent:
 
     def plan_registration(self, runner: "Runner") -> Tx:
         self.secret = self._fresh_secret(runner)
-        return Tx(kind=CLIENT_REGISTER, payload=RegisterPayload(reg_id(self.secret)),
-                  sender=self.pid)
+        self.reg_id = reg_id(self.secret)
+        return Tx(kind=CLIENT_REGISTER, payload=RegisterPayload(self.reg_id), sender=self.pid)
 
     def _sized_order(self, runner: "Runner", params: ProtocolParams):
         s = self.strategy
@@ -197,17 +198,17 @@ class ClientAgent:
             return (TOKEN_A, 1, WITHDRAW, s.width_req)
         price = MKT if s.order == "mkt" else s.limit_price
         if side == "buy":
-            size = int(params.atoms(s.notional))
+            size = params.atoms_floor(s.notional)
             return (TOKEN_A, size, price, s.width_req)
         hint = runner.current_y() if price is MKT else price
-        size = int(params.atoms(s.notional, hint))
+        size = params.atoms_floor(s.notional, hint)
         return (TOKEN_B, size, price, s.width_req)
 
     def on_block(self, runner: "Runner") -> list[Tx]:
         proto = runner.protocol
         rnd = proto.round
         if proto.phase is Phase.COMMIT and self.strategy.commit and self.committed_round < rnd:
-            if reg_id(self.secret) not in proto.clients:
+            if self.reg_id not in proto.clients:
                 return []  # registration not confirmed yet
             self.order = self._sized_order(runner, proto.params)
             tkn, size, price, width = self.order
@@ -229,10 +230,10 @@ class ClientAgent:
                     payload=ClientRevealPayload(
                         tkn=tkn, size=size, price=price, width=width,
                         serial=self.secret.s, randomness=self.secret.r,
-                        reg_id=reg_id(self.secret), reg_token_new=new_token))
+                        reg_id=self.reg_id, reg_token_new=new_token))
             self.revealed_round = rnd
             if stay:
-                self.secret = next_secret
+                self.secret, self.reg_id = next_secret, new_token
             return [tx]
         return []
 
@@ -248,8 +249,8 @@ class MMAgent:
     def _make_market(self, runner: "Runner", params: ProtocolParams) -> Market:
         s = self.strategy
         bid, offer = quote(runner.current_y() if s.ref == "mifp" else s.ref, s.width)
-        min_bid = ceil(params.atoms(params.q_not))
-        min_offer = ceil(params.atoms(params.q_not, offer))
+        min_bid = params.atoms_ceil(params.q_not)
+        min_offer = params.atoms_ceil(params.q_not, offer)
         return Market(bid=bid, size_bid=s.size_mult * min_bid,
                       offer=offer, size_offer=s.size_mult * min_offer)
 
@@ -371,30 +372,40 @@ def validate_config(config: dict) -> ScenarioConfig:
     return _parse(ScenarioConfig, config, "")
 
 
-def payload_to_json(payload: Any) -> Any:
-    """Deterministic JSON form of a tx payload (bytes hex-encoded); a malformed one's repr."""
-    if not well_formed(payload):
-        return {"repr": repr(payload)}
-    if isinstance(payload, RegisterPayload):
-        return {"reg_id": payload.reg_id.hex()}
-    if isinstance(payload, ClientCommitPayload):
-        return {"com": payload.com.hex(), "serial": payload.serial.hex(),
-                "proof": serialize_proof(payload.proof).hex()}
-    if isinstance(payload, MMCommitPayload):
-        return {"com": payload.com.hex()}
-    if isinstance(payload, ClientRevealPayload):
-        return {"tkn": payload.tkn, "size": payload.size,
-                "price": price_to_json(payload.price),
-                "width": width_to_json(payload.width),
-                "serial": payload.serial.hex(), "randomness": payload.randomness.hex(),
-                "reg_id": payload.reg_id.hex(),
-                "reg_token_new": payload.reg_token_new.hex() if payload.reg_token_new else None}
-    if isinstance(payload, MMRevealPayload):
-        m = payload.market
-        return {"bid": m.bid, "size_bid": m.size_bid, "offer": m.offer,
-                "size_offer": m.size_offer}
-    return {"cp": payload.cp, "volume_a": payload.volume_a,
-            "imbalance_a": payload.imbalance_a}
+def _text(v: Any) -> str:
+    """json's text for a string or an int, int subclasses included."""
+    return encode_basestring_ascii(v) if isinstance(v, str) else int.__repr__(v)
+
+
+def payload_text(p: Any, checked: bool = False) -> str:
+    """Canonical JSON text of a tx payload, written directly; a malformed one's repr.
+
+    The text is what ``dumps_canonical`` makes of the payload's fields
+    (sorted keys, bytes as lowercase hex, a missing ``reg_token_new`` as
+    ``null``), or of ``{"repr": repr(payload)}`` for a payload that fails
+    ``well_formed``.  ``checked`` skips that check for a payload known to pass it.
+    """
+    if not (checked or well_formed(p)):
+        return dumps_canonical({"repr": repr(p)})
+    if isinstance(p, RegisterPayload):
+        return f'{{"reg_id":"{p.reg_id.hex()}"}}'
+    if isinstance(p, ClientCommitPayload):
+        return (f'{{"com":"{p.com.hex()}","proof":"{serialize_proof(p.proof).hex()}",'
+                f'"serial":"{p.serial.hex()}"}}')
+    if isinstance(p, MMCommitPayload):
+        return f'{{"com":"{p.com.hex()}"}}'
+    if isinstance(p, ClientRevealPayload):
+        new = f'"{p.reg_token_new.hex()}"' if p.reg_token_new else "null"
+        return (f'{{"price":{_text(price_to_json(p.price))},"randomness":"{p.randomness.hex()}",'
+                f'"reg_id":"{p.reg_id.hex()}","reg_token_new":{new},'
+                f'"serial":"{p.serial.hex()}","size":{_text(p.size)},'
+                f'"tkn":{_text(p.tkn)},"width":{_text(width_to_json(p.width))}}}')
+    if isinstance(p, MMRevealPayload):
+        m = p.market
+        return (f'{{"bid":{_text(m.bid)},"offer":{_text(m.offer)},'
+                f'"size_bid":{_text(m.size_bid)},"size_offer":{_text(m.size_offer)}}}')
+    return (f'{{"cp":{_text(p.cp)},"imbalance_a":{_text(p.imbalance_a)},'
+            f'"volume_a":{_text(p.volume_a)}}}')
 
 
 @dataclass
@@ -458,7 +469,9 @@ class Runner:
     # -- block loop -----------------------------------------------------------
 
     def _record(self, etx: ExecutedTx, effects: dict) -> None:
-        digest = h(dumps_canonical(payload_to_json(etx.tx.payload)).encode()).hex()[:16]
+        # handle checked the payload, unless it rejected it for failing the check
+        checked = effects.get("reason") not in ("malformed", "unknown-kind")
+        digest = h(payload_text(etx.tx.payload, checked).encode())[:8].hex()
         self.trace.append({
             "height": etx.height, "seq": etx.seq, "kind": etx.tx.kind,
             "sender": etx.tx.sender, "relayer": etx.relayer,

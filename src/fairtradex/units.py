@@ -208,6 +208,12 @@ class ProtocolParams:
     some c > 1).  ``t_blocks`` is the base inclusion bound; the effective
     bound inflates it by 1/(1 - alpha) when block producers may be
     participants.
+
+    ``ref`` REF is worth exactly ``ref / (p_a * price)`` token atoms: A
+    atoms at ``price`` 1, B atoms at ``price`` ticks.  ``atoms_floor``
+    rounds that down (the whole atoms ``ref`` pays for, as an escrow cap)
+    and ``atoms_ceil`` rounds it up (the fewest whole atoms worth at least
+    ``ref``, as a minimum size); both stay in integers.
     """
 
     e_client: int
@@ -231,9 +237,13 @@ class ProtocolParams:
         if not 0 <= self.alpha < 1:
             raise QuantityError("alpha must lie in [0, 1)")
 
-    def atoms(self, ref: int, price: int = 1) -> Fraction:
-        """Exact token atoms worth ``ref`` REF: A atoms, or B atoms at ``price`` ticks."""
-        return ref / (self.p_a * price)
+    def atoms_floor(self, ref: int, price: int = 1) -> int:
+        """Whole token atoms worth at most ``ref`` REF: floor(ref / (p_a * price))."""
+        return ref * self.p_a.denominator // (self.p_a.numerator * price)
+
+    def atoms_ceil(self, ref: int, price: int = 1) -> int:
+        """Whole token atoms worth at least ``ref`` REF: ceil(ref / (p_a * price))."""
+        return -(-ref * self.p_a.denominator // (self.p_a.numerator * price))
 
     @property
     def t_eff(self) -> int:

@@ -1,5 +1,6 @@
-"""Shared test fixtures: independent clearing enumerator, book generators,
-and a thin harness for driving protocol handlers without a chain."""
+"""Shared test fixtures: independent clearing enumerator, reference trace
+codec, book generators, and a thin harness for driving protocol handlers
+without a chain."""
 
 from __future__ import annotations
 
@@ -9,6 +10,10 @@ from fractions import Fraction
 from fairtradex.auction import AuctionBook, tight_market_orders
 from fairtradex.chain import ExecutedTx, Tx
 from fairtradex.ledger import Ledger
+from fairtradex.membership import serialize_proof
+from fairtradex.protocol import (ClientCommitPayload, ClientRevealPayload, MMCommitPayload,
+                                 MMRevealPayload, RegisterPayload, well_formed)
+from fairtradex.serialize import price_to_json, width_to_json
 from fairtradex.units import ANY, MKT, TOKEN_A, TOKEN_B, TOKEN_REF, Market, Order, ProtocolParams
 
 
@@ -63,6 +68,35 @@ def naive_bound(book):
     limits = [o.price for o in (*book.buy_orders, *book.sell_orders)
               if isinstance(o.price, int)]
     return max(max(limits, default=1) + 1, -(-total_buy // total_sell) + 1)
+
+
+def payload_to_json(payload):
+    """Reference trace codec: a payload's JSON object built field by field, or its repr.
+
+    ``scenario.payload_text`` must write exactly ``dumps_canonical`` of this.
+    """
+    if not well_formed(payload):
+        return {"repr": repr(payload)}
+    if isinstance(payload, RegisterPayload):
+        return {"reg_id": payload.reg_id.hex()}
+    if isinstance(payload, ClientCommitPayload):
+        return {"com": payload.com.hex(), "serial": payload.serial.hex(),
+                "proof": serialize_proof(payload.proof).hex()}
+    if isinstance(payload, MMCommitPayload):
+        return {"com": payload.com.hex()}
+    if isinstance(payload, ClientRevealPayload):
+        return {"tkn": payload.tkn, "size": payload.size,
+                "price": price_to_json(payload.price),
+                "width": width_to_json(payload.width),
+                "serial": payload.serial.hex(), "randomness": payload.randomness.hex(),
+                "reg_id": payload.reg_id.hex(),
+                "reg_token_new": payload.reg_token_new.hex() if payload.reg_token_new else None}
+    if isinstance(payload, MMRevealPayload):
+        m = payload.market
+        return {"bid": m.bid, "size_bid": m.size_bid, "offer": m.offer,
+                "size_offer": m.size_offer}
+    return {"cp": payload.cp, "volume_a": payload.volume_a,
+            "imbalance_a": payload.imbalance_a}
 
 
 def random_book(rng: random.Random, max_orders: int = 12, band: int = 32,

@@ -1,10 +1,15 @@
+import enum
 import json
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from fairtradex import membership
+from fairtradex import membership, protocol, scenario
 from fairtradex.chain import (CLIENT_REGISTER, CLIENT_REVEAL, COMMIT_CLIENT,
                               COMMIT_MM, CP, MM_REVEAL, RELAYED, Chain,
                               InvalidProof, Tx)
@@ -16,12 +21,13 @@ from fairtradex.protocol import (_KINDS, ClientCommitPayload, ClientRevealPayloa
                                  CpPayload, MMCommitPayload, MMRevealPayload,
                                  Phase, Protocol, RegisterPayload,
                                  client_commitment, mm_commitment)
-from fairtradex.scenario import Runner, payload_to_json
+from fairtradex.scenario import Runner, payload_text
+from fairtradex.serialize import dumps_canonical
 from fairtradex.auction import find_clearing_price
 from fairtradex.units import (ANY, MKT, TOKEN_A, TOKEN_B, TOKEN_REF, WITHDRAW,
                               Market)
 
-from helpers import etx, fund, make_params
+from helpers import etx, fund, make_params, payload_to_json
 
 
 class World:
@@ -233,6 +239,19 @@ class TestCommitClient:
         eff = w.commit_client("c1", MKT_BUY, relayer=None)
         assert not eff["applied"] and eff["reason"] == "not-relayed"
 
+    def test_proof_under_another_serial_is_bad_proof(self):
+        w = self.setup_world()
+        honest = w.commit_tx("c1", MKT_BUY)
+        forged = Tx(kind=COMMIT_CLIENT, sender=RELAYED,
+                    payload=replace(honest.payload, serial=b"\x07" * 32))
+        assert w.proto.commit_looks_valid(forged) is False
+        eff = w.proto.handle(etx(forged, height=w.height, relayer="relay1"))
+        assert eff == {"applied": False, "reason": "bad-proof"}
+        assert not w.proto.client_commits
+        # the proof's own serial was not consumed: c1 still commits under it
+        assert w.relay_commit(honest)[0]["applied"]
+        assert set(w.proto.client_commits) == {w.secrets["c1"].s}
+
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -303,6 +322,141 @@ class TestProofVerdictReuse:
         second = Runner(config).run()
         assert len(calls) == 2 * per_run
         assert second.trace == first.trace
+
+
+def trace_digest(text: str) -> str:
+    return membership.h(text.encode()).hex()[:16]
+
+
+def repr_digest(payload) -> str:
+    return trace_digest(dumps_canonical({"repr": repr(payload)}))
+
+
+class Lots(enum.IntEnum):
+    ONE = 1
+    MANY = 10**6
+
+
+_digests = st.binary(min_size=32, max_size=32)
+_ints = st.one_of(st.integers(-10**20, 10**20), st.sampled_from(Lots))
+_sizes = st.one_of(st.integers(0, 10**20), st.sampled_from(Lots))
+_prices = st.one_of(st.just(MKT), st.just(WITHDRAW), st.integers(1, 10**20),
+                    st.sampled_from(Lots))
+_widths = st.one_of(st.just(ANY), st.integers(1, 10**6).map(Fraction),
+                    st.fractions(min_value=1, max_denominator=10**6))
+_proofs = st.builds(MembershipProof, root=_digests, leaf=_digests, serial=_digests,
+                    binding=_digests,
+                    siblings=st.lists(st.tuples(st.sampled_from((0, 1)), _digests),
+                                      max_size=4).map(tuple))
+
+
+@st.composite
+def _markets(draw):
+    bid, offer = sorted(draw(st.lists(st.integers(1, 10**9), min_size=2, max_size=2)))
+    return Market(bid=bid, size_bid=draw(_sizes), offer=offer, size_offer=draw(_sizes))
+
+
+_PAYLOADS = st.one_of(
+    st.builds(RegisterPayload, reg_id=_digests),
+    st.builds(ClientCommitPayload, com=_digests, serial=_digests, proof=_proofs),
+    st.builds(MMCommitPayload, com=_digests),
+    st.builds(ClientRevealPayload, tkn=st.sampled_from((TOKEN_A, TOKEN_B)), size=_sizes,
+              price=_prices, width=_widths, serial=_digests, randomness=_digests,
+              reg_id=_digests, reg_token_new=st.one_of(st.none(), _digests)),
+    st.builds(MMRevealPayload, market=_markets()),
+    st.builds(CpPayload, cp=_ints, volume_a=_ints, imbalance_a=_ints),
+)
+
+
+class TestTraceCodec:
+    """``payload_text`` writes the reference codec's canonical JSON text directly."""
+
+    @given(_PAYLOADS)
+    def test_text_is_the_reference_objects_canonical_json(self, payload):
+        assert protocol.well_formed(payload)
+        assert payload_text(payload) == dumps_canonical(payload_to_json(payload))
+        assert payload_text(payload, checked=True) == payload_text(payload)
+
+    def test_edge_values(self):
+        base = ClientRevealPayload(tkn=TOKEN_B, size=Lots.MANY, price=MKT, width=ANY,
+                                   serial=_Z, randomness=_Z, reg_id=_Z)
+        for price in (MKT, WITHDRAW, 7, Lots.ONE):
+            for width in (ANY, Fraction(3), Fraction(121, 100)):
+                for new in (None, b"\x01" * 32):
+                    p = replace(base, price=price, width=width, reg_token_new=new)
+                    assert payload_text(p) == dumps_canonical(payload_to_json(p)), p
+        text = payload_text(replace(base, price=WITHDRAW, width=Fraction(121, 100)))
+        assert '"price":"withdraw"' in text and '"size":1000000' in text
+        assert '"width":"121/100"' in text and '"reg_token_new":null' in text
+
+    def test_every_bad_payload_gets_the_repr_digest(self):
+        runner = Runner(json.loads((SCENARIOS / "two_mm_competition.json").read_text()))
+        for kind, payload in BAD_PAYLOADS:
+            effects = runner.protocol.handle(etx(Tx(kind=kind, sender="c1", payload=payload)))
+            assert effects["reason"] == "malformed"
+            runner._record(etx(Tx(kind=kind, sender="c1", payload=payload)), effects)
+            assert runner.trace[-1]["digest"] == repr_digest(payload), payload
+
+    def test_well_formed_payload_under_another_kind_keeps_its_text(self):
+        # the digest reads the payload alone: the kind is recorded beside it
+        w = World()
+        w.add_client("c1", 1)
+        w.register("c1")
+        w.start()
+        payload = w.commit_tx("c1", MKT_BUY).payload
+        runner = Runner(json.loads((SCENARIOS / "two_mm_competition.json").read_text()))
+        tx = etx(Tx(kind=MM_REVEAL, sender="m1", payload=payload))
+        effects = runner.protocol.handle(tx)
+        assert effects == {"applied": False, "reason": "malformed"}
+        runner._record(tx, effects)
+        assert runner.trace[-1]["digest"] == trace_digest(
+            dumps_canonical(payload_to_json(payload)))
+
+
+def count_checks(monkeypatch):
+    """Count ``well_formed`` calls by payload type, where protocol and scenario look it up."""
+    calls, real = Counter(), protocol.well_formed
+
+    def counted(p):
+        calls[type(p)] += 1
+        return real(p)
+    monkeypatch.setattr(protocol, "well_formed", counted)
+    monkeypatch.setattr(scenario, "well_formed", counted)
+    return calls
+
+
+class TestPayloadCheckCount:
+    """Each payload is checked where it is judged, and the trace record reuses that."""
+
+    def test_each_transaction_is_checked_once_per_judgement(self, monkeypatch):
+        config = json.loads((SCENARIOS / "two_mm_competition.json").read_text())
+        runner = Runner(config)
+        calls = count_checks(monkeypatch)
+        result = runner.run()
+        txs = [rec for rec in result.trace if rec["seq"] is not None]
+        kinds = Counter(rec["kind"] for rec in txs)
+        assert not [rec for rec in txs
+                    if rec["effects"].get("reason") in ("malformed", "unknown-kind")]
+        assert kinds[COMMIT_CLIENT] > 0 and kinds[CLIENT_REVEAL] > 0
+        # a relayed commit: the dry run and handle; every other kind: handle
+        assert calls == Counter({
+            ClientCommitPayload: 2 * kinds[COMMIT_CLIENT],
+            RegisterPayload: kinds[CLIENT_REGISTER],
+            ClientRevealPayload: kinds[CLIENT_REVEAL],
+            MMCommitPayload: kinds[COMMIT_MM], MMRevealPayload: kinds[MM_REVEAL],
+            CpPayload: kinds[CP]})
+
+    def test_rejected_as_unchecked_records_are_checked_again(self, monkeypatch):
+        runner = Runner(json.loads((SCENARIOS / "two_mm_competition.json").read_text()))
+        bad = RegisterPayload(reg_id=b"short")
+        for kind, reason in ((CLIENT_REGISTER, "malformed"), ("garbage", "unknown-kind")):
+            tx = etx(Tx(kind=kind, sender="c1", payload=bad))
+            effects = runner.protocol.handle(tx)
+            assert effects == {"applied": False, "reason": reason}
+            calls = count_checks(monkeypatch)
+            runner._record(tx, effects)
+            assert calls == Counter({RegisterPayload: 1})
+            assert runner.trace[-1]["digest"] == repr_digest(bad)
 
 
 class TestCommitMM:
@@ -458,6 +612,15 @@ class TestRevealMM:
         w = self.setup_committed()
         eff = w.reveal_mm("m1", spanning_market(w, mult=3))
         assert not eff["applied"] and eff["reason"] == "commitment-mismatch"
+
+    def test_minimum_liquidity_boundary_is_the_whole_atom_ceiling(self):
+        w = World(p_a=Fraction(7, 3))
+        w.add_mm("m1")
+        # q_not = 10,000 REF is 4285.7 A atoms, and 42.02 B atoms at offer 102
+        edge = Market(bid=98, size_bid=4286, offer=102, size_offer=43)
+        assert w.proto._mm_liquidity_ok("m1", edge)
+        assert not w.proto._mm_liquidity_ok("m1", replace(edge, size_bid=4285))
+        assert not w.proto._mm_liquidity_ok("m1", replace(edge, size_offer=42))
 
 
 class TestEndRevealPhase:
@@ -685,7 +848,7 @@ class TestPhaseGuardTotality:
     def test_dry_run_and_trace_codec_are_total(self):
         w = self.world_in_phase(Phase.COMMIT)
         for kind, payload in BAD_PAYLOADS:
-            assert payload_to_json(payload) == {"repr": repr(payload)}, payload
+            assert payload_text(payload) == dumps_canonical({"repr": repr(payload)}), payload
             tx = Tx(kind=kind, sender=RELAYED, payload=payload)
             assert w.proto.commit_looks_valid(tx) is False, payload
 
@@ -699,7 +862,7 @@ class TestPhaseGuardTotality:
             assert w.proto.commit_looks_valid(tx) is False, phase
             eff = w.proto.handle(etx(tx, height=w.height, relayer="relay1"))
             assert eff == {"applied": False, "reason": "malformed"}, phase
-            assert payload_to_json(payload) == {"repr": repr(payload)}
+            assert payload_text(payload) == dumps_canonical({"repr": repr(payload)})
 
     def test_relayers_drop_a_commit_payload_under_another_kind(self):
         w = self.world_in_phase(Phase.COMMIT)

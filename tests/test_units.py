@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -82,3 +83,15 @@ class TestParams:
         with pytest.raises(QuantityError):
             ProtocolParams(e_client=10, e_mm=100, q_not=100, f_r=1, res_bounty=1,
                            p_a=Fraction(1), t_blocks=3)
+
+    @given(ref=st.integers(0, 10**15), price=st.integers(1, 10**6),
+           p_a=st.one_of(st.sampled_from([Fraction(7, 3), Fraction(1, 1000), Fraction(1)]),
+                         st.fractions(min_value=Fraction(1, 10**6), max_value=10**6)))
+    def test_whole_atoms_round_the_exact_value(self, ref, price, p_a):
+        p = ProtocolParams(e_client=10, e_mm=200, q_not=100, f_r=1, res_bounty=1,
+                           p_a=p_a, t_blocks=3)
+        exact = Fraction(ref) / (p_a * price)
+        assert p.atoms_floor(ref, price) == math.floor(exact)
+        assert p.atoms_ceil(ref, price) == math.ceil(exact)
+        assert p.atoms_floor(ref) == math.floor(Fraction(ref) / p_a)
+        assert p.atoms_ceil(ref) == math.ceil(Fraction(ref) / p_a)
