@@ -13,9 +13,10 @@ Conventions used throughout (all arithmetic exact):
 * Settlement moves whole B atoms ("lots" of ``cp`` A atoms each), so a buy
   order can execute at most ``size // cp`` lots; sub-lot dust is refunded.
 * Volumes come from one depth view per book (limits sorted once, with
-  running size sums).  The oracle scores one tick per eligibility segment,
-  at most n + 1 of them, each in O(log n): O(n log n) per clear; settlement
-  reads its price levels from the same view.
+  running size sums).  The oracle ranks one tick per eligibility segment,
+  at most n + 1 of them, from one linear merge walk over the two sorted
+  limit lists: O(n log n) per clear for the sort, O(n) after it;
+  settlement reads its price levels from the same view.
 """
 
 from __future__ import annotations
@@ -79,15 +80,16 @@ def filter_by_width(book: AuctionBook) -> tuple[AuctionBook, list[Order]]:
     Keeps orders with ``width_req >= w_tight`` or width ANY.  When no market
     was revealed (``w_tight`` is ANY) the constraint is vacuous and every
     order is kept.  Returns the filtered book and the removed orders, which
-    settle as full refunds.
+    settle as full refunds.  Widths compare by cross multiplication.
     """
     if book.w_tight is ANY:
         return book, []
+    p, q = book.w_tight.numerator, book.w_tight.denominator
     kept_b, kept_s, removed = [], [], []
-    for o in book.buy_orders:
-        (kept_b if o.width_req >= book.w_tight else removed).append(o)
-    for o in book.sell_orders:
-        (kept_s if o.width_req >= book.w_tight else removed).append(o)
+    for orders, kept in ((book.buy_orders, kept_b), (book.sell_orders, kept_s)):
+        for o in orders:
+            w = o.width_req
+            (kept if w is ANY or w.numerator * q >= p * w.denominator else removed).append(o)
     filtered = replace(book, buy_orders=tuple(kept_b), sell_orders=tuple(kept_s))
     return filtered, removed
 
@@ -172,6 +174,42 @@ class _Depth:
         sell_a = sell_vol * cp
         return min(buy_vol, sell_a), buy_vol - sell_a
 
+    @cached_property
+    def segments(self) -> list[tuple[int, int, int]]:
+        """Each trading segment's ``(best tick, buy A atoms, sell B atoms)``, ascending.
+
+        One merge walk over the two sorted limit lists.  Eligibility changes
+        only at a sell limit (the sell joins) and one past a buy limit (the
+        buy leaves), so those ticks and 1 start the segments; equal starts
+        merge.  On a segment the buy volume B and sell volume S are fixed:
+        the volume min(B, S * cp) rises until S * cp >= B, and |imbalance|
+        rises after that, so the best tick under (max volume, min
+        |imbalance|, lowest price) is ceil(B / S), clamped into the segment.
+        A segment where one side is empty trades nothing and is left out.
+        """
+        end = float("inf")   # past every limit: stops each pointer and the walk
+        buys, sells = [*self._buy_limits, end], [*self._sell_limits, end]
+        buy_from, sell_upto = self._buy_from, self._sell_upto
+        out = []
+        i = j = 0   # buy limits below the tick, sell limits at or below it
+        tick = 1
+        while tick != end:
+            while sells[j] <= tick:
+                j += 1
+            while buys[i] < tick:
+                i += 1
+            nxt = sells[j] if sells[j] <= buys[i] else buys[i] + 1
+            buy_vol, sell_vol = buy_from[i], sell_upto[j]
+            if buy_vol and sell_vol:
+                cp = -(-buy_vol // sell_vol)
+                if cp < tick:
+                    cp = tick
+                elif cp >= nxt:
+                    cp = nxt - 1
+                out.append((cp, buy_vol, sell_vol))
+            tick = nxt
+        return out
+
     def levels(self, cp: int) -> tuple[list[list[Order]], list[list[Order]]]:
         """Each side's orders eligible at ``cp`` as price levels, most aggressive first.
 
@@ -201,23 +239,10 @@ def score_at(book: AuctionBook, cp: int) -> tuple[int, int]:
 def candidate_prices(book: AuctionBook) -> list[int]:
     """Each constant-eligibility segment's optimal tick, ascending.
 
-    Eligibility changes only at a sell limit (the sell joins) and one past
-    a buy limit (the buy leaves), so those ticks and 1 start the segments.
-    On a segment the buy volume B and sell volume S are fixed: the volume
-    min(B, S * cp) rises until S * cp >= B, and |imbalance| rises after
-    that, so the best tick under (max volume, min |imbalance|, lowest
-    price) is ceil(B / S), clamped into the segment.  A segment where one
-    side is empty trades nothing and gets no tick; every listed tick trades.
+    The ticks of ``_Depth.segments``: one linear merge walk after the
+    depth view's sort.  Every listed tick trades.
     """
-    depth = book._depth
-    starts = sorted({1, *depth._sell_limits, *(l + 1 for l in depth._buy_limits)})
-    cands = []
-    for a, nxt in zip(starts, [*starts[1:], None]):
-        buy_vol, sell_vol = depth.volumes(a)
-        if buy_vol and sell_vol:
-            cp = max(a, -(-buy_vol // sell_vol))
-            cands.append(cp if nxt is None else min(cp, nxt - 1))
-    return cands
+    return [cp for cp, _, _ in book._depth.segments]
 
 
 def find_clearing_price(book: AuctionBook) -> Optional[ClearingCandidate]:
@@ -226,14 +251,16 @@ def find_clearing_price(book: AuctionBook) -> Optional[ClearingCandidate]:
     Maximises traded volume, then minimises |imbalance|, then picks the
     lowest price.  Returns None when no price trades positive volume.
     """
-    score = book._depth.score
-    best: Optional[ClearingCandidate] = None
-    for cp in candidate_prices(book):
-        vol, imb = score(cp)
-        if (best is None or vol > best.volume_a
-                or (vol == best.volume_a and abs(imb) < abs(best.imbalance_a))):
-            best = ClearingCandidate(cp=cp, volume_a=vol, imbalance_a=imb)
-    return best
+    best_cp = best_vol = best_imb = best_gap = 0
+    for cp, buy_vol, sell_vol in book._depth.segments:
+        sell_a = sell_vol * cp
+        vol, gap = (sell_a, buy_vol - sell_a) if sell_a < buy_vol else (buy_vol, sell_a - buy_vol)
+        # every segment trades, so the first one always takes the lead
+        if vol > best_vol or (vol == best_vol and gap < best_gap):
+            best_cp, best_vol, best_imb, best_gap = cp, vol, buy_vol - sell_a, gap
+    if not best_cp:
+        return None
+    return ClearingCandidate(cp=best_cp, volume_a=best_vol, imbalance_a=best_imb)
 
 
 def verify_clearing_price(book: AuctionBook, cp: int, volume_a: int, imbalance_a: int) -> bool:
@@ -247,7 +274,7 @@ def verify_clearing_price(book: AuctionBook, cp: int, volume_a: int, imbalance_a
     imbalance are valued at the probe's own price, so this is exactly the
     oracle's ranking restricted to one neighbour.
     """
-    if not isinstance(cp, int) or cp < 1:
+    if not isinstance(cp, int) or isinstance(cp, bool) or cp < 1:
         return False
     vol, imb = score_at(book, cp)
     if volume_a != vol or imbalance_a != imb or vol == 0:
@@ -311,7 +338,7 @@ def settle(book: AuctionBook, cp: int) -> ClearingResult:
     so a price at which every eligible buy is smaller than ``cp`` passes and
     settles zero lots, refunding every order.
     """
-    if not isinstance(cp, int) or cp < 1:
+    if not isinstance(cp, int) or isinstance(cp, bool) or cp < 1:
         raise InvalidClearingPrice(f"not a price: {cp!r}")
     vol, imb = score_at(book, cp)
     if vol == 0:
@@ -325,15 +352,14 @@ def settle(book: AuctionBook, cp: int) -> ClearingResult:
     sell_fills = _waterfall(sell_levels, volume, 1)
 
     fills = []
-    for o in sorted((*book.buy_orders, *book.sell_orders), key=lambda o: o.oid):
-        if o.side == "buy":
-            lots = buy_fills.get(o.oid, 0)
-            fills.append(Fill(oid=o.oid, executed=lots * cp, received=lots,
-                              refunded=o.size - lots * cp))
-        else:
-            delivered = sell_fills.get(o.oid, 0)
-            fills.append(Fill(oid=o.oid, executed=delivered, received=delivered * cp,
-                              refunded=o.size - delivered))
+    for o in book.buy_orders:
+        lots = buy_fills.get(o.oid, 0)
+        fills.append(Fill(o.oid, lots * cp, lots, o.size - lots * cp))
+    for o in book.sell_orders:
+        delivered = sell_fills.get(o.oid, 0)
+        fills.append(Fill(o.oid, delivered, delivered * cp, o.size - delivered))
+    # stable: ascending oid, a buy before a sell that shares its oid
+    fills.sort(key=attrgetter("oid"))
     return ClearingResult(cp=cp, volume_settled_b=volume, imbalance_a=imb, fills=tuple(fills))
 
 
@@ -373,9 +399,10 @@ def conservation_problems(cp: int, volume_b: int,
 
 def validate_clearing_result(book: AuctionBook, res: ClearingResult) -> None:
     """Assert the exact-conservation invariants of a settlement."""
-    orders = {o.oid: o for o in (*book.buy_orders, *book.sell_orders)}
-    rows = ((f.oid, orders[f.oid].side, orders[f.oid].size, f.executed, f.received, f.refunded)
-            for f in res.fills)
+    orders = {o.oid: ("buy", o.size) for o in book.buy_orders}
+    orders.update({o.oid: ("sell", o.size) for o in book.sell_orders})
+    rows = ((f.oid, side, size, f.executed, f.received, f.refunded)
+            for f in res.fills for side, size in (orders[f.oid],))
     problems = conservation_problems(res.cp, res.volume_settled_b, rows)
     if problems:
         raise AssertionError("; ".join(problems))

@@ -7,7 +7,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from fairtradex.auction import AuctionBook, tight_market_orders
+from fairtradex.auction import AuctionBook, candidate_prices, score_at, tight_market_orders
 from fairtradex.chain import ExecutedTx, Tx
 from fairtradex.ledger import Ledger
 from fairtradex.membership import serialize_proof
@@ -55,6 +55,16 @@ def naive_clear(book):
     tied &= np.abs(imb) == best_imb
     cp = int(cps[tied][0])
     return cp, int(best_vol), int(imb[tied][0])
+
+
+def ranked_clear(book):
+    """Reference ranking of the oracle's own candidates: score each tick with ``score_at``.
+
+    Takes the best ``candidate_prices`` tick under (max volume, min
+    |imbalance|, lowest price).  Returns (cp, volume_a, imbalance_a) or None.
+    """
+    scored = [(cp, *score_at(book, cp)) for cp in candidate_prices(book)]
+    return min(scored, key=lambda s: (-s[1], abs(s[2]), s[0]), default=None)
 
 
 def naive_bound(book):

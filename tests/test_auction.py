@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fairtradex.auction import (AuctionBook, InvalidClearingPrice,
+from fairtradex.auction import (AuctionBook, Fill, InvalidClearingPrice,
                                 candidate_prices, filter_by_width,
                                 find_clearing_price, select_tight_market, settle,
                                 tie_break_digest, tie_break_seed,
@@ -17,7 +18,7 @@ from fairtradex.auction import (AuctionBook, InvalidClearingPrice,
 from fairtradex.serialize import book_from_json, result_to_json
 from fairtradex.units import ANY, MKT, TOKEN_A, TOKEN_B, WITHDRAW, Market, Order
 
-from helpers import naive_bound, naive_clear, random_book, wide_book
+from helpers import naive_bound, naive_clear, random_book, ranked_clear, wide_book
 
 GOLDEN = Path(__file__).parent / "golden" / "clearing_fixture.json"
 
@@ -35,6 +36,10 @@ def sell(oid, size, price, width=ANY, owner=None):
 def book_of(buys, sells, w_tight=ANY):
     return AuctionBook(buy_orders=tuple(buys), sell_orders=tuple(sells), w_tight=w_tight)
 
+
+#: numeric widths >= 1 with numerators and denominators up to 10^40
+WIDTHS = st.builds(lambda den, extra: Fraction(den + extra, den),
+                   st.integers(1, 10**40), st.integers(0, 10**40))
 
 #: (is_buy, size, price) order lists over ticks 1-30, with market orders and withdrawals
 ORDERS = st.lists(st.tuples(st.booleans(), st.integers(1, 50),
@@ -73,6 +78,38 @@ class TestWidthFilter:
                     [sell(1, 5, 40, width=Fraction(11, 10))], w_tight=ANY)
         kept, removed = filter_by_width(b)
         assert len(kept.buy_orders) == 1 and len(kept.sell_orders) == 1 and not removed
+        assert kept is b
+
+    @staticmethod
+    def check_partition(w_tight, orders):
+        """Kept and removed orders, in book order, against ``width_req >= w_tight``."""
+        b = book_of([buy(i, 5, MKT, width=w) for i, (is_buy, w) in enumerate(orders) if is_buy],
+                    [sell(i, 5, MKT, width=w) for i, (is_buy, w) in enumerate(orders)
+                     if not is_buy], w_tight=w_tight)
+        kept, removed = filter_by_width(b)
+        assert kept.buy_orders == tuple(o for o in b.buy_orders if o.width_req >= w_tight)
+        assert kept.sell_orders == tuple(o for o in b.sell_orders if o.width_req >= w_tight)
+        assert removed == [o for o in (*b.buy_orders, *b.sell_orders)
+                           if not o.width_req >= w_tight]
+        assert kept.w_tight is w_tight
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_partition_matches_fraction_comparison(self, data):
+        """Widths ANY, equal to ``w_tight`` (a new ``Fraction``) or any up to 10^40 / 10^40."""
+        w_tight = data.draw(WIDTHS)
+        equal = st.just(Fraction(w_tight.numerator, w_tight.denominator))
+        widths = st.one_of(st.just(ANY), equal, WIDTHS)
+        self.check_partition(w_tight, data.draw(st.lists(st.tuples(st.booleans(), widths),
+                                                         max_size=12)))
+
+    @pytest.mark.parametrize("w_tight", [Fraction(11, 10), Fraction(10**31 + 1, 10**31),
+                                         Fraction(3 * 10**35 + 1, 7)])
+    def test_partition_at_the_boundary(self, w_tight):
+        """Each side gets ANY, ``w_tight`` and its neighbours 10^-40 below and above."""
+        num, den, k = w_tight.numerator, w_tight.denominator, 10**40
+        widths = [ANY, w_tight, Fraction(num * k - 1, den * k), Fraction(num * k + 1, den * k)]
+        self.check_partition(w_tight, [(is_buy, w) for w in widths for is_buy in (True, False)])
 
 
 class TestTieBreak:
@@ -259,6 +296,35 @@ class TestOracle:
             else:
                 assert naive == (cand.cp, cand.volume_a, cand.imbalance_a)
 
+    @staticmethod
+    def check_against_ranking(b):
+        """The oracle against ``ranked_clear``, and each segment against ``volumes_at``."""
+        cand = find_clearing_price(b)
+        assert (None if cand is None
+                else (cand.cp, cand.volume_a, cand.imbalance_a)) == ranked_clear(b)
+        segments = b._depth.segments
+        assert [cp for cp, _, _ in segments] == candidate_prices(b)
+        for cp, buy_vol, sell_vol in segments:
+            assert volumes_at(b, cp) == (buy_vol, sell_vol)
+
+    @given(orders=ORDERS)
+    @example(orders=[])                                                # empty book
+    @example(orders=[(True, 5, MKT), (True, 3, MKT), (False, 2, MKT)])  # market orders only
+    @example(orders=[(True, 5, 7), (False, 2, WITHDRAW), (False, 3, WITHDRAW)])
+    @example(orders=[(True, 5, WITHDRAW), (False, 2, 3), (False, 3, MKT)])
+    @example(orders=[(True, 20, 10), (False, 1, 11)])                  # sell limit = buy + 1
+    @example(orders=[(True, 20, 10), (False, 1, 11), (False, 2, MKT), (True, 9, 11)])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_ranking(self, orders):
+        self.check_against_ranking(book_of_tuples(orders))
+
+    def test_matches_reference_ranking_on_duplicate_limits(self):
+        rng = random.Random(4321)
+        for _ in range(300):
+            # up to 20 orders over 1 to 4 ticks near the bottom of the grid
+            self.check_against_ranking(random_book(rng, max_orders=20, band=rng.randint(1, 4),
+                                                   base_price=rng.randint(1, 3)))
+
     @pytest.mark.parametrize("seed, n_orders, hi", sorted(WIDE_CANDIDATES))
     def test_wide_books_agree_with_naive_enumerator(self, seed, n_orders, hi):
         b = filtered_wide_book(seed, n_orders, hi)
@@ -299,6 +365,12 @@ class TestVerifier:
         assert cand.cp == 50
         for cp in (49, 51):
             assert not verify_clearing_price(b, cp, *self.claims(b, cp))
+
+    def test_bool_cp_rejected(self):
+        # cp = 1 balances this book exactly, so True would pass on its value
+        b = book_of([buy(0, 5, MKT)], [sell(1, 5, MKT)])
+        assert verify_clearing_price(b, 1, 5, 0)
+        assert not verify_clearing_price(b, True, 5, 0)
 
     def test_zero_volume_claim_rejected(self):
         b = book_of([buy(0, 100, 60)], [sell(1, 1, 40)])
@@ -376,6 +448,25 @@ class TestSettle:
         b = book_of([buy(0, 100, 50)], [sell(1, 2, 50)])
         with pytest.raises(InvalidClearingPrice):
             settle(b, 49)
+
+    def test_bool_cp_raises(self):
+        # cp = 1 trades here, so only the type stops True
+        b = book_of([buy(0, 5, MKT)], [sell(1, 5, MKT)])
+        assert settle(b, 1).volume_settled_b == 5
+        for cp in (True, False):
+            with pytest.raises(InvalidClearingPrice):
+                settle(b, cp)
+
+    def test_fills_in_oid_order_buy_first_on_a_shared_oid(self):
+        # oid 2 is both a buy and a sell, as a client's two orders are in an
+        # analysis engine book; each side is listed out of oid order
+        b = book_of([buy(2, 100, MKT), buy(0, 30, MKT)], [sell(2, 1, 50), sell(1, 1, MKT)])
+        assert find_clearing_price(b).cp == 65
+        res = settle(b, 65)
+        assert res.fills == (Fill(0, 0, 0, 30), Fill(1, 1, 65, 0),
+                             Fill(2, 65, 1, 35), Fill(2, 0, 0, 1))
+        with pytest.raises(FrozenInstanceError):
+            res.fills[0].executed = 1
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=300, deadline=None)
