@@ -17,12 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .auction import (AuctionBook, filter_by_width, find_clearing_price, select_tight_market,
-                      settle, tight_market_orders)
+from .auction import (AuctionBook, fill_order, filter_by_width, find_clearing_price,
+                      select_tight_market, settle, tight_market_orders)
 from .units import MKT, TOKEN_A, TOKEN_B, Market, Order, market_width, quote
 
 # ---------------------------------------------------------------------------
@@ -296,9 +297,12 @@ class _EngineGame:
 
     The tight market and the width filter depend on the strategy profile
     alone, so ``outcome_table`` quotes, picks the tight market and filters
-    once per profile; each flow pattern then takes the kept orders on its
-    clients' sides.  ``clear`` turns a filtered book into utilities, which
-    depend on nothing else, so one memo shared by a check clears each
+    once per profile.  What is left, the tight market and the kept client
+    orders, is the game the table depends on: profiles that differ only
+    outside it share one table.  Each flow pattern takes the kept orders on
+    its clients' sides, and ``clear`` turns that filtered book into
+    utilities, which depend on nothing else.  One memo shared by a check
+    builds each distinct game's table once, and with it clears each
     distinct book once.
     """
 
@@ -309,15 +313,18 @@ class _EngineGame:
 
     def outcome_table(self, mm_strats: Sequence[tuple[int, Fraction]],
                       client_strats: Sequence[ClientProfile],
-                      memo: dict) -> dict[str, np.ndarray]:
+                      memo: dict) -> Mapping[str, np.ndarray]:
         """Every player's utility for each of the 2^k client flow patterns,
         indexed by pattern number: bit i is set when client i buys.
 
-        ``memo`` maps what reaches ``clear`` (the tight market and each kept
-        client order's oid, token and price; widths no longer matter once
-        the filter has run) to its utilities.  Sharing it across the
-        profiles of one check (one quoter count) clears each distinct book
-        once."""
+        ``memo`` maps each game (the tight market and each kept client
+        order's oid, token and price; widths no longer matter once the
+        filter has run) to its table.  Sharing it across the profiles of
+        one check (one quoter count) builds each distinct table once.  A
+        game's books are its own, since each holds the game's tight market
+        and one order of each kept client, so each distinct book is cleared
+        once too.  A table may be returned to several callers, so it and
+        its arrays are read-only."""
         depth = 10 * self.n_clients * self.client_size_a
         revealed = []
         for i, (ref, w) in enumerate(mm_strats):
@@ -340,16 +347,26 @@ class _EngineGame:
             buy_orders=(*buys, buy), sell_orders=(*sells, sell), w_tight=market_width(m)))
         # the tight orders are width ANY, so each side keeps its own last
         kept_buys, kept_sells = kept.buy_orders[:-1], kept.sell_orders[:-1]
+        game = (tight, tuple((o.oid, o.tkn, o.price) for o in (*kept_buys, *kept_sells)))
+        if game in memo:
+            return memo[game]
+        # patterns that differ only in filtered-out clients clear one book
+        cleared: dict[tuple, dict[str, float]] = {}
         outcomes = []
         for bits in range(2 ** self.n_clients):
             flow_buys = tuple(o for o in kept_buys if bits >> o.oid & 1)
             flow_sells = tuple(o for o in kept_sells if not bits >> o.oid & 1)
-            key = (tight, tuple((o.oid, o.tkn, o.price) for o in (*flow_buys, *flow_sells)))
-            if key not in memo:
-                memo[key] = self.clear(replace(kept, buy_orders=(*flow_buys, buy),
-                                               sell_orders=(*flow_sells, sell)), len(mm_strats))
-            outcomes.append(memo[key])
-        return {player: np.array([u[player] for u in outcomes]) for player in outcomes[0]}
+            flow = (tuple(o.oid for o in flow_buys), tuple(o.oid for o in flow_sells))
+            if flow not in cleared:
+                cleared[flow] = self.clear(replace(kept, buy_orders=(*flow_buys, buy),
+                                                   sell_orders=(*flow_sells, sell)),
+                                           len(mm_strats))
+            outcomes.append(cleared[flow])
+        table = {player: np.array([u[player] for u in outcomes]) for player in outcomes[0]}
+        for utilities in table.values():
+            utilities.flags.writeable = False
+        memo[game] = MappingProxyType(table)
+        return memo[game]
 
     def clear(self, filtered: AuctionBook, n_mms: int) -> dict[str, float]:
         """Every player's utility from clearing and settling ``filtered``."""
@@ -360,10 +377,8 @@ class _EngineGame:
             return utilities
         result = settle(filtered, cand.cp)
 
-        orders = {o.oid: o for o in (*filtered.buy_orders, *filtered.sell_orders)}
-        for f in result.fills:
-            o = orders[f.oid]
-            if o.side == "buy":
+        for f, (_, side, o) in zip(result.fills, fill_order(filtered)):
+            if side == "buy":
                 delta_ref = f.received * self.y - f.executed
             else:
                 delta_ref = f.received - f.executed * self.y
@@ -372,13 +387,22 @@ class _EngineGame:
                 utilities[o.owner] += float(delta_ref)
             elif fraction > 0:
                 utilities[o.owner] += fraction * client_utility(
-                    float(cand.cp), float(self.y), o.side, float(self.f_mcf))
+                    float(cand.cp), float(self.y), side, float(self.f_mcf))
         return utilities
 
 
 def _best_response_monte_carlo(profile: StrategyProfile, grid: DeviationGrid,
                                y: int, f_mcf: Fraction, paths: int,
                                seed: int) -> BestResponseReport:
+    """Each deviation's paired gain over common random client flow.
+
+    One memo serves the whole check, so each distinct game's outcome table
+    is built once (15 for the 89 profiles of the default grid), and the
+    statistics of each distinct utility column against the base paths (the
+    two path means, the gain and the 2 * SE tolerance) are computed once
+    and shared by every deviation whose table has that column.  Nothing
+    outlives the call.
+    """
     # four clients, each sized divisibly by y so seller sizes are exact
     game = _EngineGame(y=y, f_mcf=f_mcf, n_clients=4, client_size_a=10 * y)
     base_ref = profile.mm.ref_price if profile.mm.ref_price is not None else y
@@ -393,18 +417,25 @@ def _best_response_monte_carlo(profile: StrategyProfile, grid: DeviationGrid,
     base_paths = {key: base[key][path_pattern] for key in ("m0", "c0")}
 
     entries: list[DeviationResult] = []
+    # a deviation's statistics are a function of its player's utility
+    # column alone, so they are keyed on the column's bytes
+    stats: dict[tuple[str, bytes], tuple[float, float, float, float]] = {}
 
     def paired_check(player: str, label: str, mm_strats, client_strats) -> None:
         key = "m0" if player == "mm0" else "c0"
-        base_u = base_paths[key]
-        dev_u = game.outcome_table(mm_strats, client_strats, memo)[key][path_pattern]
-        diff = dev_u - base_u
-        gain = float(diff.mean())
-        se = float(diff.std(ddof=1) / math.sqrt(len(diff)))
+        column = game.outcome_table(mm_strats, client_strats, memo)[key]
+        stats_key = (key, column.tobytes())
+        if stats_key not in stats:
+            base_u = base_paths[key]
+            dev_u = column[path_pattern]
+            diff = dev_u - base_u
+            se = float(diff.std(ddof=1) / math.sqrt(len(diff)))
+            stats[stats_key] = (float(base_u.mean()), float(dev_u.mean()),
+                                float(diff.mean()), 2 * se + 1e-9)
+        u_profile, u_deviation, gain, tolerance = stats[stats_key]
         entries.append(DeviationResult(
-            player=player, label=label,
-            utility_profile=float(base_u.mean()), utility_deviation=float(dev_u.mean()),
-            gain=gain, tolerance=2 * se + 1e-9))
+            player=player, label=label, utility_profile=u_profile,
+            utility_deviation=u_deviation, gain=gain, tolerance=tolerance))
 
     for w_dev in grid.mm_widths:
         for ref_dev in grid.mm_ref_prices:

@@ -25,7 +25,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate, cycle, groupby
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .membership import h
@@ -358,9 +358,20 @@ def settle(book: AuctionBook, cp: int) -> ClearingResult:
     for o in book.sell_orders:
         delivered = sell_fills.get(o.oid, 0)
         fills.append(Fill(o.oid, delivered, delivered * cp, o.size - delivered))
-    # stable: ascending oid, a buy before a sell that shares its oid
+    # stable: ascending oid, a buy before a sell that shares its oid (``fill_order``)
     fills.sort(key=attrgetter("oid"))
     return ClearingResult(cp=cp, volume_settled_b=volume, imbalance_a=imb, fills=tuple(fills))
+
+
+def fill_order(book: AuctionBook) -> list[tuple[int, str, Order]]:
+    """Each order of ``book`` as ``(oid, side, order)``, side "buy" or
+    "sell", in the order ``settle`` lists their fills: ascending oid, a
+    buy before a sell that shares its oid, book order otherwise.  Zipping
+    a settlement's fills with this list pairs each fill with its order."""
+    keyed = [(o.oid, "buy", o) for o in book.buy_orders]
+    keyed += [(o.oid, "sell", o) for o in book.sell_orders]
+    keyed.sort(key=itemgetter(0))
+    return keyed
 
 
 def conservation_problems(cp: int, volume_b: int,
@@ -398,11 +409,16 @@ def conservation_problems(cp: int, volume_b: int,
 
 
 def validate_clearing_result(book: AuctionBook, res: ClearingResult) -> None:
-    """Assert the exact-conservation invariants of a settlement."""
-    orders = {o.oid: ("buy", o.size) for o in book.buy_orders}
-    orders.update({o.oid: ("sell", o.size) for o in book.sell_orders})
-    rows = ((f.oid, side, size, f.executed, f.received, f.refunded)
-            for f in res.fills for side, size in (orders[f.oid],))
+    """Assert the exact-conservation invariants of a settlement.
+
+    Each fill is checked against the order it settles, paired by
+    ``fill_order``, so a buy and a sell that share an oid stay apart.
+    """
+    orders = fill_order(book)
+    if list(map(attrgetter("oid"), res.fills)) != list(map(itemgetter(0), orders)):
+        raise AssertionError("fills are not the book's orders in fill order")
+    rows = ((oid, side, o.size, f.executed, f.received, f.refunded)
+            for f, (oid, side, o) in zip(res.fills, orders))
     problems = conservation_problems(res.cp, res.volume_settled_b, rows)
     if problems:
         raise AssertionError("; ".join(problems))

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -287,14 +288,17 @@ class TestBestResponse:
 
     def test_check_clears_each_distinct_book_once(self, monkeypatch):
         """One competitive check picks the tight market and filters once
-        per profile (the base and its 88 deviations), and clears each
-        distinct book once, out of 89 * 16 = 1,424 profile-pattern pairs.
-        Books that differ only in a kept client's width request clear
-        alike, so they count once: 240 clears."""
+        per profile (the base and its 88 deviations), builds one outcome
+        table per distinct game (the tight market and the kept client
+        orders), 15 of them, and clears each distinct book once, out of
+        89 * 16 = 1,424 profile-pattern pairs.  Books that differ only in a
+        kept client's width request clear alike, so they count once: 240
+        clears.  A second identical check does all of that work again:
+        nothing is cached across calls."""
         from fairtradex import analysis
-        books, tights, filtered = [], [], []
+        books, tights, filtered, tables = [], [], [], []
         oracle, select = analysis.find_clearing_price, analysis.select_tight_market
-        width_filter = analysis.filter_by_width
+        width_filter, outcome_table = analysis.filter_by_width, _EngineGame.outcome_table
 
         def counted_oracle(book):
             books.append(book)
@@ -307,13 +311,55 @@ class TestBestResponse:
         def counted_filter(book):
             filtered.append(book)
             return width_filter(book)
+
+        def counted_table(game, *args):
+            tables.append(outcome_table(game, *args))
+            return tables[-1]
         monkeypatch.setattr(analysis, "find_clearing_price", counted_oracle)
         monkeypatch.setattr(analysis, "select_tight_market", counted_select)
         monkeypatch.setattr(analysis, "filter_by_width", counted_filter)
-        rep = best_response_check(COMPETITIVE, n_mms=2, paths=200)
-        assert len(rep.entries) == 88
-        assert len(tights) == len(filtered) == 89
-        assert len(books) == len(set(books)) == 240 < 89 * 16
+        monkeypatch.setattr(_EngineGame, "outcome_table", counted_table)
+        built = []
+        for _ in range(2):
+            for log in (books, tights, filtered):
+                log.clear()
+            rep = best_response_check(COMPETITIVE, n_mms=2, paths=200)
+            assert len(rep.entries) == 88
+            assert len(tights) == len(filtered) == 89
+            assert len(books) == len(set(books)) == 240 < 89 * 16
+            # every returned table stays referenced, so distinct ids are distinct builds
+            built.append({id(t) for t in tables[-89:]})
+            assert len(built[-1]) == 15
+        assert not built[0] & built[1]
+        # a table goes to every profile that plays its game, so it is read-only
+        table = tables[0]
+        with pytest.raises(ValueError):
+            table["m0"][0] = 1.0
+        with pytest.raises(TypeError):
+            table["m0"] = np.zeros(16)
+
+    @pytest.mark.parametrize("seed", [7, 20_240_006])
+    def test_entries_match_a_fresh_memo_per_deviation(self, seed):
+        """The check's entries, whose tables and statistics are shared
+        between deviations that play one game, equal by ``==`` a plain
+        evaluation in which every deviation builds its own table with a
+        fresh memo and computes its own statistics."""
+        paths = 200
+        game, (_, _, mms, clients), deviations = _competitive_deviations()
+        pattern = ((np.random.default_rng(seed).integers(0, 2, size=(paths, 4)) * 2 - 1 > 0)
+                   @ (1 << np.arange(4)))
+        base = game.outcome_table(mms, clients, {})
+        want = []
+        for _label, key, m, c in deviations:
+            base_u, dev_u = base[key][pattern], game.outcome_table(m, c, {})[key][pattern]
+            diff = dev_u - base_u
+            se = float(diff.std(ddof=1) / math.sqrt(paths))
+            want.append((float(diff.mean()), 2 * se + 1e-9,
+                         float(base_u.mean()), float(dev_u.mean())))
+        rep = best_response_check(COMPETITIVE, n_mms=2, paths=paths, seed=seed)
+        got = [(e.gain, e.tolerance, e.utility_profile, e.utility_deviation)
+               for e in rep.entries]
+        assert got == want
 
     def test_single_quoter_closed_form_against_engine(self):
         """Two models of the one-quoter game on the same default grid: the

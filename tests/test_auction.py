@@ -1,7 +1,7 @@
 import hashlib
 import json
 import random
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -465,8 +465,33 @@ class TestSettle:
         res = settle(b, 65)
         assert res.fills == (Fill(0, 0, 0, 30), Fill(1, 1, 65, 0),
                              Fill(2, 65, 1, 35), Fill(2, 0, 0, 1))
+        validate_clearing_result(b, res)
+        with pytest.raises(AssertionError, match="fill order"):
+            validate_clearing_result(b, replace(res, fills=res.fills[::-1]))
         with pytest.raises(FrozenInstanceError):
             res.fills[0].executed = 1
+
+    @given(orders=ORDERS)
+    @settings(max_examples=300, deadline=None)
+    def test_buys_and_sells_sharing_oids_settle_and_validate(self, orders):
+        """The k-th buy and the k-th sell share oid k, each side listed in
+        reverse: the settlement validates and fills every order as the
+        same book with distinct oids (2k and 2k + 1) does."""
+        buys = [(size, price) for is_buy, size, price in orders if is_buy]
+        sells = [(size, price) for is_buy, size, price in orders if not is_buy]
+
+        def numbered(buy_oid, sell_oid):
+            return book_of([buy(buy_oid(k), *o) for k, o in reversed(list(enumerate(buys)))],
+                           [sell(sell_oid(k), *o) for k, o in reversed(list(enumerate(sells)))])
+        shared = numbered(lambda k: k, lambda k: k)
+        cand = find_clearing_price(shared)
+        if cand is None:
+            return
+        res = settle(shared, cand.cp)
+        validate_clearing_result(shared, res)
+        distinct = settle(numbered(lambda k: 2 * k, lambda k: 2 * k + 1), cand.cp)
+        assert ([(f.executed, f.received, f.refunded) for f in res.fills]
+                == [(f.executed, f.received, f.refunded) for f in distinct.fills])
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=300, deadline=None)
