@@ -167,6 +167,14 @@ def _seed_list(text: str) -> list[int]:
     return [int(s) for s in text.split(",")]
 
 
+def _fraction(text: str) -> float:
+    """A fraction of the notional in [0, 1]; anything else is a usage error (exit 2)."""
+    v = float(text)  # argparse reports a ValueError as an invalid value
+    if not 0 <= v <= 1:  # nan fails too
+        raise argparse.ArgumentTypeError(f"expected a fraction in [0, 1], got {text!r}")
+    return v
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fairtradex")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -186,9 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_clear.set_defaults(func=_cmd_clear)
 
     p_costs = sub.add_parser("costs", help="print the execution-cost matrix as CSV")
-    p_costs.add_argument("--impact", type=float, default=None,
+    p_costs.add_argument("--impact", type=_fraction, default=None,
                          help="flat impact fraction overriding the default table")
-    p_costs.add_argument("--slippage", type=float, default=DEFAULT_SLIPPAGE,
+    p_costs.add_argument("--slippage", type=_fraction, default=DEFAULT_SLIPPAGE,
                          help="slippage fraction for the AMM column")
     p_costs.set_defaults(func=_cmd_costs)
 

@@ -16,6 +16,10 @@ proofs O(log n) while the set is unchanged.  ``accumulate`` and
 ``prove_membership`` also accept any plain sequence, for which they build
 the tree afresh.
 
+A proof's Merkle path is one byte string of ``_NODE``-byte sibling nodes,
+bottom-up: a side tag, then the sibling's digest.  Only this module reads a
+proof's fields; ``is_proof`` checks an untrusted proof's shape.
+
 Verification has two halves.  ``authentic`` is the pure half: the path
 hashes the leaf up to ``proof.root`` and the binding matches the message.
 Its verdict depends on the proof and the message alone, so a caller may
@@ -34,12 +38,11 @@ from typing import Iterable, Iterator, Sequence, Union
 DIGEST_SIZE = 32
 _H_KEY = b"wsfba-hash-v1"
 
-# Side tags for serialized path nodes.
-_NODE_LEAF = 2
-_SIB_RIGHT = 0  # sibling sits to the right of the running node
-_SIB_LEFT = 1
-_LEAF_TAG = bytes([_NODE_LEAF])
-_SIDE_TAGS = {_SIB_RIGHT: bytes([_SIB_RIGHT]), _SIB_LEFT: bytes([_SIB_LEFT])}
+# Node tags: the sibling sits to the right of the running node (_SIB_RIGHT)
+# or to its left (_SIB_LEFT); a serialized proof's leaf node is tagged 2.
+_SIB_RIGHT, _SIB_LEFT = 0, 1
+_RIGHT_TAG, _LEFT_TAG, _LEAF_TAG = bytes([_SIB_RIGHT]), bytes([_SIB_LEFT]), b"\2"
+_NODE = 1 + DIGEST_SIZE  # one path node: side tag, then digest
 
 
 # The key block is compressed once here; every call copies the keyed state.
@@ -51,6 +54,11 @@ def h(*parts: bytes) -> bytes:
     ctx = _H_BASE.copy()
     ctx.update(b"".join(parts))
     return ctx.digest()
+
+
+def is_digest(v: object) -> bool:
+    """Whether ``v`` has the shape of an ``h`` digest: 32 bytes."""
+    return isinstance(v, bytes) and len(v) == DIGEST_SIZE
 
 
 class EmptySet(Exception):
@@ -183,16 +191,18 @@ class MembershipProof:
     root: bytes
     leaf: bytes
     serial: bytes
-    siblings: tuple[tuple[int, bytes], ...]  # (side, digest) bottom-up
+    path: bytes  # bottom-up sibling nodes, _NODE bytes each
     binding: bytes
 
 
-def _path_bytes(leaf: bytes, siblings: Sequence[tuple[int, bytes]]) -> bytes:
-    out = [_LEAF_TAG, leaf]
-    for side, sib in siblings:
-        out.append(_SIDE_TAGS[side])
-        out.append(sib)
-    return b"".join(out)
+def is_proof(proof: object) -> bool:
+    """Whether ``proof`` has a proof's shape (so it is hashable), whatever its verdict."""
+    if not isinstance(proof, MembershipProof):
+        return False
+    path = proof.path
+    return (is_digest(proof.root) and is_digest(proof.leaf) and is_digest(proof.serial)
+            and is_digest(proof.binding) and isinstance(path, bytes) and len(path) % _NODE == 0
+            and not path[::_NODE].translate(None, _RIGHT_TAG + _LEFT_TAG))  # only side tags
 
 
 def prove_membership(secret: Secret, reg_ids: RegIds, message: bytes) -> MembershipProof:
@@ -208,17 +218,16 @@ def prove_membership(secret: Secret, reg_ids: RegIds, message: bytes) -> Members
     except KeyError:
         raise NotAMember("secret does not match any registration") from None
 
-    siblings: list[tuple[int, bytes]] = []
+    nodes: list[bytes] = []
     for level in levels[:-1]:
-        if pos % 2 == 0:
-            siblings.append((_SIB_RIGHT, level[pos + 1]))
-        else:
-            siblings.append((_SIB_LEFT, level[pos - 1]))
+        # an even position's sibling sits to its right, an odd one's to its left
+        nodes.append(_LEFT_TAG if pos & 1 else _RIGHT_TAG)
+        nodes.append(level[pos ^ 1])
         pos //= 2
-    sib_tuple = tuple(siblings)
-    binding = h(_path_bytes(target, sib_tuple), secret.s, message)
+    path = b"".join(nodes)
+    binding = h(_LEAF_TAG, target, path, secret.s, message)
     return MembershipProof(root=levels[-1][0], leaf=target, serial=secret.s,
-                           siblings=sib_tuple, binding=binding)
+                           path=path, binding=binding)
 
 
 def authentic(proof: MembershipProof, message: bytes) -> bool:
@@ -226,8 +235,10 @@ def authentic(proof: MembershipProof, message: bytes) -> bool:
 
     Reads nothing but its arguments, so its verdict may be kept and reused.
     """
+    path = proof.path
     node = proof.leaf
-    for side, sib in proof.siblings:
+    for off in range(0, len(path), _NODE):
+        side, sib = path[off], path[off + 1:off + _NODE]
         if side == _SIB_RIGHT:
             node = h(node, sib)
         elif side == _SIB_LEFT:
@@ -235,7 +246,7 @@ def authentic(proof: MembershipProof, message: bytes) -> bool:
         else:
             return False
     return (node == proof.root
-            and proof.binding == h(_path_bytes(proof.leaf, proof.siblings), proof.serial, message))
+            and proof.binding == h(_LEAF_TAG, proof.leaf, path, proof.serial, message))
 
 
 def admit(proof: MembershipProof, root: bytes, nullifiers: set[bytes], *,
@@ -267,39 +278,22 @@ def verify_membership(proof: MembershipProof, root: bytes, message: bytes,
 def serialize_proof(proof: MembershipProof) -> bytes:
     """Length-prefixed binary layout: root, serial, node count, nodes, binding.
 
-    Nodes are 33 bytes each (side tag + digest); the first node is the leaf.
+    Nodes are ``_NODE`` bytes each (tag + digest): the leaf, then ``proof.path``.
     """
-    nodes = _path_bytes(proof.leaf, proof.siblings)
-    count = 1 + len(proof.siblings)
-    return b"".join([
-        proof.root,
-        proof.serial,
-        count.to_bytes(4, "big"),
-        nodes,
-        proof.binding,
-    ])
+    count = 1 + len(proof.path) // _NODE
+    return b"".join([proof.root, proof.serial, count.to_bytes(4, "big"),
+                     _LEAF_TAG, proof.leaf, proof.path, proof.binding])
 
 
 def deserialize_proof(blob: bytes) -> MembershipProof:
-    if len(blob) < 2 * DIGEST_SIZE + 4 + 33 + DIGEST_SIZE:
-        raise MalformedProof("proof blob too short")
-    root = blob[:32]
-    serial = blob[32:64]
     count = int.from_bytes(blob[64:68], "big")
-    nodes_len = 33 * count
-    if len(blob) != 68 + nodes_len + DIGEST_SIZE:
-        raise MalformedProof("proof blob length mismatch")
-    nodes = blob[68:68 + nodes_len]
-    binding = blob[68 + nodes_len:]
-    if count < 1 or nodes[0] != _NODE_LEAF:
+    end = 68 + _NODE * count
+    if count < 1 or len(blob) != end + DIGEST_SIZE:
+        raise MalformedProof("proof blob length does not match its node count")
+    if blob[68:69] != _LEAF_TAG:
         raise MalformedProof("first path node must be the leaf")
-    leaf = nodes[1:33]
-    siblings = []
-    for i in range(1, count):
-        off = 33 * i
-        side = nodes[off]
-        if side not in (_SIB_RIGHT, _SIB_LEFT):
-            raise MalformedProof(f"bad side tag {side}")
-        siblings.append((side, nodes[off + 1:off + 33]))
-    return MembershipProof(root=root, leaf=leaf, serial=serial,
-                           siblings=tuple(siblings), binding=binding)
+    proof = MembershipProof(root=blob[:32], leaf=blob[69:68 + _NODE], serial=blob[32:64],
+                            path=blob[68 + _NODE:end], binding=blob[end:])
+    if not is_proof(proof):
+        raise MalformedProof("a side tag is neither 0 nor 1, or the blob is not bytes")
+    return proof

@@ -34,7 +34,7 @@ from .auction import (AuctionBook, Fill, filter_by_width, select_tight_market,
 from .chain import (CLIENT_REGISTER, CLIENT_REVEAL, COMMIT_CLIENT, COMMIT_MM,
                     CP, MM_REVEAL, ExecutedTx, Tx)
 from .ledger import PROTOCOL_ACCOUNT, Ledger
-from .membership import MembershipProof, h
+from .membership import MembershipProof, h, is_digest
 from .serialize import price_to_json, width_to_json
 from .units import (ANY, MKT, TOKEN_A, TOKEN_B, TOKEN_REF, WITHDRAW, Market,
                     Order, Price, ProtocolParams, QuantityError, Width,
@@ -97,24 +97,6 @@ def mm_commitment(market: Market) -> bytes:
     return h(encode_market(market))
 
 
-def _is_digest(v) -> bool:
-    return isinstance(v, bytes) and len(v) == 32
-
-
-def _is_path(siblings) -> bool:
-    """A tuple of (side, digest) pairs, each side 0 or 1."""
-    if type(siblings) is not tuple:
-        return False
-    for node in siblings:
-        if type(node) is not tuple or len(node) != 2:
-            return False
-        side, sib = node  # the digest test is _is_digest's, inlined on this hot loop
-        if (type(side) is not int or side not in (0, 1)
-                or not isinstance(sib, bytes) or len(sib) != 32):
-            return False
-    return True
-
-
 def _passes(check: Callable, v) -> bool:
     """Whether the ``units`` validator ``check`` accepts ``v``."""
     try:
@@ -127,20 +109,18 @@ def _passes(check: Callable, v) -> bool:
 def well_formed(p: Any) -> bool:
     """The payload check: one of the six payload types, every field passing."""
     if isinstance(p, RegisterPayload):
-        return _is_digest(p.reg_id)
+        return is_digest(p.reg_id)
     if isinstance(p, ClientCommitPayload):
-        q = p.proof  # a proof whose fields pass is hashable, as the dry-run verdicts need
-        return (_is_digest(p.com) and _is_digest(p.serial) and isinstance(q, MembershipProof)
-                and _is_digest(q.root) and _is_digest(q.leaf) and _is_digest(q.serial)
-                and _is_digest(q.binding) and _is_path(q.siblings))
+        # a proof that passes is_proof is hashable, as the dry-run verdicts need
+        return is_digest(p.com) and is_digest(p.serial) and membership.is_proof(p.proof)
     if isinstance(p, MMCommitPayload):
-        return _is_digest(p.com)
+        return is_digest(p.com)
     if isinstance(p, ClientRevealPayload):
         return (p.tkn in (TOKEN_A, TOKEN_B) and _passes(check_quantity, p.size)
                 and (p.price is MKT or p.price is WITHDRAW or _passes(check_price, p.price))
                 and _passes(check_width, p.width)
-                and _is_digest(p.serial) and _is_digest(p.randomness) and _is_digest(p.reg_id)
-                and (p.reg_token_new is None or _is_digest(p.reg_token_new)))
+                and is_digest(p.serial) and is_digest(p.randomness) and is_digest(p.reg_id)
+                and (p.reg_token_new is None or is_digest(p.reg_token_new)))
     if isinstance(p, MMRevealPayload):
         return isinstance(p.market, Market)
     return isinstance(p, CpPayload) and all(isinstance(v, int) and not isinstance(v, bool)

@@ -105,7 +105,6 @@ _positive = _check(lambda v: type(v) is int and v >= 1, "an integer >= 1")
 # derive_seed encodes a seed in 8 bytes
 _seed = _check(lambda v: type(v) is int and 0 <= v < 2**64, "an integer in [0, 2**64)")
 _boolean = _check(lambda v: type(v) is bool, "a boolean")
-_string = _check(lambda v: type(v) is str, "a string")
 # the Runner relays a transaction by its sender, so no agent may be RELAYED
 _id = _check(lambda v: type(v) is str and v not in ("", RELAYED),
              f"a non-empty string other than {RELAYED!r}")
@@ -343,11 +342,20 @@ class MifpConfig:
     seed: Optional[int] = _field(_seed, None)  # None: derived from the scenario seed
 
 
+# an output is a file in the output directory: no path separator, not "." or ".."
+_file_name = _check(lambda v: type(v) is str and v not in ("", ".", "..")
+                    and "/" not in v and "\\" not in v, "a file name without a path separator")
+
+
 @dataclass(frozen=True)
 class Outputs:
-    trace: str = _field(_string, "trace.jsonl")
-    settlements: str = _field(_string, "settlements.json")
-    summary: str = _field(_string, "summary.csv")
+    trace: str = _field(_file_name, "trace.jsonl")
+    settlements: str = _field(_file_name, "settlements.json")
+    summary: str = _field(_file_name, "summary.csv")
+
+    def __post_init__(self):
+        if len({self.trace, self.settlements, self.summary}) < 3:
+            raise ValueError("each output needs its own file name")
 
 
 @dataclass(frozen=True)
@@ -452,6 +460,7 @@ class Runner:
 
         self.trace: list[dict] = []
         self._initial_supplies = None
+        self._ran = False
 
     # -- mifp ---------------------------------------------------------------
 
@@ -508,6 +517,10 @@ class Runner:
                 f"token conservation broken: {supplies} != {self._initial_supplies}")
 
     def run(self) -> RunResult:
+        """Run the scenario once; a second call raises, as it would corrupt the first result."""
+        if self._ran:
+            raise RuntimeError("a Runner runs once; build a new Runner to run again")
+        self._ran = True
         # registration window: queue all registrations, then let them land;
         # every agent stays silent while protocol.phase is None
         for agent in self.agents:

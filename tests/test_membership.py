@@ -10,8 +10,8 @@ from fairtradex import membership
 from fairtradex.membership import (DIGEST_SIZE, EmptySet, MalformedProof,
                                    NotAMember, Registry, accumulate, admit,
                                    authentic, deserialize_proof, gen_secret, h,
-                                   prove_membership, reg_id, serialize_proof,
-                                   verify_membership)
+                                   is_proof, prove_membership, reg_id,
+                                   serialize_proof, verify_membership)
 
 GOLDEN = Path(__file__).parent / "golden" / "membership_proof.json"
 
@@ -65,6 +65,17 @@ class TestProveVerify:
             for sec in secrets:
                 proof = prove_membership(sec, ids, b"msg")
                 assert verify_membership(proof, root, b"msg", set())
+
+    @given(n=st.integers(1, 64), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_every_proof_has_a_proofs_shape(self, n, data):
+        secrets = [gen_secret(s) for s in range(n)]
+        reg = Registry(reg_id(s) for s in secrets)
+        proof = prove_membership(secrets[data.draw(st.integers(0, n - 1))], reg,
+                                 data.draw(st.binary(max_size=64)))
+        assert is_proof(proof)
+        # one 33-byte node per tree level below the root
+        assert len(proof.path) == 33 * max(1, (n - 1).bit_length())
 
     def test_unregistered_secret(self):
         ids = [reg_id(gen_secret(s)) for s in range(4)]
@@ -154,6 +165,30 @@ class TestSerialization:
         proof = prove_membership(secrets[3], ids, b"xyz")
         assert deserialize_proof(serialize_proof(proof)) == proof
 
+    @given(data=st.data())
+    @settings(max_examples=300)
+    def test_every_accepted_blob_reserializes_to_itself(self, data):
+        """deserialize_proof accepts only blobs that serialize_proof writes back byte for byte."""
+        digest = st.binary(min_size=32, max_size=32)
+        # mostly serialize_proof's own layout: a leaf node tagged 2, then nodes tagged 0 or 1
+        leaf = st.builds(lambda tag, d: bytes([tag]) + d, st.sampled_from(b"\2\2\2\0"), digest)
+        node = st.builds(lambda tag, d: bytes([tag]) + d,
+                         st.sampled_from(b"\0\1" * 4 + b"\2\xff"), digest)
+        count = data.draw(st.integers(1, 6))
+        nodes = data.draw(leaf) + b"".join(data.draw(st.lists(node, min_size=count - 1,
+                                                              max_size=count - 1)))
+        declared = data.draw(st.sampled_from((count, count, count - 1, count + 1)))
+        laid_out = (data.draw(digest) + data.draw(digest) + declared.to_bytes(4, "big")
+                    + nodes + data.draw(digest))
+        blob = data.draw(st.sampled_from((laid_out, laid_out, laid_out[:-1]))
+                         | st.binary(max_size=300))
+        try:
+            proof = deserialize_proof(blob)
+        except MalformedProof:
+            return
+        assert is_proof(proof)
+        assert serialize_proof(proof) == blob
+
     def test_golden_vector(self):
         doc = json.loads(GOLDEN.read_text())
         secrets = [gen_secret(s) for s in doc["seeds"]]
@@ -180,11 +215,11 @@ class TestTranscriptShape:
         # same commitment, same root, same tree shape
         assert com == com
         assert t1.root == t2.root
-        assert len(t1.siblings) == len(t2.siblings)
+        assert len(t1.path) == len(t2.path)
         # everything owner-specific lives in serial / leaf / path / binding
         assert t1.serial != t2.serial
         assert t1.leaf != t2.leaf
-        assert t1.siblings != t2.siblings
+        assert t1.path != t2.path
         assert t1.binding != t2.binding
 
 

@@ -132,22 +132,28 @@ MKT_SELL = (TOKEN_B, 5, MKT, Fraction(121, 100))
 
 PHASES = (None, Phase.COMMIT, Phase.REVEAL, Phase.RESOLUTION)
 _Z = b"\0" * 32
+# Merkle paths that fail the proof's shape check: not bytes, not whole
+# 33-byte nodes, or a node whose side tag is neither 0 nor 1
+BAD_PATHS = [
+    [1], list(b"\0" + _Z), "\0" + "x" * 32, bytearray(b"\0" + _Z), ((0, _Z),),
+    b"\0" + _Z[:-1], b"\0short", b"\0" + _Z + b"\1",
+    b"\2" + _Z, b"\1" + _Z + b"\xff" + _Z,
+]
 # payloads of each kind's own type with a field that fails the payload check
 BAD_PAYLOADS = [
     (CLIENT_REGISTER, RegisterPayload(reg_id="x" * 32)),       # str, not bytes
     (CLIENT_REGISTER, RegisterPayload(reg_id=b"short")),
     (COMMIT_CLIENT, ClientCommitPayload(com=_Z, serial=_Z, proof="not-a-proof")),
     (COMMIT_CLIENT, ClientCommitPayload(com=_Z, serial=[1], proof=MembershipProof(
-        root=_Z, leaf=_Z, serial=_Z, siblings=(), binding=_Z))),
-    # the proof's own fields: digests, and a tuple of (0|1, digest) pairs
+        root=_Z, leaf=_Z, serial=_Z, path=b"", binding=_Z))),
+    # the proof's own fields: digests, and a bytes path of 33-byte (0|1, digest) nodes
     *((COMMIT_CLIENT, ClientCommitPayload(com=_Z, serial=_Z, proof=MembershipProof(
-        root=_Z, leaf=_Z, serial=_Z, binding=_Z, siblings=siblings)))
-      for siblings in ([1], [(0, _Z)], ((0, _Z, _Z),), ((2, _Z),), ((True, _Z),),
-                       ((0, b"short"),), ((0, "x" * 32),))),
+        root=_Z, leaf=_Z, serial=_Z, binding=_Z, path=path)))
+      for path in BAD_PATHS),
     (COMMIT_CLIENT, ClientCommitPayload(com=_Z, serial=_Z, proof=MembershipProof(
-        root=_Z, leaf="x" * 32, serial=_Z, siblings=(), binding=_Z))),
+        root=_Z, leaf="x" * 32, serial=_Z, path=b"", binding=_Z))),
     (COMMIT_CLIENT, ClientCommitPayload(com=_Z, serial=_Z, proof=MembershipProof(
-        root=_Z, leaf=_Z, serial=_Z, siblings=(), binding=b"short"))),
+        root=_Z, leaf=_Z, serial=_Z, path=b"", binding=b"short"))),
     (COMMIT_MM, MMCommitPayload(com="nope")),
     (CLIENT_REVEAL, ClientRevealPayload(tkn="C", size=1, price=MKT, width=ANY,
                                         serial=_Z, randomness=_Z, reg_id=_Z)),
@@ -284,8 +290,8 @@ class TestProofVerdictReuse:
         tx = w.commit_tx("c1", MKT_BUY)   # proving built and cached the registry's tree
         calls = count_hashes(monkeypatch)
         assert w.relay_commit(tx)[0]["applied"]
-        assert len(tx.payload.proof.siblings) == 3
-        assert len(calls) == len(tx.payload.proof.siblings) + 1
+        assert len(tx.payload.proof.path) == 3 * 33
+        assert len(calls) == len(tx.payload.proof.path) // 33 + 1
 
     def test_registration_between_dry_run_and_execution_voids_the_commit(self):
         w = self.setup_world()
@@ -312,7 +318,7 @@ class TestProofVerdictReuse:
         calls = count_hashes(monkeypatch)
         assert a.relay_commit(tx)[0]["applied"]
         assert b.relay_commit(tx)[0]["applied"]
-        assert len(calls) == 2 * (len(tx.payload.proof.siblings) + 1)
+        assert len(calls) == 2 * (len(tx.payload.proof.path) // 33 + 1)
 
     def test_fresh_runner_checks_in_full(self, monkeypatch):
         config = json.loads((SCENARIOS / "two_mm_competition.json").read_text())
@@ -346,8 +352,8 @@ _widths = st.one_of(st.just(ANY), st.integers(1, 10**6).map(Fraction),
                     st.fractions(min_value=1, max_denominator=10**6))
 _proofs = st.builds(MembershipProof, root=_digests, leaf=_digests, serial=_digests,
                     binding=_digests,
-                    siblings=st.lists(st.tuples(st.sampled_from((0, 1)), _digests),
-                                      max_size=4).map(tuple))
+                    path=st.lists(st.tuples(st.sampled_from((b"\0", b"\1")), _digests),
+                                  max_size=4).map(lambda nodes: b"".join(map(b"".join, nodes))))
 
 
 @st.composite
@@ -855,14 +861,15 @@ class TestPhaseGuardTotality:
     def test_current_root_proof_with_unpaired_path_is_malformed(self):
         for phase in PHASES:
             w = self.world_in_phase(phase)
-            proof = MembershipProof(root=w.proto.registry_root(), leaf=_Z, serial=_Z,
-                                    siblings=[1], binding=_Z)
-            payload = ClientCommitPayload(com=_Z, serial=_Z, proof=proof)
-            tx = Tx(kind=COMMIT_CLIENT, sender=RELAYED, payload=payload)
-            assert w.proto.commit_looks_valid(tx) is False, phase
-            eff = w.proto.handle(etx(tx, height=w.height, relayer="relay1"))
-            assert eff == {"applied": False, "reason": "malformed"}, phase
-            assert payload_text(payload) == dumps_canonical({"repr": repr(payload)})
+            for path in BAD_PATHS:
+                proof = MembershipProof(root=w.proto.registry_root(), leaf=_Z, serial=_Z,
+                                        path=path, binding=_Z)
+                payload = ClientCommitPayload(com=_Z, serial=_Z, proof=proof)
+                tx = Tx(kind=COMMIT_CLIENT, sender=RELAYED, payload=payload)
+                assert w.proto.commit_looks_valid(tx) is False, (phase, path)
+                eff = w.proto.handle(etx(tx, height=w.height, relayer="relay1"))
+                assert eff == {"applied": False, "reason": "malformed"}, (phase, path)
+                assert payload_text(payload) == dumps_canonical({"repr": repr(payload)})
 
     def test_relayers_drop_a_commit_payload_under_another_kind(self):
         w = self.world_in_phase(Phase.COMMIT)

@@ -87,6 +87,15 @@ MALFORMED = [
     pytest.param(_set("mifp", "y0", value=0), "y0", id="zero-y0"),
     pytest.param(_set("params", "t_blocks", value=0), "t_blocks", id="zero-t_blocks"),
     pytest.param(_set("outputs", "trace", value=1), "outputs.trace", id="non-string-trace"),
+    # each output is its own file in the output directory
+    pytest.param(_set("outputs", value={"trace": "x.txt", "settlements": "x.txt"}), "outputs",
+                 id="repeated-output-name"),
+    pytest.param(_set("outputs", value={"trace": "summary.csv"}), "outputs",
+                 id="output-name-of-a-default"),
+    pytest.param(_set("outputs", "trace", value=""), "outputs.trace", id="empty-output-name"),
+    *(pytest.param(_set("outputs", "summary", value=name), "outputs.summary",
+                   id=f"output-name-{name}")
+      for name in ("a/summary.csv", "/tmp/summary.csv", "a\\summary.csv", ".", "..")),
     pytest.param(_set("seed", value=True), "seed", id="bool-seed"),
     pytest.param(_set("params", "p_a", value=1.5), "p_a", id="float-p_a"),
     pytest.param(_set("agents", HUNTER, "strategy", value={"invalid_first": 1}),
@@ -167,6 +176,15 @@ class TestRunner:
         assert res.rounds_completed == 3
         assert all(rep["w_tight"] == 1 for rep in res.settlements)
         assert all(rep["cp"] == 110 for rep in res.settlements)
+
+    def test_second_run_raises_and_keeps_the_first_result(self):
+        runner = Runner(load())
+        first = runner.run()
+        kept = copy.deepcopy(first)
+        with pytest.raises(RuntimeError, match="runs once"):
+            runner.run()
+        assert first == kept
+        assert len(first.trace) == len(Runner(load()).run().trace)
 
     def test_deterministic_trace(self):
         a, b = Runner(load()).run(), Runner(load()).run()
@@ -439,6 +457,22 @@ class TestCli:
         cells = {row.split(",")[0]: row.split(",")[1:] for row in lines[1:]}
         assert cells["P1-10000000"][1] == "150000"
         assert all(row[0] == "0" for row in cells.values())
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--slippage", "nan"), ("--impact", "inf"), ("--slippage", "-inf"),
+        ("--impact", "-0.5"), ("--slippage", "-1e-9"), ("--impact", "x"),
+        ("--impact", "1e308"), ("--slippage", "1.5")])
+    def test_costs_bad_fraction_exit_2(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli("costs", flag, value)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert not out and f"error: argument {flag}" in err
+
+    def test_costs_whole_notional(self, capsys):
+        assert self.run_cli("costs", "--impact", "1", "--slippage", "0") == 0
+        rows = [row.split(",") for row in capsys.readouterr().out.strip().splitlines()[1:]]
+        assert all(row[2] == row[0].split("-")[1] for row in rows)
 
     def test_costs_zeroed(self, capsys):
         assert self.run_cli("costs", "--impact", "0", "--slippage", "0") == 0
