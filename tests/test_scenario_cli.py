@@ -13,6 +13,7 @@ import pytest
 from fairtradex import auction
 from fairtradex.auction import (filter_by_width, find_clearing_price, settle,
                                 validate_clearing_result)
+from fairtradex.chain import ORDERING_POLICIES
 from fairtradex.cli import main
 from fairtradex.scenario import Runner, ScenarioError, derive_seed, validate_config
 from fairtradex.serialize import book_from_json
@@ -270,12 +271,30 @@ class TestCli:
     @pytest.mark.parametrize("name", sorted(json.loads(GOLDEN_DIGESTS.read_text())))
     def test_bundled_scenario_outputs_match_golden_digests(self, tmp_path, name):
         """sha256 of each output, pinned across commits: a change that alters
-        any output must update the fixture and say why."""
+        any output must update the fixture and say why.
+
+        A key ``file.json:policy`` is the scenario run under that ordering
+        policy; a bare file name is the scenario as bundled.
+        """
         golden = json.loads(GOLDEN_DIGESTS.read_text())[name]
-        assert self.run_cli("run", str(SCENARIOS / name), "--outdir", str(tmp_path)) == 0
-        digests = {out: hashlib.sha256((tmp_path / out).read_bytes()).hexdigest()
+        scenario, _, policy = name.partition(":")
+        path = SCENARIOS / scenario
+        if policy:
+            path = tmp_path / scenario
+            path.write_text(json.dumps({**load(scenario), "ordering_policy": policy}))
+        assert self.run_cli("run", str(path), "--outdir", str(tmp_path / "out")) == 0
+        digests = {out: hashlib.sha256((tmp_path / "out" / out).read_bytes()).hexdigest()
                    for out in golden}
         assert digests == golden
+
+    def test_golden_digests_cover_every_ordering_policy(self):
+        keys = set(json.loads(GOLDEN_DIGESTS.read_text()))
+        expected = set()
+        for path in SCENARIOS.glob("*.json"):
+            bundled = load(path.name)["ordering_policy"]
+            expected |= {path.name if policy == bundled else f"{path.name}:{policy}"
+                         for policy in ORDERING_POLICIES}
+        assert keys == expected
 
     def test_multi_seed_runs_in_subdirs(self, tmp_path):
         code = self.run_cli("run", str(TWO_MM), "--outdir", str(tmp_path),
