@@ -123,17 +123,17 @@ def select_tight_market(
 
 
 def tight_market_orders(player: str, market: Market, oid: int,
-                        size_bid: int, size_offer: int) -> tuple[Order, Order]:
-    """The tight market's two implicit width-ANY limit orders.
+                        size_bid: int, size_offer: int) -> tuple[Order, ...]:
+    """The tight market's implicit width-ANY limit orders, one per leg of nonzero size.
 
     A buy of ``size_bid`` A atoms at the bid (oid ``oid``) and a sell of
     ``size_offer`` B atoms at the offer (oid ``oid + 1``).  The caller
-    picks the sizes: the protocol caps them by the quoter's escrow.
+    picks the sizes: the protocol caps them by the quoter's escrow, which
+    can floor a leg to 0 atoms.
     """
-    return (Order(oid=oid, owner=player, tkn=TOKEN_A, size=size_bid,
-                  price=market.bid, width_req=ANY),
-            Order(oid=oid + 1, owner=player, tkn=TOKEN_B, size=size_offer,
-                  price=market.offer, width_req=ANY))
+    legs = ((oid, TOKEN_A, size_bid, market.bid), (oid + 1, TOKEN_B, size_offer, market.offer))
+    return tuple(Order(oid=i, owner=player, tkn=tkn, size=size, price=price, width_req=ANY)
+                 for i, tkn, size, price in legs if size)
 
 
 class _Depth:

@@ -365,8 +365,9 @@ class Protocol:
         Revealed markets are re-validated against current balances; the ones
         that still qualify get their escrow back and enter the tie-break.
         The tight market contributes two implicit width-ANY limit orders
-        (sizes capped by the MM escrow).  Unrevealed client serials are
-        blacklisted and their escrows burned; unrevealed MM escrows burn too.
+        (sizes capped by the MM escrow; a leg capped to 0 atoms adds none).
+        Unrevealed client serials are blacklisted and their escrows burned;
+        unrevealed MM escrows burn too.
         Last, the width-filtered book is fixed as ``book`` (the dropped orders
         as ``width_removed``): no handler changes orders during RESOLUTION.
         """
@@ -387,10 +388,9 @@ class Protocol:
             offer_size = min(m.size_offer, self.params.atoms_floor(self.params.e_mm, m.offer))
             self.ledger.transfer(player, PROTOCOL_ACCOUNT, TOKEN_A, bid_size)
             self.ledger.transfer(player, PROTOCOL_ACCOUNT, TOKEN_B, offer_size)
-            buy, sell = tight_market_orders(player, m, self._oid, bid_size, offer_size)
+            for order in tight_market_orders(player, m, self._oid, bid_size, offer_size):
+                (self.revealed_buys if order.tkn == TOKEN_A else self.revealed_sells).append(order)
             self._oid += 2
-            self.revealed_buys.append(buy)
-            self.revealed_sells.append(sell)
 
         for serial in list(self.client_commits):
             self.blacklisted.add(serial)

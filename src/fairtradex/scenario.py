@@ -2,8 +2,9 @@
 
 A scenario is deterministic in (config, seed): every random draw flows from
 the scenario seed through a documented per-component derivation
-(``derive_seed``), agents act in config order at the top of every block,
-and the chain's ordering policy is the only adversarial degree of freedom.
+(``derive_seed``), agents act in config order on the first block of each
+phase (``Runner._act``), and the chain's ordering policy is the only
+adversarial degree of freedom.
 """
 
 from __future__ import annotations
@@ -172,9 +173,7 @@ class ClientAgent:
         self.strategy = strategy
         self.secret = None
         self.reg_id: Optional[bytes] = None  # reg_id(self.secret), kept with it
-        self.committed_round = -1
-        self.revealed_round = -1
-        self.order: Optional[tuple] = None  # (tkn, size, price, width)
+        self.order: Optional[tuple] = None  # (tkn, size, price, width) committed this round
         self._secret_counter = 0
 
     def _fresh_secret(self, runner: "Runner"):
@@ -183,18 +182,13 @@ class ClientAgent:
         return gen_secret(derive_seed(runner.config.seed,
                                       f"client:{self.pid}:{self._secret_counter}"))
 
-    def plan_registration(self, runner: "Runner") -> Tx:
-        self.secret = self._fresh_secret(runner)
-        self.reg_id = reg_id(self.secret)
-        return Tx(kind=CLIENT_REGISTER, payload=RegisterPayload(self.reg_id), sender=self.pid)
-
     def _sized_order(self, runner: "Runner", params: ProtocolParams):
         s = self.strategy
+        if s.order == "withdraw":
+            return (TOKEN_A, 1, WITHDRAW, s.width_req)
         side = s.side
         if side == "random":
             side = "buy" if runner.next_direction() > 0 else "sell"
-        if s.order == "withdraw":
-            return (TOKEN_A, 1, WITHDRAW, s.width_req)
         price = MKT if s.order == "mkt" else s.limit_price
         if side == "buy":
             size = params.atoms_floor(s.notional)
@@ -205,22 +199,24 @@ class ClientAgent:
 
     def on_block(self, runner: "Runner") -> list[Tx]:
         proto = runner.protocol
-        rnd = proto.round
-        if proto.phase is Phase.COMMIT and self.strategy.commit and self.committed_round < rnd:
-            if self.reg_id not in proto.clients:
-                return []  # registration not confirmed yet
+        if proto.phase is None:
+            self.secret = self._fresh_secret(runner)
+            self.reg_id = reg_id(self.secret)
+            return [Tx(kind=CLIENT_REGISTER, payload=RegisterPayload(self.reg_id),
+                       sender=self.pid)]
+        if proto.phase is Phase.COMMIT:
+            self.order = None
+            # a registration missing now stays missing: none lands during COMMIT
+            if not self.strategy.commit or self.reg_id not in proto.clients:
+                return []
             self.order = self._sized_order(runner, proto.params)
-            tkn, size, price, width = self.order
-            com = client_commitment(tkn, size, price, width)
+            com = client_commitment(*self.order)
             proof = prove_membership(self.secret, proto.clients, com)
-            tx = Tx(kind=COMMIT_CLIENT, sender=RELAYED,
-                    payload=ClientCommitPayload(com=com, serial=self.secret.s, proof=proof))
-            self.committed_round = rnd
-            return [tx]
-        if (proto.phase is Phase.REVEAL and self.strategy.reveal
-                and self.committed_round == rnd and self.revealed_round < rnd):
+            return [Tx(kind=COMMIT_CLIENT, sender=RELAYED,
+                       payload=ClientCommitPayload(com=com, serial=self.secret.s, proof=proof))]
+        if proto.phase is Phase.REVEAL and self.strategy.reveal and self.order is not None:
             tkn, size, price, width = self.order
-            stay = rnd + 1 < runner.rounds
+            stay = proto.round + 1 < runner.rounds
             new_token = None
             if stay:
                 next_secret = self._fresh_secret(runner)
@@ -230,7 +226,6 @@ class ClientAgent:
                         tkn=tkn, size=size, price=price, width=width,
                         serial=self.secret.s, randomness=self.secret.r,
                         reg_id=self.reg_id, reg_token_new=new_token))
-            self.revealed_round = rnd
             if stay:
                 self.secret, self.reg_id = next_secret, new_token
             return [tx]
@@ -241,9 +236,7 @@ class MMAgent:
     def __init__(self, pid: str, strategy: MMStrategy):
         self.pid = pid
         self.strategy = strategy
-        self.committed_round = -1
-        self.revealed_round = -1
-        self.market: Optional[Market] = None
+        self.market: Optional[Market] = None  # set at each COMMIT if it commits
 
     def _make_market(self, runner: "Runner", params: ProtocolParams) -> Market:
         s = self.strategy
@@ -255,19 +248,12 @@ class MMAgent:
 
     def on_block(self, runner: "Runner") -> list[Tx]:
         proto = runner.protocol
-        rnd = proto.round
-        if proto.phase is Phase.COMMIT and self.strategy.commit and self.committed_round < rnd:
+        if proto.phase is Phase.COMMIT and self.strategy.commit:
             self.market = self._make_market(runner, proto.params)
-            tx = Tx(kind=COMMIT_MM, sender=self.pid,
-                    payload=MMCommitPayload(mm_commitment(self.market)))
-            self.committed_round = rnd
-            return [tx]
-        if (proto.phase is Phase.REVEAL and self.strategy.reveal
-                and self.committed_round == rnd and self.revealed_round < rnd):
-            tx = Tx(kind=MM_REVEAL, sender=self.pid,
-                    payload=MMRevealPayload(self.market))
-            self.revealed_round = rnd
-            return [tx]
+            return [Tx(kind=COMMIT_MM, sender=self.pid,
+                       payload=MMCommitPayload(mm_commitment(self.market)))]
+        if proto.phase is Phase.REVEAL and self.strategy.reveal and self.market is not None:
+            return [Tx(kind=MM_REVEAL, sender=self.pid, payload=MMRevealPayload(self.market))]
         return []
 
 
@@ -275,16 +261,14 @@ class BountyHunterAgent:
     def __init__(self, pid: str, strategy: HunterStrategy):
         self.pid = pid
         self.strategy = strategy
-        self.attempted_round = -1
 
     def on_block(self, runner: "Runner") -> list[Tx]:
         proto = runner.protocol
-        if proto.phase is not Phase.RESOLUTION or self.attempted_round >= proto.round:
+        if proto.phase is not Phase.RESOLUTION:
             return []
         cand = find_clearing_price(proto.book)
         if cand is None:
             return []
-        self.attempted_round = proto.round
         out = []
         if self.strategy.invalid_first:
             # a doomed proposal first, in the same block, to forfeit a deposit
@@ -460,6 +444,7 @@ class Runner:
 
         self.trace: list[dict] = []
         self._initial_supplies = None
+        self._acted_in: Optional[tuple] = None  # the (round, phase) agents last acted in
         self._ran = False
 
     # -- mifp ---------------------------------------------------------------
@@ -487,7 +472,13 @@ class Runner:
             "digest": digest, "effects": effects,
         })
 
-    def _step_block(self) -> None:
+    def _act(self) -> None:
+        """Let the agents act, in config order, once per (round, phase): a player
+        registers once, and commits, reveals and resolves once per batch."""
+        turn = (self.protocol.round, self.protocol.phase)
+        if turn == self._acted_in:
+            return
+        self._acted_in = turn
         for agent in self.agents:
             for tx in agent.on_block(self):
                 if tx.sender == RELAYED:
@@ -497,6 +488,9 @@ class Runner:
                         pass  # relayers silently drop it
                 else:
                     self.chain.submit(tx)
+
+    def _step_block(self) -> None:
+        self._act()
         for etx in self.chain.advance_block():
             effects = self.protocol.handle(etx)
             self._record(etx, effects)
@@ -521,11 +515,9 @@ class Runner:
         if self._ran:
             raise RuntimeError("a Runner runs once; build a new Runner to run again")
         self._ran = True
-        # registration window: queue all registrations, then let them land;
-        # every agent stays silent while protocol.phase is None
-        for agent in self.agents:
-            if isinstance(agent, ClientAgent):
-                self.chain.submit(agent.plan_registration(self))
+        # registration window: the agents' turn queues every registration,
+        # and blocks follow until all have landed (none when nobody registers)
+        self._act()
         while self.chain.pending:
             self._step_block()
         self.protocol.initialise(self.chain.height)

@@ -10,11 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from fairtradex import auction
+from fairtradex import auction, scenario
 from fairtradex.auction import (filter_by_width, find_clearing_price, settle,
                                 validate_clearing_result)
 from fairtradex.chain import ORDERING_POLICIES
 from fairtradex.cli import main
+from fairtradex.protocol import Phase
 from fairtradex.scenario import Runner, ScenarioError, derive_seed, validate_config
 from fairtradex.serialize import book_from_json
 
@@ -49,6 +50,24 @@ def _drop(*path):
 
 
 MM1, C1, HUNTER = 0, 2, 7  # agent indices in two_mm_competition.json
+BUNDLED = sorted(p.name for p in SCENARIOS.glob("*.json"))
+
+
+def load_with_policy(name, policy):
+    return {**load(name), "ordering_policy": policy}
+
+
+def stalled_config():
+    """``two_mm_competition`` where no quoter commits and every client buys:
+    no price trades, so no round closes."""
+    cfg = load()
+    for agent in cfg["agents"]:
+        if agent["role"] == "mm":
+            agent["strategy"]["commit"] = False
+        elif agent["role"] == "client":
+            agent["strategy"]["side"] = "buy"
+    return cfg
+
 
 #: one malformed config per validation rule, and the field its error names
 MALFORMED = [
@@ -240,6 +259,19 @@ class TestRunner:
         assert res.rounds_completed == cfg["rounds"]
         assert len(built) == cfg["rounds"]
 
+    def test_a_withdrawal_draws_no_direction(self):
+        # a random-side client's direction moves the fair price, so only a
+        # trading order may draw one
+        cfg = load()
+        cfg["agents"][C1]["strategy"] = {"order": "withdraw"}
+        runner = Runner(cfg)
+        draws, draw = [], runner.next_direction
+        runner.next_direction = lambda: draws.append(draw()) or draws[-1]
+        res = runner.run()
+        reveals = [rec["effects"] for rec in res.trace if rec["kind"] == "CLIENT-REVEAL"]
+        assert sum("withdrawn" in eff for eff in reveals) == 1
+        assert len(draws) == sum("oid" in eff for eff in reveals) == 9
+
     def test_n_psi_floor_warning(self):
         cfg = load()
         cfg["n_psi"] = 50  # more than the four bundled registrations
@@ -247,6 +279,63 @@ class TestRunner:
         assert any("n_psi" in w for w in res.warnings)
         cfg["n_psi"] = 2
         assert not Runner(cfg).run().warnings
+
+
+class TestAgentTurns:
+    """The Runner asks each agent once per phase: the registration window,
+    then each phase of each round that a block is made in."""
+
+    @staticmethod
+    def record_turns(runner):
+        """Each agent's (round, phase) per ``on_block`` call, and each block's."""
+        turns = {agent.pid: [] for agent in runner.agents}
+        for agent in runner.agents:
+            def on_block(r, pid=agent.pid, act=agent.on_block):
+                turns[pid].append((r.protocol.round, r.protocol.phase))
+                return act(r)
+            agent.on_block = on_block
+        blocks, advance = [], runner.chain.advance_block
+
+        def advance_block():
+            blocks.append((runner.protocol.round, runner.protocol.phase))
+            return advance()
+        runner.chain.advance_block = advance_block
+        return turns, blocks
+
+    @pytest.mark.parametrize("policy", sorted(ORDERING_POLICIES))
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_one_turn_per_phase(self, name, policy):
+        cfg = load_with_policy(name, policy)
+        runner = Runner(cfg)
+        turns, blocks = self.record_turns(runner)
+        assert not runner.run().stalled
+        phases = list(dict.fromkeys(blocks))
+        assert phases[0] == (0, None)
+        assert len(phases) == 1 + 3 * cfg["rounds"]
+        for pid, seen in turns.items():
+            assert seen == phases, pid
+
+    def test_stalled_resolution_asks_the_hunter_once(self, monkeypatch):
+        runner = Runner(stalled_config())
+        turns, blocks = self.record_turns(runner)
+        searches, search = [], scenario.find_clearing_price
+        monkeypatch.setattr(scenario, "find_clearing_price",
+                            lambda book: searches.append(book) or search(book))
+        res = runner.run()
+        stuck = (0, Phase.RESOLUTION)
+        assert res.stalled and blocks.count(stuck) > 1
+        assert turns["hunter"] == [(0, None), (0, Phase.COMMIT), (0, Phase.REVEAL), stuck]
+        assert len(searches) == 1
+
+    @pytest.mark.parametrize("policy", sorted(ORDERING_POLICIES))
+    def test_unrevealed_commits_burn_and_blacklist(self, policy):
+        # round 0: c2's serial is blacklisted, and c2's and mm2's escrows
+        # burn; round 1: c2's serial stays blacklisted, so its commit is
+        # dropped, and mm2 cannot afford another escrow
+        res = Runner(load_with_policy("adversarial_ordering.json", policy)).run()
+        assert [(len(rep["blacklisted"]), [(b["player"], b["reason"]) for b in rep["burned"]])
+                for rep in res.settlements] == [
+            (1, [(None, "client-no-reveal"), ("mm2", "mm-no-reveal")]), (0, [])]
 
 
 class TestCli:
@@ -277,11 +366,11 @@ class TestCli:
         policy; a bare file name is the scenario as bundled.
         """
         golden = json.loads(GOLDEN_DIGESTS.read_text())[name]
-        scenario, _, policy = name.partition(":")
-        path = SCENARIOS / scenario
+        bundled, _, policy = name.partition(":")
+        path = SCENARIOS / bundled
         if policy:
-            path = tmp_path / scenario
-            path.write_text(json.dumps({**load(scenario), "ordering_policy": policy}))
+            path = tmp_path / bundled
+            path.write_text(json.dumps(load_with_policy(bundled, policy)))
         assert self.run_cli("run", str(path), "--outdir", str(tmp_path / "out")) == 0
         digests = {out: hashlib.sha256((tmp_path / "out" / out).read_bytes()).hexdigest()
                    for out in golden}
@@ -308,22 +397,41 @@ class TestCli:
         assert a != b
 
     def test_run_stalled_exit_4(self, tmp_path, capsys):
-        # no quoter commits and every client buys: no price trades, so no
-        # round closes
-        cfg = load()
-        for agent in cfg["agents"]:
-            if agent["role"] == "mm":
-                agent["strategy"]["commit"] = False
-            elif agent["role"] == "client":
-                agent["strategy"]["side"] = "buy"
         stall = tmp_path / "stall.json"
-        stall.write_text(json.dumps(cfg))
+        stall.write_text(json.dumps(stalled_config()))
         assert self.run_cli("run", str(stall), "--outdir", str(tmp_path / "out")) == 4
         assert "warning: stalled after 0 of 3 rounds" in capsys.readouterr().err
         for name in ("trace.jsonl", "settlements.json", "summary.csv"):
             assert (tmp_path / "out" / name).exists()
         assert self.run_cli("run", str(stall), "--outdir", str(tmp_path / "seeds"),
                             "--seeds", "1,2") == 4
+
+    def test_tight_market_leg_capped_to_zero_adds_no_order(self, tmp_path):
+        # the quoter's escrow buys 0 B atoms at an offer near 66,000 ticks,
+        # so its offer leg is empty; its bid leg still trades
+        cfg = load("monopoly_mm.json")
+        for agent in cfg["agents"]:
+            if agent["id"] == "mm1":
+                agent["strategy"]["ref"] = 60000
+            elif agent["role"] == "client":
+                agent["strategy"]["width_req"] = "3/2"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert self.run_cli("run", str(path), "--outdir", str(tmp_path / "out")) == 0
+        settlements = tmp_path / "out" / "settlements.json"
+        assert self.run_cli("check", str(settlements)) == 0
+        reports = json.loads(settlements.read_text())
+        # each round's legs take oids 2 and 3 after the clients' two: no oid moves
+        assert [[(f["oid"], f["side"]) for f in rep["fills"] if f["owner"] == "mm1"]
+                for rep in reports] == [[(2, "buy")], [(6, "buy")]]
+
+    def test_zero_q_not_stalls_without_a_crash(self, tmp_path):
+        # every quote leg sizes to 0 atoms, and the cap admits no client commit
+        cfg = load()
+        cfg["params"]["q_not"] = 0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert self.run_cli("run", str(path), "--outdir", str(tmp_path / "out")) == 4
 
     def test_run_config_error_exit_2(self, tmp_path, capsys):
         cfg = load()
