@@ -15,7 +15,7 @@ from fairtradex.auction import (AuctionBook, Fill, InvalidClearingPrice,
                                 tie_break_digest, tie_break_seed,
                                 validate_clearing_result, verify_clearing_price,
                                 volumes_at)
-from fairtradex.serialize import book_from_json, result_to_json
+from fairtradex.serialize import book_from_json, dumps_canonical, result_to_json
 from fairtradex.units import ANY, MKT, TOKEN_A, TOKEN_B, WITHDRAW, Market, Order
 
 from helpers import naive_bound, naive_clear, random_book, ranked_clear, wide_book
@@ -200,6 +200,27 @@ WIDE_CANDIDATES = {
 
 def filtered_wide_book(seed, n_orders, hi):
     return filter_by_width(wide_book(random.Random(seed), n_orders, hi=hi))[0]
+
+
+# sha256 of the canonical JSON of the settlement at the oracle's price, for
+# the WIDE_CANDIDATES books and for up-to-40-order ``random_book`` seeds with
+# a spanning market, pinned so that any change to a settled fill shows
+WIDE_SETTLEMENTS = {
+    (1, 200, 11_000): "d8108d1269562544fbc237f8413c1ca146930e75bede507fa916000afb8c5287",
+    (2, 500, 100_000): "cd7ffe0266ff3ba34c6ed97f4981f6234aa25ae72a494d5146bee8a0ddb03cc1",
+    (3, 1000, 100_000): "ae22e0272fa9ff2a39315d603308737f25db82c76dd853e54a941f9fa247d5e0",
+}
+RANDOM_SETTLEMENTS = {
+    0: "4fbb46182309d7d2fc9e9adfd17359e53bccb8dc363c9c96173141d33fae613d",
+    1: "db08f2d2d2de1dcd1ab2f787f8a9c3fe314ac2166fcc62a581f7ebdc4f4b7e83",
+    6: "ef3281922d46b15d88e4cc9efa65baf825d1806e89f62750579627d4c28b7205",
+    7: "adb04f4188e4d5f56e6ab8a2f9c965b415651f42f215fa2831c88c2662d8cec3",
+}
+
+
+def settlement_digest(book):
+    res = settle(book, find_clearing_price(book).cp)
+    return hashlib.sha256(dumps_canonical(result_to_json(res)).encode()).hexdigest()
 
 
 class TestCandidates:
@@ -523,6 +544,17 @@ class TestSettle:
         before = {f.oid: f for f in res.fills}
         for f in res2.fills:
             assert f.received >= before[f.oid].received
+
+    @pytest.mark.parametrize("seed, n_orders, hi", sorted(WIDE_SETTLEMENTS))
+    def test_wide_book_settlements_match_golden_digests(self, seed, n_orders, hi):
+        b = filtered_wide_book(seed, n_orders, hi)
+        assert settlement_digest(b) == WIDE_SETTLEMENTS[seed, n_orders, hi]
+
+    @pytest.mark.parametrize("seed", sorted(RANDOM_SETTLEMENTS))
+    def test_random_book_settlements_match_golden_digests(self, seed):
+        b = random_book(random.Random(seed), max_orders=40, with_spanning_market=True,
+                        q_not=500)
+        assert settlement_digest(b) == RANDOM_SETTLEMENTS[seed]
 
     def test_lot_aligned_doubling_doubles_volume_exactly(self):
         b = book_of([buy(0, 150, MKT), buy(1, 100, 50)],
