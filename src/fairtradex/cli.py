@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .auction import (conservation_problems, filter_by_width, find_clearing_price, score_at,
@@ -71,6 +70,7 @@ def _cmd_run(args) -> int:
         runs = [parsed.with_seed(s) for s in args.seeds]
         outdirs = [str(Path(args.outdir) / f"seed-{s}") for s in args.seeds]
         if args.jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor  # only here: it costs start-up time
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 codes = list(pool.map(_run_one, runs, outdirs))
         else:

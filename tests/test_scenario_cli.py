@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,10 @@ from fairtradex.protocol import Phase
 from fairtradex.scenario import Runner, ScenarioError, derive_seed, validate_config
 from fairtradex.serialize import book_from_json
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src"
+SCENARIOS = REPO / "scenarios"
+REPORTS = REPO / "reports"
 TWO_MM = SCENARIOS / "two_mm_competition.json"
 GOLDEN_DIGESTS = Path(__file__).parent / "golden" / "scenario_digests.json"
 GOLDEN_BOOK = Path(__file__).parent / "golden" / "clearing_fixture.json"
@@ -669,15 +673,57 @@ class TestCli:
         assert self.check_exit_code(tmp_path, reports) == 2
         assert "malformed report" in capsys.readouterr().err
 
+    @staticmethod
+    def python(*args):
+        """A fresh interpreter that imports this checkout's package."""
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+
     def test_modules_import_without_jsonschema(self):
         code = ("import fairtradex.cli, fairtradex.scenario, fairtradex.analysis; import sys; "
                 "assert 'jsonschema' not in sys.modules")
-        src = Path(__file__).resolve().parent.parent / "src"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": str(src)})
+        proc = self.python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_commands_run_without_numpy_or_a_process_pool(self, tmp_path):
+        """With numpy made unimportable, every command runs; none starts a pool."""
+        code = textwrap.dedent("""\
+            import sys
+            sys.modules["numpy"] = None  # any numpy import now raises ImportError
+            import fairtradex.cli, fairtradex.scenario, fairtradex.analysis
+            scenario, book, out = sys.argv[1:]
+            codes = [fairtradex.cli.main(argv) for argv in (
+                ["run", scenario, "--outdir", out], ["clear", "--book", book],
+                ["check", f"{out}/settlements.json"], ["costs"])]
+            assert codes == [0, 0, 0, 0], codes
+            assert "concurrent.futures.process" not in sys.modules
+        """)
+        book = tmp_path / "book.json"
+        book.write_text(json.dumps(json.loads(GOLDEN_BOOK.read_text())["book"]))
+        proc = self.python("-c", code, str(TWO_MM), str(book), str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+
+    def test_best_response_loads_numpy_and_keeps_archived_verdicts(self):
+        code = textwrap.dedent("""\
+            import json, sys
+            from fractions import Fraction
+            from fairtradex.analysis import (ClientProfile, MMProfile, StrategyProfile,
+                                             best_response_check)
+            assert "numpy" not in sys.modules
+            f_mcf = Fraction(121, 100)
+            rep = best_response_check(
+                StrategyProfile(ClientProfile(order_type="mkt", width_req=f_mcf),
+                                MMProfile(width=Fraction(1))),
+                n_mms=2, paths=10_000, seed=20_240_006)
+            with open(sys.argv[1]) as fh:
+                archived = json.load(fh)["deviations"]
+            assert ([(e.player, e.label, e.improves) for e in rep.entries]
+                    == [(d["player"], d["label"], d["improves"]) for d in archived])
+            assert "numpy" in sys.modules
+        """)
+        proc = self.python("-c", code, str(REPORTS / "best_response_n2.json"))
         assert proc.returncode == 0, proc.stderr
 
     def test_console_entry_point(self):
-        proc = subprocess.run([sys.executable, "-m", "fairtradex.cli", "costs"],
-                              capture_output=True, text=True)
+        proc = self.python("-m", "fairtradex.cli", "costs")
         assert proc.returncode == 0 and "FairTraDEX" in proc.stdout
