@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate, cycle, groupby
 from operator import attrgetter, itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .membership import h
 from .units import (ANY, MKT, TOKEN_A, TOKEN_B, Market, Order, Width,
@@ -58,8 +58,9 @@ class ClearingCandidate:
     imbalance_a: int
 
 
-@dataclass(frozen=True)
-class Fill:
+class Fill(NamedTuple):
+    """One order's settlement row; a tuple, so ``itemgetter(0)`` is its oid."""
+
     oid: int
     executed: int   # tokens consumed from the order (A for buys, B for sells)
     received: int   # tokens received (B for buys, A for sells)
@@ -351,15 +352,12 @@ def settle(book: AuctionBook, cp: int) -> ClearingResult:
     buy_fills = _waterfall(buy_levels, volume, cp)
     sell_fills = _waterfall(sell_levels, volume, 1)
 
-    fills = []
-    for o in book.buy_orders:
-        lots = buy_fills.get(o.oid, 0)
-        fills.append(Fill(o.oid, lots * cp, lots, o.size - lots * cp))
-    for o in book.sell_orders:
-        delivered = sell_fills.get(o.oid, 0)
-        fills.append(Fill(o.oid, delivered, delivered * cp, o.size - delivered))
+    fills = [Fill(o.oid, lots * cp, lots, o.size - lots * cp)
+             for o in book.buy_orders for lots in (buy_fills.get(o.oid, 0),)]
+    fills += [Fill(o.oid, delivered, delivered * cp, o.size - delivered)
+              for o in book.sell_orders for delivered in (sell_fills.get(o.oid, 0),)]
     # stable: ascending oid, a buy before a sell that shares its oid (``fill_order``)
-    fills.sort(key=attrgetter("oid"))
+    fills.sort(key=itemgetter(0))
     return ClearingResult(cp=cp, volume_settled_b=volume, imbalance_a=imb, fills=tuple(fills))
 
 
@@ -415,7 +413,7 @@ def validate_clearing_result(book: AuctionBook, res: ClearingResult) -> None:
     ``fill_order``, so a buy and a sell that share an oid stay apart.
     """
     orders = fill_order(book)
-    if list(map(attrgetter("oid"), res.fills)) != list(map(itemgetter(0), orders)):
+    if list(map(itemgetter(0), res.fills)) != list(map(itemgetter(0), orders)):
         raise AssertionError("fills are not the book's orders in fill order")
     rows = ((oid, side, o.size, f.executed, f.received, f.refunded)
             for f, (oid, side, o) in zip(res.fills, orders))

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, NamedTuple, Optional
 
 from . import membership
@@ -440,7 +441,7 @@ class Protocol:
         removed = {o.oid for o in self.width_removed}
         fills = (*result.fills, *(Fill(o.oid, 0, 0, o.size) for o in self.width_removed))
         fills_report = []
-        for f in sorted(fills, key=lambda f: f.oid):
+        for f in sorted(fills, key=itemgetter(0)):
             o = owners[f.oid]
             other = TOKEN_B if o.tkn == TOKEN_A else TOKEN_A
             self.ledger.transfer(PROTOCOL_ACCOUNT, o.owner, other, f.received)

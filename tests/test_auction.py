@@ -1,7 +1,7 @@
 import hashlib
 import json
 import random
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -489,7 +489,7 @@ class TestSettle:
         validate_clearing_result(b, res)
         with pytest.raises(AssertionError, match="fill order"):
             validate_clearing_result(b, replace(res, fills=res.fills[::-1]))
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):  # a fill is read-only
             res.fills[0].executed = 1
 
     @given(orders=ORDERS)

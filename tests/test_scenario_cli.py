@@ -654,7 +654,7 @@ class TestCli:
         else:
             i = next(i for i, f in enumerate(report["fills"]) if f["side"] == side)
             fills = list(res.fills)
-            fills[i] = dataclasses.replace(fills[i], **{field: getattr(fills[i], field) + 1})
+            fills[i] = fills[i]._replace(**{field: getattr(fills[i], field) + 1})
             res = dataclasses.replace(res, fills=tuple(fills))
             report["fills"][i][field] += 1
         with pytest.raises(AssertionError):
