@@ -60,7 +60,8 @@ def _cmd_run(args) -> int:
     try:
         with open(args.config) as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    # ValueError: bad JSON, or an integer literal longer than Python's digit limit
+    except (OSError, ValueError) as e:
         print(f"error: cannot read config: {e}", file=sys.stderr)
         return EXIT_CONFIG
     try:

@@ -29,13 +29,20 @@ def fraction_to_json(f: Fraction) -> Any:
 
 
 def fraction_from_json(v: Any) -> Fraction:
+    """A rational from a JSON integer or from a string ``"p/q"`` or plain
+    decimal (``"121/100"``, ``"1.21"``, ``"-3"``), as ``Fraction`` reads them.
+
+    Exponent notation (``"1e5"``) is refused: ``Fraction`` expands the power
+    of ten before any size check, so ``"1e5000"`` parses to a number no
+    later step can use and ``"1e10000000"`` takes seconds to parse at all.
+    """
     if isinstance(v, bool):
         raise ValueError(f"not a rational: {v!r}")
     if isinstance(v, int):
         return Fraction(v)
-    if isinstance(v, str):
+    if isinstance(v, str) and "e" not in v.lower():
         try:
-            return Fraction(v)  # accepts "p/q" and decimal strings
+            return Fraction(v)
         except ZeroDivisionError:
             raise ValueError(f"not a rational: {v!r}") from None
     raise ValueError(f"not a rational: {v!r}")

@@ -450,6 +450,16 @@ class TestCli:
         assert "q_not" in capsys.readouterr().err
         assert not (tmp_path / "seed-1").exists()
 
+    def test_run_over_long_integer_exit_2(self, tmp_path, capsys):
+        # json.load raises a plain ValueError past Python's integer digit limit
+        text = re.sub(r'"seed": \d+', '"seed": ' + "9" * 5000, TWO_MM.read_text(), count=1)
+        assert text != TWO_MM.read_text()
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert self.run_cli("run", str(bad), "--outdir", str(tmp_path / "out")) == 2
+        assert "cannot read config" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("seeds", ["1,x", "1.5", "1,,2"])
     def test_run_non_integer_seeds_exit_2(self, tmp_path, capsys, seeds):
         with pytest.raises(SystemExit) as exc:
@@ -475,6 +485,9 @@ class TestCli:
         ("mm1", "ref", -5),
         ("c1", "width_req", "1/2"),
         ("c1", "order", "limit"),            # no limit_price
+        # exponent notation: these parsed, then failed mid-run (exit 1) or took seconds to parse
+        ("c1", "width_req", "1e5000"),
+        ("c1", "width_req", "1.5E10000000"),
     ])
     def test_run_bad_strategy_exit_2(self, tmp_path, capsys, agent, field, value):
         cfg = load()
@@ -565,6 +578,8 @@ class TestCli:
         (_set("w_tight", value="1/2"), "w_tight"),
         (_set("w_tight", value=0), "w_tight"),
         (_set("w_tight", value="-3"), "w_tight"),
+        # exponent notation used to clear with exit 0
+        (_set("w_tight", value="1e5000"), "w_tight"),
         # these four used to crash with a traceback (exit 1) or clear
         (lambda book: [], "<root>"),
         (_set("orders", value=5), "orders"),
@@ -572,7 +587,7 @@ class TestCli:
         (_set("orders", 0, "owner", value=7), "owner"),
     ], ids=["float-size", "string-size", "bool-size", "bool-oid", "float-oid",
             "duplicate-oid", "null-oid", "bad-side", "float-price",
-            "half-w_tight", "zero-w_tight", "negative-w_tight",
+            "half-w_tight", "zero-w_tight", "negative-w_tight", "exponent-w_tight",
             "root-not-object", "orders-not-list", "order-not-object", "int-owner"])
     def test_clear_malformed_book_names_the_field(self, tmp_path, capsys, mutate, field):
         book = mutate(json.loads(GOLDEN_BOOK.read_text())["book"])
