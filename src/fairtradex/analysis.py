@@ -54,7 +54,6 @@ def mm_expected_profit(x, y, p_ref, w, delta):
     Accepts floats or numpy arrays for grid scans.
     """
     import numpy as np
-
     if np.any(np.asarray(x) <= 0) or np.any(np.asarray(y) <= 0) or np.any(np.asarray(p_ref) <= 0):
         raise ValueError("x, y and p_ref must be positive")
     if np.any(np.asarray(w) < 1) or np.any(np.asarray(delta) < 1):
@@ -65,14 +64,12 @@ def mm_expected_profit(x, y, p_ref, w, delta):
 def p_ref_grid(y: float) -> np.ndarray:
     """The 1,501 reference prices y/2, y/2 + y/1000, ..., 2y."""
     import numpy as np
-
     return np.arange(y / 2, 2 * y + y / 2000, y / 1000)
 
 
 def p_ref_argmax(x: float, y: float, w: float, delta: float) -> float:
     """Grid argmax of the quoter profit over ``p_ref_grid(y)``."""
     import numpy as np
-
     grid = p_ref_grid(y)
     return float(grid[int(np.argmax(mm_expected_profit(x, y, grid, w, delta)))])
 
@@ -239,7 +236,6 @@ def _best_response_closed_form(profile: StrategyProfile, grid: DeviationGrid,
                                y: int, f_mcf: Fraction, delta: float,
                                notional: float, epsilon: float) -> BestResponseReport:
     import numpy as np
-
     fm = float(f_mcf)
     mm_w = float(profile.mm.width)
     mm_ref = float(profile.mm.ref_price if profile.mm.ref_price is not None else y)
@@ -335,7 +331,6 @@ class _EngineGame:
         once too.  A table may be returned to several callers, so it and
         its arrays are read-only."""
         import numpy as np
-
         depth = 10 * self.n_clients * self.client_size_a
         revealed = []
         for i, (ref, w) in enumerate(mm_strats):
@@ -415,7 +410,6 @@ def _best_response_monte_carlo(profile: StrategyProfile, grid: DeviationGrid,
     outlives the call.
     """
     import numpy as np
-
     # four clients, each sized divisibly by y so seller sizes are exact
     game = _EngineGame(y=y, f_mcf=f_mcf, n_clients=4, client_size_a=10 * y)
     base_ref = profile.mm.ref_price if profile.mm.ref_price is not None else y
