@@ -8,13 +8,12 @@ soundness against non-members, nullifier semantics and message binding are
 the behaviours the protocol layer relies on, and a hiding backend could be
 swapped in without touching callers.
 
-The protocol keeps its registration set in a ``Registry``, which caches the
-Merkle tree: the first root or proof request after a mutation builds the
-levels and a first-occurrence index, and later requests reuse them until the
-next ``append`` or ``remove`` drops the cache.  Roots therefore cost O(1) and
-proofs O(log n) while the set is unchanged.  ``accumulate`` and
-``prove_membership`` also accept any plain sequence, for which they build
-the tree afresh.
+The registration set is a ``Registry``, the one input ``accumulate`` and
+``prove_membership`` take.  It caches the Merkle tree: the first root or
+proof request after a mutation builds the levels and a first-occurrence
+index, and later requests reuse them until the next ``append`` or ``remove``
+drops the cache.  Roots therefore cost O(1) and proofs O(log n) while the
+set is unchanged.
 
 A proof's Merkle path is one byte string of ``_NODE``-byte sibling nodes,
 bottom-up: a side tag, then the sibling's digest.  Only this module reads a
@@ -31,9 +30,8 @@ accepted root and the serial is fresh; it consumes the serial on success.
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 DIGEST_SIZE = 32
 _H_KEY = b"wsfba-hash-v1"
@@ -127,62 +125,60 @@ _Tree = tuple[list[list[bytes]], dict[bytes, int]]
 class Registry:
     """The ordered registration set, with its Merkle tree cached between mutations.
 
-    Supports ``append``, ``remove`` (first occurrence), ``in``, ``len`` and
-    iteration.  The tree levels and the first-occurrence index are built on
-    the first root or proof request after a mutation; every mutation drops
-    them.
+    Each id is stored under its append number, so ``append``, ``remove``
+    (first occurrence), ``in`` and ``len`` cost O(1) and iteration follows
+    append order.  The tree levels and the first-occurrence index are built
+    on the first root or proof request after a mutation; every mutation
+    drops them.
     """
 
     def __init__(self, reg_ids: Iterable[bytes] = ()):
-        self._ids = list(reg_ids)
-        self._counts = Counter(self._ids)  # O(1) ``in``
+        self._ids: dict[int, bytes] = {}         # append number -> id, in append order
+        self._seqs: dict[bytes, list[int]] = {}  # id -> its append numbers, ascending
+        self._appended = 0
         self._cache: _Tree | None = None
+        for rid in reg_ids:
+            self.append(rid)
 
     def append(self, rid: bytes) -> None:
-        self._ids.append(rid)
-        self._counts[rid] += 1
+        self._ids[self._appended] = rid
+        self._seqs.setdefault(rid, []).append(self._appended)
+        self._appended += 1
         self._cache = None
 
     def remove(self, rid: bytes) -> None:
         """Remove the first occurrence of ``rid``; ValueError when absent."""
-        self._ids.remove(rid)
-        self._counts[rid] -= 1
-        if not self._counts[rid]:
-            del self._counts[rid]
+        seqs = self._seqs.get(rid)
+        if seqs is None:
+            raise ValueError("registration id not in the registry")
+        del self._ids[seqs.pop(0)]
+        if not seqs:
+            del self._seqs[rid]
         self._cache = None
 
     def __contains__(self, rid: object) -> bool:
-        return rid in self._counts
+        return rid in self._seqs
 
     def __len__(self) -> int:
         return len(self._ids)
 
     def __iter__(self) -> Iterator[bytes]:
-        return iter(self._ids)
+        return iter(self._ids.values())
 
     def tree(self) -> _Tree:
         """The levels and first-occurrence index, built once per mutation."""
         if self._cache is None:
+            ids = list(self)
             first: dict[bytes, int] = {}
-            for i, rid in enumerate(self._ids):
+            for i, rid in enumerate(ids):
                 first.setdefault(rid, i)
-            self._cache = (_build_levels(self._ids), first)
+            self._cache = (_build_levels(ids), first)
         return self._cache
 
 
-RegIds = Union[Registry, Sequence[bytes]]
-
-
-def _tree(reg_ids: RegIds) -> _Tree:
-    """A Registry's cached tree, or a fresh one for any other sequence."""
-    if not isinstance(reg_ids, Registry):
-        reg_ids = Registry(reg_ids)
-    return reg_ids.tree()
-
-
-def accumulate(reg_ids: RegIds) -> bytes:
+def accumulate(reg_ids: Registry) -> bytes:
     """Canonical binary Merkle root over the ordered registration set."""
-    levels, _ = _tree(reg_ids)
+    levels, _ = reg_ids.tree()
     return levels[-1][0]
 
 
@@ -205,14 +201,14 @@ def is_proof(proof: object) -> bool:
             and not path[::_NODE].translate(None, _RIGHT_TAG + _LEFT_TAG))  # only side tags
 
 
-def prove_membership(secret: Secret, reg_ids: RegIds, message: bytes) -> MembershipProof:
+def prove_membership(secret: Secret, reg_ids: Registry, message: bytes) -> MembershipProof:
     """Produce a proof that h(S||r) is in the set, bound to ``message``.
 
     Proves for the first occurrence of the registration id.  Raises
     NotAMember when the secret was never registered.
     """
     target = reg_id(secret)
-    levels, first = _tree(reg_ids)
+    levels, first = reg_ids.tree()
     try:
         pos = first[target]
     except KeyError:

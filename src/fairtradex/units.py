@@ -2,7 +2,8 @@
 
 All settlement arithmetic is exact: token amounts are non-negative integers
 (atoms), prices are integer tick counts, widths are `Fraction`s (or the ANY
-sentinel).  Floating point shows up only in the analysis layer.
+sentinel); quoting rounds in integers too.  Floating point shows up only in
+the analysis layer.
 """
 
 from __future__ import annotations
@@ -134,14 +135,14 @@ def market_width(m: Market) -> Fraction:
 def quote(ref: int, w: Fraction) -> tuple[int, int]:
     """(bid, offer) in ticks of a market of width ``w`` around ``ref``.
 
-    The bid is ``ref / sqrt(w)`` and the offer ``ref * sqrt(w)``, clamped
-    to ``1 <= bid <= offer``.  Both are rounded from floating point, so an
-    exact tie can land either way: ``quote(55, 121/100)`` offers 61 because
-    55 * 1.1 evaluates to 60.50000000000001.
+    The bid is ``ref / sqrt(w)`` and the offer ``ref * sqrt(w)``, each
+    rounded half up in exact integers (``quote(55, 121/100)`` offers 61 for
+    60.5), then clamped to ``1 <= bid <= offer``.
     """
-    root = math.sqrt(float(w))
-    bid = max(1, round(ref / root))
-    offer = max(bid, round(ref * root))
+    # x rounded half up is (floor(2x) + 1) // 2, and floor(2x) = isqrt(floor(4x^2))
+    p, q = w.numerator, w.denominator
+    bid = max(1, (math.isqrt(4 * ref * ref * q // p) + 1) // 2)
+    offer = max(bid, (math.isqrt(4 * ref * ref * p // q) + 1) // 2)
     return bid, offer
 
 

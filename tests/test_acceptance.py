@@ -24,7 +24,7 @@ from fairtradex.chain import (CLIENT_REGISTER, CLIENT_REVEAL, COMMIT_CLIENT,
                               RELAYED, Chain, Tx)
 from fairtradex.cli import main as cli_main
 from fairtradex.ledger import PROTOCOL_ACCOUNT, Ledger
-from fairtradex.membership import (accumulate, deserialize_proof, gen_secret,
+from fairtradex.membership import (Registry, accumulate, deserialize_proof, gen_secret,
                                    prove_membership, reg_id, serialize_proof,
                                    verify_membership, MalformedProof)
 from fairtradex.protocol import (ClientCommitPayload, ClientRevealPayload,
@@ -413,7 +413,7 @@ def test_criterion_9_membership_layer():
     # completeness, exhaustive over set sizes 1..64
     for n in range(1, 65):
         secrets = [gen_secret(s) for s in range(n)]
-        ids = [reg_id(s) for s in secrets]
+        ids = Registry(reg_id(s) for s in secrets)
         root = accumulate(ids)
         for sec in secrets:
             proof = prove_membership(sec, ids, b"acceptance")
@@ -421,7 +421,7 @@ def test_criterion_9_membership_layer():
 
     # nullifier replay: 1,000 replays, all rejected
     secrets = [gen_secret(s) for s in range(50)]
-    ids = [reg_id(s) for s in secrets]
+    ids = Registry(reg_id(s) for s in secrets)
     root = accumulate(ids)
     nullifiers = set()
     for sec in secrets:

@@ -36,23 +36,23 @@ class TestSecrets:
 class TestAccumulate:
     def test_single_leaf_pads_to_pair(self):
         L = reg_id(gen_secret(1))
-        assert accumulate([L]) == raw_h(L + L)
+        assert accumulate(Registry([L])) == raw_h(L + L)
 
     def test_two_leaves(self):
         l1, l2 = (reg_id(gen_secret(s)) for s in (1, 2))
-        assert accumulate([l1, l2]) == raw_h(l1 + l2)
+        assert accumulate(Registry([l1, l2])) == raw_h(l1 + l2)
 
     def test_three_leaves_duplicate_last(self):
         l1, l2, l3 = (reg_id(gen_secret(s)) for s in (1, 2, 3))
-        assert accumulate([l1, l2, l3]) == raw_h(raw_h(l1 + l2) + raw_h(l3 + l3))
+        assert accumulate(Registry([l1, l2, l3])) == raw_h(raw_h(l1 + l2) + raw_h(l3 + l3))
 
     def test_order_sensitivity(self):
         l1, l2 = (reg_id(gen_secret(s)) for s in (1, 2))
-        assert accumulate([l1, l2]) != accumulate([l2, l1])
+        assert accumulate(Registry([l1, l2])) != accumulate(Registry([l2, l1]))
 
     def test_empty_set_rejected(self):
         with pytest.raises(EmptySet):
-            accumulate([])
+            accumulate(Registry([]))
 
 
 class TestProveVerify:
@@ -60,7 +60,7 @@ class TestProveVerify:
         # exhaustive for set sizes 1..16 here; 1..64 runs in the acceptance suite
         for n in range(1, 17):
             secrets = [gen_secret(s) for s in range(n)]
-            ids = [reg_id(s) for s in secrets]
+            ids = Registry(reg_id(s) for s in secrets)
             root = accumulate(ids)
             for sec in secrets:
                 proof = prove_membership(sec, ids, b"msg")
@@ -78,13 +78,13 @@ class TestProveVerify:
         assert len(proof.path) == 33 * max(1, (n - 1).bit_length())
 
     def test_unregistered_secret(self):
-        ids = [reg_id(gen_secret(s)) for s in range(4)]
+        ids = Registry(reg_id(gen_secret(s)) for s in range(4))
         with pytest.raises(NotAMember):
             prove_membership(gen_secret(99), ids, b"msg")
 
     def test_replayed_serial_rejected(self):
         secrets = [gen_secret(s) for s in range(4)]
-        ids = [reg_id(s) for s in secrets]
+        ids = Registry(reg_id(s) for s in secrets)
         root = accumulate(ids)
         nullifiers = set()
         p1 = prove_membership(secrets[0], ids, b"first")
@@ -95,20 +95,20 @@ class TestProveVerify:
 
     def test_wrong_root_rejected(self):
         secrets = [gen_secret(s) for s in range(4)]
-        ids = [reg_id(s) for s in secrets]
+        ids = Registry(reg_id(s) for s in secrets)
         proof = prove_membership(secrets[0], ids, b"msg")
-        other_root = accumulate(ids[:2])
+        other_root = accumulate(Registry(reg_id(s) for s in secrets[:2]))
         assert not verify_membership(proof, other_root, b"msg", set())
 
     def test_tampered_message_rejected(self):
         secrets = [gen_secret(s) for s in range(4)]
-        ids = [reg_id(s) for s in secrets]
+        ids = Registry(reg_id(s) for s in secrets)
         proof = prove_membership(secrets[0], ids, b"msg")
         assert not verify_membership(proof, accumulate(ids), b"msh", set())
 
     def test_dry_run_does_not_consume_serial(self):
         secrets = [gen_secret(s) for s in range(2)]
-        ids = [reg_id(s) for s in secrets]
+        ids = Registry(reg_id(s) for s in secrets)
         root = accumulate(ids)
         nullifiers = set()
         proof = prove_membership(secrets[0], ids, b"m")
@@ -118,12 +118,13 @@ class TestProveVerify:
 
     def test_pure_half_reads_only_proof_and_message(self):
         secrets = [gen_secret(s) for s in range(5)]
-        ids = [reg_id(s) for s in secrets]
+        ids = Registry(reg_id(s) for s in secrets)
         proof = prove_membership(secrets[2], ids, b"m")
         assert authentic(proof, b"m") and not authentic(proof, b"n")
         # a later registration moves the root: the pure half still holds,
         # the state half and the whole check fail
-        new_root = accumulate(ids + [reg_id(gen_secret(9))])
+        ids.append(reg_id(gen_secret(9)))
+        new_root = accumulate(ids)
         nullifiers = set()
         assert not admit(proof, new_root, nullifiers)
         assert not verify_membership(proof, new_root, b"m", nullifiers)
@@ -144,7 +145,7 @@ class TestBinding:
     @settings(max_examples=300)
     def test_single_bit_mutations_rejected(self, data):
         secrets = [gen_secret(s) for s in range(8)]
-        ids = [reg_id(s) for s in secrets]
+        ids = Registry(reg_id(s) for s in secrets)
         root = accumulate(ids)
         idx = data.draw(st.integers(0, 7))
         proof = prove_membership(secrets[idx], ids, b"message")
@@ -161,7 +162,7 @@ class TestBinding:
 class TestSerialization:
     def test_round_trip(self):
         secrets = [gen_secret(s) for s in range(5)]
-        ids = [reg_id(s) for s in secrets]
+        ids = Registry(reg_id(s) for s in secrets)
         proof = prove_membership(secrets[3], ids, b"xyz")
         assert deserialize_proof(serialize_proof(proof)) == proof
 
@@ -192,7 +193,7 @@ class TestSerialization:
     def test_golden_vector(self):
         doc = json.loads(GOLDEN.read_text())
         secrets = [gen_secret(s) for s in doc["seeds"]]
-        ids = [reg_id(s) for s in secrets]
+        ids = Registry(reg_id(s) for s in secrets)
         message = doc["message"].encode()
         proof = prove_membership(secrets[doc["seeds"].index(doc["prover_seed"])], ids, message)
         assert serialize_proof(proof).hex() == doc["proof"]
@@ -207,7 +208,7 @@ class TestTranscriptShape:
         """The public commit transcript leaks no owner-determined field
         beyond the Merkle path (simulation ceiling: paths are not hiding)."""
         secrets = [gen_secret(s) for s in range(4)]
-        ids = [reg_id(s) for s in secrets]
+        ids = Registry(reg_id(s) for s in secrets)
         order_bytes = b"ord|A|100|mkt|121/100"
         com = h(order_bytes)
         t1 = prove_membership(secrets[0], ids, com)
@@ -244,12 +245,12 @@ def check_against_plain(reg: Registry, plain: list[bytes]) -> None:
             accumulate(reg)
         return
     root = accumulate(reg)
-    assert root == accumulate(plain) == naive_root(plain)
+    assert root == naive_root(plain) == accumulate(Registry(plain))
     for sec, sid in zip(POOL, POOL_IDS):
         assert (sid in reg) == (sid in plain)
         if sid in plain:
             proof = prove_membership(sec, reg, b"m")
-            assert proof == prove_membership(sec, plain, b"m")
+            assert proof == prove_membership(sec, Registry(plain), b"m")
             assert verify_membership(proof, root, b"m", set())
         else:
             with pytest.raises(NotAMember):
@@ -261,9 +262,10 @@ class TestRegistry:
            data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_cached_tree_matches_plain_list_after_every_step(self, start, data):
-        """Root, membership and every member's proof agree with a fresh
-        build over a plain list copy after each append/remove, duplicates
-        included; a stale cache shows up as a mismatch."""
+        """Root, membership and every member's proof agree with the naive
+        root and a fresh Registry over a plain list copy after each
+        append/remove, duplicates included; a stale cache shows up as a
+        mismatch."""
         pick = st.sampled_from(POOL_IDS)
         reg = Registry(data.draw(pick) for _ in range(start))
         plain = list(reg)
@@ -298,3 +300,21 @@ class TestRegistry:
         assert prove_membership(POOL[5], reg, b"m").root == new_root
         assert builds == [POOL_IDS[:5], POOL_IDS[1:]]
         assert new_root == naive_root(POOL_IDS[1:])
+
+    def test_remove_compares_no_other_id(self):
+        """Removing an id looks it up by hash: no other registration is compared."""
+        eq_calls = []
+
+        class CountedId(bytes):
+            __hash__ = bytes.__hash__
+
+            def __eq__(self, other):
+                eq_calls.append(1)
+                return bytes.__eq__(self, other)
+
+        ids = [CountedId(reg_id(gen_secret(s))) for s in range(1_000)]
+        reg = Registry(ids)
+        eq_calls.clear()
+        reg.remove(ids[-1])
+        assert len(eq_calls) <= 2
+        assert ids[-1] not in reg and list(reg) == ids[:-1]

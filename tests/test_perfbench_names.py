@@ -4,6 +4,12 @@ up; a renamed or moved function makes ``install`` raise ``KeyError``."""
 import importlib.util
 from pathlib import Path
 
+from fairtradex.ledger import Ledger
+from fairtradex.membership import gen_secret, reg_id
+from fairtradex.protocol import Protocol
+
+from helpers import make_params
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -34,3 +40,18 @@ def test_tracer_install_then_uninstall_restores_every_name():
         tracer.uninstall()
     for (owner, attr), original in originals.items():
         assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr}"
+
+
+def test_tracer_counts_registry_root_leaves():
+    """The per-layer leaf count reads the length of the Registry the protocol passes."""
+    tracer_mod = load_tracer_module()
+    tracer = tracer_mod.Tracer()
+    proto = Protocol(make_params(), Ledger())
+    for seed in range(3):
+        proto.clients.append(reg_id(gen_secret(seed)))
+    tracer_mod.install(tracer)
+    try:
+        proto.registry_root()
+        assert tracer.counts["membership.accumulate_leaves"] == 3
+    finally:
+        tracer.uninstall()

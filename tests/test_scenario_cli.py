@@ -276,6 +276,15 @@ class TestRunner:
         assert sum("withdrawn" in eff for eff in reveals) == 1
         assert len(draws) == sum("oid" in eff for eff in reveals) == 9
 
+    @pytest.mark.parametrize("field, value", [
+        ("ref", 10**400), ("width", 10**400), ("width", str(10**400)),
+    ], ids=["int-ref", "int-width", "str-width"])
+    def test_ten_to_the_400_quote_runs(self, field, value):
+        # a 401-digit ref or width overflowed the float quote (exit 1)
+        cfg = load()
+        cfg["agents"][MM1]["strategy"][field] = value
+        assert Runner(cfg).run().rounds_completed == cfg["rounds"]
+
     def test_n_psi_floor_warning(self):
         cfg = load()
         cfg["n_psi"] = 50  # more than the four bundled registrations

@@ -1,12 +1,17 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fairtradex.analysis import default_grid
 from fairtradex.units import (ANY, MKT, WITHDRAW, Market, Order, ProtocolParams,
                               QuantityError, check_quantity, market_width, quote)
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class TestWidth:
@@ -38,12 +43,43 @@ class TestQuote:
     @pytest.mark.parametrize("ref, width, expected", [
         (110, Fraction(1), (110, 110)),
         (110, Fraction(121, 100), (100, 121)),
-        (55, Fraction(121, 100), (50, 61)),      # 55 * 1.1 rounds up from 60.50000000000001
+        (55, Fraction(121, 100), (50, 61)),      # 55 * 1.1 = 60.5 rounds half up
         (100, Fraction(9, 4), (67, 150)),
         (1, Fraction(4), (1, 2)),                # bid clamped to one tick
     ])
     def test_table(self, ref, width, expected):
         assert quote(ref, width) == expected
+
+    def test_exact_at_ten_to_the_400(self):
+        big = 10**400
+        # 10**401 / 11 = 9090...90.909 rounds up; 1.1 * 10**400 is exact
+        assert quote(big, Fraction(121, 100)) == (10**401 // 11 + 1, 11 * 10**399)
+        assert quote(big, Fraction(4)) == (big // 2, 2 * big)
+        assert quote(1, Fraction(big)) == (1, 10**200)
+
+    def test_perfect_square_tie_rounds_up(self):
+        assert quote(5, Fraction(4)) == (3, 10)       # 5 / 2 = 2.5
+        assert quote(3, Fraction(9, 4)) == (2, 5)     # 3 / 1.5 = 2, 3 * 1.5 = 4.5
+
+    def test_agrees_with_the_float_rule_on_the_used_values(self):
+        def float_quote(ref, w):
+            root = math.sqrt(float(w))
+            bid = max(1, round(ref / root))
+            return bid, max(bid, round(ref * root))
+
+        grid = default_grid(110, Fraction(121, 100))
+        pairs = {(ref, w) for ref in grid.mm_ref_prices for w in grid.mm_widths}
+        # the bundled quoters quote around y0 = 110 (delta 1) at their widths
+        for path in SCENARIOS.glob("*.json"):
+            cfg = json.loads(path.read_text())
+            for agent in cfg["agents"]:
+                if agent["role"] == "mm":
+                    strategy = agent["strategy"]
+                    ref = cfg["mifp"]["y0"] if strategy["ref"] == "mifp" else strategy["ref"]
+                    pairs.add((ref, Fraction(str(strategy["width"]))))
+        assert len(pairs) == 9 * 8  # the bundled quoters' pairs are on the grid too
+        for ref, w in pairs:
+            assert quote(ref, w) == float_quote(ref, w), (ref, w)
 
 
 class TestQuantity:
