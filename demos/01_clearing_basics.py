@@ -52,6 +52,7 @@ for off in (cand.cp - 2, cand.cp - 1, cand.cp + 1):
 result = settle(book, cand.cp)
 validate_clearing_result(book, result)
 print(f"settled {result.volume_settled_b} B at {result.cp}:")
+# Each fill carries the order it settles, so its owner and side are at hand.
 for fill in result.fills:
-    print(f"  oid {fill.oid}: executed {fill.executed}, received {fill.received}, "
-          f"refunded {fill.refunded}")
+    print(f"  oid {fill.oid} ({fill.order.owner}, {fill.order.side}): executed "
+          f"{fill.executed}, received {fill.received}, refunded {fill.refunded}")

@@ -23,8 +23,8 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
-from .auction import (AuctionBook, fill_order, filter_by_width, find_clearing_price,
-                      select_tight_market, settle, tight_market_orders)
+from .auction import (AuctionBook, filter_by_width, find_clearing_price, select_tight_market,
+                      settle, tight_market_orders)
 from .units import MKT, TOKEN_A, TOKEN_B, Market, Order, market_width, quote
 
 # ---------------------------------------------------------------------------
@@ -383,17 +383,17 @@ class _EngineGame:
             return utilities
         result = settle(filtered, cand.cp)
 
-        for f, (_, side, o) in zip(result.fills, fill_order(filtered)):
-            if side == "buy":
-                delta_ref = f.received * self.y - f.executed
+        for _, executed, received, _, o in result.fills:
+            if o.side == "buy":
+                delta_ref = received * self.y - executed
             else:
-                delta_ref = f.received - f.executed * self.y
-            fraction = f.executed / o.size
+                delta_ref = received - executed * self.y
+            fraction = executed / o.size
             if o.owner.startswith("m"):
                 utilities[o.owner] += float(delta_ref)
             elif fraction > 0:
                 utilities[o.owner] += fraction * client_utility(
-                    float(cand.cp), float(self.y), side, float(self.f_mcf))
+                    float(cand.cp), float(self.y), o.side, float(self.f_mcf))
         return utilities
 
 

@@ -65,6 +65,7 @@ class Fill(NamedTuple):
     executed: int   # tokens consumed from the order (A for buys, B for sells)
     received: int   # tokens received (B for buys, A for sells)
     refunded: int   # unexecuted remainder of the order's escrowed size
+    order: Order    # the order it settles, paired once by ``settle``
 
 
 @dataclass(frozen=True)
@@ -352,42 +353,30 @@ def settle(book: AuctionBook, cp: int) -> ClearingResult:
     buy_fills = _waterfall(buy_levels, volume, cp)
     sell_fills = _waterfall(sell_levels, volume, 1)
 
-    fills = [Fill(o.oid, lots * cp, lots, o.size - lots * cp)
+    fills = [Fill(o.oid, lots * cp, lots, o.size - lots * cp, o)
              for o in book.buy_orders for lots in (buy_fills.get(o.oid, 0),)]
-    fills += [Fill(o.oid, delivered, delivered * cp, o.size - delivered)
+    fills += [Fill(o.oid, delivered, delivered * cp, o.size - delivered, o)
               for o in book.sell_orders for delivered in (sell_fills.get(o.oid, 0),)]
-    # stable: ascending oid, a buy before a sell that shares its oid (``fill_order``)
+    # stable: ascending oid, a buy before a sell that shares its oid
     fills.sort(key=itemgetter(0))
     return ClearingResult(cp=cp, volume_settled_b=volume, imbalance_a=imb, fills=tuple(fills))
 
 
-def fill_order(book: AuctionBook) -> list[tuple[int, str, Order]]:
-    """Each order of ``book`` as ``(oid, side, order)``, side "buy" or
-    "sell", in the order ``settle`` lists their fills: ascending oid, a
-    buy before a sell that shares its oid, book order otherwise.  Zipping
-    a settlement's fills with this list pairs each fill with its order."""
-    keyed = [(o.oid, "buy", o) for o in book.buy_orders]
-    keyed += [(o.oid, "sell", o) for o in book.sell_orders]
-    keyed.sort(key=itemgetter(0))
-    return keyed
-
-
-def conservation_problems(cp: int, volume_b: int,
-                          fills: Iterable[tuple[int, str, int, int, int, int]]) -> list[str]:
+def conservation_problems(cp: int, volume_b: int, fills: Iterable[Fill]) -> list[str]:
     """Exact-conservation problems of a settlement at ``cp`` (empty if none).
 
-    ``fills`` yields ``(oid, side, size, executed, received, refunded)``
-    rows, ``side`` being "buy" or "sell".  Every fill must account for its
-    whole size with no negative amount, trade whole lots at ``cp``, and the
-    A and B legs summed over all fills must both balance at ``volume_b`` B
-    atoms.
+    Each fill is checked against its ``order``: it must account for the
+    order's whole size with no negative amount and trade whole lots at
+    ``cp``, and the A and B legs summed over all fills must both balance
+    at ``volume_b`` B atoms.
     """
     problems = []
     a_spent = a_received = b_received = b_delivered = 0
-    for oid, side, size, executed, received, refunded in fills:
+    for oid, executed, received, refunded, order in fills:
+        side = order.side
         if executed < 0 or received < 0 or refunded < 0:
             problems.append(f"{side} fill {oid}: negative amount")
-        if executed + refunded != size:
+        if executed + refunded != order.size:
             problems.append(f"{side} fill {oid}: executed + refunded != size")
         if side == "buy":
             if executed != received * cp:
@@ -409,14 +398,13 @@ def conservation_problems(cp: int, volume_b: int,
 def validate_clearing_result(book: AuctionBook, res: ClearingResult) -> None:
     """Assert the exact-conservation invariants of a settlement.
 
-    Each fill is checked against the order it settles, paired by
-    ``fill_order``, so a buy and a sell that share an oid stay apart.
+    The fills must carry the book's orders, each once by identity, in
+    ``settle``'s order; each fill is then checked against its order.
     """
-    orders = fill_order(book)
-    if list(map(itemgetter(0), res.fills)) != list(map(itemgetter(0), orders)):
+    orders = sorted((*book.buy_orders, *book.sell_orders), key=attrgetter("oid"))
+    if len(res.fills) != len(orders) or any(
+            f.order is not o or f.oid != o.oid for f, o in zip(res.fills, orders)):
         raise AssertionError("fills are not the book's orders in fill order")
-    rows = ((oid, side, o.size, f.executed, f.received, f.refunded)
-            for f, (oid, side, o) in zip(res.fills, orders))
-    problems = conservation_problems(res.cp, res.volume_settled_b, rows)
+    problems = conservation_problems(res.cp, res.volume_settled_b, res.fills)
     if problems:
         raise AssertionError("; ".join(problems))

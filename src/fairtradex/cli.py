@@ -11,12 +11,12 @@ import json
 import sys
 from pathlib import Path
 
-from .auction import (conservation_problems, filter_by_width, find_clearing_price, score_at,
-                      settle, verify_clearing_price)
+from .auction import (Fill, conservation_problems, filter_by_width, find_clearing_price,
+                      score_at, settle, verify_clearing_price)
 from .analysis import DEFAULT_SLIPPAGE, cost_table
 from .scenario import (InvariantViolation, Outputs, Runner, ScenarioConfig, ScenarioError,
                        SUMMARY_HEADER, validate_config)
-from .serialize import book_from_json, dumps_canonical, result_to_json
+from .serialize import book_from_json, dumps_canonical, order_from_json, result_to_json
 from .units import check_price, check_quantity
 
 EXIT_OK = 0
@@ -133,14 +133,15 @@ def _check_report(reports: list) -> list[str]:
         where = f"round {rep['round']}"
         rows = []
         for f in rep["fills"]:
-            if not isinstance(f, dict) or f.get("side") not in ("buy", "sell"):
-                raise ValueError(f"{where}: each fill must be an object with side buy or sell")
-            size, executed, received, refunded = (
-                check_quantity(f[k]) for k in ("size", "executed", "received", "refunded"))
+            if not isinstance(f, dict):
+                raise ValueError(f"{where}: each fill must be an object")
+            o = order_from_json(f)
+            executed, received, refunded = (
+                check_quantity(f[k]) for k in ("executed", "received", "refunded"))
             if not f.get("width_removed"):
-                rows.append((f["oid"], f["side"], size, executed, received, refunded))
-            elif executed or received or refunded != size:
-                problems.append(f"{where} oid {f['oid']}: bad width-removed refund")
+                rows.append(Fill(o.oid, executed, received, refunded, o))
+            elif executed or received or refunded != o.size:
+                problems.append(f"{where} oid {o.oid}: bad width-removed refund")
         cp, volume_b = check_price(rep["cp"]), check_quantity(rep["volume_b"])
         problems += [f"{where}: {p}" for p in conservation_problems(cp, volume_b, rows)]
     return problems

@@ -437,19 +437,17 @@ class Protocol:
             return {"applied": False, "reason": "bounty-unfunded"}
 
         result = settle(self.book, p.cp)
-        owners = {o.oid: o for o in (*self.revealed_buys, *self.revealed_sells)}
         removed = {o.oid for o in self.width_removed}
-        fills = (*result.fills, *(Fill(o.oid, 0, 0, o.size) for o in self.width_removed))
+        fills = (*result.fills, *(Fill(o.oid, 0, 0, o.size, o) for o in self.width_removed))
         fills_report = []
-        for f in sorted(fills, key=itemgetter(0)):
-            o = owners[f.oid]
+        for oid, executed, received, refunded, o in sorted(fills, key=itemgetter(0)):
             other = TOKEN_B if o.tkn == TOKEN_A else TOKEN_A
-            self.ledger.transfer(PROTOCOL_ACCOUNT, o.owner, other, f.received)
-            self.ledger.transfer(PROTOCOL_ACCOUNT, o.owner, o.tkn, f.refunded)
-            fills_report.append({"oid": f.oid, "owner": o.owner, "side": o.side,
+            self.ledger.transfer(PROTOCOL_ACCOUNT, o.owner, other, received)
+            self.ledger.transfer(PROTOCOL_ACCOUNT, o.owner, o.tkn, refunded)
+            fills_report.append({"oid": oid, "owner": o.owner, "side": o.side,
                                  "price": price_to_json(o.price), "size": o.size,
-                                 "executed": f.executed, "received": f.received,
-                                 "refunded": f.refunded, "width_removed": f.oid in removed})
+                                 "executed": executed, "received": received,
+                                 "refunded": refunded, "width_removed": oid in removed})
 
         self.ledger.transfer(PROTOCOL_ACCOUNT, sender, TOKEN_REF, 2 * self.params.res_bounty)
         report = {

@@ -79,7 +79,7 @@ def _parse(cls, value: Any, where: str, parsers: Optional[dict] = None):
             _fail(_at(where, f.name), "required key missing")
     try:
         return cls(**kwargs)
-    except ValueError as e:  # ProtocolParams' cross-field rules
+    except ValueError as e:  # a class's cross-field rules
         _fail(where, str(e))
 
 
@@ -342,6 +342,9 @@ class Outputs:
             raise ValueError("each output needs its own file name")
 
 
+MAX_RUN_BLOCKS = 10**6  # the most blocks a run may step: a stalled run takes ~15 s (2-vCPU VM)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """A parsed scenario: each field's type, bound and default, once."""
@@ -354,6 +357,16 @@ class ScenarioConfig:
     protocol_funding: int = _field(_amount, 0)
     n_psi: int = _field(_amount, 0)  # assumed anonymity-set floor; recorded, never computed
     outputs: Outputs = _field(partial(_parse, Outputs), Outputs())
+
+    def __post_init__(self):
+        if self.block_budget > MAX_RUN_BLOCKS:
+            raise ValueError(f"rounds and params.t_blocks (with params.alpha) allow a run of "
+                             f"{self.block_budget} blocks, over the limit of {MAX_RUN_BLOCKS}")
+
+    @property
+    def block_budget(self) -> int:
+        """Blocks ``Runner.run`` steps after registration before it calls the run stalled."""
+        return self.rounds * (3 * self.params.t_eff + 4) + 4 * self.params.t_eff
 
     def with_seed(self, seed: Any) -> "ScenarioConfig":
         return replace(self, seed=_seed(seed, "seed"))
@@ -529,8 +542,7 @@ class Runner:
                             f"the assumed anonymity floor n_psi={self.config.n_psi}")
 
         if self.rounds > 0:
-            budget = self.rounds * (3 * self.params.t_eff + 4) + 4 * self.params.t_eff
-            for _ in range(budget):
+            for _ in range(self.config.block_budget):
                 self._step_block()
                 if self.protocol.round >= self.rounds:
                     break

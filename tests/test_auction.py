@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fairtradex.auction import (AuctionBook, Fill, InvalidClearingPrice,
+from fairtradex.auction import (AuctionBook, InvalidClearingPrice,
                                 candidate_prices, filter_by_width,
                                 find_clearing_price, select_tight_market, settle,
                                 tie_break_digest, tie_break_seed,
@@ -484,11 +484,17 @@ class TestSettle:
         b = book_of([buy(2, 100, MKT), buy(0, 30, MKT)], [sell(2, 1, 50), sell(1, 1, MKT)])
         assert find_clearing_price(b).cp == 65
         res = settle(b, 65)
-        assert res.fills == (Fill(0, 0, 0, 30), Fill(1, 1, 65, 0),
-                             Fill(2, 65, 1, 35), Fill(2, 0, 0, 1))
+        assert [f[:4] for f in res.fills] == [(0, 0, 0, 30), (1, 1, 65, 0),
+                                              (2, 65, 1, 35), (2, 0, 0, 1)]
+        assert all(f.order.oid == f.oid for f in res.fills)
         validate_clearing_result(b, res)
         with pytest.raises(AssertionError, match="fill order"):
             validate_clearing_result(b, replace(res, fills=res.fills[::-1]))
+        # a fill's order is the one it settles: swap the two oid-2 orders
+        fills = list(res.fills)
+        fills[2], fills[3] = fills[2]._replace(order=fills[3].order), fills[3]
+        with pytest.raises(AssertionError):
+            validate_clearing_result(b, replace(res, fills=tuple(fills)))
         with pytest.raises(AttributeError):  # a fill is read-only
             res.fills[0].executed = 1
 

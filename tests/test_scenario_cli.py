@@ -18,7 +18,7 @@ from fairtradex.chain import ORDERING_POLICIES
 from fairtradex.cli import main
 from fairtradex.protocol import Phase
 from fairtradex.scenario import Runner, ScenarioError, derive_seed, validate_config
-from fairtradex.serialize import book_from_json
+from fairtradex.serialize import book_from_json, price_to_json
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
@@ -144,6 +144,12 @@ MALFORMED = [
                                                        "limit_price": 120.0}),
                  "strategy.limit_price", id="float-limit_price"),
     pytest.param(_set("seed", value=2**64), "seed", id="seed-past-64-bits"),
+    # a run's block budget is capped, so a run ends in bounded time
+    pytest.param(_set("rounds", value=10**30), "rounds", id="budget-rounds"),
+    pytest.param(_set("params", "t_blocks", value=10**30), "params.t_blocks",
+                 id="budget-t_blocks"),
+    pytest.param(_set("params", "alpha", value="999999/1000000"), "params.t_blocks",
+                 id="budget-alpha"),
 ]
 
 
@@ -388,6 +394,8 @@ class TestCli:
         digests = {out: hashlib.sha256((tmp_path / "out" / out).read_bytes()).hexdigest()
                    for out in golden}
         assert digests == golden
+        # the report's writer (the protocol) and its reader (check) agree
+        assert self.run_cli("check", str(tmp_path / "out" / "settlements.json")) == 0
 
     def test_golden_digests_cover_every_ordering_policy(self):
         keys = set(json.loads(GOLDEN_DIGESTS.read_text()))
@@ -653,8 +661,8 @@ class TestCli:
         """The golden book cleared and settled, plus its one-round report."""
         book, _ = filter_by_width(book_from_json(json.loads(GOLDEN_BOOK.read_text())["book"]))
         res = settle(book, find_clearing_price(book).cp)
-        orders = {o.oid: o for o in (*book.buy_orders, *book.sell_orders)}
-        fills = [{"oid": f.oid, "side": orders[f.oid].side, "size": orders[f.oid].size,
+        fills = [{"oid": f.oid, "owner": f.order.owner, "side": f.order.side,
+                  "price": price_to_json(f.order.price), "size": f.order.size,
                   "executed": f.executed, "received": f.received, "refunded": f.refunded,
                   "width_removed": False} for f in res.fills]
         report = {"round": 0, "cp": res.cp, "volume_b": res.volume_settled_b, "fills": fills}
@@ -690,7 +698,12 @@ class TestCli:
         lambda reps: reps[0].update(cp=None),
         lambda reps: reps.append(["not", "an", "object"]),
         lambda reps: reps[0]["fills"][-1].update(side="bogus"),
-    ], ids=["string-amount", "null-cp", "non-object-entry", "unknown-side"])
+        lambda reps: reps[0]["fills"][0].update(price="x"),
+        lambda reps: reps[0]["fills"][0].update(oid="3"),
+        lambda reps: reps[0]["fills"][0].update(owner=5),
+        lambda reps: reps[0]["fills"][0].pop("price"),
+    ], ids=["string-amount", "null-cp", "non-object-entry", "unknown-side",
+            "string-price", "string-oid", "non-string-owner", "missing-price"])
     def test_check_malformed_report_exit_2(self, tmp_path, capsys, tamper):
         reports = [self.golden_settlement()[2]]
         tamper(reports)
