@@ -18,7 +18,7 @@ this module (as the CLI does for ``cost_table``) does not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
@@ -306,9 +306,15 @@ class _EngineGame:
     orders, is the game the table depends on: profiles that differ only
     outside it share one table.  Each flow pattern takes the kept orders on
     its clients' sides, and ``clear`` turns that filtered book into
-    utilities, which depend on nothing else.  One memo shared by a check
-    builds each distinct game's table once, and with it clears each
-    distinct book once.
+    utilities, which depend on nothing else.
+
+    One memo, made by the caller for one check of one game, holds
+    everything that repeats between the check's profiles: each distinct
+    game's table, client i's buy and sell order per (position,
+    ``ClientProfile``), each distinct ``client_utility`` value, and the
+    zero-utility dict per player set.  Each distinct game's table is built
+    once, and with it each distinct book is cleared once.  The memo dies
+    with the check: nothing is kept across calls.
     """
 
     y: int
@@ -328,8 +334,10 @@ class _EngineGame:
         one check (one quoter count) builds each distinct table once.  A
         game's books are its own, since each holds the game's tight market
         and one order of each kept client, so each distinct book is cleared
-        once too.  A table may be returned to several callers, so it and
-        its arrays are read-only."""
+        once too.  The same memo also holds each client's two orders, keyed
+        on its position and ``ClientProfile``, and what ``clear`` reuses
+        (see ``_clear``).  A table may be returned to several callers, so
+        it and its arrays are read-only."""
         import numpy as np
         depth = 10 * self.n_clients * self.client_size_a
         revealed = []
@@ -342,43 +350,65 @@ class _EngineGame:
         m = tight[1]
         buy, sell = tight_market_orders(tight[0], m, self.n_clients, m.size_bid, m.size_offer)
         # client i's buy and sell order (oid i); its direction picks one
-        buys, sells = [], []
-        for i, cs in enumerate(client_strats):
-            price = MKT if cs.order_type == "mkt" else cs.limit_price
-            buys.append(Order(oid=i, owner=f"c{i}", tkn=TOKEN_A, size=self.client_size_a,
-                              price=price, width_req=cs.width_req))
-            sells.append(Order(oid=i, owner=f"c{i}", tkn=TOKEN_B, size=self.client_size_a // self.y,
-                               price=price, width_req=cs.width_req))
+        orders = [self._client_orders(i, cs, memo) for i, cs in enumerate(client_strats)]
         kept, _removed = filter_by_width(AuctionBook(
-            buy_orders=(*buys, buy), sell_orders=(*sells, sell), w_tight=market_width(m)))
+            buy_orders=(*(b for b, _ in orders), buy), sell_orders=(*(s for _, s in orders), sell),
+            w_tight=market_width(m)))
         # the tight orders are width ANY, so each side keeps its own last
         kept_buys, kept_sells = kept.buy_orders[:-1], kept.sell_orders[:-1]
         game = (tight, tuple((o.oid, o.tkn, o.price) for o in (*kept_buys, *kept_sells)))
-        if game in memo:
-            return memo[game]
-        # patterns that differ only in filtered-out clients clear one book
-        cleared: dict[tuple, dict[str, float]] = {}
+        table = memo.get(game)
+        if table is not None:
+            return table
+        # a client's two orders share one width, so the filter keeps both
+        # or neither, and the kept clients' bits pick a pattern's book
+        kept_mask = sum(1 << o.oid for o in kept_buys)
+        assert kept_mask == sum(1 << o.oid for o in kept_sells)
+        n_mms = len(mm_strats)
+        cleared: dict[int, dict[str, float]] = {}
         outcomes = []
         for bits in range(2 ** self.n_clients):
-            flow_buys = tuple(o for o in kept_buys if bits >> o.oid & 1)
-            flow_sells = tuple(o for o in kept_sells if not bits >> o.oid & 1)
-            flow = (tuple(o.oid for o in flow_buys), tuple(o.oid for o in flow_sells))
+            flow = bits & kept_mask
             if flow not in cleared:
-                cleared[flow] = self.clear(replace(kept, buy_orders=(*flow_buys, buy),
-                                                   sell_orders=(*flow_sells, sell)),
-                                           len(mm_strats))
+                cleared[flow] = self._clear(AuctionBook(
+                    buy_orders=(*(o for o in kept_buys if flow >> o.oid & 1), buy),
+                    sell_orders=(*(o for o in kept_sells if not flow >> o.oid & 1), sell),
+                    w_tight=kept.w_tight), n_mms, memo)
             outcomes.append(cleared[flow])
         table = {player: np.array([u[player] for u in outcomes]) for player in outcomes[0]}
         for utilities in table.values():
             utilities.flags.writeable = False
-        memo[game] = MappingProxyType(table)
-        return memo[game]
+        table = memo[game] = MappingProxyType(table)
+        return table
+
+    def _client_orders(self, i: int, cs: ClientProfile, memo: dict) -> tuple[Order, Order]:
+        """Client i's buy and sell order under ``cs``, built once per memo."""
+        key = ("orders", i, cs, self.client_size_a, self.y)
+        orders = memo.get(key)
+        if orders is None:
+            price = MKT if cs.order_type == "mkt" else cs.limit_price
+            orders = memo[key] = (
+                Order(oid=i, owner=f"c{i}", tkn=TOKEN_A, size=self.client_size_a,
+                      price=price, width_req=cs.width_req),
+                Order(oid=i, owner=f"c{i}", tkn=TOKEN_B, size=self.client_size_a // self.y,
+                      price=price, width_req=cs.width_req))
+        return orders
 
     def clear(self, filtered: AuctionBook, n_mms: int) -> dict[str, float]:
         """Every player's utility from clearing and settling ``filtered``."""
+        return self._clear(filtered, n_mms, {})
+
+    def _clear(self, filtered: AuctionBook, n_mms: int, memo: dict) -> dict[str, float]:
+        """``clear``, taking the zero-utility dict of the player set and
+        each ``client_utility`` value from ``memo``: each is computed once
+        per distinct key."""
+        zeros_key = ("zeros", n_mms, self.n_clients)
+        zeros = memo.get(zeros_key)
+        if zeros is None:
+            zeros = memo[zeros_key] = {**{f"m{i}": 0.0 for i in range(n_mms)},
+                                       **{f"c{i}": 0.0 for i in range(self.n_clients)}}
+        utilities = dict(zeros)
         cand = find_clearing_price(filtered)
-        utilities = {f"m{i}": 0.0 for i in range(n_mms)}
-        utilities.update({f"c{i}": 0.0 for i in range(self.n_clients)})
         if cand is None:
             return utilities
         result = settle(filtered, cand.cp)
@@ -392,8 +422,12 @@ class _EngineGame:
             if o.owner.startswith("m"):
                 utilities[o.owner] += float(delta_ref)
             elif fraction > 0:
-                utilities[o.owner] += fraction * client_utility(
-                    float(cand.cp), float(self.y), o.side, float(self.f_mcf))
+                key = ("client_utility", float(cand.cp), float(self.y), o.side,
+                       float(self.f_mcf))
+                u = memo.get(key)
+                if u is None:
+                    u = memo[key] = client_utility(*key[1:])
+                utilities[o.owner] += fraction * u
         return utilities
 
 
@@ -403,11 +437,14 @@ def _best_response_monte_carlo(profile: StrategyProfile, grid: DeviationGrid,
     """Each deviation's paired gain over common random client flow.
 
     One memo serves the whole check, so each distinct game's outcome table
-    is built once (15 for the 89 profiles of the default grid), and the
-    statistics of each distinct utility column against the base paths (the
-    two path means, the gain and the 2 * SE tolerance) are computed once
-    and shared by every deviation whose table has that column.  Nothing
-    outlives the call.
+    is built once (15 for the 89 profiles of the default grid), each
+    client's two orders once per (position, ``ClientProfile``) (40 orders
+    for 20 pairs), and each ``client_utility`` value once per distinct
+    argument tuple (10).  The statistics of each distinct utility column
+    against the base paths (the two path means, the gain and the 2 * SE
+    tolerance) are computed once and shared by every deviation whose table
+    has that column.  The memo and the statistics are local to the call,
+    so nothing outlives it.
     """
     import numpy as np
     # four clients, each sized divisibly by y so seller sizes are exact

@@ -338,6 +338,43 @@ class TestBestResponse:
         with pytest.raises(TypeError):
             table["m0"] = np.zeros(16)
 
+    def test_check_builds_each_order_and_client_utility_once(self, monkeypatch):
+        """One competitive check builds client i's buy and sell order once
+        per distinct (position, ``ClientProfile``) pair of its 89 profiles:
+        20 pairs, 40 orders, where one set per profile would be 712.  It
+        calls ``client_utility`` once per distinct argument tuple: 10
+        calls, where one per settled client fill would be 888.  A second
+        identical check builds all of it again: the memo dies with the
+        call."""
+        from fairtradex import analysis
+        _game, base, deviations = _competitive_deviations()
+        pairs = {(i, cs) for _label, _key, _mms, clients in [base] + deviations
+                 for i, cs in enumerate(clients)}
+        assert len(pairs) == 20
+        orders, utility_args = [], []
+        order, utility = analysis.Order, analysis.client_utility
+
+        def counted_order(**fields):
+            orders.append(fields)
+            return order(**fields)
+
+        def counted_utility(*args):
+            utility_args.append(args)
+            return utility(*args)
+        monkeypatch.setattr(analysis, "Order", counted_order)
+        monkeypatch.setattr(analysis, "client_utility", counted_utility)
+        for _ in range(2):
+            orders.clear()
+            utility_args.clear()
+            rep = best_response_check(COMPETITIVE, n_mms=2, paths=200)
+            assert len(rep.entries) == 88
+            assert len(orders) == 2 * len(pairs) == 40
+            assert sorted(f["tkn"] for f in orders) == [TOKEN_A] * 20 + [TOKEN_B] * 20
+            assert {(f["oid"], f["price"], f["width_req"]) for f in orders} == {
+                (i, MKT if cs.order_type == "mkt" else cs.limit_price, cs.width_req)
+                for i, cs in pairs}
+            assert len(utility_args) == len(set(utility_args)) == 10
+
     @pytest.mark.parametrize("seed", [7, 20_240_006])
     def test_entries_match_a_fresh_memo_per_deviation(self, seed):
         """The check's entries, whose tables and statistics are shared

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fairtradex.auction import (AuctionBook, InvalidClearingPrice,
+from fairtradex.auction import (AuctionBook, ClearingCandidate, InvalidClearingPrice,
                                 candidate_prices, filter_by_width,
                                 find_clearing_price, select_tight_market, settle,
                                 tie_break_digest, tie_break_seed,
@@ -396,6 +396,25 @@ class TestVerifier:
     def test_zero_volume_claim_rejected(self):
         b = book_of([buy(0, 100, 60)], [sell(1, 1, 40)])
         assert not verify_clearing_price(b, 1, *self.claims(b, 1))
+
+    def test_nonzero_imbalance_claim_is_probed(self):
+        """Only a zero imbalance is accepted without the adjacent-tick probe:
+        at cp 10 this book trades 100 A with imbalance +1, but cp 11 trades
+        all 101 A, so the claim (10, 100, 1) is not optimal."""
+        b = book_of([buy(0, 101, MKT)], [sell(1, 10, MKT)])
+        assert find_clearing_price(b) == ClearingCandidate(11, 101, -9)
+        assert self.claims(b, 10) == (100, 1)
+        assert not verify_clearing_price(b, 10, 100, 1)
+
+    def test_both_prices_of_an_exact_tie_pass(self):
+        """ROADMAP item 7(c)'s tie: cp 9 scores (81, +19) and cp 10 scores
+        (81, -19).  The oracle picks the lower tick, and the verifier
+        accepts both, because the probe's equal volume with an equal
+        absolute imbalance does not beat the claim."""
+        b = book_of([buy(0, 81, MKT), buy(1, 19, 9)], [sell(2, 9, MKT), sell(3, 1, 10)])
+        assert find_clearing_price(b) == ClearingCandidate(9, 81, 19)
+        assert verify_clearing_price(b, 9, 81, 19)
+        assert verify_clearing_price(b, 10, 81, -19)
 
     def test_accepted_prices_reach_max_volume_with_spanning_market(self):
         """On books with a spanning market, every price the verifier accepts

@@ -481,6 +481,17 @@ class TestCommitMM:
         eff = w.commit_mm("m1", spanning_market(w, mult=3))
         assert not eff["applied"] and eff["reason"] == "one-market-per-player"
 
+    def test_quoter_holding_exactly_e_mm_cannot_commit(self):
+        """A quoter must hold more than e_mm REF to commit a market."""
+        w = World()
+        w.add_mm("m1", ref=w.params.e_mm)
+        w.add_mm("m2", ref=w.params.e_mm + 1)
+        w.start()
+        eff = w.commit_mm("m1", spanning_market(w))
+        assert not eff["applied"] and eff["reason"] == "insufficient-balance"
+        assert w.ledger.balance("m1", TOKEN_REF) == w.params.e_mm
+        assert w.commit_mm("m2", spanning_market(w))["applied"]
+
     def test_phase_guard(self):
         w = World()
         w.add_mm("m1")
@@ -534,6 +545,38 @@ class TestRevealClient:
         w = self.setup_committed(order)
         eff = w.reveal_client("c1", order)
         assert eff["applied"] and eff["size"] == 1_000
+
+    def test_escrow_cap_that_floors_to_zero_is_size_capped_to_zero(self):
+        """A B sale is capped at the B atoms e_client is worth at its limit
+        price.  A cap that floors to 0 atoms refuses the reveal as
+        size-capped-to-zero; a cap of 1 atom books 1 atom."""
+        # e_client 1000 REF, p_a 1: limit 1001 caps at 0 B, limit 1000 at 1 B
+        order = (TOKEN_B, 5, 1001, Fraction(121, 100))
+        w = self.setup_committed(order)
+        eff = w.reveal_client("c1", order)
+        assert not eff["applied"] and eff["reason"] == "size-capped-to-zero"
+        assert w.ledger.balance("c1", TOKEN_B) == 10**4 and not w.proto.revealed_sells
+        order = (TOKEN_B, 5, 1000, Fraction(121, 100))
+        w = self.setup_committed(order)
+        eff = w.reveal_client("c1", order)
+        assert eff["applied"] and eff["size"] == 1
+
+    def test_client_whose_balance_equals_its_size_can_reveal(self):
+        """A revealing client must hold at least the revealed size of the
+        token it sells: exactly that much is enough."""
+        w = World()
+        w.add_client("c1", 1, a=MKT_BUY[1])
+        w.add_client("c2", 2, a=MKT_BUY[1] - 1)
+        for pid in ("c1", "c2"):
+            w.register(pid)
+        w.start()
+        for pid in ("c1", "c2"):
+            assert w.commit_client(pid, MKT_BUY)["applied"]
+        w.next_phase()
+        assert w.reveal_client("c1", MKT_BUY)["applied"]
+        assert w.ledger.balance("c1", TOKEN_A) == 0
+        eff = w.reveal_client("c2", MKT_BUY)
+        assert not eff["applied"] and eff["reason"] == "insufficient-balance"
 
     def test_re_registration_keeps_escrow_and_charges_fee(self):
         w = self.setup_committed()
@@ -627,6 +670,25 @@ class TestRevealMM:
         assert w.proto._mm_liquidity_ok("m1", edge)
         assert not w.proto._mm_liquidity_ok("m1", replace(edge, size_bid=4285))
         assert not w.proto._mm_liquidity_ok("m1", replace(edge, size_offer=42))
+
+    def test_market_leg_equal_to_the_balance_stays_eligible(self):
+        """Each revealed leg must be backed by the quoter's balance of its
+        token, checked at the reveal and again at the reveal end: a leg
+        equal to the balance is backed, one atom more is not."""
+        w = World()
+        m = spanning_market(w)
+        w.add_mm("m1", a=m.size_bid, b=m.size_offer)
+        w.start()
+        w.commit_mm("m1", m)
+        w.next_phase()
+        assert w.reveal_mm("m1", m)["applied"]
+        w.next_phase()
+        assert w.proto.tight_market == ("m1", m)
+        for leg in ("size_bid", "size_offer"):
+            w = World()
+            w.add_mm("m1", a=m.size_bid, b=m.size_offer)
+            over = replace(m, **{leg: getattr(m, leg) + 1})
+            assert not w.proto._mm_liquidity_ok("m1", over), leg
 
 
 class TestEndRevealPhase:
@@ -769,6 +831,36 @@ class TestResolution:
         # the round-0 serial is spent: its reveal must not apply
         eff = w.reveal_client("cb", MKT_BUY)
         assert not eff["applied"] and eff["reason"] == "unknown-serial"
+
+    def test_proposer_holding_exactly_res_bounty_is_refused(self):
+        """A proposer must hold more than res_bounty REF to post its deposit."""
+        w = self.full_round()
+        fund(w.ledger, "prop", ref=w.params.res_bounty)
+        eff = w.submit_cp("prop")
+        assert not eff["applied"] and eff["reason"] == "insufficient-balance"
+        assert w.ledger.balance("prop", TOKEN_REF) == w.params.res_bounty
+        fund(w.ledger, "prop", ref=1)
+        assert w.submit_cp("prop")["applied"]
+
+    def test_exactly_two_bounties_after_the_deposit_pays_the_bounty(self):
+        """A valid proposal is paid when the protocol account holds at least
+        2 * res_bounty REF with the deposit in: at exactly that it settles
+        and pays; one REF less is bounty-unfunded and returns the deposit."""
+        for short in (0, 1):
+            w = self.full_round()
+            bounty = w.params.res_bounty
+            # leave bounty - short REF, so the deposit brings 2 * bounty - short
+            excess = w.ledger.balance(PROTOCOL_ACCOUNT, TOKEN_REF) - (bounty - short)
+            w.ledger.burn(PROTOCOL_ACCOUNT, TOKEN_REF, excess)
+            before = w.ledger.balance("hunter", TOKEN_REF)
+            eff = w.submit_cp("hunter")
+            if not short:
+                assert eff["applied"]
+                assert w.ledger.balance("hunter", TOKEN_REF) == before + bounty
+                assert w.ledger.balance(PROTOCOL_ACCOUNT, TOKEN_REF) == 0
+            else:
+                assert not eff["applied"] and eff["reason"] == "bounty-unfunded"
+                assert w.ledger.balance("hunter", TOKEN_REF) == before
 
     def test_width_removed_order_refunded_in_full(self):
         w = World()

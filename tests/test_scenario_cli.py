@@ -16,6 +16,7 @@ from fairtradex.auction import (filter_by_width, find_clearing_price, settle,
                                 validate_clearing_result)
 from fairtradex.chain import ORDERING_POLICIES
 from fairtradex.cli import main
+from fairtradex.ledger import InsufficientBalance
 from fairtradex.protocol import Phase
 from fairtradex.scenario import Runner, ScenarioError, derive_seed, validate_config
 from fairtradex.serialize import book_from_json, price_to_json
@@ -151,6 +152,79 @@ MALFORMED = [
     pytest.param(_set("params", "alpha", value="999999/1000000"), "params.t_blocks",
                  id="budget-alpha"),
 ]
+
+
+#: every scalar of every bundled scenario takes each of these values in turn
+PROBE_VALUES = (0, -1, 1, 2, 10**30, "x", 1.5, None, True, [], {}, "1/0", "0", "-1/2", "3/2")
+#: the probe's rounds cap: enough to reach the protocol_funding crash
+#: below, which comes at the second round's reveal end
+PROBE_ROUNDS = 2
+#: the (scenario, path, value) rows that crash (ROADMAP item 13)
+PROBE_CRASHES = [(name, ("protocol_funding",), value)
+                 for name in ("monopoly_mm.json", "two_mm_competition.json")
+                 for value in (0, 1, 2)]
+
+
+def _scalar_paths(node, path=()):
+    """The path of every scalar in a JSON value: a leaf that is no object or array."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _scalar_paths(child, (*path, key))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _scalar_paths(child, (*path, i))
+    else:
+        yield path
+
+
+PROBE_FIELDS = [pytest.param(name, path, id=f"{name[:-5]}:{'.'.join(map(str, path))}")
+                for name in BUNDLED for path in _scalar_paths(load(name))]
+
+
+def _probe(name, path, value):
+    """Run ``name`` with the scalar at ``path`` set to ``value`` and at most
+    ``PROBE_ROUNDS`` rounds (unless ``path`` is ``rounds`` itself)."""
+    cfg = load(name)
+    cfg["rounds"] = min(cfg["rounds"], PROBE_ROUNDS)
+    _node(cfg, path[:-1])[path[-1]] = copy.deepcopy(value)
+    return Runner(cfg).run()
+
+
+class TestInputProbe:
+    """ROADMAP item 11's probe: every input either runs or is refused as a
+    configuration error.  ``Runner(cfg).run()`` returns a ``RunResult`` or
+    raises ``ScenarioError``, and nothing else."""
+
+    @pytest.mark.parametrize("name, path", PROBE_FIELDS)
+    def test_every_value_runs_or_raises_scenario_error(self, name, path):
+        # compared by repr, since True == 1
+        crashes = {(n, p, repr(v)) for n, p, v in PROBE_CRASHES}
+        wrong = []
+        for value in PROBE_VALUES:
+            if (name, path, repr(value)) in crashes:
+                continue
+            try:
+                result = _probe(name, path, value)
+            except ScenarioError:
+                continue
+            except Exception as exc:
+                wrong.append((value, repr(exc)))
+            else:
+                if not isinstance(result, scenario.RunResult):
+                    wrong.append((value, result))
+        assert wrong == []
+
+    @pytest.mark.xfail(strict=True, raises=InsufficientBalance,
+                       reason="ROADMAP item 13: the bounty-unfunded guard reads the whole "
+                              "protocol account, so the bounty is paid out of escrow and a "
+                              "later escrow return raises out of Runner.run")
+    @pytest.mark.parametrize("name, path, value", PROBE_CRASHES)
+    def test_tiny_protocol_funding_runs(self, name, path, value):
+        assert isinstance(_probe(name, path, value), scenario.RunResult)
+
+    def test_fields_cover_every_scalar_of_every_bundled_scenario(self):
+        assert {row.values[0] for row in PROBE_FIELDS} == set(BUNDLED)
+        assert len(PROBE_FIELDS) == 186
 
 
 class TestConfigValidation:
