@@ -23,9 +23,9 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
-from .auction import (AuctionBook, filter_by_width, find_clearing_price, select_tight_market,
-                      settle, tight_market_orders)
-from .units import MKT, TOKEN_A, TOKEN_B, Market, Order, market_width, quote
+from .auction import (AuctionBook, filter_by_width, find_clearing_price, round_book,
+                      select_tight_market, settle)
+from .units import MKT, TOKEN_A, TOKEN_B, Market, Order, quote
 
 # ---------------------------------------------------------------------------
 # Closed-form utilities
@@ -286,7 +286,7 @@ def _best_response_closed_form(profile: StrategyProfile, grid: DeviationGrid,
 
 
 # ---------------------------------------------------------------------------
-# Engine-backed best response: two or more quoters, Monte Carlo
+# Engine-backed best response: two quoters, Monte Carlo
 # ---------------------------------------------------------------------------
 
 
@@ -328,6 +328,12 @@ class _EngineGame:
         """Every player's utility for each of the 2^k client flow patterns,
         indexed by pattern number: bit i is set when client i buys.
 
+        Each quoter quotes with depth ``10 * n_clients * client_size_a``.
+        ``auction.round_book``, the protocol's own, builds the profile's book
+        from both of each client's orders and the tight market's uncapped
+        legs (oids ``n_clients`` and ``n_clients + 1``), which are each
+        side's last order; ``filter_by_width`` then runs once.
+
         ``memo`` maps each game (the tight market and each kept client
         order's oid, token and price; widths no longer matter once the
         filter has run) to its table.  Sharing it across the profiles of
@@ -347,13 +353,12 @@ class _EngineGame:
                                              offer=offer, size_offer=depth)))
         tight = select_tight_market(revealed)
         assert tight is not None
-        m = tight[1]
-        buy, sell = tight_market_orders(tight[0], m, self.n_clients, m.size_bid, m.size_offer)
         # client i's buy and sell order (oid i); its direction picks one
         orders = [self._client_orders(i, cs, memo) for i, cs in enumerate(client_strats)]
-        kept, _removed = filter_by_width(AuctionBook(
-            buy_orders=(*(b for b, _ in orders), buy), sell_orders=(*(s for _, s in orders), sell),
-            w_tight=market_width(m)))
+        book = round_book((b for b, _ in orders), (s for _, s in orders), tight,
+                          depth, depth, self.n_clients)
+        buy, sell = book.buy_orders[-1], book.sell_orders[-1]
+        kept, _removed = filter_by_width(book)
         # the tight orders are width ANY, so each side keeps its own last
         kept_buys, kept_sells = kept.buy_orders[:-1], kept.sell_orders[:-1]
         game = (tight, tuple((o.oid, o.tkn, o.price) for o in (*kept_buys, *kept_sells)))

@@ -124,18 +124,28 @@ def select_tight_market(
     return max(eligible, key=lambda e: (-market_width(e[1]), tie_break_digest(seed, *e)))
 
 
-def tight_market_orders(player: str, market: Market, oid: int,
-                        size_bid: int, size_offer: int) -> tuple[Order, ...]:
-    """The tight market's implicit width-ANY limit orders, one per leg of nonzero size.
+def round_book(buys: Iterable[Order], sells: Iterable[Order],
+               tight: Optional[tuple[str, Market]], size_bid: int, size_offer: int,
+               oid: int) -> AuctionBook:
+    """A round's book before the width filter: the client orders, then the tight market's.
 
-    A buy of ``size_bid`` A atoms at the bid (oid ``oid``) and a sell of
-    ``size_offer`` B atoms at the offer (oid ``oid + 1``).  The caller
-    picks the sizes: the protocol caps them by the quoter's escrow, which
-    can floor a leg to 0 atoms.
+    The tight market ``(player, market)`` adds its implicit width-ANY limit
+    orders, one per leg of nonzero size: a buy of ``size_bid`` A atoms at
+    the bid (oid ``oid``) and a sell of ``size_offer`` B atoms at the offer
+    (oid ``oid + 1``), and sets ``w_tight`` to its width.  The caller picks
+    the sizes: the protocol caps them by the quoter's escrow, which can
+    floor a leg to 0 atoms.  With no tight market the book is the client
+    orders at width ANY, and the sizes and ``oid`` are unused.
     """
-    legs = ((oid, TOKEN_A, size_bid, market.bid), (oid + 1, TOKEN_B, size_offer, market.offer))
-    return tuple(Order(oid=i, owner=player, tkn=tkn, size=size, price=price, width_req=ANY)
-                 for i, tkn, size, price in legs if size)
+    if tight is None:
+        return AuctionBook(buy_orders=tuple(buys), sell_orders=tuple(sells))
+    player, m = tight
+    legs = ((oid, TOKEN_A, size_bid, m.bid), (oid + 1, TOKEN_B, size_offer, m.offer))
+    orders = [Order(oid=i, owner=player, tkn=tkn, size=size, price=price, width_req=ANY)
+              for i, tkn, size, price in legs if size]
+    return AuctionBook(buy_orders=(*buys, *(o for o in orders if o.tkn == TOKEN_A)),
+                       sell_orders=(*sells, *(o for o in orders if o.tkn == TOKEN_B)),
+                       w_tight=market_width(m))
 
 
 class _Depth:

@@ -35,6 +35,10 @@ class InvalidProof(Exception):
     """Relayers refuse to carry a transaction whose membership proof fails."""
 
 
+class InvalidBlock(Exception):
+    """An ordering policy chose a transaction twice, or one that is not pending."""
+
+
 @dataclass(frozen=True)
 class Tx:
     kind: str
@@ -139,16 +143,24 @@ class Chain:
 
         The ordering policy selects and orders from the pending set; any
         transaction at its deadline that the policy withheld is appended in
-        submission order (forced inclusion).
+        submission order (forced inclusion).  A policy may choose each
+        pending entry at most once, matched by identity: a repeated entry,
+        or one that is not pending, raises ``InvalidBlock`` and leaves the
+        chain as it was.
         """
-        self.height += 1
-        chosen = self.policy(self.pending, self.height, self._rng)
-        chosen_set = {p.seq for p in chosen}
-        forced = [p for p in self.pending
-                  if p.deadline <= self.height and p.seq not in chosen_set]
-        block = list(chosen) + sorted(forced, key=lambda p: p.seq)
-        included = {p.seq for p in block}
-        self.pending = [p for p in self.pending if p.seq not in included]
-        return [ExecutedTx(tx=p.tx, seq=p.seq, height=self.height,
+        height = self.height + 1
+        chosen = list(self.policy(self.pending, height, self._rng))
+        chosen_ids = {id(p) for p in chosen}
+        forced = [p for p in self.pending if p.deadline <= height and id(p) not in chosen_ids]
+        waiting = [p for p in self.pending if p.deadline > height and id(p) not in chosen_ids]
+        # pending entries are distinct objects, so exactly len(chosen) of them
+        # are chosen when no chosen entry repeats and none is foreign
+        if (len(chosen_ids) != len(chosen)
+                or len(self.pending) - len(forced) - len(waiting) != len(chosen)):
+            raise InvalidBlock("the ordering policy repeated a transaction or invented one")
+        self.height = height
+        self.pending = waiting
+        block = chosen + sorted(forced, key=lambda p: p.seq)
+        return [ExecutedTx(tx=p.tx, seq=p.seq, height=height,
                            submit_height=p.submit_height, relayer=p.relayer)
                 for p in block]

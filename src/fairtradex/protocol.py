@@ -30,17 +30,16 @@ from operator import itemgetter
 from typing import Any, Callable, NamedTuple, Optional
 
 from . import membership
-from .auction import (AuctionBook, Fill, filter_by_width, select_tight_market,
-                      settle, tight_market_orders, verify_clearing_price)
+from .auction import (AuctionBook, Fill, filter_by_width, round_book, select_tight_market,
+                      settle, verify_clearing_price)
 from .chain import (CLIENT_REGISTER, CLIENT_REVEAL, COMMIT_CLIENT, COMMIT_MM,
                     CP, MM_REVEAL, ExecutedTx, Tx)
 from .ledger import PROTOCOL_ACCOUNT, Ledger
 from .membership import MembershipProof, h, is_digest
 from .serialize import price_to_json, width_to_json
-from .units import (ANY, MKT, TOKEN_A, TOKEN_B, TOKEN_REF, WITHDRAW, Market,
-                    Order, Price, ProtocolParams, QuantityError, Width,
-                    check_price, check_quantity, check_width, encode_market,
-                    encode_order_fields, market_width)
+from .units import (MKT, TOKEN_A, TOKEN_B, TOKEN_REF, WITHDRAW, Market, Order, Price,
+                    ProtocolParams, QuantityError, Width, check_price, check_quantity,
+                    check_width, encode_market, encode_order_fields)
 
 
 class Phase(enum.Enum):
@@ -146,6 +145,7 @@ class Protocol:
         """Start a round: every per-round field, and only those, is set here."""
         self.client_commits: dict[bytes, bytes] = {}   # serial -> commitment
         self.mm_commits: dict[str, bytes] = {}         # player  -> commitment
+        # the revealed client orders; the tight market's legs are only in ``book``
         self.revealed_buys: list[Order] = []
         self.revealed_sells: list[Order] = []
         self.revealed_mkts: list[tuple[str, Market]] = []
@@ -365,12 +365,15 @@ class Protocol:
 
         Revealed markets are re-validated against current balances; the ones
         that still qualify get their escrow back and enter the tie-break.
-        The tight market contributes two implicit width-ANY limit orders
-        (sizes capped by the MM escrow; a leg capped to 0 atoms adds none).
-        Unrevealed client serials are blacklisted and their escrows burned;
-        unrevealed MM escrows burn too.
-        Last, the width-filtered book is fixed as ``book`` (the dropped orders
-        as ``width_removed``): no handler changes orders during RESOLUTION.
+        The tight market's two legs, capped by the MM escrow, move into the
+        protocol account.  Unrevealed client serials are blacklisted and
+        their escrows burned; unrevealed MM escrows burn too.
+        Last, ``auction.round_book`` builds the round's book from the
+        revealed client orders and the capped legs (oids ``oid`` and
+        ``oid + 1``; a leg capped to 0 atoms adds no order), and its
+        width-filtered form is fixed as ``book`` (the dropped orders as
+        ``width_removed``): no handler changes orders during RESOLUTION.
+        ``revealed_buys`` and ``revealed_sells`` keep only the client orders.
         """
         eligible = []
         for player, m in self.revealed_mkts:
@@ -381,16 +384,13 @@ class Protocol:
                 self._burn(player, self.params.e_mm, "mm-liquidity-lapsed")
 
         self.tight_market = select_tight_market(self.revealed_mkts, eligible)
-        w_tight: Width = ANY
+        oid, bid_size, offer_size = self._oid, 0, 0
         if self.tight_market is not None:
             player, m = self.tight_market
-            w_tight = market_width(m)
             bid_size = min(m.size_bid, self.params.atoms_floor(self.params.e_mm))
             offer_size = min(m.size_offer, self.params.atoms_floor(self.params.e_mm, m.offer))
             self.ledger.transfer(player, PROTOCOL_ACCOUNT, TOKEN_A, bid_size)
             self.ledger.transfer(player, PROTOCOL_ACCOUNT, TOKEN_B, offer_size)
-            for order in tight_market_orders(player, m, self._oid, bid_size, offer_size):
-                (self.revealed_buys if order.tkn == TOKEN_A else self.revealed_sells).append(order)
             self._oid += 2
 
         for serial in list(self.client_commits):
@@ -402,9 +402,8 @@ class Protocol:
             self._burn(player, self.params.e_mm, "mm-no-reveal")
             del self.mm_commits[player]
 
-        self.book, self.width_removed = filter_by_width(AuctionBook(
-            buy_orders=tuple(self.revealed_buys), sell_orders=tuple(self.revealed_sells),
-            w_tight=w_tight))
+        self.book, self.width_removed = filter_by_width(round_book(
+            self.revealed_buys, self.revealed_sells, self.tight_market, bid_size, offer_size, oid))
         self.phase = Phase.RESOLUTION
         self.last_phase_change = height
 

@@ -4,17 +4,19 @@ without a chain."""
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
-from fairtradex.auction import AuctionBook, candidate_prices, score_at, tight_market_orders
+from fairtradex.auction import AuctionBook, candidate_prices, score_at
 from fairtradex.chain import ExecutedTx, Tx
 from fairtradex.ledger import Ledger
 from fairtradex.membership import serialize_proof
 from fairtradex.protocol import (ClientCommitPayload, ClientRevealPayload, MMCommitPayload,
                                  MMRevealPayload, RegisterPayload, well_formed)
 from fairtradex.serialize import price_to_json, width_to_json
-from fairtradex.units import ANY, MKT, TOKEN_A, TOKEN_B, TOKEN_REF, Market, Order, ProtocolParams
+from fairtradex.units import ANY, MKT, TOKEN_A, TOKEN_B, TOKEN_REF, Order, ProtocolParams
 
 
 def naive_clear(book):
@@ -134,10 +136,10 @@ def random_book(rng: random.Random, max_orders: int = 12, band: int = 32,
         bid, offer = mid - half, mid + half
         size_bid = max(q_not, sum(o.size for o in sells) * offer + 1)
         size_offer = max(q_not, sum(o.size for o in buys) // bid + q_not + 1)
-        m = Market(bid=bid, size_bid=size_bid, offer=offer, size_offer=size_offer)
-        buy, sell = tight_market_orders("mm", m, oid, size_bid, size_offer)
-        buys.append(buy)
-        sells.append(sell)
+        buys.append(Order(oid=oid, owner="mm", tkn=TOKEN_A, size=size_bid, price=bid,
+                          width_req=ANY))
+        sells.append(Order(oid=oid + 1, owner="mm", tkn=TOKEN_B, size=size_offer, price=offer,
+                           width_req=ANY))
         w_tight = Fraction(offer, bid)
     return AuctionBook(buy_orders=tuple(buys), sell_orders=tuple(sells), w_tight=w_tight)
 
@@ -162,6 +164,41 @@ def wide_book(rng: random.Random, n_orders: int, lo: int = 1_000,
         (buys if is_buy else sells).append(order)
     return AuctionBook(buy_orders=tuple(buys), sell_orders=tuple(sells),
                        w_tight=Fraction(11, 10))
+
+
+def crowd_config(n_clients: int, rounds: int, seed: int, policy: str) -> dict:
+    """``scenarios/two_mm_competition.json`` scaled to ``n_clients`` market-order clients.
+
+    Random sides, two quoters at width 1 around the fair price.  ``q_not``
+    admits every client's commit, and every agent and the protocol's
+    bounty pot are funded for every round, so each round closes.
+    """
+    path = Path(__file__).resolve().parent.parent / "scenarios" / "two_mm_competition.json"
+    cfg = json.loads(path.read_text())
+    cfg.pop("outputs", None)
+    p = cfg["params"]
+    notional, y0 = 1100, cfg["mifp"]["y0"]
+    p["q_not"] = n_clients * p["e_client"]
+    flow_a = n_clients * notional                      # worst one-sided round, in A
+    p["e_mm"] = max(p["e_mm"], 2 * flow_a)             # the tight market absorbs all flow
+    size_b = 2 * (p["q_not"] // y0 + 1)                # quoter offer size, in B
+    agents = [a for a in cfg["agents"] if a["role"] in ("relayer", "bounty_hunter")]
+    for mm in ("mm1", "mm2"):
+        agents.append({"id": mm, "role": "mm",
+                       "funding": {"REF": p["e_mm"] + 10_000,
+                                   "A": 2 * p["q_not"] + rounds * flow_a + 10_000,
+                                   "B": size_b + rounds * flow_a // y0 + 1_000},
+                       "strategy": {"width": 1, "ref": "mifp", "size_mult": 2}})
+    client_ref = p["e_client"] + p["f_r"] + 1 + rounds * p["f_r"]
+    for i in range(n_clients):
+        agents.append({"id": f"c{i}", "role": "client",
+                       "funding": {"REF": client_ref, "A": rounds * notional,
+                                   "B": rounds * (notional // y0)},
+                       "strategy": {"order": "mkt", "side": "random", "notional": notional,
+                                    "width_req": "121/100"}})
+    cfg.update(seed=seed, rounds=rounds, ordering_policy=policy, agents=agents,
+               protocol_funding=cfg["protocol_funding"] + rounds * p["res_bounty"])
+    return cfg
 
 
 def make_params(**overrides) -> ProtocolParams:

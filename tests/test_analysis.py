@@ -13,10 +13,9 @@ from fairtradex.analysis import (AMM, DIRECTION_REVEALING, FAIRTRADEX,
                                  client_utility, cost_table, default_grid, execution_cost,
                                  mm_buyer_leg, mm_expected_profit, mm_seller_leg,
                                  p_ref_argmax)
-from fairtradex.auction import (AuctionBook, filter_by_width, select_tight_market,
-                                tight_market_orders)
+from fairtradex.auction import AuctionBook, filter_by_width, select_tight_market
 from fairtradex.scenario import Runner, ScenarioError
-from fairtradex.units import MKT, TOKEN_A, TOKEN_B, Market, Order, market_width, quote
+from fairtradex.units import ANY, MKT, TOKEN_A, TOKEN_B, Market, Order, market_width, quote
 
 REPO = Path(__file__).resolve().parent.parent
 TWO_MM = REPO / "scenarios" / "two_mm_competition.json"
@@ -206,7 +205,10 @@ def _reference_books(game, mm_strats, client_strats):
         bid, offer = quote(ref, w)
         revealed.append((f"m{i}", Market(bid=bid, size_bid=depth, offer=offer, size_offer=depth)))
     player, m = select_tight_market(revealed)
-    buy, sell = tight_market_orders(player, m, game.n_clients, depth, depth)
+    buy = Order(oid=game.n_clients, owner=player, tkn=TOKEN_A, size=depth, price=m.bid,
+                width_req=ANY)
+    sell = Order(oid=game.n_clients + 1, owner=player, tkn=TOKEN_B, size=depth, price=m.offer,
+                 width_req=ANY)
     books = []
     for bits in range(2 ** game.n_clients):
         buys, sells = [], []

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from fairtradex.chain import (ORDERING_POLICIES, RELAYED, Chain, InvalidProof,
-                              MalformedTx, NOOP, Tx, identity_policy,
-                              reverse_policy, withhold_max_policy)
+from fairtradex.chain import (CP, ORDERING_POLICIES, RELAYED, Chain, InvalidBlock,
+                              InvalidProof, MalformedTx, NOOP, PendingTx, Tx,
+                              identity_policy, reverse_policy, withhold_max_policy)
 
 
 def noop(i, sender="p"):
@@ -70,6 +70,29 @@ class TestOrdering:
                 trace.extend((e.seq, e.height) for e in chain.advance_block())
             return trace
         assert run() == run()
+
+
+class TestBlockProducer:
+    """A block runs each pending transaction at most once, and nothing else."""
+
+    def refused(self, policy):
+        chain = Chain(t_eff=3, policy=policy)
+        chain.submit(noop(0))
+        chain.submit(noop(1))
+        pending = list(chain.pending)
+        with pytest.raises(InvalidBlock):
+            chain.advance_block()
+        assert chain.height == 0 and chain.pending == pending
+
+    def test_policy_cannot_run_a_transaction_twice(self):
+        self.refused(lambda pending, height, rng: pending + pending)
+
+    def test_policy_cannot_run_a_transaction_never_submitted(self):
+        # the invented entry reuses a pending seq, so only identity tells them apart
+        def invent(pending, height, rng):
+            tx = Tx(kind=CP, payload=None, sender="producer")
+            return [*pending, PendingTx(tx=tx, seq=0, submit_height=0, deadline=height)]
+        self.refused(invent)
 
 
 class TestRelay:

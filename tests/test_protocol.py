@@ -746,7 +746,8 @@ class TestEndRevealPhase:
         w.next_phase()
         w.reveal_mm("m1", m)
         w.next_phase()
-        buys, sells = w.proto.revealed_buys, w.proto.revealed_sells
+        assert not w.proto.revealed_buys and not w.proto.revealed_sells
+        buys, sells = w.proto.book.buy_orders, w.proto.book.sell_orders
         assert len(buys) == 1 and len(sells) == 1
         assert buys[0].width_req is ANY and sells[0].width_req is ANY
         assert buys[0].price == m.bid and sells[0].price == m.offer

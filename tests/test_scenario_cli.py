@@ -181,6 +181,16 @@ PROBE_FIELDS = [pytest.param(name, path, id=f"{name[:-5]}:{'.'.join(map(str, pat
                 for name in BUNDLED for path in _scalar_paths(load(name))]
 
 
+#: a three-order book that clears at 102; every scalar of it takes each of
+#: ``PROBE_VALUES`` in turn, under ``clear`` and ``clear --verify 102``
+PROBE_BOOK = {"w_tight": "51/49", "orders": [
+    {"oid": 0, "owner": "c-buy", "side": "buy", "size": 1100, "price": "mkt", "width": "121/100"},
+    {"oid": 1, "owner": "c-sell", "side": "sell", "size": 10, "price": 100, "width": "any"},
+    {"oid": 2, "owner": "mm", "side": "sell", "size": 20, "price": 102, "width": "any"}]}
+PROBE_BOOK_FIELDS = [pytest.param(path, id=".".join(map(str, path)))
+                     for path in _scalar_paths(PROBE_BOOK)]
+
+
 def _probe(name, path, value):
     """Run ``name`` with the scalar at ``path`` set to ``value`` and at most
     ``PROBE_ROUNDS`` rounds (unless ``path`` is ``rounds`` itself)."""
@@ -221,6 +231,26 @@ class TestInputProbe:
     @pytest.mark.parametrize("name, path, value", PROBE_CRASHES)
     def test_tiny_protocol_funding_runs(self, name, path, value):
         assert isinstance(_probe(name, path, value), scenario.RunResult)
+
+    @pytest.mark.parametrize("path", PROBE_BOOK_FIELDS)
+    def test_every_book_value_clears_or_exits_2(self, tmp_path, capsys, path):
+        """``fairtradex clear`` and ``clear --verify`` exit 0 or 2 on every probed
+        book file; any exception out of ``main`` fails the test."""
+        p = tmp_path / "book.json"
+        for value in PROBE_VALUES:
+            book = copy.deepcopy(PROBE_BOOK)
+            _node(book, path[:-1])[path[-1]] = copy.deepcopy(value)
+            p.write_text(json.dumps(book))
+            assert main(["clear", "--book", str(p)]) in (0, 2), value
+            assert main(["clear", "--book", str(p), "--verify", "102"]) in (0, 2), value
+        capsys.readouterr()
+
+    def test_probe_book_clears_at_102(self, tmp_path, capsys):
+        p = tmp_path / "book.json"
+        p.write_text(json.dumps(PROBE_BOOK))
+        assert main(["clear", "--book", str(p)]) == 0
+        assert json.loads(capsys.readouterr().out)["cp"] == 102
+        assert len(PROBE_BOOK_FIELDS) == 19
 
     def test_fields_cover_every_scalar_of_every_bundled_scenario(self):
         assert {row.values[0] for row in PROBE_FIELDS} == set(BUNDLED)
