@@ -355,8 +355,7 @@ class _EngineGame:
         assert tight is not None
         # client i's buy and sell order (oid i); its direction picks one
         orders = [self._client_orders(i, cs, memo) for i, cs in enumerate(client_strats)]
-        book = round_book((b for b, _ in orders), (s for _, s in orders), tight,
-                          depth, depth, self.n_clients)
+        book = round_book((b for b, _ in orders), (s for _, s in orders), tight, self.n_clients)
         buy, sell = book.buy_orders[-1], book.sell_orders[-1]
         kept, _removed = filter_by_width(book)
         # the tight orders are width ANY, so each side keeps its own last

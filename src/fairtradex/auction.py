@@ -125,26 +125,25 @@ def select_tight_market(
 
 
 def round_book(buys: Iterable[Order], sells: Iterable[Order],
-               tight: Optional[tuple[str, Market]], size_bid: int, size_offer: int,
-               oid: int) -> AuctionBook:
+               tight: Optional[tuple[str, Market]], oid: int) -> AuctionBook:
     """A round's book before the width filter: the client orders, then the tight market's.
 
     The tight market ``(player, market)`` adds its implicit width-ANY limit
-    orders, one per leg of nonzero size: a buy of ``size_bid`` A atoms at
-    the bid (oid ``oid``) and a sell of ``size_offer`` B atoms at the offer
-    (oid ``oid + 1``), and sets ``w_tight`` to its width.  The caller picks
-    the sizes: the protocol caps them by the quoter's escrow, which can
-    floor a leg to 0 atoms.  With no tight market the book is the client
-    orders at width ANY, and the sizes and ``oid`` are unused.
+    orders, one per leg of nonzero size: a buy of ``market.size_bid`` A
+    atoms at the bid (oid ``oid``) and a sell of ``market.size_offer`` B
+    atoms at the offer (oid ``oid + 1``), and sets ``w_tight`` to its width.
+    The caller sizes the legs: the protocol passes the market with each
+    leg capped by the quoter's escrow, which can floor a leg to 0 atoms.
+    With no tight market the book is the client orders at width ANY.
     """
     if tight is None:
         return AuctionBook(buy_orders=tuple(buys), sell_orders=tuple(sells))
     player, m = tight
-    legs = ((oid, TOKEN_A, size_bid, m.bid), (oid + 1, TOKEN_B, size_offer, m.offer))
-    orders = [Order(oid=i, owner=player, tkn=tkn, size=size, price=price, width_req=ANY)
-              for i, tkn, size, price in legs if size]
-    return AuctionBook(buy_orders=(*buys, *(o for o in orders if o.tkn == TOKEN_A)),
-                       sell_orders=(*sells, *(o for o in orders if o.tkn == TOKEN_B)),
+    bid = (Order(oid=oid, owner=player, tkn=TOKEN_A, size=m.size_bid, price=m.bid,
+                 width_req=ANY),) if m.size_bid else ()
+    offer = (Order(oid=oid + 1, owner=player, tkn=TOKEN_B, size=m.size_offer, price=m.offer,
+                   width_req=ANY),) if m.size_offer else ()
+    return AuctionBook(buy_orders=(*buys, *bid), sell_orders=(*sells, *offer),
                        w_tight=market_width(m))
 
 

@@ -143,13 +143,15 @@ class Chain:
 
         The ordering policy selects and orders from the pending set; any
         transaction at its deadline that the policy withheld is appended in
-        submission order (forced inclusion).  A policy may choose each
-        pending entry at most once, matched by identity: a repeated entry,
-        or one that is not pending, raises ``InvalidBlock`` and leaves the
-        chain as it was.
+        submission order (forced inclusion).  The policy reads a copy of
+        the pending list, so editing that list changes nothing.  It may
+        choose each pending entry at most once, matched by identity: a
+        repeated entry, or one that is not pending, raises ``InvalidBlock``
+        and leaves the height and the pending list as they were (draws the
+        policy made from the chain's rng stay drawn).
         """
         height = self.height + 1
-        chosen = list(self.policy(self.pending, height, self._rng))
+        chosen = list(self.policy(list(self.pending), height, self._rng))
         chosen_ids = {id(p) for p in chosen}
         forced = [p for p in self.pending if p.deadline <= height and id(p) not in chosen_ids]
         waiting = [p for p in self.pending if p.deadline > height and id(p) not in chosen_ids]

@@ -25,7 +25,7 @@ execution, so the kept verdict never depends on chain state.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -384,14 +384,16 @@ class Protocol:
                 self._burn(player, self.params.e_mm, "mm-liquidity-lapsed")
 
         self.tight_market = select_tight_market(self.revealed_mkts, eligible)
-        oid, bid_size, offer_size = self._oid, 0, 0
+        oid, capped = self._oid, None
         if self.tight_market is not None:
             player, m = self.tight_market
-            bid_size = min(m.size_bid, self.params.atoms_floor(self.params.e_mm))
-            offer_size = min(m.size_offer, self.params.atoms_floor(self.params.e_mm, m.offer))
-            self.ledger.transfer(player, PROTOCOL_ACCOUNT, TOKEN_A, bid_size)
-            self.ledger.transfer(player, PROTOCOL_ACCOUNT, TOKEN_B, offer_size)
+            m = replace(m, size_bid=min(m.size_bid, self.params.atoms_floor(self.params.e_mm)),
+                        size_offer=min(m.size_offer,
+                                       self.params.atoms_floor(self.params.e_mm, m.offer)))
+            self.ledger.transfer(player, PROTOCOL_ACCOUNT, TOKEN_A, m.size_bid)
+            self.ledger.transfer(player, PROTOCOL_ACCOUNT, TOKEN_B, m.size_offer)
             self._oid += 2
+            capped = (player, m)
 
         for serial in list(self.client_commits):
             self.blacklisted.add(serial)
@@ -403,7 +405,7 @@ class Protocol:
             del self.mm_commits[player]
 
         self.book, self.width_removed = filter_by_width(round_book(
-            self.revealed_buys, self.revealed_sells, self.tight_market, bid_size, offer_size, oid))
+            self.revealed_buys, self.revealed_sells, capped, oid))
         self.phase = Phase.RESOLUTION
         self.last_phase_change = height
 

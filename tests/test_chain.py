@@ -94,6 +94,15 @@ class TestBlockProducer:
             return [*pending, PendingTx(tx=tx, seq=0, submit_height=0, deadline=height)]
         self.refused(invent)
 
+    def test_policy_cannot_drop_a_transaction_by_clearing_its_list(self):
+        def drop_all(pending, height, rng):
+            pending.clear()
+            return []
+        chain = Chain(t_eff=2, policy=drop_all)
+        p = chain.submit(noop(0))
+        assert chain.advance_block() == [] and chain.pending == [p]
+        assert [e.seq for e in chain.advance_block()] == [p.seq] and not chain.pending
+
 
 class TestRelay:
     def test_valid_relayed_tx_gets_exactly_one_relayer(self):

@@ -3,10 +3,8 @@ up; a renamed or moved function makes ``install`` raise ``KeyError``."""
 
 import importlib.util
 import json
-from fractions import Fraction
 from pathlib import Path
 
-from fairtradex.analysis import ClientProfile, MMProfile, StrategyProfile, best_response_check
 from fairtradex.ledger import Ledger
 from fairtradex.membership import gen_secret, reg_id
 from fairtradex.protocol import Protocol
@@ -63,8 +61,9 @@ def test_tracer_counts_registry_root_leaves():
 
 
 def test_tracer_sees_every_tie_break_and_width_filter():
-    """Each closed round and each best-response profile picks its tight market
-    and filters its book once, through the names the tracer wraps."""
+    """Each closed round picks its tight market and filters its book once,
+    through the names the tracer wraps.  The analysis engine's calls of the
+    same ``analysis`` attributes are counted in ``test_analysis``."""
     tracer_mod = load_tracer_module()
     tracer = tracer_mod.Tracer()
     tracer_mod.install(tracer)
@@ -74,13 +73,5 @@ def test_tracer_sees_every_tie_break_and_width_filter():
         assert rounds == 3
         assert tracer.totals["auction.tiebreak"][0] == rounds
         assert tracer.totals["auction.filter"][0] == rounds
-
-        f = Fraction(121, 100)
-        profile = StrategyProfile(client=ClientProfile(order_type="mkt", width_req=f),
-                                  mm=MMProfile(width=Fraction(1)))
-        best_response_check(profile, n_mms=2)
-        # 89 profiles of the default grid: the base and 88 deviations
-        assert tracer.totals["auction.tiebreak"][0] == rounds + 89
-        assert tracer.totals["auction.filter"][0] == rounds + 89
     finally:
         tracer.uninstall()

@@ -4,8 +4,8 @@ Every closed round's report must give each owner what an order-independent
 trusted auctioneer gives them on that round's revealed inputs.  The ideal
 round sorts the revealed and the eligible markets by ``(player,
 encode_market(m))`` before the tie-break and the client orders by their
-own fields before numbering them, then runs the same ``round_book``, escrow caps, width filter, oracle
-and settlement.  The inputs are read by wrapping
+own fields before numbering them, then runs the same escrow caps,
+``round_book``, width filter, oracle and settlement.  The inputs are read by wrapping
 ``Protocol._end_reveal_phase``, so the protocol keeps no extra state.
 """
 
@@ -63,15 +63,15 @@ def ideal_round(params, revealed, eligible, buys, sells) -> Counter:
     """Each owner's ``(side, received, refunded)`` rows from the ideal auctioneer."""
     tight = select_tight_market(sorted(revealed, key=_market_key),
                                 sorted(eligible, key=_market_key))
-    size_bid = size_offer = 0
     if tight is not None:
-        m = tight[1]
-        size_bid = min(m.size_bid, params.atoms_floor(params.e_mm))
-        size_offer = min(m.size_offer, params.atoms_floor(params.e_mm, m.offer))
+        player, m = tight
+        tight = (player, replace(m, size_bid=min(m.size_bid, params.atoms_floor(params.e_mm)),
+                                 size_offer=min(m.size_offer,
+                                                params.atoms_floor(params.e_mm, m.offer))))
     orders = [replace(o, oid=i) for i, o in enumerate(sorted((*buys, *sells), key=_order_key))]
     filtered, removed = filter_by_width(round_book(
         [o for o in orders if o.tkn == TOKEN_A], [o for o in orders if o.tkn != TOKEN_A],
-        tight, size_bid, size_offer, len(orders)))
+        tight, len(orders)))
     rows = Counter((o.owner, o.side, 0, o.size) for o in removed)
     cand = find_clearing_price(filtered)
     assert cand is not None, "a closed round must have traded"

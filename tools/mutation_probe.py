@@ -3,7 +3,7 @@
 Usage::
 
     python tools/mutation_probe.py src/fairtradex/auction.py src/fairtradex/protocol.py \\
-        [--workdir DIR] [--timeout SECONDS] [--list]
+        [--workdir DIR]
 
 Standard library only.  Each mutant changes one site of one module:
 
@@ -14,14 +14,13 @@ Standard library only.  Each mutant changes one site of one module:
 The module is rewritten with ``ast.unparse``, so before any mutant the
 probe runs the suite once on the unparsed, unmutated module and stops if
 that fails.  Each mutant then runs ``pytest -x -q --hypothesis-seed=0`` on a
-copy of the repository under ``--workdir``; a failing run or a timeout
-kills it.  A mutant that survives and is listed in ``EQUIVALENT`` (it
+copy of the repository under ``--workdir``; a failing run kills it, and so
+does a run that takes ``TIMEOUT_FACTOR`` times as long as the unmutated
+one.  A mutant that survives and is listed in ``EQUIVALENT`` (it
 cannot change what the program does) is reported apart from the others.
 The probe runs the whole suite once per mutant, one mutant at a time:
 ``auction.py`` and ``protocol.py`` together take about 30 minutes on a
 2-vCPU VM.
-
-``--list`` prints the mutants without running anything.
 """
 
 from __future__ import annotations
@@ -33,9 +32,12 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+#: a mutant's suite run that takes this multiple of the unmutated run's time is killed
+TIMEOUT_FACTOR = 3
 
 SWAP_COMPARE = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
                 ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
@@ -60,9 +62,6 @@ EQUIVALENT = {
         "fill-to-cap branch does, and no later level is reached",
     ("protocol.py", "Protocol.__init__", "self.last_phase_change = 0", "0 -> 1"):
         "initialise sets last_phase_change before any phase deadline reads it",
-    ("protocol.py", "Protocol._end_reveal_phase", "oid, bid_size, offer_size = self._oid, 0, 0",
-     "0 -> 1"):
-        "round_book reads the leg sizes only for a tight market, and then both are set",
 }
 
 
@@ -140,7 +139,7 @@ def mutants(source: str):
         yield node.lineno, where, lines[node.lineno - 1].strip(), label, ast.unparse(tree)
 
 
-def _suite_passes(copy: Path, timeout: float) -> bool:
+def _suite_passes(copy: Path, timeout: float | None = None) -> bool:
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
            "--hypothesis-seed=0"]
@@ -152,14 +151,16 @@ def _suite_passes(copy: Path, timeout: float) -> bool:
     return run.returncode == 0
 
 
-def probe(module: Path, copy: Path, timeout: float) -> list[tuple]:
+def probe(module: Path, copy: Path) -> list[tuple]:
     """Run every mutant of ``module`` in ``copy``; return the survivors."""
     target = copy / module.relative_to(REPO)
     source = module.read_text()
     try:
         target.write_text(ast.unparse(ast.parse(source)))
-        if not _suite_passes(copy, timeout):
+        start = time.monotonic()
+        if not _suite_passes(copy):
             raise SystemExit(f"{module.name}: the suite fails on the unmutated, unparsed module")
+        timeout = TIMEOUT_FACTOR * (time.monotonic() - start)
         survivors = []
         for line, where, text, label, mutated in mutants(source):
             target.write_text(mutated)
@@ -176,16 +177,8 @@ def main(argv=None) -> int:
     parser.add_argument("modules", nargs="+", type=Path)
     parser.add_argument("--workdir", type=Path, default=None,
                         help="where the repository copy goes (default: a temporary directory)")
-    parser.add_argument("--timeout", type=float, default=300.0,
-                        help="seconds before a mutant's suite run counts as killed")
-    parser.add_argument("--list", action="store_true", help="print the mutants and stop")
     args = parser.parse_args(argv)
     modules = [m.resolve() for m in args.modules]
-    if args.list:
-        for module in modules:
-            for line, where, text, label, _ in mutants(module.read_text()):
-                print(f"{module.name}:{line} {where}: {text}  [{label}]")
-        return 0
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(REPO, copy, ignore=shutil.ignore_patterns(
@@ -193,7 +186,7 @@ def main(argv=None) -> int:
         for module in modules:
             total = sum(1 for _ in mutants(module.read_text()))
             print(f"{module.name}: {total} mutants", flush=True)
-            survivors = probe(module, copy, args.timeout)
+            survivors = probe(module, copy)
             equivalent = [s for s in survivors if (module.name, *s[1:]) in EQUIVALENT]
             live = [s for s in survivors if (module.name, *s[1:]) not in EQUIVALENT]
             print(f"{module.name}: {total} mutants, {total - len(survivors)} killed, "
