@@ -25,7 +25,7 @@ from typing import Mapping, Optional, Sequence
 
 from .auction import (AuctionBook, filter_by_width, find_clearing_price, round_book,
                       select_tight_market, settle)
-from .units import MKT, TOKEN_A, TOKEN_B, Market, Order, quote
+from .units import MKT, TOKEN_A, TOKEN_B, Market, Order, Width, quote
 
 # ---------------------------------------------------------------------------
 # Closed-form utilities
@@ -311,10 +311,13 @@ class _EngineGame:
     One memo, made by the caller for one check of one game, holds
     everything that repeats between the check's profiles: each distinct
     game's table, client i's buy and sell order per (position,
-    ``ClientProfile``), each distinct ``client_utility`` value, and the
+    ``ClientProfile``), each distinct book shape's settled utility
+    contributions, each distinct ``client_utility`` value, and the
     zero-utility dict per player set.  Each distinct game's table is built
-    once, and with it each distinct book is cleared once.  The memo dies
-    with the check: nothing is kept across calls.
+    once, and each distinct book shape is cleared once: the clients are
+    identical, so most flow patterns build a book another one already built
+    with other clients' names on it.  The memo dies with the check: nothing
+    is kept across calls.
     """
 
     y: int
@@ -337,13 +340,14 @@ class _EngineGame:
         ``memo`` maps each game (the tight market and each kept client
         order's oid, token and price; widths no longer matter once the
         filter has run) to its table.  Sharing it across the profiles of
-        one check (one quoter count) builds each distinct table once.  A
-        game's books are its own, since each holds the game's tight market
-        and one order of each kept client, so each distinct book is cleared
-        once too.  The same memo also holds each client's two orders, keyed
-        on its position and ``ClientProfile``, and what ``clear`` reuses
-        (see ``_clear``).  A table may be returned to several callers, so
-        it and its arrays are read-only."""
+        one check (one quoter count) builds each distinct table once.  Each
+        flow pattern's book takes the kept buys whose bit is set and the
+        kept sells whose bit is clear, each side in ascending oid order and
+        ending with its tight leg; ``_clear`` clears and settles each
+        distinct shape of those books once across all of the check's
+        tables.  The same memo also holds each client's two orders, keyed
+        on its position and ``ClientProfile``.  A table may be returned to
+        several callers, so it and its arrays are read-only."""
         import numpy as np
         depth = 10 * self.n_clients * self.client_size_a
         revealed = []
@@ -364,21 +368,11 @@ class _EngineGame:
         table = memo.get(game)
         if table is not None:
             return table
-        # a client's two orders share one width, so the filter keeps both
-        # or neither, and the kept clients' bits pick a pattern's book
-        kept_mask = sum(1 << o.oid for o in kept_buys)
-        assert kept_mask == sum(1 << o.oid for o in kept_sells)
         n_mms = len(mm_strats)
-        cleared: dict[int, dict[str, float]] = {}
-        outcomes = []
-        for bits in range(2 ** self.n_clients):
-            flow = bits & kept_mask
-            if flow not in cleared:
-                cleared[flow] = self._clear(AuctionBook(
-                    buy_orders=(*(o for o in kept_buys if flow >> o.oid & 1), buy),
-                    sell_orders=(*(o for o in kept_sells if not flow >> o.oid & 1), sell),
-                    w_tight=kept.w_tight), n_mms, memo)
-            outcomes.append(cleared[flow])
+        outcomes = [self._clear((*(o for o in kept_buys if bits >> o.oid & 1), buy),
+                                (*(o for o in kept_sells if not bits >> o.oid & 1), sell),
+                                kept.w_tight, n_mms, memo)
+                    for bits in range(2 ** self.n_clients)]
         table = {player: np.array([u[player] for u in outcomes]) for player in outcomes[0]}
         for utilities in table.values():
             utilities.flags.writeable = False
@@ -400,39 +394,72 @@ class _EngineGame:
 
     def clear(self, filtered: AuctionBook, n_mms: int) -> dict[str, float]:
         """Every player's utility from clearing and settling ``filtered``."""
-        return self._clear(filtered, n_mms, {})
+        return self._clear(filtered.buy_orders, filtered.sell_orders, filtered.w_tight,
+                           n_mms, {})
 
-    def _clear(self, filtered: AuctionBook, n_mms: int, memo: dict) -> dict[str, float]:
-        """``clear``, taking the zero-utility dict of the player set and
-        each ``client_utility`` value from ``memo``: each is computed once
-        per distinct key."""
+    def _clear(self, buys: tuple[Order, ...], sells: tuple[Order, ...], w_tight: Width,
+               n_mms: int, memo: dict) -> dict[str, float]:
+        """``clear`` for the filtered book of ``buys``, ``sells`` and
+        ``w_tight``, clearing each distinct book shape once per ``memo``.
+
+        A book's shape is, for each side, the ``(size, price, owner is a
+        quoter)`` of its orders in book order.  Every book ``outcome_table``
+        builds keeps each side in ascending oid order, and
+        ``find_clearing_price`` and ``settle`` read oids only through their
+        order within a side and never read owners, so books of one shape
+        settle alike position by position
+        (``tests/test_auction.py::TestShapeInvariance`` pins this).  The
+        first book of a shape is built, cleared and settled; its utility
+        contributions are kept by (side, position) in fill order, and every
+        book of that shape replays them onto its own owners.  Each owner
+        gets at most one addition per fill, in the same order as a clear of
+        its own book, so every float is the same.  ``memo`` also holds the
+        zero-utility dict of the player set and each ``client_utility``
+        value, each computed once per distinct key."""
         zeros_key = ("zeros", n_mms, self.n_clients)
         zeros = memo.get(zeros_key)
         if zeros is None:
             zeros = memo[zeros_key] = {**{f"m{i}": 0.0 for i in range(n_mms)},
                                        **{f"c{i}": 0.0 for i in range(self.n_clients)}}
+        shape = ("shape", tuple((o.size, o.price, o.owner.startswith("m")) for o in buys),
+                 tuple((o.size, o.price, o.owner.startswith("m")) for o in sells))
+        contributions = memo.get(shape)
+        if contributions is None:
+            contributions = memo[shape] = self._contributions(
+                AuctionBook(buy_orders=buys, sell_orders=sells, w_tight=w_tight), memo)
         utilities = dict(zeros)
+        sides = (buys, sells)
+        for side, position, value in contributions:
+            utilities[sides[side][position].owner] += value
+        return utilities
+
+    def _contributions(self, filtered: AuctionBook,
+                       memo: dict) -> tuple[tuple[int, int, float], ...]:
+        """Each settled fill's utility addition to its owner, in fill order,
+        as ``(side, position, value)``: side 0 is the buys, 1 the sells, and
+        the position is the order's index on its side of ``filtered``."""
         cand = find_clearing_price(filtered)
         if cand is None:
-            return utilities
-        result = settle(filtered, cand.cp)
-
-        for _, executed, received, _, o in result.fills:
+            return ()
+        positions = {id(o): (0, i) for i, o in enumerate(filtered.buy_orders)}
+        positions.update((id(o), (1, i)) for i, o in enumerate(filtered.sell_orders))
+        contributions = []
+        for _, executed, received, _, o in settle(filtered, cand.cp).fills:
             if o.side == "buy":
                 delta_ref = received * self.y - executed
             else:
                 delta_ref = received - executed * self.y
             fraction = executed / o.size
             if o.owner.startswith("m"):
-                utilities[o.owner] += float(delta_ref)
+                contributions.append((*positions[id(o)], float(delta_ref)))
             elif fraction > 0:
                 key = ("client_utility", float(cand.cp), float(self.y), o.side,
                        float(self.f_mcf))
                 u = memo.get(key)
                 if u is None:
                     u = memo[key] = client_utility(*key[1:])
-                utilities[o.owner] += fraction * u
-        return utilities
+                contributions.append((*positions[id(o)], fraction * u))
+        return tuple(contributions)
 
 
 def _best_response_monte_carlo(profile: StrategyProfile, grid: DeviationGrid,
@@ -442,9 +469,10 @@ def _best_response_monte_carlo(profile: StrategyProfile, grid: DeviationGrid,
 
     One memo serves the whole check, so each distinct game's outcome table
     is built once (15 for the 89 profiles of the default grid), each
-    client's two orders once per (position, ``ClientProfile``) (40 orders
-    for 20 pairs), and each ``client_utility`` value once per distinct
-    argument tuple (10).  The statistics of each distinct utility column
+    distinct book shape is cleared and settled once (97 of the tables'
+    240 distinct books), each client's two orders once per (position,
+    ``ClientProfile``) (40 orders for 20 pairs), and each
+    ``client_utility`` value once per distinct argument tuple (10).  The statistics of each distinct utility column
     against the base paths (the two path means, the gain and the 2 * SE
     tolerance) are computed once and shared by every deviation whose table
     has that column.  The memo and the statistics are local to the call,

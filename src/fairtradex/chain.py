@@ -4,16 +4,16 @@ The chain is a linear log (instant finality, no reorgs).  The entire
 adversary surface is the within-block ordering policy plus delay: a policy
 may reorder or withhold pending transactions, but anything reaching its
 deadline ``submit_height + t_eff`` is force-included that block.  Relayed
-transactions carry no sender; the including relayer is picked round-robin
-from the registered relayer set and recorded on the executed entry so the
-protocol layer can pay the relay fee.
+transactions carry no sender; the relayer is picked round-robin from the
+registered relayer set when the transaction is queued, and recorded on the
+executed entry so the protocol layer can pay the relay fee.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 RELAYED = "RELAYED"
 
@@ -46,8 +46,11 @@ class Tx:
     sender: str  # player id, or RELAYED
 
 
-@dataclass
-class PendingTx:
+class PendingTx(NamedTuple):
+    """A queued transaction.  A tuple, so the ordering policy that reads it
+    cannot move its deadline or change its relayer; a ``_replace``d copy is
+    a different entry, which ``Chain.advance_block`` refuses."""
+
     tx: Tx
     seq: int
     submit_height: int
@@ -112,10 +115,13 @@ class Chain:
 
     def submit(self, tx: Tx) -> PendingTx:
         """Queue a signed transaction; executes within t_eff blocks."""
+        return self._queue(tx, None)
+
+    def _queue(self, tx: Tx, relayer: Optional[str]) -> PendingTx:
         if not isinstance(tx, Tx) or not tx.kind:
             raise MalformedTx(f"not a transaction: {tx!r}")
         p = PendingTx(tx=tx, seq=self._seq, submit_height=self.height,
-                      deadline=self.height + self.t_eff)
+                      deadline=self.height + self.t_eff, relayer=relayer)
         self._seq += 1
         self.pending.append(p)
         return p
@@ -125,7 +131,9 @@ class Chain:
 
         ``validate`` is the relayer's dry-run proof check; a failing payload
         is dropped (no rational relayer would carry it).  Exactly one relayer
-        is assigned at inclusion time and credited by the protocol handler.
+        is picked round-robin before the entry is built, since a pending
+        entry cannot change, and the protocol handler credits it when the
+        transaction runs.
         """
         if tx.sender != RELAYED:
             raise MalformedTx("relayed transactions must not carry a sender")
@@ -133,8 +141,7 @@ class Chain:
             raise InvalidProof("no relayer available")
         if not validate(tx):
             raise InvalidProof("relayers dropped the transaction")
-        p = self.submit(tx)
-        p.relayer = self._relayers[self._relay_cursor % len(self._relayers)]
+        p = self._queue(tx, self._relayers[self._relay_cursor % len(self._relayers)])
         self._relay_cursor += 1
         return p
 
@@ -144,7 +151,8 @@ class Chain:
         The ordering policy selects and orders from the pending set; any
         transaction at its deadline that the policy withheld is appended in
         submission order (forced inclusion).  The policy reads a copy of
-        the pending list, so editing that list changes nothing.  It may
+        the pending list, so editing that list changes nothing, and each
+        entry is a tuple, so it cannot move a deadline.  It may
         choose each pending entry at most once, matched by identity: a
         repeated entry, or one that is not pending, raises ``InvalidBlock``
         and leaves the height and the pending list as they were (draws the

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Union
 
@@ -246,7 +247,9 @@ class ProtocolParams:
         """Whole token atoms worth at least ``ref`` REF: ceil(ref / (p_a * price))."""
         return -(-ref * self.p_a.denominator // (self.p_a.numerator * price))
 
-    @property
+    @cached_property
     def t_eff(self) -> int:
-        """ceil(t_blocks / (1 - alpha)): worst-case inclusion delay."""
+        """ceil(t_blocks / (1 - alpha)): worst-case inclusion delay, computed
+        once per params object (the fields are frozen; ``replace`` builds a
+        new object)."""
         return math.ceil(Fraction(self.t_blocks) / (1 - self.alpha))

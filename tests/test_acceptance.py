@@ -9,6 +9,7 @@ import itertools
 import json
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -389,6 +390,8 @@ def test_criterion_8_inclusion_bound_all_policies():
         params = ProtocolParams(e_client=1, e_mm=3, q_not=2, f_r=0, res_bounty=0,
                                 p_a=Fraction(1), t_blocks=t_blocks, alpha=alpha)
         assert params.t_eff == expect_t_eff
+        # t_eff is computed once per params object; a replaced field gives a new value
+        assert replace(params, alpha=Fraction(1, 2)).t_eff == 2 * t_blocks
         for name, policy in ORDERING_POLICIES.items():
             chain = Chain(t_eff=params.t_eff, policy=policy, seed=8)
             rng = random.Random(31)

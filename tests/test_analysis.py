@@ -292,11 +292,13 @@ class TestBestResponse:
         """One competitive check picks the tight market and filters once
         per profile (the base and its 88 deviations), builds one outcome
         table per distinct game (the tight market and the kept client
-        orders), 15 of them, and clears each distinct book once, out of
-        89 * 16 = 1,424 profile-pattern pairs.  Books that differ only in a
-        kept client's width request clear alike, so they count once: 240
-        clears.  A second identical check does all of that work again:
-        nothing is cached across calls."""
+        orders), 15 of them, and clears each distinct book shape once.
+        The tables hold 240 distinct books out of 89 * 16 = 1,424
+        profile-pattern pairs.  A book's shape is each side's (size, price,
+        owner is a quoter) in book order, so books that differ only in which
+        identical clients sit on each side share one: 97 clears.  A second
+        identical check does all of that work again: nothing is cached
+        across calls."""
         from fairtradex import analysis
         books, tights, filtered, tables = [], [], [], []
         oracle, select = analysis.find_clearing_price, analysis.select_tight_market
@@ -328,7 +330,7 @@ class TestBestResponse:
             rep = best_response_check(COMPETITIVE, n_mms=2, paths=200)
             assert len(rep.entries) == 88
             assert len(tights) == len(filtered) == 89
-            assert len(books) == len(set(books)) == 240 < 89 * 16
+            assert len(books) == len(set(books)) == 97 < 240 < 89 * 16
             # every returned table stays referenced, so distinct ids are distinct builds
             built.append({id(t) for t in tables[-89:]})
             assert len(built[-1]) == 15

@@ -592,3 +592,51 @@ class TestSettle:
                           [sell(2, 8, 50), sell(3, 4, 48)])
         res2 = settle(doubled, cand.cp)
         assert res2.volume_settled_b == 2 * res.volume_settled_b
+
+
+class TestShapeInvariance:
+    """A clear depends on each side's orders in book order, not on their oids
+    or owners.  ``analysis._EngineGame`` clears each distinct book shape (each
+    side's (size, price, owner is a quoter) in book order) once and replays
+    its fills onto other books of that shape, so its reports depend on this
+    property.  A change that makes the oracle or settlement read an oid's
+    value or an owner must keep it or revisit that memo; ROADMAP items 2
+    (lot-exact clearing) and 7(b) (``_waterfall``'s leftover rule) are two
+    such changes."""
+
+    @staticmethod
+    def relabelled(book, rng):
+        """``book`` with each side's oids mapped by a strictly increasing map
+        of its own, so the two sides may interleave or share oids anew, and
+        every owner renamed."""
+        def side(orders):
+            oid = rng.randint(0, 60)
+            out = []
+            for o in orders:
+                out.append(replace(o, oid=oid, owner=f"r{rng.randrange(10**6)}"))
+                oid += rng.randint(1, 40)
+            return tuple(out)
+        return replace(book, buy_orders=side(book.buy_orders),
+                       sell_orders=side(book.sell_orders))
+
+    @staticmethod
+    def by_position(book, res):
+        """Each side's ``(executed, received, refunded)`` in book order."""
+        rows = {id(f.order): (f.executed, f.received, f.refunded) for f in res.fills}
+        return [[rows[id(o)] for o in orders] for orders in (book.buy_orders, book.sell_orders)]
+
+    @given(seed=st.integers(0, 10**6), spanning=st.booleans(),
+           relabel=st.integers(0, 10**6))
+    @settings(max_examples=300, deadline=None)
+    def test_relabelled_oids_and_renamed_owners_clear_alike(self, seed, spanning, relabel):
+        b = random_book(random.Random(seed), max_orders=16, with_spanning_market=spanning)
+        r = self.relabelled(b, random.Random(relabel))
+        cand = find_clearing_price(b)
+        assert find_clearing_price(r) == cand
+        if cand is None:
+            return
+        res, res_r = settle(b, cand.cp), settle(r, cand.cp)
+        validate_clearing_result(r, res_r)
+        assert (res_r.volume_settled_b, res_r.imbalance_a) == (res.volume_settled_b,
+                                                                res.imbalance_a)
+        assert self.by_position(r, res_r) == self.by_position(b, res)

@@ -94,6 +94,21 @@ class TestBlockProducer:
             return [*pending, PendingTx(tx=tx, seq=0, submit_height=0, deadline=height)]
         self.refused(invent)
 
+    def test_policy_cannot_run_an_edited_copy_of_a_transaction(self):
+        self.refused(lambda pending, height, rng: [p._replace(deadline=height + 9)
+                                                   for p in pending])
+
+    def test_policy_cannot_postpone_a_transaction_by_moving_its_deadline(self):
+        def postpone(pending, height, rng):
+            for p in pending:
+                p.deadline = height + 1
+            return []
+        chain = Chain(t_eff=2, policy=postpone)
+        p = chain.submit(noop(0))
+        with pytest.raises(AttributeError):
+            chain.advance_block()
+        assert chain.height == 0 and chain.pending == [p] and p.deadline == 2
+
     def test_policy_cannot_drop_a_transaction_by_clearing_its_list(self):
         def drop_all(pending, height, rng):
             pending.clear()
@@ -112,6 +127,20 @@ class TestRelay:
         p1 = chain.relay(Tx(kind=NOOP, payload=0, sender=RELAYED), lambda tx: True)
         p2 = chain.relay(Tx(kind=NOOP, payload=1, sender=RELAYED), lambda tx: True)
         assert {p1.relayer, p2.relayer} == {"r1", "r2"}
+
+    def test_relayers_take_turns_and_a_refused_tx_takes_no_turn(self):
+        chain = Chain(t_eff=2)
+        for r in ("r1", "r2", "r3"):
+            chain.register_relayer(r)
+        with pytest.raises(MalformedTx):
+            chain.relay(Tx(kind="", payload=0, sender=RELAYED), lambda tx: True)
+        with pytest.raises(InvalidProof):
+            chain.relay(Tx(kind=NOOP, payload=0, sender=RELAYED), lambda tx: False)
+        queued = [chain.relay(Tx(kind=NOOP, payload=i, sender=RELAYED), lambda tx: True)
+                  for i in range(4)]
+        assert [p.relayer for p in queued] == ["r1", "r2", "r3", "r1"]
+        assert chain.pending == queued and [p.seq for p in queued] == [0, 1, 2, 3]
+        assert [e.relayer for e in chain.advance_block()] == ["r1", "r2", "r3", "r1"]
 
     def test_invalid_payload_dropped(self):
         chain = Chain(t_eff=2)
