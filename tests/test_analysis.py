@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -51,6 +52,15 @@ class TestQuoterProfit:
         with pytest.raises(ValueError):
             mm_expected_profit(1.0, 100.0, 100.0, 0.5, 1.0)
 
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_notional_and_prices_must_be_positive_and_may_be_small(self, position):
+        args = [1.0, 100.0, 100.0]
+        args[position] = 0.0
+        with pytest.raises(ValueError):
+            mm_expected_profit(*args, 1.0, 1.0)
+        args[position] = 0.5
+        assert math.isfinite(mm_expected_profit(*args, 1.0, 1.0))
+
     def test_argmax_at_fair_price(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -71,6 +81,13 @@ class TestClientUtility:
 
     def test_sell_below_bound_negative(self):
         assert client_utility(100.0 / 1.2, 100.0, "sell", 1.21) < 0
+
+    def test_domain_boundaries(self):
+        for args in ((0.0, 100.0, "buy", 1.21), (100.0, 0.0, "buy", 1.21),
+                     (100.0, 100.0, "buy", 1.0)):
+            with pytest.raises(ValueError):
+                client_utility(*args)
+        assert client_utility(0.5, 0.5, "buy", 1.21) == pytest.approx(math.log(1.1))
 
 
 class _ScriptedFlow:
@@ -261,6 +278,13 @@ class TestBestResponse:
         with pytest.raises(ValueError, match="paths"):
             best_response_check(COMPETITIVE, n_mms=2, paths=paths)
 
+    def test_two_paths_are_enough_and_a_gain_at_its_tolerance_does_not_improve(self):
+        rep = best_response_check(COMPETITIVE, n_mms=2, paths=2)
+        assert rep.paths == 2 and len(rep.entries) == 88
+        at_tolerance = replace(rep.entries[0], gain=0.5, tolerance=0.5)
+        assert not at_tolerance.improves
+        assert replace(at_tolerance, gain=0.75).improves
+
     def test_competitive_profile_exact_expectation(self):
         """The 2^4 client flow patterns are equally likely, so a deviation's
         exact expected gain is the pattern mean of its outcome table minus
@@ -287,6 +311,27 @@ class TestBestResponse:
             assert set(table) == set(loop[0]), label
             for player, utilities in table.items():
                 assert utilities.tolist() == [u[player] for u in loop], (label, player)
+
+    def test_an_order_that_does_not_execute_costs_no_client_utility(self, monkeypatch):
+        """A client whose order executes nothing gets 0.0 and costs no
+        ``client_utility`` call: only executed fills add to a utility."""
+        from fairtradex import analysis
+        calls = []
+        utility = analysis.client_utility
+        monkeypatch.setattr(analysis, "client_utility",
+                            lambda *args: calls.append(args) or utility(*args))
+        f_mcf = Fraction(121, 100)
+        game = _EngineGame(y=110, f_mcf=f_mcf, n_clients=2, client_size_a=1100)
+        # c1's limit sell at 200 is above the clearing price 121
+        book = AuctionBook(
+            buy_orders=(Order(0, "c0", TOKEN_A, 1100, MKT, f_mcf),
+                        Order(2, "m0", TOKEN_A, 10**6, 100, ANY)),
+            sell_orders=(Order(1, "c1", TOKEN_B, 10, 200, f_mcf),
+                         Order(3, "m0", TOKEN_B, 10**4, 121, ANY)),
+            w_tight=f_mcf)
+        utilities = game.clear(book, 1)
+        assert calls == [(121.0, 110.0, "buy", 1.21)]
+        assert utilities["c1"] == 0.0 and utilities["m0"] == 99.0
 
     def test_check_clears_each_distinct_book_once(self, monkeypatch):
         """One competitive check picks the tight market and filters once
