@@ -472,11 +472,11 @@ def _best_response_monte_carlo(profile: StrategyProfile, grid: DeviationGrid,
     distinct book shape is cleared and settled once (97 of the tables'
     240 distinct books), each client's two orders once per (position,
     ``ClientProfile``) (40 orders for 20 pairs), and each
-    ``client_utility`` value once per distinct argument tuple (10).  The statistics of each distinct utility column
-    against the base paths (the two path means, the gain and the 2 * SE
-    tolerance) are computed once and shared by every deviation whose table
-    has that column.  The memo and the statistics are local to the call,
-    so nothing outlives it.
+    ``client_utility`` value once per distinct argument tuple (10).  The
+    statistics of each distinct utility column against the base paths (the
+    two path means, the gain and the 2 * SE tolerance) are computed once
+    and shared by every deviation whose table has that column.  The memo
+    and the statistics are local to the call, so nothing outlives it.
     """
     import numpy as np
     # four clients, each sized divisibly by y so seller sizes are exact
