@@ -9,19 +9,16 @@ monopoly and competitive strategy profiles.
 
 from fractions import Fraction
 
-import numpy as np
-
 from fairtradex.analysis import (ClientProfile, MMProfile, StrategyProfile,
                                  best_response_check, mm_expected_profit,
-                                 p_ref_argmax)
+                                 p_ref_argmax, p_ref_grid)
 
 x, y, delta = 1.0, 110.0, 1.02
 
 # profit as a function of the quoted reference price, fixed width 1.21:
 # the maximum sits at the fair price y regardless of width or impact
-grid = np.arange(y / 2, 2 * y, y / 1000)
-profits = mm_expected_profit(x, y, grid, 1.21, delta)
-best = grid[np.argmax(profits)]
+profits = {p: mm_expected_profit(x, y, p, 1.21, delta) for p in p_ref_grid(y)}
+best = max(profits, key=profits.get)
 print(f"profit-maximising reference price: {best:.3f} (fair price {y})")
 print(f"grid argmax helper agrees: {p_ref_argmax(x, y, 1.21, delta):.3f}")
 

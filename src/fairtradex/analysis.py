@@ -11,8 +11,9 @@ settlement.  Quoter profit follows the two-leg expectation
 whose argmax over the reference price p sits at the fair price y for any
 fixed width, and which vanishes at (p=y, w=1, d=1).
 
-numpy is imported inside the functions that compute with it, so importing
-this module (as the CLI does for ``cost_table``) does not load it.
+numpy is imported only by the two-quoter Monte Carlo check, which samples
+client flow with it; importing this module (as the CLI does for
+``cost_table``) or running the one-quoter check does not load it.
 """
 
 from __future__ import annotations
@@ -48,30 +49,27 @@ def mm_seller_leg(x, y, p_ref, w, delta):
     return x * (1.0 / delta ** 0.5 - (delta ** 0.5 / w ** 0.5) * (p_ref / y))
 
 
-def mm_expected_profit(x, y, p_ref, w, delta):
-    """Fair-coin average of the buyer and seller legs.
-
-    Accepts floats or numpy arrays for grid scans.
-    """
-    import numpy as np
-    if np.any(np.asarray(x) <= 0) or np.any(np.asarray(y) <= 0) or np.any(np.asarray(p_ref) <= 0):
-        raise ValueError("x, y and p_ref must be positive")
-    if np.any(np.asarray(w) < 1) or np.any(np.asarray(delta) < 1):
-        raise ValueError("w and delta must be >= 1")
+def mm_expected_profit(x: float, y: float, p_ref: float, w: float, delta: float) -> float:
+    """Fair-coin average of the buyer and seller legs; NaN is rejected."""
+    if not (x > 0 and y > 0 and p_ref > 0):
+        raise ValueError(f"x, y and p_ref must be positive, got {x}, {y} and {p_ref}")
+    if not (w >= 1 and delta >= 1):
+        raise ValueError(f"w and delta must be >= 1, got {w} and {delta}")
     return 0.5 * mm_buyer_leg(x, y, p_ref, w, delta) + 0.5 * mm_seller_leg(x, y, p_ref, w, delta)
 
 
-def p_ref_grid(y: float) -> np.ndarray:
-    """The 1,501 reference prices y/2, y/2 + y/1000, ..., 2y."""
-    import numpy as np
-    return np.arange(y / 2, 2 * y + y / 2000, y / 1000)
+def p_ref_grid(y: float) -> list[float]:
+    """The 1,501 reference prices y/2, y/2 + y/1000, ..., 2y, spaced as
+    ``numpy.arange(y/2, 2*y + y/2000, y/1000)`` spaces them."""
+    start = y / 2
+    step = (start + y / 1000) - start  # arange's step: its second point less its first
+    return [start + i * step for i in range(1501)]
 
 
 def p_ref_argmax(x: float, y: float, w: float, delta: float) -> float:
-    """Grid argmax of the quoter profit over ``p_ref_grid(y)``."""
-    import numpy as np
-    grid = p_ref_grid(y)
-    return float(grid[int(np.argmax(mm_expected_profit(x, y, grid, w, delta)))])
+    """Grid argmax of the quoter profit over ``p_ref_grid(y)``; the first
+    maximum on a tie."""
+    return max(p_ref_grid(y), key=lambda p: mm_expected_profit(x, y, p, w, delta))
 
 
 def client_utility(trade_price: float, y: float, side: str, f_mcf: float) -> float:
@@ -207,8 +205,7 @@ class BestResponseReport:
 
 def _closed_form_mm_utility(x: float, y: float, p_ref: float, w: float,
                             delta: float, client_width: float):
-    # orders requesting a tighter market than quoted never trade; p_ref
-    # may be an array of reference prices
+    # orders requesting a tighter market than quoted never trade
     if w > client_width:
         return 0.0
     return mm_expected_profit(x, y, p_ref, w, delta)
@@ -235,7 +232,6 @@ def _closed_form_client_utility(order_type: str, width_req: float,
 def _best_response_closed_form(profile: StrategyProfile, grid: DeviationGrid,
                                y: int, f_mcf: Fraction, delta: float,
                                notional: float, epsilon: float) -> BestResponseReport:
-    import numpy as np
     fm = float(f_mcf)
     mm_w = float(profile.mm.width)
     mm_ref = float(profile.mm.ref_price if profile.mm.ref_price is not None else y)
@@ -254,7 +250,7 @@ def _best_response_closed_form(profile: StrategyProfile, grid: DeviationGrid,
                 utility_profile=base_mm, utility_deviation=u,
                 gain=u - base_mm, tolerance=epsilon))
     fine = p_ref_grid(y)
-    best_fine = float(np.max(_closed_form_mm_utility(notional, y, fine, mm_w, delta, cw)))
+    best_fine = max(_closed_form_mm_utility(notional, y, p, mm_w, delta, cw) for p in fine)
     entries.append(DeviationResult(
         player="mm", label=f"fine p_ref scan at w={profile.mm.width} ({len(fine)} points)",
         utility_profile=base_mm, utility_deviation=best_fine,
@@ -327,7 +323,7 @@ class _EngineGame:
 
     def outcome_table(self, mm_strats: Sequence[tuple[int, Fraction]],
                       client_strats: Sequence[ClientProfile],
-                      memo: dict) -> Mapping[str, np.ndarray]:
+                      memo: dict) -> Mapping[str, tuple[float, ...]]:
         """Every player's utility for each of the 2^k client flow patterns,
         indexed by pattern number: bit i is set when client i buys.
 
@@ -347,8 +343,7 @@ class _EngineGame:
         distinct shape of those books once across all of the check's
         tables.  The same memo also holds each client's two orders, keyed
         on its position and ``ClientProfile``.  A table may be returned to
-        several callers, so it and its arrays are read-only."""
-        import numpy as np
+        several callers, so it is read-only and its columns are tuples."""
         depth = 10 * self.n_clients * self.client_size_a
         revealed = []
         for i, (ref, w) in enumerate(mm_strats):
@@ -373,9 +368,7 @@ class _EngineGame:
                                 (*(o for o in kept_sells if not bits >> o.oid & 1), sell),
                                 kept.w_tight, n_mms, memo)
                     for bits in range(2 ** self.n_clients)]
-        table = {player: np.array([u[player] for u in outcomes]) for player in outcomes[0]}
-        for utilities in table.values():
-            utilities.flags.writeable = False
+        table = {player: tuple(u[player] for u in outcomes) for player in outcomes[0]}
         table = memo[game] = MappingProxyType(table)
         return table
 
@@ -487,23 +480,23 @@ def _best_response_monte_carlo(profile: StrategyProfile, grid: DeviationGrid,
     memo: dict = {}
     base = game.outcome_table(base_mm, base_clients, memo)
 
-    rng = np.random.default_rng(seed)
-    flows = rng.integers(0, 2, size=(paths, game.n_clients)) * 2 - 1  # common random numbers
-    path_pattern = (flows > 0) @ (1 << np.arange(game.n_clients))
-    base_paths = {key: base[key][path_pattern] for key in ("m0", "c0")}
+    # common random numbers: bit i of a path's pattern is set when client i buys
+    bits = np.random.default_rng(seed).integers(0, 2, size=(paths, game.n_clients))
+    path_pattern = bits @ (1 << np.arange(game.n_clients))
+    base_paths = {key: np.array(base[key])[path_pattern] for key in ("m0", "c0")}
 
     entries: list[DeviationResult] = []
     # a deviation's statistics are a function of its player's utility
-    # column alone, so they are keyed on the column's bytes
-    stats: dict[tuple[str, bytes], tuple[float, float, float, float]] = {}
+    # column alone, so they are keyed on the column
+    stats: dict[tuple[str, tuple[float, ...]], tuple[float, float, float, float]] = {}
 
     def paired_check(player: str, label: str, mm_strats, client_strats) -> None:
         key = "m0" if player == "mm0" else "c0"
         column = game.outcome_table(mm_strats, client_strats, memo)[key]
-        stats_key = (key, column.tobytes())
+        stats_key = (key, column)
         if stats_key not in stats:
             base_u = base_paths[key]
-            dev_u = column[path_pattern]
+            dev_u = np.array(column)[path_pattern]
             diff = dev_u - base_u
             se = float(diff.std(ddof=1) / math.sqrt(len(diff)))
             stats[stats_key] = (float(base_u.mean()), float(dev_u.mean()),

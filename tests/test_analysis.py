@@ -10,10 +10,10 @@ import pytest
 from fairtradex.analysis import (AMM, DIRECTION_REVEALING, FAIRTRADEX,
                                  IDENTITY_REVEALING, P1, P2, ClientProfile,
                                  CostModel, DEFAULT_IMPACT_TABLE, MMProfile,
-                                 StrategyProfile, _EngineGame, best_response_check,
-                                 client_utility, cost_table, default_grid, execution_cost,
-                                 mm_buyer_leg, mm_expected_profit, mm_seller_leg,
-                                 p_ref_argmax)
+                                 StrategyProfile, _closed_form_client_utility, _EngineGame,
+                                 best_response_check, client_utility, cost_table,
+                                 default_grid, execution_cost, mm_buyer_leg,
+                                 mm_expected_profit, mm_seller_leg, p_ref_argmax, p_ref_grid)
 from fairtradex.auction import AuctionBook, filter_by_width, select_tight_market
 from fairtradex.scenario import Runner, ScenarioError
 from fairtradex.units import ANY, MKT, TOKEN_A, TOKEN_B, Market, Order, market_width, quote
@@ -61,6 +61,21 @@ class TestQuoterProfit:
         args[position] = 0.5
         assert math.isfinite(mm_expected_profit(*args, 1.0, 1.0))
 
+    @pytest.mark.parametrize("position", range(5))
+    def test_nan_rejected_in_every_position(self, position):
+        args = [1.0, 100.0, 100.0, 1.21, 1.0]
+        args[position] = math.nan
+        with pytest.raises(ValueError):
+            mm_expected_profit(*args)
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_argmax_of_nan_rejected(self, position):
+        # a NaN notional once gave the grid's first point, y/2, with no error
+        args = [1.0, 110.0, 1.21, 1.0]
+        args[position] = math.nan
+        with pytest.raises(ValueError):
+            p_ref_argmax(*args)
+
     def test_argmax_at_fair_price(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -69,6 +84,92 @@ class TestQuoterProfit:
             w = float(rng.uniform(1.0, 2.5))
             d = float(rng.uniform(1.0, 1.2))
             assert abs(p_ref_argmax(x, y, w, d) - y) <= y / 1000 + 1e-9
+
+    def test_argmax_keeps_the_first_maximum_on_a_tie(self, monkeypatch):
+        from fairtradex import analysis
+        monkeypatch.setattr(analysis, "mm_expected_profit", lambda *args: 0.0)
+        assert p_ref_argmax(1.0, 110.0, 1.21, 1.0) == 55.0 == p_ref_grid(110.0)[0]
+
+
+class TestNumpyReference:
+    """The closed form computes in plain floats; numpy's ``arange`` and
+    first-maximum ``argmax`` are its reference."""
+
+    def test_grid_matches_arange(self):
+        rng = np.random.default_rng(5)
+        ys = [*range(1, 1001), *(k / 7 for k in range(1, 500)),
+              *rng.uniform(5.0, 5e3, 300).tolist(), *rng.uniform(1e-3, 1e9, 200).tolist()]
+        for y in ys:
+            grid = p_ref_grid(y)
+            assert len(grid) == 1501 and grid[-1] == pytest.approx(2 * y, rel=1e-12)
+            assert grid == np.arange(y / 2, 2 * y + y / 2000, y / 1000).tolist(), y
+
+    def test_argmax_matches_numpy_first_max_on_criterion_5_draws(self):
+        rng = np.random.default_rng(20_240_005)
+        for _ in range(100):
+            x = float(rng.uniform(0.1, 1e6))
+            y = float(rng.uniform(5.0, 5e3))
+            w = float(rng.uniform(1.0, 3.0))
+            d = float(rng.uniform(1.0, 1.5))
+            grid = np.arange(y / 2, 2 * y + y / 2000, y / 1000)
+            profits = 0.5 * mm_buyer_leg(x, y, grid, w, d) + 0.5 * mm_seller_leg(x, y, grid, w, d)
+            assert p_ref_argmax(x, y, w, d) == float(grid[np.argmax(profits)])
+
+
+class TestClosedFormClient:
+    """The one-quoter client rule at each of its thresholds.  The quoter
+    quotes width 11/10 at the fair price, below f_mcf = 121/100, so every
+    trade has a non-zero utility and a trade and no trade differ."""
+
+    Y, F_MCF, MM_W, MM_REF = 110.0, 1.21, 1.1, 110.0
+    OFFER, BID = MM_REF * math.sqrt(MM_W), MM_REF / math.sqrt(MM_W)
+
+    def utility(self, order_type, width_req, limit_price, side):
+        return _closed_form_client_utility(order_type, width_req, limit_price, side,
+                                           self.Y, self.F_MCF, self.MM_W, self.MM_REF)
+
+    def test_market_orders_trade_at_the_quote(self):
+        assert self.utility("mkt", self.F_MCF, None, "buy") == client_utility(
+            self.OFFER, self.Y, "buy", self.F_MCF) > 0
+        assert self.utility("mkt", self.F_MCF, None, "sell") == client_utility(
+            self.BID, self.Y, "sell", self.F_MCF) > 0
+
+    @pytest.mark.parametrize("side", ["buy", "sell"])
+    def test_a_requested_width_equal_to_the_quote_trades(self, side):
+        assert self.utility("mkt", self.MM_W, None, side) == self.utility(
+            "mkt", self.F_MCF, None, side) != 0.0
+        assert self.utility("mkt", math.nextafter(self.MM_W, 0), None, side) == 0.0
+
+    def test_a_buy_limit_equal_to_the_offer_trades(self):
+        assert self.utility("limit", self.F_MCF, self.OFFER, "buy") == self.utility(
+            "mkt", self.F_MCF, None, "buy")
+        assert self.utility("limit", self.F_MCF, math.nextafter(self.OFFER, 0), "buy") == 0.0
+
+    def test_a_sell_limit_equal_to_the_bid_trades(self):
+        assert self.utility("limit", self.F_MCF, self.BID, "sell") == self.utility(
+            "mkt", self.F_MCF, None, "sell")
+        assert self.utility("limit", self.F_MCF, math.nextafter(self.BID, math.inf),
+                            "sell") == 0.0
+
+    @pytest.mark.parametrize("side", ["buy", "sell"])
+    def test_a_limit_order_without_a_price_does_not_trade(self, side):
+        assert self.utility("limit", self.F_MCF, None, side) == 0.0
+
+    def test_client_gains_are_measured_from_a_non_zero_base(self):
+        """Under the 11/10 quote the profile's market-order client has a
+        positive utility on each side, so each client entry's gain is its
+        deviation's utility minus that base, and none improves.  The quoter
+        does improve, by widening to the clients' width."""
+        profile = StrategyProfile(
+            client=ClientProfile(order_type="mkt", width_req=Fraction(121, 100)),
+            mm=MMProfile(width=Fraction(11, 10)))
+        rep = best_response_check(profile, n_mms=1)
+        clients = [e for e in rep.entries if e.player.startswith("client")]
+        assert len(clients) == 2 * (8 + 9)
+        assert all(e.utility_profile > 0 for e in clients)
+        assert all(e.gain == e.utility_deviation - e.utility_profile for e in clients)
+        assert min(e.gain for e in clients) < 0
+        assert {e.player for e in rep.entries if e.improves} == {"mm"}
 
 
 class TestClientUtility:
@@ -245,6 +346,9 @@ def _reference_books(game, mm_strats, client_strats):
 
 
 class TestBestResponse:
+    def test_default_profiles_are_the_competitive_profile(self):
+        assert StrategyProfile(client=ClientProfile(), mm=MMProfile()) == COMPETITIVE
+
     def test_single_quoter_profile_confirmed(self):
         rep = best_response_check(MONOPOLY, n_mms=1)
         assert rep.mode == "closed-form" and rep.confirmed
@@ -293,7 +397,8 @@ class TestBestResponse:
         game, (_, _, mms, clients), deviations = _competitive_deviations()
         memo: dict = {}
         base = game.outcome_table(mms, clients, memo)
-        gains = {label: float(np.mean(game.outcome_table(m, c, memo)[key] - base[key]))
+        gains = {label: float(np.mean(np.subtract(game.outcome_table(m, c, memo)[key],
+                                                  base[key])))
                  for label, key, m, c in deviations}
         assert max(gains.values()) <= 0.0, {k: g for k, g in gains.items() if g > 0}
 
@@ -310,7 +415,7 @@ class TestBestResponse:
                     for book in _reference_books(game, mms, clients)]
             assert set(table) == set(loop[0]), label
             for player, utilities in table.items():
-                assert utilities.tolist() == [u[player] for u in loop], (label, player)
+                assert list(utilities) == [u[player] for u in loop], (label, player)
 
     def test_an_order_that_does_not_execute_costs_no_client_utility(self, monkeypatch):
         """A client whose order executes nothing gets 0.0 and costs no
@@ -382,10 +487,10 @@ class TestBestResponse:
         assert not built[0] & built[1]
         # a table goes to every profile that plays its game, so it is read-only
         table = tables[0]
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             table["m0"][0] = 1.0
         with pytest.raises(TypeError):
-            table["m0"] = np.zeros(16)
+            table["m0"] = (0.0,) * 16
 
     def test_check_builds_each_order_and_client_utility_once(self, monkeypatch):
         """One competitive check builds client i's buy and sell order once
@@ -437,7 +542,8 @@ class TestBestResponse:
         base = game.outcome_table(mms, clients, {})
         want = []
         for _label, key, m, c in deviations:
-            base_u, dev_u = base[key][pattern], game.outcome_table(m, c, {})[key][pattern]
+            base_u = np.array(base[key])[pattern]
+            dev_u = np.array(game.outcome_table(m, c, {})[key])[pattern]
             diff = dev_u - base_u
             se = float(diff.std(ddof=1) / math.sqrt(paths))
             want.append((float(diff.mean()), 2 * se + 1e-9,
@@ -465,7 +571,7 @@ class TestBestResponse:
         base = game.outcome_table(mms, clients, memo)
 
         def gain(key, m, c):
-            return float(np.mean(game.outcome_table(m, c, memo)[key] - base[key]))
+            return float(np.mean(np.subtract(game.outcome_table(m, c, memo)[key], base[key])))
         engine = {f"quote p_ref={ref} w={w}": gain("m0", [(ref, w)], clients)
                   for w in grid.mm_widths for ref in grid.mm_ref_prices}
         engine.update({f"mkt width_req={w}": gain(

@@ -827,17 +827,29 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
 
     def test_commands_run_without_numpy_or_a_process_pool(self, tmp_path):
-        """With numpy made unimportable, every command runs; none starts a pool."""
+        """With numpy made unimportable, every command runs, and so do the
+        closed form and the one-quoter check; none starts a pool."""
         code = textwrap.dedent("""\
             import sys
             sys.modules["numpy"] = None  # any numpy import now raises ImportError
             import fairtradex.cli, fairtradex.scenario, fairtradex.analysis
+            from fractions import Fraction
+            from fairtradex.analysis import (ClientProfile, MMProfile, StrategyProfile,
+                                             best_response_check, mm_expected_profit,
+                                             p_ref_argmax, p_ref_grid)
             scenario, book, out = sys.argv[1:]
             codes = [fairtradex.cli.main(argv) for argv in (
                 ["run", scenario, "--outdir", out], ["clear", "--book", book],
                 ["check", f"{out}/settlements.json"], ["costs"])]
             assert codes == [0, 0, 0, 0], codes
             assert "concurrent.futures.process" not in sys.modules
+            assert mm_expected_profit(1.0, 110.0, 110.0, 1.0, 1.0) == 0.0
+            grid = p_ref_grid(110.0)
+            assert len(grid) == 1501 and p_ref_argmax(1.0, 110.0, 1.21, 1.0) == grid[500]
+            f_mcf = Fraction(121, 100)
+            monopoly = StrategyProfile(ClientProfile(order_type="mkt", width_req=f_mcf),
+                                       MMProfile(width=f_mcf))
+            assert best_response_check(monopoly, n_mms=1).confirmed
         """)
         book = tmp_path / "book.json"
         book.write_text(json.dumps(json.loads(GOLDEN_BOOK.read_text())["book"]))
@@ -845,13 +857,17 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
 
     def test_best_response_loads_numpy_and_keeps_archived_verdicts(self):
+        """The one-quoter check leaves numpy unloaded; the two-quoter Monte
+        Carlo check loads it."""
         code = textwrap.dedent("""\
             import json, sys
             from fractions import Fraction
             from fairtradex.analysis import (ClientProfile, MMProfile, StrategyProfile,
                                              best_response_check)
-            assert "numpy" not in sys.modules
             f_mcf = Fraction(121, 100)
+            best_response_check(StrategyProfile(ClientProfile(order_type="mkt", width_req=f_mcf),
+                                                MMProfile(width=f_mcf)), n_mms=1)
+            assert "numpy" not in sys.modules
             rep = best_response_check(
                 StrategyProfile(ClientProfile(order_type="mkt", width_req=f_mcf),
                                 MMProfile(width=Fraction(1))),

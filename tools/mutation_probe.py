@@ -63,12 +63,9 @@ EQUIVALENT = {
     ("protocol.py", "Protocol.__init__", "self.last_phase_change = 0", "0 -> 1"):
         "initialise sets last_phase_change before any phase deadline reads it",
     ("analysis.py", "_EngineGame.outcome_table",
-     "table = {player: np.array([u[player] for u in outcomes]) for player in outcomes[0]}",
+     "table = {player: tuple(u[player] for u in outcomes) for player in outcomes[0]}",
      "0 -> 1"):
         "every pattern's utilities copy one zero dict, so all have the same players",
-    ("analysis.py", "_best_response_monte_carlo",
-     "path_pattern = (flows > 0) @ (1 << np.arange(game.n_clients))", "> -> >="):
-        "a flow is -1 or +1, never 0",
     ("chain.py", "withhold_max_policy",
      "return [p for p in pending if p.deadline <= height]", "<= -> <"):
         "an entry at its deadline that the policy leaves out is forced into the "
