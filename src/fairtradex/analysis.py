@@ -35,8 +35,8 @@ from .units import MKT, TOKEN_A, TOKEN_B, Market, Order, Width, quote
 
 def _check_positive(**kwargs: float) -> None:
     for name, v in kwargs.items():
-        if not v > 0:
-            raise ValueError(f"{name} must be positive, got {v}")
+        if not (v > 0 and math.isfinite(v)):
+            raise ValueError(f"{name} must be positive and finite, got {v}")
 
 
 def mm_buyer_leg(x, y, p_ref, w, delta):
@@ -50,7 +50,10 @@ def mm_seller_leg(x, y, p_ref, w, delta):
 
 
 def mm_expected_profit(x: float, y: float, p_ref: float, w: float, delta: float) -> float:
-    """Fair-coin average of the buyer and seller legs; NaN is rejected."""
+    """Fair-coin average of the buyer and seller legs; NaN and infinities are rejected."""
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(p_ref)
+            and math.isfinite(w) and math.isfinite(delta)):
+        raise ValueError(f"arguments must be finite, got {x}, {y}, {p_ref}, {w} and {delta}")
     if not (x > 0 and y > 0 and p_ref > 0):
         raise ValueError(f"x, y and p_ref must be positive, got {x}, {y} and {p_ref}")
     if not (w >= 1 and delta >= 1):
@@ -80,8 +83,8 @@ def client_utility(trade_price: float, y: float, side: str, f_mcf: float) -> flo
     implementation's convention.
     """
     _check_positive(trade_price=trade_price, y=y)
-    if not f_mcf > 1:
-        raise ValueError("f_mcf must exceed 1")
+    if not (f_mcf > 1 and math.isfinite(f_mcf)):
+        raise ValueError(f"f_mcf must be finite and exceed 1, got {f_mcf}")
     root = math.sqrt(f_mcf)
     if side == "buy":
         return math.log(root * y / trade_price)

@@ -97,12 +97,10 @@ def filter_by_width(book: AuctionBook) -> tuple[AuctionBook, list[Order]]:
 
 
 def tie_break_seed(revealed: Sequence[tuple[str, Market]]) -> bytes:
-    """Order-sensitive seed over the full revealed list, before any removal."""
-    return h(*(p.encode() + b"|" + encode_market(m) for p, m in revealed))
-
-
-def tie_break_digest(seed: bytes, player: str, market: Market) -> int:
-    return int.from_bytes(h(seed, player.encode(), encode_market(market)), "big")
+    """Seed over the full revealed set before any removal, in ``(player,
+    encode_market(m))`` order: the order the reveals landed in is no input."""
+    entries = sorted((p, encode_market(m)) for p, m in revealed)
+    return h(*(p.encode() + b"|" + m for p, m in entries))
 
 
 def select_tight_market(
@@ -111,17 +109,21 @@ def select_tight_market(
 ) -> Optional[tuple[str, Market]]:
     """Pick the tightest market; break width ties by the largest hash digest.
 
-    The tie-break seed is computed over ``revealed`` exactly as listed (the
-    full reveal-ordered list).  ``eligible`` restricts the candidates to the
-    entries that passed re-validation; it defaults to the full list.
+    ``eligible`` restricts the candidates to the entries that passed
+    re-validation; it defaults to ``revealed``.  A lone tightest market
+    wins unhashed; tied ones rank by ``h(seed, player, encode_market(m))``
+    under ``tie_break_seed(revealed)``, so neither list's order matters.
     """
     if eligible is None:
         eligible = revealed
     if not eligible:
         return None
+    w_tight = min(market_width(m) for _, m in eligible)
+    tied = [e for e in eligible if market_width(e[1]) == w_tight]
+    if len(tied) == 1:
+        return tied[0]
     seed = tie_break_seed(revealed)
-    # max keeps the first of equal keys
-    return max(eligible, key=lambda e: (-market_width(e[1]), tie_break_digest(seed, *e)))
+    return max(tied, key=lambda e: h(seed, e[0].encode(), encode_market(e[1])))
 
 
 def round_book(buys: Iterable[Order], sells: Iterable[Order],
@@ -279,11 +281,11 @@ def verify_clearing_price(book: AuctionBook, cp: int, volume_a: int, imbalance_a
 
     The claimed volume and imbalance (A units) must match the recomputation
     exactly and some volume must trade.  A zero imbalance is immediately
-    valid; otherwise the adjacent tick on the surplus side must clear less
-    volume than the claim, or the same volume with a no-smaller absolute
-    imbalance.  Every oracle-optimal price passes: the probe's volume and
-    imbalance are valued at the probe's own price, so this is exactly the
-    oracle's ranking restricted to one neighbour.
+    valid; otherwise ``cp`` must rank strictly above the adjacent tick on
+    the surplus side under the oracle's key (more volume, then a smaller
+    absolute imbalance, then the lower price), each valued at its own
+    price: exactly the oracle's ranking restricted to one neighbour.  Every
+    oracle pick passes, and of two exactly tied ticks only the lower does.
     """
     if not isinstance(cp, int) or isinstance(cp, bool) or cp < 1:
         return False
@@ -292,8 +294,9 @@ def verify_clearing_price(book: AuctionBook, cp: int, volume_a: int, imbalance_a
         return False
     if imb == 0:
         return True
-    vol2, imb2 = score_at(book, cp + 1 if imb > 0 else cp - 1)
-    return vol2 < vol or (vol2 == vol and abs(imb2) >= abs(imb))
+    probe = cp + 1 if imb > 0 else cp - 1
+    vol2, imb2 = score_at(book, probe)
+    return (vol, -abs(imb), -cp) > (vol2, -abs(imb2), -probe)
 
 
 def _waterfall(levels: list[list[Order]], total: int, lot: int) -> dict[int, int]:

@@ -76,6 +76,23 @@ class TestQuoterProfit:
         with pytest.raises(ValueError):
             p_ref_argmax(*args)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    @pytest.mark.parametrize("position", range(5))
+    def test_infinity_rejected_in_every_position(self, position, value):
+        # an infinite notional once gave NaN with no error
+        args = [1.0, 110.0, 110.0, 1.0, 1.0]
+        args[position] = value
+        with pytest.raises(ValueError):
+            mm_expected_profit(*args)
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_argmax_of_infinity_rejected(self, position):
+        # an infinite notional once gave the grid's first point, y/2, with no error
+        args = [1.0, 110.0, 1.21, 1.0]
+        args[position] = math.inf
+        with pytest.raises(ValueError):
+            p_ref_argmax(*args)
+
     def test_argmax_at_fair_price(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -189,6 +206,15 @@ class TestClientUtility:
             with pytest.raises(ValueError):
                 client_utility(*args)
         assert client_utility(0.5, 0.5, "buy", 1.21) == pytest.approx(math.log(1.1))
+
+    @pytest.mark.parametrize("side", ["buy", "sell"])
+    @pytest.mark.parametrize("position", [0, 1, 3])
+    def test_infinity_rejected_in_every_numeric_position(self, position, side):
+        # an infinite price once gave inf on the sell side and died in math.log on the buy side
+        args = [110.0, 110.0, side, 1.21]
+        args[position] = math.inf
+        with pytest.raises(ValueError):
+            client_utility(*args)
 
 
 class _ScriptedFlow:
@@ -440,7 +466,8 @@ class TestBestResponse:
 
     def test_check_clears_each_distinct_book_once(self, monkeypatch):
         """One competitive check picks the tight market and filters once
-        per profile (the base and its 88 deviations), builds one outcome
+        per profile (the base and its 88 deviations); 26 of those picks
+        meet a width tie and compute a tie-break seed.  It builds one outcome
         table per distinct game (the tight market and the kept client
         orders), 15 of them, and clears each distinct book shape once.
         The tables hold 240 distinct books out of 89 * 16 = 1,424
@@ -449,9 +476,10 @@ class TestBestResponse:
         identical clients sit on each side share one: 97 clears.  A second
         identical check does all of that work again: nothing is cached
         across calls."""
-        from fairtradex import analysis
-        books, tights, filtered, tables = [], [], [], []
+        from fairtradex import analysis, auction
+        books, tights, seeds, filtered, tables = [], [], [], [], []
         oracle, select = analysis.find_clearing_price, analysis.select_tight_market
+        seed = auction.tie_break_seed
         width_filter, outcome_table = analysis.filter_by_width, _EngineGame.outcome_table
 
         def counted_oracle(book):
@@ -462,6 +490,10 @@ class TestBestResponse:
             tights.append(revealed)
             return select(revealed)
 
+        def counted_seed(revealed):
+            seeds.append(revealed)
+            return seed(revealed)
+
         def counted_filter(book):
             filtered.append(book)
             return width_filter(book)
@@ -471,15 +503,17 @@ class TestBestResponse:
             return tables[-1]
         monkeypatch.setattr(analysis, "find_clearing_price", counted_oracle)
         monkeypatch.setattr(analysis, "select_tight_market", counted_select)
+        monkeypatch.setattr(auction, "tie_break_seed", counted_seed)
         monkeypatch.setattr(analysis, "filter_by_width", counted_filter)
         monkeypatch.setattr(_EngineGame, "outcome_table", counted_table)
         built = []
         for _ in range(2):
-            for log in (books, tights, filtered):
+            for log in (books, tights, seeds, filtered):
                 log.clear()
             rep = best_response_check(COMPETITIVE, n_mms=2, paths=200)
             assert len(rep.entries) == 88
             assert len(tights) == len(filtered) == 89
+            assert len(seeds) == 26
             assert len(books) == len(set(books)) == 97 < 240 < 89 * 16
             # every returned table stays referenced, so distinct ids are distinct builds
             built.append({id(t) for t in tables[-89:]})

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from fairtradex.auction import (AuctionBook, ClearingCandidate, InvalidClearingPrice,
                                 candidate_prices, filter_by_width,
                                 find_clearing_price, select_tight_market, settle,
-                                tie_break_digest, tie_break_seed,
+                                tie_break_seed,
                                 validate_clearing_result, verify_clearing_price,
                                 volumes_at)
+from fairtradex.membership import h
 from fairtradex.serialize import book_from_json, dumps_canonical, result_to_json
-from fairtradex.units import ANY, MKT, TOKEN_A, TOKEN_B, WITHDRAW, Market, Order
+from fairtradex.units import (ANY, MKT, TOKEN_A, TOKEN_B, WITHDRAW, Market, Order,
+                              encode_market)
 
 from helpers import naive_bound, naive_clear, random_book, ranked_clear, wide_book
 
@@ -122,26 +124,60 @@ class TestTieBreak:
         assert select_tight_market(revealed)[0] == "m2"
 
     def test_equal_widths_resolved_by_digest(self):
+        """The seed hashes the revealed set in (player, market) order, and
+        the largest raw digest under it wins; reveal order is no input."""
         m1, m2 = self.mk(100, 110), self.mk(200, 220)
-        revealed = [("m1", m1), ("m2", m2)]
-        seed = tie_break_seed(revealed)
-        expect = max(revealed, key=lambda pm: tie_break_digest(seed, pm[0], pm[1]))
+        revealed = [("m2", m2), ("m1", m1)]
+        seed = h(b"m1|" + encode_market(m1), b"m2|" + encode_market(m2))
+        assert tie_break_seed(revealed) == seed
+        expect = max(revealed, key=lambda pm: h(seed, pm[0].encode(), encode_market(pm[1])))
         assert select_tight_market(revealed) == expect
+        assert select_tight_market(revealed[::-1]) == expect
+
+    def test_a_pick_decided_by_width_hashes_nothing(self, monkeypatch):
+        from fairtradex import auction
+        hashed = []
+        monkeypatch.setattr(auction, "h", lambda *parts: hashed.append(parts) or h(*parts))
+        revealed = [("m1", self.mk(100, 120)), ("m2", self.mk(100, 110)),
+                    ("m3", self.mk(200, 220))]
+        assert select_tight_market(revealed, revealed[:2])[0] == "m2"
+        assert select_tight_market(revealed, revealed[1:2])[0] == "m2"
+        assert hashed == []
+        # m2 and m3 tie at width 11/10: one seed and one digest each
+        assert select_tight_market(revealed) in revealed[1:]
+        assert len(hashed) == 3
 
     def test_empty_list(self):
         assert select_tight_market([]) is None
 
     def test_seed_covers_full_list_before_removal(self):
-        m1, m2 = self.mk(100, 110), self.mk(200, 220)
-        revealed = [("m1", m1), ("m2", m2)]
-        # dropping an ineligible entry must not change the seed
-        chosen_all = select_tight_market(revealed, eligible=[("m1", m1)])
-        assert chosen_all[0] == "m1"
-        assert tie_break_seed(revealed) != tie_break_seed([("m1", m1)])
+        m1, m2, m3 = self.mk(100, 110), self.mk(200, 220), self.mk(500, 550)
+        revealed = [("m1", m1), ("m2", m2), ("m3", m3)]
+        # a lone eligible entry wins unhashed
+        assert select_tight_market(revealed, eligible=[("m1", m1)])[0] == "m1"
+        # m3's removal does not change the seed: m1 wins under the full
+        # list's seed, where m2 would win under the eligible list's
+        assert select_tight_market(revealed, eligible=revealed[:2])[0] == "m1"
+        assert select_tight_market(revealed[:2])[0] == "m2"
 
     def test_selection_stable_for_fixed_list(self):
         revealed = [("m1", self.mk(100, 110)), ("m2", self.mk(200, 220))]
         assert select_tight_market(revealed) == select_tight_market(list(revealed))
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_pick_ignores_the_order_of_both_lists(self, data):
+        """Permuting ``revealed`` and ``eligible`` never changes the pick.
+        Few players and quotes make repeated entries and width ties common."""
+        market = st.builds(lambda bid, k: self.mk(bid, bid + k),
+                           st.sampled_from([10, 20, 30]), st.sampled_from([1, 2, 3]))
+        revealed = data.draw(st.lists(st.tuples(st.sampled_from(["m1", "m2", "m3"]), market),
+                                      max_size=6))
+        eligible = data.draw(st.lists(st.sampled_from(revealed), max_size=6)
+                             if revealed else st.just([]))
+        pick = select_tight_market(revealed, eligible)
+        assert select_tight_market(data.draw(st.permutations(revealed)),
+                                   data.draw(st.permutations(eligible))) == pick
 
 
 class TestVolumes:
@@ -406,15 +442,15 @@ class TestVerifier:
         assert self.claims(b, 10) == (100, 1)
         assert not verify_clearing_price(b, 10, 100, 1)
 
-    def test_both_prices_of_an_exact_tie_pass(self):
+    def test_only_the_lower_price_of_an_exact_tie_passes(self):
         """ROADMAP item 7(c)'s tie: cp 9 scores (81, +19) and cp 10 scores
-        (81, -19).  The oracle picks the lower tick, and the verifier
-        accepts both, because the probe's equal volume with an equal
-        absolute imbalance does not beat the claim."""
+        (81, -19).  The oracle picks the lower tick, and so does the
+        verifier: it ranks the claim against its probe with the oracle's
+        key, whose last term, the lower price, decides an exact tie."""
         b = book_of([buy(0, 81, MKT), buy(1, 19, 9)], [sell(2, 9, MKT), sell(3, 1, 10)])
         assert find_clearing_price(b) == ClearingCandidate(9, 81, 19)
         assert verify_clearing_price(b, 9, 81, 19)
-        assert verify_clearing_price(b, 10, 81, -19)
+        assert not verify_clearing_price(b, 10, 81, -19)
 
     def test_accepted_prices_reach_max_volume_with_spanning_market(self):
         """On books with a spanning market, every price the verifier accepts

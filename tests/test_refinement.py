@@ -5,8 +5,12 @@ trusted auctioneer gives them on that round's revealed inputs.  The ideal
 round sorts the revealed and the eligible markets by ``(player,
 encode_market(m))`` before the tie-break and the client orders by their
 own fields before numbering them, then runs the same escrow caps,
-``round_book``, width filter, oracle and settlement.  The inputs are read by wrapping
-``Protocol._end_reveal_phase``, so the protocol keeps no extra state.
+``round_book``, width filter, oracle and settlement.  The tie-break seed
+hashes the revealed markets in that same order, so the block producer's
+reveal order cannot pick between equal-width quoters (item 7(a)): the
+crowd rounds, where two quoters often tie, match too.  The inputs are read
+by wrapping ``Protocol._end_reveal_phase``, so the protocol keeps no extra
+state.
 """
 
 import json
@@ -103,10 +107,6 @@ def test_every_bundled_round_equals_the_ideal_round():
     assert differ == []
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 7(a): the tie-break seed hashes the revealed markets "
-                          "in reveal order, which the block producer sets, so the producer "
-                          "picks which of two equal-width quoters is the tight market")
 def test_every_crowd_round_equals_the_ideal_round():
     differ, compared = [], 0
     for seed in range(1, 6):

@@ -54,9 +54,12 @@ EQUIVALENT = {
      "vol, gap = (sell_a, buy_vol - sell_a) if sell_a < buy_vol else "
      "(buy_vol, sell_a - buy_vol)", "< -> <="):
         "at sell_a == buy_vol both branches give (buy_vol, 0)",
-    ("auction.py", "verify_clearing_price",
-     "vol2, imb2 = score_at(book, cp + 1 if imb > 0 else cp - 1)", "> -> >="):
+    ("auction.py", "verify_clearing_price", "probe = cp + 1 if imb > 0 else cp - 1",
+     "> -> >="):
         "imb == 0 has already returned, so imb >= 0 and imb > 0 agree",
+    ("auction.py", "verify_clearing_price",
+     "return (vol, -abs(imb), -cp) > (vol2, -abs(imb2), -probe)", "> -> >="):
+        "probe != cp, so the two keys differ in their last term and are never equal",
     ("auction.py", "_waterfall", "if total >= cap_sum:", ">= -> >"):
         "at total == cap_sum the pro-rata branch gives every order its cap, as the "
         "fill-to-cap branch does, and no later level is reached",
