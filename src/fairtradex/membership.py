@@ -22,15 +22,21 @@ proof's fields; ``is_proof`` checks an untrusted proof's shape.
 Verification has two halves.  ``authentic`` is the pure half: the path
 hashes the leaf up to ``proof.root`` and the binding matches the message.
 Its verdict depends on the proof and the message alone, so a caller may
-keep it and reuse it.  ``admit`` is the state half: ``proof.root`` is the
-accepted root and the serial is fresh; it consumes the serial on success.
+keep it and reuse it.  A caller that checks many proofs against one tree
+may also pass one node memo to every call: it maps each hashed 64-byte
+node pair to its digest, so the nodes the paths share are hashed once,
+and since every entry is the true digest of its key the memo never moves
+a verdict.  ``admit`` is the state half: ``proof.root`` is the accepted
+root and the serial is fresh; it consumes the serial on success.
 ``verify_membership`` runs both.
+
+A ``Secret`` hashes its registration id once, when it is made.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 DIGEST_SIZE = 32
@@ -73,14 +79,20 @@ class MalformedProof(Exception):
 
 @dataclass(frozen=True)
 class Secret:
-    """Per-registration secret: serial number S and randomness r."""
+    """Per-registration secret: serial number S and randomness r.
+
+    ``reg_id`` is h(S || r), hashed once here; it plays no part in equality
+    or repr, which it would only repeat.
+    """
 
     s: bytes
     r: bytes
+    reg_id: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.s) != DIGEST_SIZE or len(self.r) != DIGEST_SIZE:
             raise ValueError("secret components must be 32 bytes")
+        object.__setattr__(self, "reg_id", h(self.s, self.r))
 
 
 def gen_secret(seed: int) -> Secret:
@@ -93,7 +105,7 @@ def gen_secret(seed: int) -> Secret:
 
 def reg_id(secret: Secret) -> bytes:
     """Registration identifier h(S || r)."""
-    return h(secret.s, secret.r)
+    return secret.reg_id
 
 
 def _padded_leaves(reg_ids: Sequence[bytes]) -> list[bytes]:
@@ -207,7 +219,7 @@ def prove_membership(secret: Secret, reg_ids: Registry, message: bytes) -> Membe
     Proves for the first occurrence of the registration id.  Raises
     NotAMember when the secret was never registered.
     """
-    target = reg_id(secret)
+    target = secret.reg_id
     levels, first = reg_ids.tree()
     try:
         pos = first[target]
@@ -226,21 +238,31 @@ def prove_membership(secret: Secret, reg_ids: Registry, message: bytes) -> Membe
                            path=path, binding=binding)
 
 
-def authentic(proof: MembershipProof, message: bytes) -> bool:
+def authentic(proof: MembershipProof, message: bytes,
+              memo: dict[bytes, bytes] | None = None) -> bool:
     """The pure half: the path hashes the leaf to ``proof.root`` and the binding matches ``message``.
 
-    Reads nothing but its arguments, so its verdict may be kept and reused.
+    Its verdict depends on nothing but the proof and the message, so it may
+    be kept and reused.  ``memo`` maps the bytes of a hashed node pair to
+    their digest; proofs checked against one tree share their upper nodes,
+    so a caller that passes one memo to them all hashes each pair once.
+    Every entry is ``h`` of its key, so a memo never changes a verdict.
     """
+    if memo is None:
+        memo = {}
     path = proof.path
     node = proof.leaf
     for off in range(0, len(path), _NODE):
         side, sib = path[off], path[off + 1:off + _NODE]
         if side == _SIB_RIGHT:
-            node = h(node, sib)
+            pair = node + sib
         elif side == _SIB_LEFT:
-            node = h(sib, node)
+            pair = sib + node
         else:
             return False
+        node = memo.get(pair)
+        if node is None:
+            node = memo[pair] = h(pair)
     return (node == proof.root
             and proof.binding == h(_LEAF_TAG, proof.leaf, path, proof.serial, message))
 

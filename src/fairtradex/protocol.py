@@ -18,8 +18,10 @@ A client commit's proof is checked in the two halves ``membership`` splits
 verification into.  The dry run keeps the pure half's verdict (path and
 binding, which read only the payload) in a per-round dict keyed by the
 payload; the commit handler pops it, or computes it when the commit was
-never dry-run.  The state half (blacklist, root, nullifier) always runs at
-execution, so the kept verdict never depends on chain state.
+never dry-run.  Both pass one per-round node memo to ``authentic``, so the
+Merkle nodes a round's proofs share are hashed once.  The state half
+(blacklist, root, nullifier) always runs at execution, so the kept verdict
+never depends on chain state.  Both dicts are emptied when a round opens.
 """
 
 from __future__ import annotations
@@ -155,8 +157,10 @@ class Protocol:
         self.width_removed: list[Order] = []
         self._round_burned: list[dict] = []
         self._round_blacklisted: list[str] = []
-        # dry-run verdicts of ``membership.authentic``, popped at execution
+        # dry-run verdicts of ``membership.authentic``, popped at execution,
+        # and the node memo every ``authentic`` call of the round shares
         self._authentic: dict[ClientCommitPayload, bool] = {}
+        self._nodes: dict[bytes, bytes] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -187,7 +191,7 @@ class Protocol:
         if not (tx.kind == COMMIT_CLIENT and isinstance(p, ClientCommitPayload)
                 and well_formed(p)):
             return False
-        authentic = self._authentic[p] = membership.authentic(p.proof, p.com)
+        authentic = self._authentic[p] = membership.authentic(p.proof, p.com, self._nodes)
         return self._proof_rejects(p, authentic, record=False) is None
 
     def _proof_rejects(self, p: ClientCommitPayload, authentic: bool,
@@ -237,10 +241,10 @@ class Protocol:
     def _handle_commit_client(self, p: ClientCommitPayload, etx: ExecutedTx) -> dict:
         authentic = self._authentic.pop(p, None)
         # during COMMIT entries are only added, each under a fresh serial
-        if not len(self.client_commits) * self.params.e_client < self.params.q_not:
+        if not (len(self.client_commits) + 1) * self.params.e_client <= self.params.q_not:
             return {"applied": False, "reason": "notional-cap"}
         if authentic is None:
-            authentic = membership.authentic(p.proof, p.com)
+            authentic = membership.authentic(p.proof, p.com, self._nodes)
         reason = self._proof_rejects(p, authentic, record=True)
         if reason is not None:
             return {"applied": False, "reason": reason}

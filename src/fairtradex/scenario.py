@@ -22,7 +22,7 @@ from .chain import (CLIENT_REGISTER, CLIENT_REVEAL, COMMIT_CLIENT, COMMIT_MM,
                     CP, MM_REVEAL, ORDERING_POLICIES, RELAYED, Chain,
                     ExecutedTx, InvalidProof, Tx)
 from .ledger import PROTOCOL_ACCOUNT, Ledger
-from .membership import gen_secret, h, prove_membership, reg_id, serialize_proof
+from .membership import gen_secret, h, prove_membership, serialize_proof
 from .protocol import (ClientCommitPayload, ClientRevealPayload, CpPayload,
                        MMCommitPayload, MMRevealPayload, Phase, Protocol,
                        RegisterPayload, client_commitment, mm_commitment, well_formed)
@@ -172,7 +172,6 @@ class ClientAgent:
         self.pid = pid
         self.strategy = strategy
         self.secret = None
-        self.reg_id: Optional[bytes] = None  # reg_id(self.secret), kept with it
         self.order: Optional[tuple] = None  # (tkn, size, price, width) committed this round
         self._secret_counter = 0
 
@@ -201,13 +200,12 @@ class ClientAgent:
         proto = runner.protocol
         if proto.phase is None:
             self.secret = self._fresh_secret(runner)
-            self.reg_id = reg_id(self.secret)
-            return [Tx(kind=CLIENT_REGISTER, payload=RegisterPayload(self.reg_id),
+            return [Tx(kind=CLIENT_REGISTER, payload=RegisterPayload(self.secret.reg_id),
                        sender=self.pid)]
         if proto.phase is Phase.COMMIT:
             self.order = None
             # a registration missing now stays missing: none lands during COMMIT
-            if not self.strategy.commit or self.reg_id not in proto.clients:
+            if not self.strategy.commit or self.secret.reg_id not in proto.clients:
                 return []
             self.order = self._sized_order(runner, proto.params)
             com = client_commitment(*self.order)
@@ -216,19 +214,16 @@ class ClientAgent:
                        payload=ClientCommitPayload(com=com, serial=self.secret.s, proof=proof))]
         if proto.phase is Phase.REVEAL and self.strategy.reveal and self.order is not None:
             tkn, size, price, width = self.order
-            stay = proto.round + 1 < runner.rounds
-            new_token = None
-            if stay:
-                next_secret = self._fresh_secret(runner)
-                new_token = reg_id(next_secret)
-            tx = Tx(kind=CLIENT_REVEAL, sender=self.pid,
-                    payload=ClientRevealPayload(
-                        tkn=tkn, size=size, price=price, width=width,
-                        serial=self.secret.s, randomness=self.secret.r,
-                        reg_id=self.reg_id, reg_token_new=new_token))
-            if stay:
-                self.secret, self.reg_id = next_secret, new_token
-            return [tx]
+            old, new_token = self.secret, None
+            if proto.round + 1 < runner.rounds:
+                # stay registered: the next round proves with a fresh secret
+                self.secret = self._fresh_secret(runner)
+                new_token = self.secret.reg_id
+            return [Tx(kind=CLIENT_REVEAL, sender=self.pid,
+                       payload=ClientRevealPayload(
+                           tkn=tkn, size=size, price=price, width=width,
+                           serial=old.s, randomness=old.r, reg_id=old.reg_id,
+                           reg_token_new=new_token))]
         return []
 
 
@@ -441,6 +436,7 @@ class Runner:
         self.protocol = Protocol(self.params, self.ledger)
 
         self._net_buys = 0
+        self._y: dict[int, int] = {}  # _net_buys -> current_y(), filled as the run visits it
         mifp_seed = derive_seed(cfg.seed, "mifp") if cfg.mifp.seed is None else cfg.mifp.seed
         self._direction_rng = random.Random(derive_seed(mifp_seed, "directions"))
 
@@ -463,8 +459,11 @@ class Runner:
     # -- mifp ---------------------------------------------------------------
 
     def current_y(self) -> int:
-        y = self.config.mifp.y0 * self.config.mifp.delta ** self._net_buys
-        return max(1, round(y))
+        y = self._y.get(self._net_buys)
+        if y is None:
+            mifp = self.config.mifp
+            y = self._y[self._net_buys] = max(1, round(mifp.y0 * mifp.delta ** self._net_buys))
+        return y
 
     def next_direction(self) -> int:
         # impact applies as order flow arrives: each drawn direction moves

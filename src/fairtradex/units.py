@@ -85,7 +85,7 @@ def check_width(w: Width) -> Width:
         return w
     if not isinstance(w, Fraction):
         raise QuantityError(f"width must be a Fraction or ANY, got {w!r}")
-    if w < 1:
+    if w.numerator < w.denominator:  # w < 1, as a Fraction's denominator is positive
         raise QuantityError(f"numeric width must be >= 1, got {w}")
     return w
 

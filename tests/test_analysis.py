@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -261,6 +262,15 @@ class TestMifp:
         for k in range(1, 11):
             runner.next_direction()
             assert runner.current_y() == round(y0 * Fraction(101, 100) ** k)
+
+    def test_every_read_equals_the_closed_form_in_any_visit_order(self):
+        runner = self.runner("11/10")
+        y0 = runner.config.mifp.y0
+        ks = list(range(-60, 61))
+        random.Random(0).shuffle(ks)
+        for k in ks + ks[::-1]:   # the second pass reads values already seen
+            runner._net_buys = k
+            assert runner.current_y() == max(1, round(y0 * Fraction(11, 10) ** k))
 
     def test_random_flow_deterministic_per_seed(self):
         a, b = self.runner("101/100"), self.runner("101/100")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from fairtradex import membership
 from fairtradex.membership import (DIGEST_SIZE, EmptySet, MalformedProof,
-                                   NotAMember, Registry, accumulate, admit,
+                                   NotAMember, Registry, Secret, accumulate, admit,
                                    authentic, deserialize_proof, gen_secret, h,
                                    is_proof, prove_membership, reg_id,
                                    serialize_proof, verify_membership)
@@ -31,6 +32,25 @@ class TestSecrets:
     def test_component_lengths(self):
         s = gen_secret(7)
         assert len(s.s) == len(s.r) == DIGEST_SIZE
+
+    def test_seed_range_is_64_bits(self):
+        assert gen_secret(0) != gen_secret(2**64 - 1)
+        for bad in (-1, 2**64):
+            with pytest.raises(ValueError):
+                gen_secret(bad)
+
+    def test_reg_id_is_the_hash_of_serial_and_randomness(self):
+        s = gen_secret(7)
+        assert reg_id(s) == s.reg_id == h(s.s, s.r) == raw_h(s.s + s.r)
+
+    def test_equality_and_repr_read_serial_and_randomness_only(self):
+        s = gen_secret(7)
+        same = Secret(s.s, s.r)
+        assert same == s and hash(same) == hash(s)
+        assert repr(s) == f"Secret(s={s.s!r}, r={s.r!r})"
+        assert Secret(s.s, gen_secret(8).r) != s
+        with pytest.raises(TypeError):
+            Secret(s.s, s.r, reg_id=s.reg_id)
 
 
 class TestAccumulate:
@@ -134,6 +154,63 @@ class TestProveVerify:
         assert authentic(proof, b"m") and not admit(proof, proof.root, nullifiers)
 
 
+def flip_byte(blob: bytes, i: int, mask: int = 0xFF) -> bytes:
+    out = bytearray(blob)
+    out[i] ^= mask
+    return bytes(out)
+
+
+class TestNodeMemo:
+    """One node memo shared by many proofs never moves a verdict."""
+
+    @staticmethod
+    def tampered(proof, message, draw):
+        """The proof and message, then each with one field tampered."""
+        path, nodes = proof.path, len(proof.path) // 33
+        k = draw(st.integers(0, nodes - 1))
+        yield proof, message
+        yield replace(proof, path=flip_byte(path, 33 * k + draw(st.integers(1, 32)))), message
+        yield replace(proof, path=flip_byte(path, 33 * k, 1)), message   # side tag 0 <-> 1
+        yield proof, message + b"x"
+        yield replace(proof, leaf=flip_byte(proof.leaf, draw(st.integers(0, 31)))), message
+        yield replace(proof, path=path[:-33]), message
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_shared_memo_gives_every_verdict_of_a_fresh_check(self, data):
+        memo = {}
+        for _ in range(data.draw(st.integers(1, 4))):
+            # seeds from a small range repeat, so registries hold duplicate ids
+            seeds = data.draw(st.lists(st.integers(0, 9), min_size=1, max_size=13))
+            reg = Registry(reg_id(gen_secret(s)) for s in seeds)
+            secret = gen_secret(data.draw(st.sampled_from(seeds)))
+            message = data.draw(st.binary(max_size=16))
+            proof = prove_membership(secret, reg, message)
+            verdicts = []
+            for p, m in self.tampered(proof, message, data.draw):
+                verdicts.append(authentic(p, m, memo))
+                assert verdicts[-1] == authentic(p, m)
+            # a flipped side tag is harmless where a node's sibling is itself
+            # (duplicate-last padding, or a duplicate id next to its first)
+            assert verdicts[0] and not any(verdicts[1:2] + verdicts[3:])
+        assert all(v == raw_h(k) for k, v in memo.items())
+
+    def test_proofs_over_one_tree_hash_each_node_pair_once(self, monkeypatch):
+        secrets = [gen_secret(s) for s in range(8)]
+        reg = Registry(reg_id(s) for s in secrets)
+        proofs = [prove_membership(s, reg, b"m") for s in secrets]
+        calls = []
+        real = membership.h
+        monkeypatch.setattr(membership, "h", lambda *p: calls.append(p) or real(*p))
+        memo = {}
+        assert all(authentic(p, b"m", memo) for p in proofs)
+        # 7 internal nodes and 8 bindings
+        assert len(calls) == 7 + 8 and len(memo) == 7
+        calls.clear()
+        assert all(authentic(p, b"m") for p in proofs)
+        assert len(calls) == 8 * (3 + 1)
+
+
 def flip_bit(blob: bytes, bit: int) -> bytes:
     out = bytearray(blob)
     out[bit // 8] ^= 1 << (bit % 8)
@@ -165,6 +242,16 @@ class TestSerialization:
         ids = Registry(reg_id(s) for s in secrets)
         proof = prove_membership(secrets[3], ids, b"xyz")
         assert deserialize_proof(serialize_proof(proof)) == proof
+
+    def test_node_count_boundary(self):
+        """A leaf-only proof (one node) round-trips; a blob that declares no node is malformed."""
+        ids = Registry(reg_id(gen_secret(s)) for s in range(2))
+        bare = replace(prove_membership(gen_secret(0), ids, b"m"), path=b"")
+        blob = serialize_proof(bare)
+        assert blob[64:68] == (1).to_bytes(4, "big")
+        assert deserialize_proof(blob) == bare
+        with pytest.raises(MalformedProof):
+            deserialize_proof(blob[:64] + (0).to_bytes(4, "big") + blob[68 + 33:])
 
     @given(data=st.data())
     @settings(max_examples=300)

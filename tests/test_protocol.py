@@ -1,5 +1,7 @@
 import enum
+import importlib.util
 import json
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -228,6 +230,18 @@ class TestCommitClient:
         eff = w.commit_client("c3", MKT_BUY)
         assert not eff["applied"] and eff["reason"] == "notional-cap"
 
+    @pytest.mark.parametrize("spare, admitted", [(-1, 1), (0, 2), (1, 2)])
+    def test_notional_cap_admits_a_commit_only_while_its_escrow_fits(self, spare, admitted):
+        w = World(q_not=2 * 1_000 + spare)
+        for i, pid in enumerate(["c1", "c2", "c3"], start=1):
+            w.add_client(pid, i, a=10**4)
+            w.register(pid)
+        w.start()
+        effects = [w.commit_client(pid, MKT_BUY) for pid in ("c1", "c2", "c3")]
+        assert [eff["applied"] for eff in effects] == [True] * admitted + [False] * (3 - admitted)
+        assert all(eff["reason"] == "notional-cap" for eff in effects[admitted:])
+        assert len(w.proto.client_commits) * w.params.e_client <= w.params.q_not
+
     def test_phase_guard(self):
         w = self.setup_world()
         w.next_phase()  # now Reveal
@@ -259,7 +273,8 @@ class TestCommitClient:
         assert set(w.proto.client_commits) == {w.secrets["c1"].s}
 
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+REPO = Path(__file__).resolve().parent.parent
+SCENARIOS = REPO / "scenarios"
 
 
 def count_hashes(monkeypatch):
@@ -319,6 +334,34 @@ class TestProofVerdictReuse:
         assert a.relay_commit(tx)[0]["applied"]
         assert b.relay_commit(tx)[0]["applied"]
         assert len(calls) == 2 * (len(tx.payload.proof.path) // 33 + 1)
+
+    def test_each_round_starts_with_an_empty_node_memo(self):
+        w = TestResolution().full_round()
+        memo = w.proto._nodes
+        assert memo and all(v == membership.h(k) for k, v in memo.items())
+        assert w.submit_cp("hunter")["applied"]
+        assert w.proto._nodes == {} and w.proto._authentic == {}
+        # round 1's commits share the new memo, not round 0's
+        w.add_client("c3", 3, a=10**4)
+        w.register("c3")
+        assert w.relay_commit(w.commit_tx("c3", MKT_BUY))[0]["applied"]
+        assert w.proto._nodes and w.proto._nodes is not memo
+
+    @pytest.mark.parametrize("clients, rounds, policy, hashes", [
+        (512, 1, "identity", 3_582), (16, 100, "random", 11_000)])
+    def test_perfbench_scenario_hash_count(self, monkeypatch, clients, rounds, policy, hashes):
+        """``membership.h`` calls in one run of the benchmark's scenario generator, seed 1:
+        each round hashes each shared Merkle node once, and each secret's id once."""
+        spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                      REPO / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+        spec.loader.exec_module(workloads)
+        config = workloads.ScenarioWorkload(REPO, 1, clients, rounds, policy).generate()
+        runner = Runner(config)   # building a runner hashes nothing
+        calls = count_hashes(monkeypatch)
+        assert runner.run().rounds_completed == rounds
+        assert len(calls) == hashes
 
     def test_fresh_runner_checks_in_full(self, monkeypatch):
         config = json.loads((SCENARIOS / "two_mm_competition.json").read_text())

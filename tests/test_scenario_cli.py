@@ -14,7 +14,7 @@ import pytest
 from fairtradex import auction, scenario
 from fairtradex.auction import (filter_by_width, find_clearing_price, settle,
                                 validate_clearing_result)
-from fairtradex.chain import ORDERING_POLICIES
+from fairtradex.chain import COMMIT_CLIENT, ORDERING_POLICIES
 from fairtradex.cli import main
 from fairtradex.ledger import InsufficientBalance
 from fairtradex.protocol import Phase
@@ -310,6 +310,29 @@ class TestRunner:
         assert res.rounds_completed == 3
         assert all(rep["w_tight"] == 1 for rep in res.settlements)
         assert all(rep["cp"] == 110 for rep in res.settlements)
+
+    def test_notional_cap_keeps_client_flow_inside_the_tight_market(self):
+        """Every client buys 2,000 A under ``q_not`` 3,000: one commit fits the
+        cap, so the tight market's offer leg absorbs the flow and cp lies
+        inside its quote.  Admitting a second commit cleared at 143."""
+        cfg = load()
+        cfg["rounds"] = 1
+        cfg["params"]["q_not"] = 3000
+        for agent in cfg["agents"]:
+            if agent["role"] == "mm":
+                agent["strategy"]["size_mult"] = 1
+            elif agent["role"] == "client":
+                agent["strategy"].update(side="buy", notional=2000)
+        runner = Runner(cfg)
+        res = runner.run()
+        commits = [rec["effects"] for rec in res.trace if rec["kind"] == COMMIT_CLIENT]
+        assert [eff["applied"] for eff in commits] == [True, False, False, False]
+        assert {eff.get("reason") for eff in commits[1:]} == {"notional-cap"}
+        cp = res.settlements[0]["cp"]
+        for agent in runner.agents:
+            if isinstance(agent, scenario.MMAgent):
+                assert agent.market.bid <= cp <= agent.market.offer
+        assert cp == 110
 
     def test_second_run_raises_and_keeps_the_first_result(self):
         runner = Runner(load())

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from fairtradex.analysis import default_grid
 from fairtradex.units import (ANY, MKT, WITHDRAW, Market, Order, ProtocolParams,
-                              QuantityError, check_quantity, market_width, quote)
+                              QuantityError, check_quantity, check_width, market_width,
+                              quote)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -24,6 +25,12 @@ class TestWidth:
     def test_numeric_ordering(self):
         assert Fraction(3, 2) >= Fraction(6, 5)
         assert not Fraction(11, 10) >= Fraction(6, 5)
+
+    def test_check_width_boundary_at_one(self):
+        with pytest.raises(QuantityError):
+            check_width(Fraction(10**40 - 1, 10**40))
+        assert check_width(Fraction(1)) == 1
+        assert check_width(Fraction(10**40 + 1, 10**40)) > 1
 
 
 class TestMarket:

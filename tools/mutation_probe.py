@@ -69,6 +69,12 @@ EQUIVALENT = {
      "table = {player: tuple(u[player] for u in outcomes) for player in outcomes[0]}",
      "0 -> 1"):
         "every pattern's utilities copy one zero dict, so all have the same players",
+    ("membership.py", "Registry.__init__", "self._appended = 0", "0 -> 1"):
+        "append numbers are only distinct dict keys, and iteration follows "
+        "insertion order; starting them at 1 changes neither",
+    ("membership.py", "Registry.append", "self._appended += 1", "1 -> 2"):
+        "append numbers are only distinct dict keys, and iteration follows "
+        "insertion order; a step of 2 keeps them distinct",
     ("chain.py", "withhold_max_policy",
      "return [p for p in pending if p.deadline <= height]", "<= -> <"):
         "an entry at its deadline that the policy leaves out is forced into the "
