@@ -19,7 +19,7 @@ client flow with it; importing this module (as the CLI does for
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
@@ -49,6 +49,11 @@ def mm_seller_leg(x, y, p_ref, w, delta):
     return x * (1.0 / delta ** 0.5 - (delta ** 0.5 / w ** 0.5) * (p_ref / y))
 
 
+def _profit(x, y, p_ref, w, delta):
+    """``mm_expected_profit`` without its argument checks."""
+    return 0.5 * mm_buyer_leg(x, y, p_ref, w, delta) + 0.5 * mm_seller_leg(x, y, p_ref, w, delta)
+
+
 def mm_expected_profit(x: float, y: float, p_ref: float, w: float, delta: float) -> float:
     """Fair-coin average of the buyer and seller legs; NaN and infinities are rejected."""
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(p_ref)
@@ -58,7 +63,10 @@ def mm_expected_profit(x: float, y: float, p_ref: float, w: float, delta: float)
         raise ValueError(f"x, y and p_ref must be positive, got {x}, {y} and {p_ref}")
     if not (w >= 1 and delta >= 1):
         raise ValueError(f"w and delta must be >= 1, got {w} and {delta}")
-    return 0.5 * mm_buyer_leg(x, y, p_ref, w, delta) + 0.5 * mm_seller_leg(x, y, p_ref, w, delta)
+    return _profit(x, y, p_ref, w, delta)
+
+
+_P_REF_POINTS = 1501
 
 
 def p_ref_grid(y: float) -> list[float]:
@@ -66,13 +74,17 @@ def p_ref_grid(y: float) -> list[float]:
     ``numpy.arange(y/2, 2*y + y/2000, y/1000)`` spaces them."""
     start = y / 2
     step = (start + y / 1000) - start  # arange's step: its second point less its first
-    return [start + i * step for i in range(1501)]
+    return [start + i * step for i in range(_P_REF_POINTS)]
 
 
 def p_ref_argmax(x: float, y: float, w: float, delta: float) -> float:
     """Grid argmax of the quoter profit over ``p_ref_grid(y)``; the first
-    maximum on a tie."""
-    return max(p_ref_grid(y), key=lambda p: mm_expected_profit(x, y, p, w, delta))
+    maximum on a tie.  The arguments are checked once, at the grid's
+    least and greatest points: every point between them passes too."""
+    grid = p_ref_grid(y)
+    mm_expected_profit(x, y, min(grid), w, delta)
+    mm_expected_profit(x, y, max(grid), w, delta)
+    return max(grid, key=lambda p: _profit(x, y, p, w, delta))
 
 
 def client_utility(trade_price: float, y: float, side: str, f_mcf: float) -> float:
@@ -252,10 +264,10 @@ def _best_response_closed_form(profile: StrategyProfile, grid: DeviationGrid,
                 player="mm", label=f"quote p_ref={p_dev} w={w_dev}",
                 utility_profile=base_mm, utility_deviation=u,
                 gain=u - base_mm, tolerance=epsilon))
-    fine = p_ref_grid(y)
-    best_fine = max(_closed_form_mm_utility(notional, y, p, mm_w, delta, cw) for p in fine)
+    best_fine = _closed_form_mm_utility(notional, y, p_ref_argmax(notional, y, mm_w, delta),
+                                        mm_w, delta, cw)
     entries.append(DeviationResult(
-        player="mm", label=f"fine p_ref scan at w={profile.mm.width} ({len(fine)} points)",
+        player="mm", label=f"fine p_ref scan at w={profile.mm.width} ({_P_REF_POINTS} points)",
         utility_profile=base_mm, utility_deviation=best_fine,
         gain=best_fine - base_mm, tolerance=epsilon))
 
@@ -303,30 +315,26 @@ class _EngineGame:
     alone, so ``outcome_table`` quotes, picks the tight market and filters
     once per profile.  What is left, the tight market and the kept client
     orders, is the game the table depends on: profiles that differ only
-    outside it share one table.  Each flow pattern takes the kept orders on
-    its clients' sides, and ``clear`` turns that filtered book into
-    utilities, which depend on nothing else.
+    outside it share one table.
 
-    One memo, made by the caller for one check of one game, holds
-    everything that repeats between the check's profiles: each distinct
-    game's table, client i's buy and sell order per (position,
-    ``ClientProfile``), each distinct book shape's settled utility
-    contributions, each distinct ``client_utility`` value, and the
-    zero-utility dict per player set.  Each distinct game's table is built
-    once, and each distinct book shape is cleared once: the clients are
-    identical, so most flow patterns build a book another one already built
-    with other clients' names on it.  The memo dies with the check: nothing
-    is kept across calls.
+    One check builds one ``_EngineGame``, which keeps what the check's
+    profiles repeat: each game's table, each (position, ``ClientProfile``)
+    pair's two orders, each book shape's settled contributions and each
+    ``(cp, side)`` pair's ``client_utility``.  Nothing is kept across
+    checks.
     """
 
     y: int
     f_mcf: Fraction
     n_clients: int
     client_size_a: int     # A atoms sold by a buyer of the swap
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _orders: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _shapes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _utilities: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def outcome_table(self, mm_strats: Sequence[tuple[int, Fraction]],
-                      client_strats: Sequence[ClientProfile],
-                      memo: dict) -> Mapping[str, tuple[float, ...]]:
+                      client_strats: Sequence[ClientProfile]) -> Mapping[str, tuple[float, ...]]:
         """Every player's utility for each of the 2^k client flow patterns,
         indexed by pattern number: bit i is set when client i buys.
 
@@ -336,17 +344,13 @@ class _EngineGame:
         legs (oids ``n_clients`` and ``n_clients + 1``), which are each
         side's last order; ``filter_by_width`` then runs once.
 
-        ``memo`` maps each game (the tight market and each kept client
-        order's oid, token and price; widths no longer matter once the
-        filter has run) to its table.  Sharing it across the profiles of
-        one check (one quoter count) builds each distinct table once.  Each
-        flow pattern's book takes the kept buys whose bit is set and the
-        kept sells whose bit is clear, each side in ascending oid order and
-        ending with its tight leg; ``_clear`` clears and settles each
-        distinct shape of those books once across all of the check's
-        tables.  The same memo also holds each client's two orders, keyed
-        on its position and ``ClientProfile``.  A table may be returned to
-        several callers, so it is read-only and its columns are tuples."""
+        A game is the quoter count, the tight market and each kept client
+        order's oid, token and price (widths no longer matter once the
+        filter has run); each is built once.  Each flow pattern's book
+        takes the kept buys whose bit is set and the kept sells whose bit
+        is clear, each side in ascending oid order and ending with its
+        tight leg.  A table may be returned to several callers, so it is
+        read-only and its columns are tuples."""
         depth = 10 * self.n_clients * self.client_size_a
         revealed = []
         for i, (ref, w) in enumerate(mm_strats):
@@ -356,47 +360,41 @@ class _EngineGame:
         tight = select_tight_market(revealed)
         assert tight is not None
         # client i's buy and sell order (oid i); its direction picks one
-        orders = [self._client_orders(i, cs, memo) for i, cs in enumerate(client_strats)]
+        orders = [self._client_orders(i, cs) for i, cs in enumerate(client_strats)]
         book = round_book((b for b, _ in orders), (s for _, s in orders), tight, self.n_clients)
         buy, sell = book.buy_orders[-1], book.sell_orders[-1]
         kept, _removed = filter_by_width(book)
         # the tight orders are width ANY, so each side keeps its own last
         kept_buys, kept_sells = kept.buy_orders[:-1], kept.sell_orders[:-1]
-        game = (tight, tuple((o.oid, o.tkn, o.price) for o in (*kept_buys, *kept_sells)))
-        table = memo.get(game)
-        if table is not None:
-            return table
-        n_mms = len(mm_strats)
-        outcomes = [self._clear((*(o for o in kept_buys if bits >> o.oid & 1), buy),
-                                (*(o for o in kept_sells if not bits >> o.oid & 1), sell),
-                                kept.w_tight, n_mms, memo)
-                    for bits in range(2 ** self.n_clients)]
-        table = {player: tuple(u[player] for u in outcomes) for player in outcomes[0]}
-        table = memo[game] = MappingProxyType(table)
+        game = (len(mm_strats), tight,
+                tuple((o.oid, o.tkn, o.price) for o in (*kept_buys, *kept_sells)))
+        table = self._tables.get(game)
+        if table is None:
+            zeros = dict.fromkeys([*(f"m{i}" for i in range(len(mm_strats))),
+                                   *(f"c{i}" for i in range(self.n_clients))], 0.0)
+            outcomes = [self._clear(AuctionBook(
+                buy_orders=(*(o for o in kept_buys if bits >> o.oid & 1), buy),
+                sell_orders=(*(o for o in kept_sells if not bits >> o.oid & 1), sell),
+                w_tight=kept.w_tight), zeros) for bits in range(2 ** self.n_clients)]
+            table = self._tables[game] = MappingProxyType(
+                {player: tuple(u[player] for u in outcomes) for player in zeros})
         return table
 
-    def _client_orders(self, i: int, cs: ClientProfile, memo: dict) -> tuple[Order, Order]:
-        """Client i's buy and sell order under ``cs``, built once per memo."""
-        key = ("orders", i, cs, self.client_size_a, self.y)
-        orders = memo.get(key)
+    def _client_orders(self, i: int, cs: ClientProfile) -> tuple[Order, Order]:
+        """Client i's buy and sell order under ``cs``."""
+        orders = self._orders.get((i, cs))
         if orders is None:
             price = MKT if cs.order_type == "mkt" else cs.limit_price
-            orders = memo[key] = (
+            orders = self._orders[i, cs] = (
                 Order(oid=i, owner=f"c{i}", tkn=TOKEN_A, size=self.client_size_a,
                       price=price, width_req=cs.width_req),
                 Order(oid=i, owner=f"c{i}", tkn=TOKEN_B, size=self.client_size_a // self.y,
                       price=price, width_req=cs.width_req))
         return orders
 
-    def clear(self, filtered: AuctionBook, n_mms: int) -> dict[str, float]:
-        """Every player's utility from clearing and settling ``filtered``."""
-        return self._clear(filtered.buy_orders, filtered.sell_orders, filtered.w_tight,
-                           n_mms, {})
-
-    def _clear(self, buys: tuple[Order, ...], sells: tuple[Order, ...], w_tight: Width,
-               n_mms: int, memo: dict) -> dict[str, float]:
-        """``clear`` for the filtered book of ``buys``, ``sells`` and
-        ``w_tight``, clearing each distinct book shape once per ``memo``.
+    def _clear(self, filtered: AuctionBook, zeros: dict[str, float]) -> dict[str, float]:
+        """Every player's utility, starting from ``zeros``, from clearing
+        and settling ``filtered``, each book shape cleared once.
 
         A book's shape is, for each side, the ``(size, price, owner is a
         quoter)`` of its orders in book order.  Every book ``outcome_table``
@@ -405,32 +403,22 @@ class _EngineGame:
         order within a side and never read owners, so books of one shape
         settle alike position by position
         (``tests/test_auction.py::TestShapeInvariance`` pins this).  The
-        first book of a shape is built, cleared and settled; its utility
-        contributions are kept by (side, position) in fill order, and every
-        book of that shape replays them onto its own owners.  Each owner
-        gets at most one addition per fill, in the same order as a clear of
-        its own book, so every float is the same.  ``memo`` also holds the
-        zero-utility dict of the player set and each ``client_utility``
-        value, each computed once per distinct key."""
-        zeros_key = ("zeros", n_mms, self.n_clients)
-        zeros = memo.get(zeros_key)
-        if zeros is None:
-            zeros = memo[zeros_key] = {**{f"m{i}": 0.0 for i in range(n_mms)},
-                                       **{f"c{i}": 0.0 for i in range(self.n_clients)}}
-        shape = ("shape", tuple((o.size, o.price, o.owner.startswith("m")) for o in buys),
-                 tuple((o.size, o.price, o.owner.startswith("m")) for o in sells))
-        contributions = memo.get(shape)
+        first book of a shape is cleared and settled, and every book of
+        that shape replays its contributions onto its own owners.  Each
+        owner gets at most one addition per fill, in the same order as a
+        clear of its own book, so every float is the same."""
+        sides = (filtered.buy_orders, filtered.sell_orders)
+        shape = tuple(tuple((o.size, o.price, o.owner.startswith("m")) for o in side)
+                      for side in sides)
+        contributions = self._shapes.get(shape)
         if contributions is None:
-            contributions = memo[shape] = self._contributions(
-                AuctionBook(buy_orders=buys, sell_orders=sells, w_tight=w_tight), memo)
+            contributions = self._shapes[shape] = self._contributions(filtered)
         utilities = dict(zeros)
-        sides = (buys, sells)
         for side, position, value in contributions:
             utilities[sides[side][position].owner] += value
         return utilities
 
-    def _contributions(self, filtered: AuctionBook,
-                       memo: dict) -> tuple[tuple[int, int, float], ...]:
+    def _contributions(self, filtered: AuctionBook) -> tuple[tuple[int, int, float], ...]:
         """Each settled fill's utility addition to its owner, in fill order,
         as ``(side, position, value)``: side 0 is the buys, 1 the sells, and
         the position is the order's index on its side of ``filtered``."""
@@ -449,11 +437,10 @@ class _EngineGame:
             if o.owner.startswith("m"):
                 contributions.append((*positions[id(o)], float(delta_ref)))
             elif fraction > 0:
-                key = ("client_utility", float(cand.cp), float(self.y), o.side,
-                       float(self.f_mcf))
-                u = memo.get(key)
+                u = self._utilities.get((cand.cp, o.side))
                 if u is None:
-                    u = memo[key] = client_utility(*key[1:])
+                    u = self._utilities[cand.cp, o.side] = client_utility(
+                        float(cand.cp), float(self.y), o.side, float(self.f_mcf))
                 contributions.append((*positions[id(o)], fraction * u))
         return tuple(contributions)
 
@@ -463,16 +450,14 @@ def _best_response_monte_carlo(profile: StrategyProfile, grid: DeviationGrid,
                                seed: int) -> BestResponseReport:
     """Each deviation's paired gain over common random client flow.
 
-    One memo serves the whole check, so each distinct game's outcome table
-    is built once (15 for the 89 profiles of the default grid), each
-    distinct book shape is cleared and settled once (97 of the tables'
-    240 distinct books), each client's two orders once per (position,
-    ``ClientProfile``) (40 orders for 20 pairs), and each
-    ``client_utility`` value once per distinct argument tuple (10).  The
-    statistics of each distinct utility column against the base paths (the
-    two path means, the gain and the 2 * SE tolerance) are computed once
-    and shared by every deviation whose table has that column.  The memo
-    and the statistics are local to the call, so nothing outlives it.
+    One ``_EngineGame`` serves the whole check, so on the default grid its
+    89 profiles build 15 outcome tables, 97 book clears (of the tables'
+    240 distinct books), 40 client orders and 10 ``client_utility``
+    values.  The statistics of each distinct utility column against the
+    base paths (the two path means, the gain and the 2 * SE tolerance) are
+    computed once and shared by every deviation whose table has that
+    column.  The game and the statistics are local to the call, so nothing
+    outlives it.
     """
     import numpy as np
     # four clients, each sized divisibly by y so seller sizes are exact
@@ -480,8 +465,7 @@ def _best_response_monte_carlo(profile: StrategyProfile, grid: DeviationGrid,
     base_ref = profile.mm.ref_price if profile.mm.ref_price is not None else y
     base_mm = [(base_ref, profile.mm.width), (base_ref, profile.mm.width)]
     base_clients = [profile.client] * game.n_clients
-    memo: dict = {}
-    base = game.outcome_table(base_mm, base_clients, memo)
+    base = game.outcome_table(base_mm, base_clients)
 
     # common random numbers: bit i of a path's pattern is set when client i buys
     bits = np.random.default_rng(seed).integers(0, 2, size=(paths, game.n_clients))
@@ -495,7 +479,7 @@ def _best_response_monte_carlo(profile: StrategyProfile, grid: DeviationGrid,
 
     def paired_check(player: str, label: str, mm_strats, client_strats) -> None:
         key = "m0" if player == "mm0" else "c0"
-        column = game.outcome_table(mm_strats, client_strats, memo)[key]
+        column = game.outcome_table(mm_strats, client_strats)[key]
         stats_key = (key, column)
         if stats_key not in stats:
             base_u = base_paths[key]

@@ -306,33 +306,35 @@ def _waterfall(levels: list[list[Order]], total: int, lot: int) -> dict[int, int
     for sells).  Levels whose caps fit fill to cap.  The level where the
     residual lands gets floor pro-rata shares by size (no floor exceeds its
     cap: every cap shares one ``lot``), then the leftover one lot at a time
-    by largest remainder, ties by ascending oid, cycling past entries at
-    cap; later levels get nothing.  All in integers: a level's entries
-    share one size sum ``w_sum``, so ``floor * w_sum - total * size``
-    ascending is remainder descending.  Absent orders fill zero.
+    by largest remainder, ties by ascending oid, then level order, cycling
+    past entries at cap; later levels get nothing.  All in integers: a
+    level's entries share one size sum ``w_sum``, so ``floor * w_sum -
+    total * size`` ascending is remainder descending.  Lots are keyed by
+    ``id(order)``, so orders that share an oid fill apart; absent orders
+    fill zero.
     """
     fills: dict[int, int] = {}
     for level in levels:
         cap_sum = sum(o.size // lot for o in level)
         if total >= cap_sum:
             for o in level:
-                fills[o.oid] = o.size // lot
+                fills[id(o)] = o.size // lot
             total -= cap_sum
             continue
         w_sum = sum(o.size for o in level)
         ranked = []
         leftover = total
-        for o in level:
+        for i, o in enumerate(level):
             floor = total * o.size // w_sum
-            fills[o.oid] = floor
+            fills[id(o)] = floor
             leftover -= floor
-            ranked.append((floor * w_sum - total * o.size, o.oid, o.size // lot))
+            ranked.append((floor * w_sum - total * o.size, o.oid, i, id(o), o.size // lot))
         ranked.sort()
-        for _, oid, cap in cycle(ranked):
+        for *_, key, cap in cycle(ranked):
             if not leftover:
                 break
-            if fills[oid] < cap:
-                fills[oid] += 1
+            if fills[key] < cap:
+                fills[key] += 1
                 leftover -= 1
         break
     return fills
@@ -366,9 +368,9 @@ def settle(book: AuctionBook, cp: int) -> ClearingResult:
     sell_fills = _waterfall(sell_levels, volume, 1)
 
     fills = [Fill(o.oid, lots * cp, lots, o.size - lots * cp, o)
-             for o in book.buy_orders for lots in (buy_fills.get(o.oid, 0),)]
+             for o in book.buy_orders for lots in (buy_fills.get(id(o), 0),)]
     fills += [Fill(o.oid, delivered, delivered * cp, o.size - delivered, o)
-              for o in book.sell_orders for delivered in (sell_fills.get(o.oid, 0),)]
+              for o in book.sell_orders for delivered in (sell_fills.get(id(o), 0),)]
     # stable: ascending oid, a buy before a sell that shares its oid
     fills.sort(key=itemgetter(0))
     return ClearingResult(cp=cp, volume_settled_b=volume, imbalance_a=imb, fills=tuple(fills))

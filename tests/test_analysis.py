@@ -94,6 +94,13 @@ class TestQuoterProfit:
         with pytest.raises(ValueError):
             p_ref_argmax(*args)
 
+    def test_argmax_rejects_a_grid_that_overflows(self):
+        # only the grid's last point, 2y, is infinite
+        grid = p_ref_grid(8.99e307)
+        assert math.isinf(grid[-1]) and math.isfinite(grid[-2])
+        with pytest.raises(ValueError):
+            p_ref_argmax(1.0, 8.99e307, 1.21, 1.0)
+
     def test_argmax_at_fair_price(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -105,7 +112,7 @@ class TestQuoterProfit:
 
     def test_argmax_keeps_the_first_maximum_on_a_tie(self, monkeypatch):
         from fairtradex import analysis
-        monkeypatch.setattr(analysis, "mm_expected_profit", lambda *args: 0.0)
+        monkeypatch.setattr(analysis, "_profit", lambda *args: 0.0)
         assert p_ref_argmax(1.0, 110.0, 1.21, 1.0) == 55.0 == p_ref_grid(110.0)[0]
 
 
@@ -431,23 +438,22 @@ class TestBestResponse:
         the base profile's.  No deviation of the default grid gains, so a
         Monte Carlo seed that flags one has drawn a sampling false positive."""
         game, (_, _, mms, clients), deviations = _competitive_deviations()
-        memo: dict = {}
-        base = game.outcome_table(mms, clients, memo)
-        gains = {label: float(np.mean(np.subtract(game.outcome_table(m, c, memo)[key],
-                                                  base[key])))
+        base = game.outcome_table(mms, clients)
+        gains = {label: float(np.mean(np.subtract(game.outcome_table(m, c)[key], base[key])))
                  for label, key, m, c in deviations}
         assert max(gains.values()) <= 0.0, {k: g for k, g in gains.items() if g > 0}
 
     def test_outcome_tables_match_evaluate_loop(self):
-        """Outcome tables built with one memo shared by the base profile and
-        all 88 deviations equal a plain per-pattern loop: each pattern's
-        full book (the tight market's orders plus each client's order on
-        its side), filtered by width, then cleared."""
+        """Outcome tables built by one game for the base profile and all 88
+        deviations equal a plain per-pattern loop: each pattern's full book
+        (the tight market's orders plus each client's order on its side),
+        filtered by width, then cleared by a fresh game."""
         game, base, deviations = _competitive_deviations()
-        memo: dict = {}
         for label, _key, mms, clients in [base] + deviations:
-            table = game.outcome_table(mms, clients, memo)
-            loop = [game.clear(book, len(mms))
+            table = game.outcome_table(mms, clients)
+            zeros = dict.fromkeys([f"m{i}" for i in range(len(mms))] +
+                                  [f"c{i}" for i in range(game.n_clients)], 0.0)
+            loop = [replace(game)._clear(book, zeros)
                     for book in _reference_books(game, mms, clients)]
             assert set(table) == set(loop[0]), label
             for player, utilities in table.items():
@@ -470,7 +476,7 @@ class TestBestResponse:
             sell_orders=(Order(1, "c1", TOKEN_B, 10, 200, f_mcf),
                          Order(3, "m0", TOKEN_B, 10**4, 121, ANY)),
             w_tight=f_mcf)
-        utilities = game.clear(book, 1)
+        utilities = game._clear(book, {"m0": 0.0, "c0": 0.0, "c1": 0.0})
         assert calls == [(121.0, 110.0, "buy", 1.21)]
         assert utilities["c1"] == 0.0 and utilities["m0"] == 99.0
 
@@ -542,7 +548,7 @@ class TestBestResponse:
         20 pairs, 40 orders, where one set per profile would be 712.  It
         calls ``client_utility`` once per distinct argument tuple: 10
         calls, where one per settled client fill would be 888.  A second
-        identical check builds all of it again: the memo dies with the
+        identical check builds all of it again: the game dies with the
         call."""
         from fairtradex import analysis
         _game, base, deviations = _competitive_deviations()
@@ -573,21 +579,37 @@ class TestBestResponse:
                 for i, cs in pairs}
             assert len(utility_args) == len(set(utility_args)) == 10
 
+    def test_one_game_caches_what_its_profiles_repeat(self):
+        """The base profile and the 88 deviations, run through one game,
+        leave 15 tables, 97 settled book shapes, 20 order pairs (40 orders)
+        and 10 ``client_utility`` values in its caches; a copy of the game
+        starts with none."""
+        game, base, deviations = _competitive_deviations()
+        for _label, _key, mms, clients in [base] + deviations:
+            game.outcome_table(mms, clients)
+        assert len(game._tables) == 15 and len(game._shapes) == 97
+        assert len(game._orders) == 20
+        assert len({o for pair in game._orders.values() for o in pair}) == 40
+        assert len(game._utilities) == 10
+        fresh = replace(game)
+        assert fresh == game and not (fresh._tables or fresh._shapes or fresh._orders
+                                      or fresh._utilities)
+
     @pytest.mark.parametrize("seed", [7, 20_240_006])
-    def test_entries_match_a_fresh_memo_per_deviation(self, seed):
+    def test_entries_match_a_fresh_game_per_deviation(self, seed):
         """The check's entries, whose tables and statistics are shared
         between deviations that play one game, equal by ``==`` a plain
         evaluation in which every deviation builds its own table with a
-        fresh memo and computes its own statistics."""
+        fresh game and computes its own statistics."""
         paths = 200
         game, (_, _, mms, clients), deviations = _competitive_deviations()
         pattern = ((np.random.default_rng(seed).integers(0, 2, size=(paths, 4)) * 2 - 1 > 0)
                    @ (1 << np.arange(4)))
-        base = game.outcome_table(mms, clients, {})
+        base = replace(game).outcome_table(mms, clients)
         want = []
         for _label, key, m, c in deviations:
             base_u = np.array(base[key])[pattern]
-            dev_u = np.array(game.outcome_table(m, c, {})[key])[pattern]
+            dev_u = np.array(replace(game).outcome_table(m, c)[key])[pattern]
             diff = dev_u - base_u
             se = float(diff.std(ddof=1) / math.sqrt(paths))
             want.append((float(diff.mean()), 2 * se + 1e-9,
@@ -611,11 +633,10 @@ class TestBestResponse:
         grid = default_grid(y, f_mcf)
         game = _EngineGame(y=y, f_mcf=f_mcf, n_clients=4, client_size_a=10 * y)
         mms, clients = [(y, MONOPOLY.mm.width)], [MONOPOLY.client] * 4
-        memo: dict = {}
-        base = game.outcome_table(mms, clients, memo)
+        base = game.outcome_table(mms, clients)
 
         def gain(key, m, c):
-            return float(np.mean(np.subtract(game.outcome_table(m, c, memo)[key], base[key])))
+            return float(np.mean(np.subtract(game.outcome_table(m, c)[key], base[key])))
         engine = {f"quote p_ref={ref} w={w}": gain("m0", [(ref, w)], clients)
                   for w in grid.mm_widths for ref in grid.mm_ref_prices}
         engine.update({f"mkt width_req={w}": gain(
@@ -661,8 +682,8 @@ class TestBestResponse:
         clients = [ClientProfile(order_type="mkt", width_req=Fraction(121, 100))] * 4
         base = [(110, Fraction(1)), (110, Fraction(1))]
         widened = [(110, Fraction(11, 10)), (110, Fraction(1))]
-        base_util = game.outcome_table(base, clients, {})["m0"]
-        dev_util = game.outcome_table(widened, clients, {})["m0"]
+        base_util = game.outcome_table(base, clients)["m0"]
+        dev_util = game.outcome_table(widened, clients)["m0"]
         assert sum(dev_util) <= sum(base_util) + 1e-9
         # the widened quote never trades: utility identically zero
         assert all(u == 0.0 for u in dev_util)
@@ -677,8 +698,8 @@ class TestBestResponse:
                                      limit_price=99)] + base_clients[1:]
         mm = [(110, Fraction(1)), (110, Fraction(1))]
         # the odd pattern numbers are the 8 patterns where client 0 buys
-        base_util = game.outcome_table(mm, base_clients, {})["c0"][1::2]
-        dev_util = game.outcome_table(mm, dev_clients, {})["c0"][1::2]
+        base_util = game.outcome_table(mm, base_clients)["c0"][1::2]
+        dev_util = game.outcome_table(mm, dev_clients)["c0"][1::2]
         assert all(u > 0 for u in base_util)     # market orders always fill
         assert all(u == 0.0 for u in dev_util)   # 99 < cp=110: never fills
 

@@ -553,6 +553,20 @@ class TestSettle:
         with pytest.raises(AttributeError):  # a fill is read-only
             res.fills[0].executed = 1
 
+    def test_orders_sharing_an_oid_on_one_side_fill_apart(self):
+        # both buys are oid 0; only the limit-10 buy is eligible at cp 10
+        b = book_of([Order(0, "a", TOKEN_A, 30, 10, ANY), Order(0, "b", TOKEN_A, 30, 9, ANY)],
+                    [sell(1, 3, MKT)])
+        res = settle(b, 10)
+        validate_clearing_result(b, res)
+        assert [f.received for f in res.fills[:2]] == [3, 0]
+        # three equal market buys of oid 0 split two lots: a remainder and
+        # oid tie goes to the earlier order in the book
+        b = book_of([buy(0, 10, MKT, owner=x) for x in "abc"], [sell(1, 2, MKT)])
+        res = settle(b, 10)
+        validate_clearing_result(b, res)
+        assert [f.received for f in res.fills[:3]] == [1, 1, 0]
+
     @given(orders=ORDERS)
     @settings(max_examples=300, deadline=None)
     def test_buys_and_sells_sharing_oids_settle_and_validate(self, orders):
@@ -636,7 +650,7 @@ class TestShapeInvariance:
     side's (size, price, owner is a quoter) in book order) once and replays
     its fills onto other books of that shape, so its reports depend on this
     property.  A change that makes the oracle or settlement read an oid's
-    value or an owner must keep it or revisit that memo; ROADMAP items 2
+    value or an owner must keep it or revisit that cache; ROADMAP items 2
     (lot-exact clearing) and 7(b) (``_waterfall``'s leftover rule) are two
     such changes."""
 

@@ -65,10 +65,6 @@ EQUIVALENT = {
         "fill-to-cap branch does, and no later level is reached",
     ("protocol.py", "Protocol.__init__", "self.last_phase_change = 0", "0 -> 1"):
         "initialise sets last_phase_change before any phase deadline reads it",
-    ("analysis.py", "_EngineGame.outcome_table",
-     "table = {player: tuple(u[player] for u in outcomes) for player in outcomes[0]}",
-     "0 -> 1"):
-        "every pattern's utilities copy one zero dict, so all have the same players",
     ("membership.py", "Registry.__init__", "self._appended = 0", "0 -> 1"):
         "append numbers are only distinct dict keys, and iteration follows "
         "insertion order; starting them at 1 changes neither",
