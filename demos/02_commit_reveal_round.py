@@ -12,7 +12,7 @@ be checked at any point.
 from fractions import Fraction
 
 from fairtradex.chain import (CLIENT_REGISTER, CLIENT_REVEAL, COMMIT_CLIENT,
-                              COMMIT_MM, CP, MM_REVEAL, RELAYED, ExecutedTx, Tx)
+                              COMMIT_MM, CP, MM_REVEAL, RELAYED, PendingTx, Tx)
 from fairtradex.auction import find_clearing_price
 from fairtradex.ledger import BURN_SINK, PROTOCOL_ACCOUNT, Ledger
 from fairtradex.membership import gen_secret, prove_membership, reg_id
@@ -40,8 +40,8 @@ start_supplies = ledger.supplies()
 
 seq = iter(range(1000))
 def deliver(tx, height=0, relayer=None):
-    return proto.handle(ExecutedTx(tx=tx, seq=next(seq), height=height,
-                                   submit_height=height, relayer=relayer))
+    entry = PendingTx(tx=tx, seq=next(seq), deadline=height, relayer=relayer)
+    return proto.handle(entry, height)
 
 # -- registration: deposit escrow + relay fee behind h(S || r) --------------
 secrets = {pid: gen_secret(i) for i, pid in enumerate(["buyer", "seller"], start=1)}

@@ -3,10 +3,12 @@
 The chain is a linear log (instant finality, no reorgs).  The entire
 adversary surface is the within-block ordering policy plus delay: a policy
 may reorder or withhold pending transactions, but anything reaching its
-deadline ``submit_height + t_eff`` is force-included that block.  Relayed
-transactions carry no sender; the relayer is picked round-robin from the
-registered relayer set when the transaction is queued, and recorded on the
-executed entry so the protocol layer can pay the relay fee.
+deadline, ``t_eff`` blocks after the height it was queued at, is
+force-included that block.  Relayed transactions carry no sender; the
+relayer is picked round-robin from the registered relayer set when the
+transaction is queued, and recorded on the queued entry so the protocol
+layer can pay the relay fee.  ``Chain.advance_block`` returns the entries
+it includes, unchanged; their block's height is ``Chain.height``.
 """
 
 from __future__ import annotations
@@ -47,23 +49,14 @@ class Tx:
 
 
 class PendingTx(NamedTuple):
-    """A queued transaction.  A tuple, so the ordering policy that reads it
-    cannot move its deadline or change its relayer; a ``_replace``d copy is
-    a different entry, which ``Chain.advance_block`` refuses."""
+    """A queued transaction, and the record of it once a block includes it.
+    A tuple, so the ordering policy that reads it cannot move its deadline
+    or change its relayer; a ``_replace``d copy is a different entry, which
+    ``Chain.advance_block`` refuses."""
 
     tx: Tx
     seq: int
-    submit_height: int
     deadline: int
-    relayer: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class ExecutedTx:
-    tx: Tx
-    seq: int
-    height: int
-    submit_height: int
     relayer: Optional[str] = None
 
 
@@ -120,8 +113,7 @@ class Chain:
     def _queue(self, tx: Tx, relayer: Optional[str]) -> PendingTx:
         if not isinstance(tx, Tx) or not tx.kind:
             raise MalformedTx(f"not a transaction: {tx!r}")
-        p = PendingTx(tx=tx, seq=self._seq, submit_height=self.height,
-                      deadline=self.height + self.t_eff, relayer=relayer)
+        p = PendingTx(tx=tx, seq=self._seq, deadline=self.height + self.t_eff, relayer=relayer)
         self._seq += 1
         self.pending.append(p)
         return p
@@ -145,18 +137,20 @@ class Chain:
         self._relay_cursor += 1
         return p
 
-    def advance_block(self) -> list[ExecutedTx]:
-        """Produce the next block and return its transactions in execution order.
+    def advance_block(self) -> list[PendingTx]:
+        """Produce the next block and return its pending entries in execution order.
 
         The ordering policy selects and orders from the pending set; any
         transaction at its deadline that the policy withheld is appended in
-        submission order (forced inclusion).  The policy reads a copy of
-        the pending list, so editing that list changes nothing, and each
-        entry is a tuple, so it cannot move a deadline.  It may
-        choose each pending entry at most once, matched by identity: a
-        repeated entry, or one that is not pending, raises ``InvalidBlock``
-        and leaves the height and the pending list as they were (draws the
-        policy made from the chain's rng stay drawn).
+        submission order (forced inclusion).  The entries are returned as
+        queued, not copied; the block's height is ``self.height`` once the
+        call returns.  The policy reads a copy of the pending list, so
+        editing that list changes nothing, and each entry is a tuple, so it
+        cannot move a deadline.  It may choose each pending entry at most
+        once, matched by identity: a repeated entry, or one that is not
+        pending, raises ``InvalidBlock`` and leaves the height and the
+        pending list as they were (draws the policy made from the chain's
+        rng stay drawn).
         """
         height = self.height + 1
         chosen = list(self.policy(list(self.pending), height, self._rng))
@@ -170,7 +164,4 @@ class Chain:
             raise InvalidBlock("the ordering policy repeated a transaction or invented one")
         self.height = height
         self.pending = waiting
-        block = chosen + sorted(forced, key=lambda p: p.seq)
-        return [ExecutedTx(tx=p.tx, seq=p.seq, height=height,
-                           submit_height=p.submit_height, relayer=p.relayer)
-                for p in block]
+        return chosen + sorted(forced, key=lambda p: p.seq)

@@ -1,10 +1,10 @@
 """Commit-reveal auction protocol: phases, escrows, blacklisting, resolution.
 
 One instance runs a single token pair and proceeds in rounds of Commit,
-Reveal and Resolution phases.  Handlers are driven by executed chain
-transactions; they are total: every guard failure is a recorded no-op, never
-an exception.  Phase deadlines are evaluated at block end via
-``on_block_end``.
+Reveal and Resolution phases.  ``handle`` runs one chain entry at the
+height of the block that included it; the handlers are total: every guard
+failure is a recorded no-op, never an exception.  Phase deadlines are
+evaluated at block end via ``on_block_end``.
 
 ``_KINDS`` is the single statement of each transaction kind's contract: its
 payload type, whether a relayer must carry it, the phase it is valid in and
@@ -35,7 +35,7 @@ from . import membership
 from .auction import (AuctionBook, Fill, filter_by_width, round_book, select_tight_market,
                       settle, verify_clearing_price)
 from .chain import (CLIENT_REGISTER, CLIENT_REVEAL, COMMIT_CLIENT, COMMIT_MM,
-                    CP, MM_REVEAL, ExecutedTx, Tx)
+                    CP, MM_REVEAL, PendingTx, Tx)
 from .ledger import PROTOCOL_ACCOUNT, Ledger
 from .membership import MembershipProof, h, is_digest
 from .serialize import price_to_json, width_to_json
@@ -213,22 +213,23 @@ class Protocol:
 
     # -- message handlers ----------------------------------------------------
 
-    def handle(self, etx: ExecutedTx) -> dict:
-        """Enforce the kind's ``_KINDS`` row, then run its handler."""
-        row = _KINDS.get(etx.tx.kind)
+    def handle(self, entry: PendingTx, height: int) -> dict:
+        """Enforce the kind's ``_KINDS`` row, then run its handler on ``entry``,
+        included in the block at ``height``."""
+        row = _KINDS.get(entry.tx.kind)
         if row is None:
             return {"applied": False, "reason": "unknown-kind"}
-        p = etx.tx.payload
+        p = entry.tx.payload
         if not isinstance(p, row.payload) or not well_formed(p):
             return {"applied": False, "reason": "malformed"}
-        if row.relayed and etx.relayer is None:
+        if row.relayed and entry.relayer is None:
             return {"applied": False, "reason": "not-relayed"}
         if row.phase is not None and self.phase is not row.phase:
             return {"applied": False, "reason": "phase"}
-        return row.handler(self, p, etx)
+        return row.handler(self, p, entry, height)
 
-    def _handle_register(self, p: RegisterPayload, etx: ExecutedTx) -> dict:
-        sender = etx.tx.sender
+    def _handle_register(self, p: RegisterPayload, entry: PendingTx, height: int) -> dict:
+        sender = entry.tx.sender
         need = self.params.e_client + self.params.f_r
         if not self.ledger.balance(sender, TOKEN_REF) > need:
             return {"applied": False, "reason": "insufficient-balance"}
@@ -238,7 +239,7 @@ class Protocol:
         return {"applied": True, "registrations": len(self.clients),
                 "duplicate_reg_id": duplicate}
 
-    def _handle_commit_client(self, p: ClientCommitPayload, etx: ExecutedTx) -> dict:
+    def _handle_commit_client(self, p: ClientCommitPayload, entry: PendingTx, height: int) -> dict:
         authentic = self._authentic.pop(p, None)
         # during COMMIT entries are only added, each under a fresh serial
         if not (len(self.client_commits) + 1) * self.params.e_client <= self.params.q_not:
@@ -249,12 +250,12 @@ class Protocol:
         if reason is not None:
             return {"applied": False, "reason": reason}
         self.client_commits[p.serial] = p.com
-        self.ledger.transfer(PROTOCOL_ACCOUNT, etx.relayer, TOKEN_REF, self.params.f_r)
-        return {"applied": True, "relayer": etx.relayer,
+        self.ledger.transfer(PROTOCOL_ACCOUNT, entry.relayer, TOKEN_REF, self.params.f_r)
+        return {"applied": True, "relayer": entry.relayer,
                 "client_commits": len(self.client_commits)}
 
-    def _handle_commit_mm(self, p: MMCommitPayload, etx: ExecutedTx) -> dict:
-        sender = etx.tx.sender
+    def _handle_commit_mm(self, p: MMCommitPayload, entry: PendingTx, height: int) -> dict:
+        sender = entry.tx.sender
         if sender in self.mm_commits:
             return {"applied": False, "reason": "one-market-per-player"}
         if not self.ledger.balance(sender, TOKEN_REF) > self.params.e_mm:
@@ -276,8 +277,8 @@ class Protocol:
             return self.params.atoms_floor(self.params.e_client, price)
         return None
 
-    def _handle_reveal_client(self, p: ClientRevealPayload, etx: ExecutedTx) -> dict:
-        sender = etx.tx.sender
+    def _handle_reveal_client(self, p: ClientRevealPayload, entry: PendingTx, height: int) -> dict:
+        sender = entry.tx.sender
         if p.serial not in self.client_commits:
             return {"applied": False, "reason": "unknown-serial"}
         if h(p.serial, p.randomness) != p.reg_id:
@@ -330,8 +331,8 @@ class Protocol:
             return False
         return atoms(qn, market.offer) <= market.size_offer <= self.ledger.balance(player, TOKEN_B)
 
-    def _handle_reveal_mm(self, p: MMRevealPayload, etx: ExecutedTx) -> dict:
-        sender = etx.tx.sender
+    def _handle_reveal_mm(self, p: MMRevealPayload, entry: PendingTx, height: int) -> dict:
+        sender = entry.tx.sender
         if sender not in self.mm_commits:
             return {"applied": False, "reason": "no-commitment"}
         if mm_commitment(p.market) != self.mm_commits[sender]:
@@ -421,13 +422,13 @@ class Protocol:
 
     # -- resolution ----------------------------------------------------------
 
-    def _handle_cp(self, p: CpPayload, etx: ExecutedTx) -> dict:
+    def _handle_cp(self, p: CpPayload, entry: PendingTx, height: int) -> dict:
         """Verify a proposed clearing price against ``book``; if valid, settle it.
 
         Settlement refunds each ``width_removed`` order in full; the report
         has one row per order, sorted by oid.  Then the next round opens.
         """
-        sender = etx.tx.sender
+        sender = entry.tx.sender
         if not self.ledger.balance(sender, TOKEN_REF) > self.params.res_bounty:
             return {"applied": False, "reason": "insufficient-balance"}
         self.ledger.transfer(sender, PROTOCOL_ACCOUNT, TOKEN_REF, self.params.res_bounty)
@@ -470,7 +471,7 @@ class Protocol:
         self._open_round()
         self.round += 1
         self.phase = Phase.COMMIT
-        self.last_phase_change = etx.height
+        self.last_phase_change = height
         return {"applied": True, "cp": result.cp,
                 "volume_b": result.volume_settled_b, "round_closed": self.round - 1}
 
@@ -480,7 +481,7 @@ class _Kind(NamedTuple):
     payload: type
     relayed: bool               # a relayer must carry it
     phase: Optional[Phase]      # the phase it is valid in; None for any
-    handler: Callable[[Protocol, Any, ExecutedTx], dict]
+    handler: Callable[[Protocol, Any, PendingTx, int], dict]
 
 
 _KINDS: dict[str, _Kind] = {

@@ -20,7 +20,7 @@ from typing import Any, NoReturn, Optional, Union
 from .auction import filter_by_width, find_clearing_price
 from .chain import (CLIENT_REGISTER, CLIENT_REVEAL, COMMIT_CLIENT, COMMIT_MM,
                     CP, MM_REVEAL, ORDERING_POLICIES, RELAYED, Chain,
-                    ExecutedTx, InvalidProof, Tx)
+                    InvalidProof, PendingTx, Tx)
 from .ledger import PROTOCOL_ACCOUNT, Ledger
 from .membership import gen_secret, h, prove_membership, serialize_proof
 from .protocol import (ClientCommitPayload, ClientRevealPayload, CpPayload,
@@ -474,13 +474,13 @@ class Runner:
 
     # -- block loop -----------------------------------------------------------
 
-    def _record(self, etx: ExecutedTx, effects: dict) -> None:
+    def _record(self, entry: PendingTx, effects: dict) -> None:
         # handle checked the payload, unless it rejected it for failing the check
         checked = effects.get("reason") not in ("malformed", "unknown-kind")
-        digest = h(payload_text(etx.tx.payload, checked).encode())[:8].hex()
+        digest = h(payload_text(entry.tx.payload, checked).encode())[:8].hex()
         self.trace.append({
-            "height": etx.height, "seq": etx.seq, "kind": etx.tx.kind,
-            "sender": etx.tx.sender, "relayer": etx.relayer,
+            "height": self.chain.height, "seq": entry.seq, "kind": entry.tx.kind,
+            "sender": entry.tx.sender, "relayer": entry.relayer,
             "digest": digest, "effects": effects,
         })
 
@@ -503,9 +503,9 @@ class Runner:
 
     def _step_block(self) -> None:
         self._act()
-        for etx in self.chain.advance_block():
-            effects = self.protocol.handle(etx)
-            self._record(etx, effects)
+        for entry in self.chain.advance_block():
+            effects = self.protocol.handle(entry, self.chain.height)
+            self._record(entry, effects)
         if self.protocol.phase is not None:
             events = self.protocol.on_block_end(self.chain.height)
             for ev in events:

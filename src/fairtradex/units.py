@@ -44,7 +44,8 @@ def check_price(ticks: int) -> int:
 
 
 class _AnyWidth:
-    """Width sentinel that compares greater than every numeric width."""
+    """Width sentinel: the order accepts any market width.  It has no order
+    against numeric widths; test for it with ``is ANY``."""
 
     _instance = None
 
@@ -61,18 +62,6 @@ class _AnyWidth:
 
     def __hash__(self):
         return hash("ANY_WIDTH")
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
 
 
 ANY = _AnyWidth()

@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from fairtradex.auction import AuctionBook, candidate_prices, score_at
-from fairtradex.chain import ExecutedTx, Tx
+from fairtradex.chain import PendingTx, Tx
 from fairtradex.ledger import Ledger
 from fairtradex.membership import serialize_proof
 from fairtradex.protocol import (ClientCommitPayload, ClientRevealPayload, MMCommitPayload,
@@ -220,7 +220,7 @@ def fund(ledger: Ledger, player: str, ref=0, a=0, b=0) -> None:
 _SEQ = iter(range(10**9))
 
 
-def etx(tx: Tx, height: int = 1, relayer=None) -> ExecutedTx:
-    """Fabricate an executed-transaction record for direct handler tests."""
-    return ExecutedTx(tx=tx, seq=next(_SEQ), height=height,
-                      submit_height=height - 1, relayer=relayer)
+def etx(tx: Tx, height: int = 1, relayer=None) -> tuple[PendingTx, int]:
+    """Fabricate a chain entry included at ``height``, as ``(entry, height)``,
+    for direct handler tests: ``proto.handle(*etx(tx))``."""
+    return PendingTx(tx=tx, seq=next(_SEQ), deadline=height, relayer=relayer), height

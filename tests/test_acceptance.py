@@ -99,7 +99,7 @@ def _fuzz_one_round(rng: random.Random) -> tuple[int, bool]:
         fund(ledger, pid, ref=(2 * (params.e_client + params.f_r)) if rich else 1,
              a=rng.randint(0, 3_000), b=rng.randint(0, 60))
         clients.append((pid, secret))
-        proto.handle(etx(Tx(kind=CLIENT_REGISTER, sender=pid,
+        proto.handle(*etx(Tx(kind=CLIENT_REGISTER, sender=pid,
                             payload=RegisterPayload(reg_id(secret))), height=0))
     mms = []
     for i in range(n_mms):
@@ -128,7 +128,7 @@ def _fuzz_one_round(rng: random.Random) -> tuple[int, bool]:
                      Fraction(121, 100))
         com = client_commitment(*order)
         proof = prove_membership(secret, proto.clients, com)
-        eff = proto.handle(etx(Tx(kind=COMMIT_CLIENT, sender=RELAYED,
+        eff = proto.handle(*etx(Tx(kind=COMMIT_CLIENT, sender=RELAYED,
                                   payload=ClientCommitPayload(com, secret.s, proof)),
                                height=0, relayer="relay"))
         calls += 1
@@ -144,7 +144,7 @@ def _fuzz_one_round(rng: random.Random) -> tuple[int, bool]:
         thin = rng.random() < 0.15
         m = Market(bid=bid, size_bid=10 if thin else 25_000,
                    offer=offer, size_offer=1 if thin else 300)
-        eff = proto.handle(etx(Tx(kind=COMMIT_MM, sender=pid,
+        eff = proto.handle(*etx(Tx(kind=COMMIT_MM, sender=pid,
                                   payload=MMCommitPayload(mm_commitment(m))), height=0))
         calls += 1
         check()
@@ -164,7 +164,7 @@ def _fuzz_one_round(rng: random.Random) -> tuple[int, bool]:
             tkn=tkn, size=size + (1 if mutate else 0), price=price, width=width,
             serial=secret.s, randomness=secret.r, reg_id=reg_id(secret),
             reg_token_new=None)
-        proto.handle(etx(Tx(kind=CLIENT_REVEAL, sender=pid, payload=payload),
+        proto.handle(*etx(Tx(kind=CLIENT_REVEAL, sender=pid, payload=payload),
                          height=params.t_eff))
         calls += 1
         check()
@@ -175,7 +175,7 @@ def _fuzz_one_round(rng: random.Random) -> tuple[int, bool]:
         wrong = action < 0.4
         reveal = MMRevealPayload(Market(m.bid, m.size_bid + 1, m.offer, m.size_offer)
                                  if wrong else m)
-        proto.handle(etx(Tx(kind=MM_REVEAL, sender=pid, payload=reveal),
+        proto.handle(*etx(Tx(kind=MM_REVEAL, sender=pid, payload=reveal),
                          height=params.t_eff))
         calls += 1
         check()
@@ -188,13 +188,13 @@ def _fuzz_one_round(rng: random.Random) -> tuple[int, bool]:
         cand = find_clearing_price(proto.book)
         if cand is not None and rng.random() < 0.5:
             bogus = CpPayload(cand.cp, cand.volume_a + 1, cand.imbalance_a)
-            proto.handle(etx(Tx(kind=CP, sender="liar", payload=bogus),
+            proto.handle(*etx(Tx(kind=CP, sender="liar", payload=bogus),
                              height=2 * params.t_eff))
             calls += 1
             check()
         if cand is not None:
             good = CpPayload(cand.cp, cand.volume_a, cand.imbalance_a)
-            eff = proto.handle(etx(Tx(kind=CP, sender="hunter", payload=good),
+            eff = proto.handle(*etx(Tx(kind=CP, sender="hunter", payload=good),
                                    height=2 * params.t_eff))
             calls += 1
             check()
@@ -230,7 +230,7 @@ def _escrow_case(client_reveals: tuple[bool, bool], mm_reveals: tuple[bool, bool
     for i in range(2):
         pid = f"c{i}"
         secrets[pid] = gen_secret(i + 1)
-        proto.handle(etx(Tx(kind=CLIENT_REGISTER, sender=pid,
+        proto.handle(*etx(Tx(kind=CLIENT_REGISTER, sender=pid,
                             payload=RegisterPayload(reg_id(secrets[pid]))), height=0))
     m = Market(bid=108, size_bid=25_000, offer=112, size_offer=200)
     proto.initialise(0)
@@ -239,11 +239,11 @@ def _escrow_case(client_reveals: tuple[bool, bool], mm_reveals: tuple[bool, bool
         pid = f"c{i}"
         com = client_commitment(*orders[pid])
         proof = prove_membership(secrets[pid], proto.clients, com)
-        assert proto.handle(etx(Tx(kind=COMMIT_CLIENT, sender=RELAYED,
+        assert proto.handle(*etx(Tx(kind=COMMIT_CLIENT, sender=RELAYED,
                                    payload=ClientCommitPayload(com, secrets[pid].s, proof)),
                                 height=0, relayer="relay"))["applied"]
     for i in range(2):
-        assert proto.handle(etx(Tx(kind=COMMIT_MM, sender=f"m{i}",
+        assert proto.handle(*etx(Tx(kind=COMMIT_MM, sender=f"m{i}",
                                    payload=MMCommitPayload(mm_commitment(m))),
                                 height=0))["applied"]
     proto.on_block_end(1)
@@ -252,7 +252,7 @@ def _escrow_case(client_reveals: tuple[bool, bool], mm_reveals: tuple[bool, bool
         if not reveals:
             continue
         tkn, size, price, width = orders[pid]
-        assert proto.handle(etx(Tx(kind=CLIENT_REVEAL, sender=pid,
+        assert proto.handle(*etx(Tx(kind=CLIENT_REVEAL, sender=pid,
                                    payload=ClientRevealPayload(
                                        tkn=tkn, size=size, price=price, width=width,
                                        serial=secrets[pid].s, randomness=secrets[pid].r,
@@ -261,7 +261,7 @@ def _escrow_case(client_reveals: tuple[bool, bool], mm_reveals: tuple[bool, bool
     for i, reveals in enumerate(mm_reveals):
         if not reveals:
             continue
-        assert proto.handle(etx(Tx(kind=MM_REVEAL, sender=f"m{i}",
+        assert proto.handle(*etx(Tx(kind=MM_REVEAL, sender=f"m{i}",
                                    payload=MMRevealPayload(m)), height=1))["applied"]
     proto.on_block_end(2)
     assert proto.phase is Phase.RESOLUTION
@@ -399,12 +399,12 @@ def test_criterion_8_inclusion_bound_all_policies():
             for _ in range(150):
                 for _ in range(rng.randint(0, 3)):
                     p = chain.submit(Tx(kind=NOOP, payload=len(submitted), sender="p"))
-                    submitted[p.seq] = p.submit_height
+                    submitted[p.seq] = chain.height
                 for e in chain.advance_block():
-                    landed[e.seq] = e.height
+                    landed[e.seq] = chain.height
             while chain.pending:
                 for e in chain.advance_block():
-                    landed[e.seq] = e.height
+                    landed[e.seq] = chain.height
             assert landed.keys() == submitted.keys()
             for seq, h0 in submitted.items():
                 assert landed[seq] <= h0 + params.t_eff, (name, t_blocks, alpha)

@@ -84,15 +84,18 @@ class TestWidthFilter:
 
     @staticmethod
     def check_partition(w_tight, orders):
-        """Kept and removed orders, in book order, against ``width_req >= w_tight``."""
+        """Kept and removed orders, in book order, against ``width_req >= w_tight``
+        (an ANY width is always kept)."""
         b = book_of([buy(i, 5, MKT, width=w) for i, (is_buy, w) in enumerate(orders) if is_buy],
                     [sell(i, 5, MKT, width=w) for i, (is_buy, w) in enumerate(orders)
                      if not is_buy], w_tight=w_tight)
         kept, removed = filter_by_width(b)
-        assert kept.buy_orders == tuple(o for o in b.buy_orders if o.width_req >= w_tight)
-        assert kept.sell_orders == tuple(o for o in b.sell_orders if o.width_req >= w_tight)
-        assert removed == [o for o in (*b.buy_orders, *b.sell_orders)
-                           if not o.width_req >= w_tight]
+
+        def keeps(o):
+            return o.width_req is ANY or o.width_req >= w_tight
+        assert kept.buy_orders == tuple(o for o in b.buy_orders if keeps(o))
+        assert kept.sell_orders == tuple(o for o in b.sell_orders if keeps(o))
+        assert removed == [o for o in (*b.buy_orders, *b.sell_orders) if not keeps(o)]
         assert kept.w_tight is w_tight
 
     @given(data=st.data())

@@ -22,12 +22,12 @@ class TestInclusionBound:
         for step in range(120):
             for _ in range(rng.randint(0, 3)):
                 p = chain.submit(noop(len(submitted)))
-                submitted[p.seq] = p.submit_height
-            for etx in chain.advance_block():
-                landed[etx.seq] = etx.height
+                submitted[p.seq] = chain.height
+            for entry in chain.advance_block():
+                landed[entry.seq] = chain.height
         while chain.pending:
-            for etx in chain.advance_block():
-                landed[etx.seq] = etx.height
+            for entry in chain.advance_block():
+                landed[entry.seq] = chain.height
         assert landed.keys() == submitted.keys()
         for seq, h0 in submitted.items():
             assert h0 < landed[seq] <= h0 + t_eff
@@ -38,11 +38,11 @@ class TestInclusionBound:
         for _ in range(5):
             chain.advance_block()
         p = chain.submit(noop(0))
-        assert p.submit_height == 5
+        assert p.deadline == 9
         heights = {}
         for _ in range(6):
-            for etx in chain.advance_block():
-                heights[etx.seq] = etx.height
+            for entry in chain.advance_block():
+                heights[entry.seq] = chain.height
         assert heights[p.seq] == 9
 
 
@@ -67,9 +67,18 @@ class TestOrdering:
             for _ in range(30):
                 for _ in range(rng.randint(0, 3)):
                     chain.submit(noop(len(trace)))
-                trace.extend((e.seq, e.height) for e in chain.advance_block())
+                block = chain.advance_block()
+                trace.extend((e.seq, chain.height) for e in block)
             return trace
         assert run() == run()
+
+    def test_a_chain_built_without_a_seed_orders_as_seed_zero(self):
+        def order(**seed):
+            chain = Chain(t_eff=2, policy=ORDERING_POLICIES["random"], **seed)
+            for i in range(8):
+                chain.submit(noop(i))
+            return [e.seq for e in chain.advance_block()]
+        assert order() == order(seed=0) != order(seed=1)
 
 
 class TestBlockProducer:
@@ -91,7 +100,7 @@ class TestBlockProducer:
         # the invented entry reuses a pending seq, so only identity tells them apart
         def invent(pending, height, rng):
             tx = Tx(kind=CP, payload=None, sender="producer")
-            return [*pending, PendingTx(tx=tx, seq=0, submit_height=0, deadline=height)]
+            return [*pending, PendingTx(tx=tx, seq=0, deadline=height)]
         self.refused(invent)
 
     def test_policy_cannot_run_an_edited_copy_of_a_transaction(self):

@@ -53,7 +53,7 @@ class World:
              a=a, b=b)
 
     def register(self, pid):
-        return self.proto.handle(etx(Tx(kind=CLIENT_REGISTER, sender=pid,
+        return self.proto.handle(*etx(Tx(kind=CLIENT_REGISTER, sender=pid,
                                         payload=RegisterPayload(reg_id(self.secrets[pid]))),
                                      height=self.height))
 
@@ -70,7 +70,7 @@ class World:
 
     def commit_client(self, pid, order, relayer="relay1"):
         """Execute ``pid``'s commit directly, without the relayer dry run."""
-        return self.proto.handle(etx(self.commit_tx(pid, order), height=self.height,
+        return self.proto.handle(*etx(self.commit_tx(pid, order), height=self.height,
                                      relayer=relayer))
 
     def relay_commit(self, *txs, relayer="relay1"):
@@ -80,12 +80,12 @@ class World:
         order.  Returns their effects, None where relayers dropped the tx.
         """
         carried = [self.proto.commit_looks_valid(tx) for tx in txs]
-        return [self.proto.handle(etx(tx, height=self.height, relayer=relayer)) if ok else None
+        return [self.proto.handle(*etx(tx, height=self.height, relayer=relayer)) if ok else None
                 for tx, ok in zip(txs, carried)]
 
     def commit_mm(self, pid, market):
         tx = Tx(kind=COMMIT_MM, sender=pid, payload=MMCommitPayload(mm_commitment(market)))
-        return self.proto.handle(etx(tx, height=self.height))
+        return self.proto.handle(*etx(tx, height=self.height))
 
     def reveal_client(self, pid, order, reg_token_new=None, **overrides):
         tkn, size, price, width = order
@@ -94,11 +94,11 @@ class World:
             price=overrides.get("price", price), width=overrides.get("width", width),
             serial=self.secrets[pid].s, randomness=self.secrets[pid].r,
             reg_id=reg_id(self.secrets[pid]), reg_token_new=reg_token_new)
-        return self.proto.handle(etx(Tx(kind=CLIENT_REVEAL, sender=pid, payload=payload),
+        return self.proto.handle(*etx(Tx(kind=CLIENT_REVEAL, sender=pid, payload=payload),
                                      height=self.height))
 
     def reveal_mm(self, pid, market):
-        return self.proto.handle(etx(Tx(kind=MM_REVEAL, sender=pid,
+        return self.proto.handle(*etx(Tx(kind=MM_REVEAL, sender=pid,
                                         payload=MMRevealPayload(market)),
                                      height=self.height))
 
@@ -109,7 +109,7 @@ class World:
         assert cand is not None, "no crossable liquidity in test book"
         payload = CpPayload(cp=cand.cp, volume_a=cand.volume_a,
                             imbalance_a=cand.imbalance_a)
-        return self.proto.handle(etx(Tx(kind=CP, sender=pid, payload=payload),
+        return self.proto.handle(*etx(Tx(kind=CP, sender=pid, payload=payload),
                                      height=self.height))
 
     def next_phase(self):
@@ -265,12 +265,33 @@ class TestCommitClient:
         forged = Tx(kind=COMMIT_CLIENT, sender=RELAYED,
                     payload=replace(honest.payload, serial=b"\x07" * 32))
         assert w.proto.commit_looks_valid(forged) is False
-        eff = w.proto.handle(etx(forged, height=w.height, relayer="relay1"))
+        eff = w.proto.handle(*etx(forged, height=w.height, relayer="relay1"))
         assert eff == {"applied": False, "reason": "bad-proof"}
         assert not w.proto.client_commits
         # the proof's own serial was not consumed: c1 still commits under it
         assert w.relay_commit(honest)[0]["applied"]
         assert set(w.proto.client_commits) == {w.secrets["c1"].s}
+
+    def test_commit_into_a_protocol_without_registrations(self, monkeypatch):
+        """A well-formed commit proved against another protocol's registry:
+        the relayers' dry run and the handler both refuse it as
+        no-registrations, and nothing moves."""
+        tx = self.setup_world().commit_tx("c1", MKT_BUY)
+        w = World()
+        w.start()
+        reasons, real = [], Protocol._proof_rejects
+
+        def spy(self, p, authentic, record):
+            reasons.append(real(self, p, authentic, record))
+            return reasons[-1]
+        monkeypatch.setattr(Protocol, "_proof_rejects", spy)
+        snap = w.ledger.snapshot()
+        assert w.proto.commit_looks_valid(tx) is False
+        eff = w.proto.handle(*etx(tx, height=w.height, relayer="relay1"))
+        assert eff == {"applied": False, "reason": "no-registrations"}
+        assert reasons == ["no-registrations"] * 2
+        assert w.ledger.snapshot() == snap
+        assert not w.proto.client_commits and not w.proto.nullifiers
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -313,7 +334,7 @@ class TestProofVerdictReuse:
         tx = w.commit_tx("c1", MKT_BUY)
         assert w.proto.commit_looks_valid(tx)
         assert w.register("c6")["applied"]
-        eff = w.proto.handle(etx(tx, height=w.height, relayer="relay1"))
+        eff = w.proto.handle(*etx(tx, height=w.height, relayer="relay1"))
         assert eff == {"applied": False, "reason": "bad-proof"}
         # the serial was not consumed: proved against the new root, it commits
         assert w.relay_commit(w.commit_tx("c1", MKT_BUY))[0]["applied"]
@@ -441,9 +462,9 @@ class TestTraceCodec:
     def test_every_bad_payload_gets_the_repr_digest(self):
         runner = Runner(json.loads((SCENARIOS / "two_mm_competition.json").read_text()))
         for kind, payload in BAD_PAYLOADS:
-            effects = runner.protocol.handle(etx(Tx(kind=kind, sender="c1", payload=payload)))
+            effects = runner.protocol.handle(*etx(Tx(kind=kind, sender="c1", payload=payload)))
             assert effects["reason"] == "malformed"
-            runner._record(etx(Tx(kind=kind, sender="c1", payload=payload)), effects)
+            runner._record(etx(Tx(kind=kind, sender="c1", payload=payload))[0], effects)
             assert runner.trace[-1]["digest"] == repr_digest(payload), payload
 
     def test_well_formed_payload_under_another_kind_keeps_its_text(self):
@@ -454,10 +475,10 @@ class TestTraceCodec:
         w.start()
         payload = w.commit_tx("c1", MKT_BUY).payload
         runner = Runner(json.loads((SCENARIOS / "two_mm_competition.json").read_text()))
-        tx = etx(Tx(kind=MM_REVEAL, sender="m1", payload=payload))
-        effects = runner.protocol.handle(tx)
+        entry, height = etx(Tx(kind=MM_REVEAL, sender="m1", payload=payload))
+        effects = runner.protocol.handle(entry, height)
         assert effects == {"applied": False, "reason": "malformed"}
-        runner._record(tx, effects)
+        runner._record(entry, effects)
         assert runner.trace[-1]["digest"] == trace_digest(
             dumps_canonical(payload_to_json(payload)))
 
@@ -499,11 +520,11 @@ class TestPayloadCheckCount:
         runner = Runner(json.loads((SCENARIOS / "two_mm_competition.json").read_text()))
         bad = RegisterPayload(reg_id=b"short")
         for kind, reason in ((CLIENT_REGISTER, "malformed"), ("garbage", "unknown-kind")):
-            tx = etx(Tx(kind=kind, sender="c1", payload=bad))
-            effects = runner.protocol.handle(tx)
+            entry, height = etx(Tx(kind=kind, sender="c1", payload=bad))
+            effects = runner.protocol.handle(entry, height)
             assert effects == {"applied": False, "reason": reason}
             calls = count_checks(monkeypatch)
-            runner._record(tx, effects)
+            runner._record(entry, effects)
             assert calls == Counter({RegisterPayload: 1})
             assert runner.trace[-1]["digest"] == repr_digest(bad)
 
@@ -645,6 +666,22 @@ class TestRevealClient:
         assert w.ledger.balance("c1", TOKEN_REF) == w.params.f_r + w.params.e_client
         assert len(w.proto.clients) == 0
 
+    def test_randomness_that_does_not_open_the_reg_id_is_rejected(self):
+        w = self.setup_committed()
+        secret = w.secrets["c1"]
+        tkn, size, price, width = MKT_BUY
+        payload = ClientRevealPayload(tkn=tkn, size=size, price=price, width=width,
+                                      serial=secret.s,
+                                      randomness=bytes([secret.r[0] ^ 1]) + secret.r[1:],
+                                      reg_id=reg_id(secret))
+        snap = w.ledger.snapshot()
+        eff = w.proto.handle(*etx(Tx(kind=CLIENT_REVEAL, sender="c1", payload=payload),
+                                  height=w.height))
+        assert eff == {"applied": False, "reason": "reg-id-mismatch"}
+        assert w.ledger.snapshot() == snap and not w.proto.revealed_buys
+        # the commit still stands: the honest opening reveals it
+        assert w.reveal_client("c1", MKT_BUY)["applied"]
+
     def test_double_reveal_rejected(self):
         w = self.setup_committed()
         assert w.reveal_client("c1", MKT_BUY)["applied"]
@@ -780,6 +817,38 @@ class TestEndRevealPhase:
         assert w.secrets["c2"].s in w.proto.blacklisted
         assert w.ledger.balance(BURN_SINK, TOKEN_REF) == w.params.e_client
 
+    def test_quote_that_lapses_before_the_window_closes_is_burned(self):
+        """m1 quotes and also sells A as a client.  Its quote passes the
+        liquidity check when revealed; its client sale then takes its A below
+        the bid leg, so the window's close burns its escrow and no tight
+        market is picked."""
+        w = World()
+        m = spanning_market(w)
+        w.add_client("m1", 1)
+        w.add_mm("m1", a=m.size_bid, b=m.size_offer)
+        w.register("m1")
+        w.start()
+        assert w.commit_client("m1", MKT_BUY)["applied"]
+        assert w.commit_mm("m1", m)["applied"]
+        w.next_phase()
+        assert w.reveal_mm("m1", m)["applied"]
+        assert w.reveal_client("m1", MKT_BUY)["applied"]
+        assert w.ledger.balance("m1", TOKEN_A) == m.size_bid - MKT_BUY[1]
+        ref, supplies = w.ledger.balance("m1", TOKEN_REF), w.supplies()
+        w.next_phase()  # reveal deadline
+        assert w.proto.phase is Phase.RESOLUTION
+        assert w.proto._round_burned == [{"player": "m1", "token": TOKEN_REF,
+                                          "amount": w.params.e_mm,
+                                          "reason": "mm-liquidity-lapsed"}]
+        assert w.ledger.balance(BURN_SINK, TOKEN_REF) == w.params.e_mm
+        assert w.ledger.balance("m1", TOKEN_REF) == ref
+        assert w.proto.tight_market is None and w.proto.book.w_tight is ANY
+        # the lapsed quote put no leg in the book and moved no A or B
+        assert [o.owner for o in w.proto.book.buy_orders] == ["m1"]
+        assert not w.proto.book.sell_orders
+        assert w.ledger.balance("m1", TOKEN_A) == m.size_bid - MKT_BUY[1]
+        assert w.supplies() == supplies
+
     def test_tight_market_implicit_orders(self):
         w = World()
         w.add_mm("m1")
@@ -841,7 +910,7 @@ class TestResolution:
         bogus = CpPayload(cp=cand.cp, volume_a=cand.volume_a + 1,
                           imbalance_a=cand.imbalance_a)
         before = w.ledger.balance("liar", TOKEN_REF)
-        eff = w.proto.handle(etx(Tx(kind=CP, sender="liar", payload=bogus),
+        eff = w.proto.handle(*etx(Tx(kind=CP, sender="liar", payload=bogus),
                                  height=w.height))
         assert not eff["applied"] and eff["deposit_lost"]
         assert w.ledger.balance("liar", TOKEN_REF) == before - w.params.res_bounty
@@ -856,7 +925,7 @@ class TestResolution:
         w.start()
         fund(w.ledger, "hunter", ref=10 * w.params.res_bounty)
         payload = CpPayload(cp=100, volume_a=1, imbalance_a=0)
-        eff = w.proto.handle(etx(Tx(kind=CP, sender="hunter", payload=payload),
+        eff = w.proto.handle(*etx(Tx(kind=CP, sender="hunter", payload=payload),
                                  height=w.height))
         assert not eff["applied"] and eff["reason"] == "phase"
 
@@ -975,7 +1044,7 @@ class TestPhaseGuardTotality:
             for kind in kinds:
                 w = self.world_in_phase(phase)
                 tx = Tx(kind=kind, sender="c1", payload={"junk": True})
-                eff = w.proto.handle(etx(tx, height=w.height))
+                eff = w.proto.handle(*etx(tx, height=w.height))
                 reason = "unknown-kind" if kind == "garbage" else "malformed"
                 assert eff == {"applied": False, "reason": reason}, (phase, kind)
 
@@ -983,7 +1052,7 @@ class TestPhaseGuardTotality:
         for phase in PHASES:
             for kind, payload in BAD_PAYLOADS:
                 w = self.world_in_phase(phase)
-                eff = w.proto.handle(etx(Tx(kind=kind, sender="c1", payload=payload),
+                eff = w.proto.handle(*etx(Tx(kind=kind, sender="c1", payload=payload),
                                          height=w.height))
                 assert eff == {"applied": False, "reason": "malformed"}, (phase, kind, payload)
 
@@ -1003,7 +1072,7 @@ class TestPhaseGuardTotality:
                 payload = ClientCommitPayload(com=_Z, serial=_Z, proof=proof)
                 tx = Tx(kind=COMMIT_CLIENT, sender=RELAYED, payload=payload)
                 assert w.proto.commit_looks_valid(tx) is False, (phase, path)
-                eff = w.proto.handle(etx(tx, height=w.height, relayer="relay1"))
+                eff = w.proto.handle(*etx(tx, height=w.height, relayer="relay1"))
                 assert eff == {"applied": False, "reason": "malformed"}, (phase, path)
                 assert payload_text(payload) == dumps_canonical({"repr": repr(payload)})
 
