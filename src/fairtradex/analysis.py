@@ -11,14 +11,15 @@ settlement.  Quoter profit follows the two-leg expectation
 whose argmax over the reference price p sits at the fair price y for any
 fixed width, and which vanishes at (p=y, w=1, d=1).
 
-numpy is imported only by the two-quoter Monte Carlo check, which samples
-client flow with it; importing this module (as the CLI does for
-``cost_table``) or running the one-quoter check does not load it.
+Only the standard library is used.  The two-quoter Monte Carlo check
+draws its client flow with ``random.Random`` and reduces the drawn paths
+to one count per flow pattern before computing any statistic.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -445,6 +446,16 @@ class _EngineGame:
         return tuple(contributions)
 
 
+def _pattern_counts(seed: int, paths: int, n_clients: int) -> list[int]:
+    """How many of ``paths`` drawn paths take each of the 2^n_clients client
+    flow patterns, indexed by pattern number (at most 8 clients).  Path k is
+    byte k of ``random.Random(seed).randbytes(paths)``, and its low
+    ``n_clients`` bits are its pattern: bit i is set when client i buys."""
+    mask = (1 << n_clients) - 1
+    drawn = random.Random(seed).randbytes(paths).translate(bytes(b & mask for b in range(256)))
+    return [drawn.count(pattern) for pattern in range(mask + 1)]
+
+
 def _best_response_monte_carlo(profile: StrategyProfile, grid: DeviationGrid,
                                y: int, f_mcf: Fraction, paths: int,
                                seed: int) -> BestResponseReport:
@@ -453,13 +464,15 @@ def _best_response_monte_carlo(profile: StrategyProfile, grid: DeviationGrid,
     One ``_EngineGame`` serves the whole check, so on the default grid its
     89 profiles build 15 outcome tables, 97 book clears (of the tables'
     240 distinct books), 40 client orders and 10 ``client_utility``
-    values.  The statistics of each distinct utility column against the
-    base paths (the two path means, the gain and the 2 * SE tolerance) are
-    computed once and shared by every deviation whose table has that
-    column.  The game and the statistics are local to the call, so nothing
-    outlives it.
+    values.  A path's utilities are its flow pattern's entries in the
+    tables, so every statistic over the paths is a sum over the 16
+    patterns weighted by ``_pattern_counts``: the two path means, the mean
+    paired difference (the gain) and its standard error (``ddof=1``),
+    which sets the tolerance at 2 * SE + 1e-9.  The statistics of each
+    distinct utility column against the base column are computed once and
+    shared by every deviation whose table has that column.  The game and
+    the statistics are local to the call, so nothing outlives it.
     """
-    import numpy as np
     # four clients, each sized divisibly by y so seller sizes are exact
     game = _EngineGame(y=y, f_mcf=f_mcf, n_clients=4, client_size_a=10 * y)
     base_ref = profile.mm.ref_price if profile.mm.ref_price is not None else y
@@ -467,10 +480,11 @@ def _best_response_monte_carlo(profile: StrategyProfile, grid: DeviationGrid,
     base_clients = [profile.client] * game.n_clients
     base = game.outcome_table(base_mm, base_clients)
 
-    # common random numbers: bit i of a path's pattern is set when client i buys
-    bits = np.random.default_rng(seed).integers(0, 2, size=(paths, game.n_clients))
-    path_pattern = bits @ (1 << np.arange(game.n_clients))
-    base_paths = {key: np.array(base[key])[path_pattern] for key in ("m0", "c0")}
+    # common random numbers: every deviation is read on the same paths
+    counts = _pattern_counts(seed, paths, game.n_clients)
+
+    def path_mean(column: Sequence[float]) -> float:
+        return math.fsum(n * u for n, u in zip(counts, column)) / paths
 
     entries: list[DeviationResult] = []
     # a deviation's statistics are a function of its player's utility
@@ -482,12 +496,11 @@ def _best_response_monte_carlo(profile: StrategyProfile, grid: DeviationGrid,
         column = game.outcome_table(mm_strats, client_strats)[key]
         stats_key = (key, column)
         if stats_key not in stats:
-            base_u = base_paths[key]
-            dev_u = np.array(column)[path_pattern]
-            diff = dev_u - base_u
-            se = float(diff.std(ddof=1) / math.sqrt(len(diff)))
-            stats[stats_key] = (float(base_u.mean()), float(dev_u.mean()),
-                                float(diff.mean()), 2 * se + 1e-9)
+            diff = [d - b for d, b in zip(column, base[key])]
+            gain = path_mean(diff)
+            var = math.fsum(n * (x - gain) ** 2 for n, x in zip(counts, diff)) / (paths - 1)
+            stats[stats_key] = (path_mean(base[key]), path_mean(column), gain,
+                                2 * math.sqrt(var / paths) + 1e-9)
         u_profile, u_deviation, gain, tolerance = stats[stats_key]
         entries.append(DeviationResult(
             player=player, label=label, utility_profile=u_profile,

@@ -305,8 +305,8 @@ def test_criterion_5_quoter_argmax_and_zero_profit():
           "parameter draws; zero profit on the width-1 line")
 
 
-# Archived report floats may move in the last digits across platforms and
-# numpy versions; structure, labels and flags must match exactly.
+# Archived report floats may move in the last digits across platforms;
+# structure, labels and flags must match exactly.
 ARCHIVE_REL_TOL = 1e-9
 ARCHIVE_ABS_TOL = 1e-12   # float noise around zero, e.g. an archived gain of 5.6e-17
 

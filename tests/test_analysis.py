@@ -12,8 +12,8 @@ from fairtradex.analysis import (AMM, DIRECTION_REVEALING, FAIRTRADEX,
                                  IDENTITY_REVEALING, P1, P2, ClientProfile,
                                  CostModel, DEFAULT_IMPACT_TABLE, MMProfile,
                                  StrategyProfile, _closed_form_client_utility, _EngineGame,
-                                 best_response_check, client_utility, cost_table,
-                                 default_grid, execution_cost, mm_buyer_leg,
+                                 _pattern_counts, best_response_check, client_utility,
+                                 cost_table, default_grid, execution_cost, mm_buyer_leg,
                                  mm_expected_profit, mm_seller_leg, p_ref_argmax, p_ref_grid)
 from fairtradex.auction import AuctionBook, filter_by_width, select_tight_market
 from fairtradex.scenario import Runner, ScenarioError
@@ -357,6 +357,12 @@ def _competitive_deviations():
     return game, ("base", None, mms, clients), deviations
 
 
+def _drawn_patterns(seed, paths):
+    """Each drawn path's flow pattern, in draw order: the low four bits of
+    byte k of ``random.Random(seed).randbytes(paths)``."""
+    return [byte % 16 for byte in random.Random(seed).randbytes(paths)]
+
+
 def _reference_books(game, mm_strats, client_strats):
     """Each flow pattern's book, built in full and filtered on its own: the
     tight market's two orders plus each client's order on its side."""
@@ -600,24 +606,64 @@ class TestBestResponse:
         """The check's entries, whose tables and statistics are shared
         between deviations that play one game, equal by ``==`` a plain
         evaluation in which every deviation builds its own table with a
-        fresh game and computes its own statistics."""
+        fresh game and computes its own statistics from its own draw."""
         paths = 200
         game, (_, _, mms, clients), deviations = _competitive_deviations()
-        pattern = ((np.random.default_rng(seed).integers(0, 2, size=(paths, 4)) * 2 - 1 > 0)
-                   @ (1 << np.arange(4)))
+        patterns = _drawn_patterns(seed, paths)
+        counts = [patterns.count(p) for p in range(16)]
         base = replace(game).outcome_table(mms, clients)
+
+        def path_mean(column):
+            return math.fsum(n * u for n, u in zip(counts, column)) / paths
         want = []
         for _label, key, m, c in deviations:
-            base_u = np.array(base[key])[pattern]
-            dev_u = np.array(replace(game).outcome_table(m, c)[key])[pattern]
-            diff = dev_u - base_u
-            se = float(diff.std(ddof=1) / math.sqrt(paths))
-            want.append((float(diff.mean()), 2 * se + 1e-9,
-                         float(base_u.mean()), float(dev_u.mean())))
+            dev = replace(game).outcome_table(m, c)[key]
+            diff = [d - b for d, b in zip(dev, base[key])]
+            gain = path_mean(diff)
+            var = math.fsum(n * (x - gain) ** 2 for n, x in zip(counts, diff)) / (paths - 1)
+            want.append((gain, 2 * math.sqrt(var / paths) + 1e-9,
+                         path_mean(base[key]), path_mean(dev)))
         rep = best_response_check(COMPETITIVE, n_mms=2, paths=paths, seed=seed)
         got = [(e.gain, e.tolerance, e.utility_profile, e.utility_deviation)
                for e in rep.entries]
         assert got == want
+
+    @pytest.mark.parametrize("seed", [1, 7, 20_240_006])
+    def test_statistics_match_numpy_over_the_expanded_paths(self, seed):
+        """Every default-grid entry's two means, gain and tolerance equal
+        numpy's per-path ``mean`` and ``std(ddof=1)`` over the drawn counts
+        expanded into one pattern number per path."""
+        paths = 10_000
+        game, (_, _, mms, clients), deviations = _competitive_deviations()
+        pattern = np.repeat(np.arange(16), _pattern_counts(seed, paths, 4))
+        assert len(pattern) == paths
+        base = game.outcome_table(mms, clients)
+        rep = best_response_check(COMPETITIVE, n_mms=2, paths=paths, seed=seed)
+        assert len(rep.entries) == len(deviations)
+        for entry, (label, key, m, c) in zip(rep.entries, deviations):
+            base_u = np.array(base[key])[pattern]
+            dev_u = np.array(game.outcome_table(m, c)[key])[pattern]
+            diff = dev_u - base_u
+            want = (base_u.mean(), dev_u.mean(), diff.mean(),
+                    2 * diff.std(ddof=1) / math.sqrt(paths) + 1e-9)
+            got = (entry.utility_profile, entry.utility_deviation, entry.gain, entry.tolerance)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12), label
+
+    @pytest.mark.parametrize("seed, paths", [(0, 2), (7, 200), (20_240_006, 10_000),
+                                             (3, 100_001)])
+    def test_pattern_counts_count_the_drawn_paths(self, seed, paths):
+        """Each pattern's count is how many drawn bytes have it as their low
+        four bits, so the 16 counts sum to ``paths``."""
+        counts = _pattern_counts(seed, paths, 4)
+        patterns = _drawn_patterns(seed, paths)
+        assert counts == [patterns.count(p) for p in range(16)]
+        assert sum(counts) == paths
+
+    def test_pattern_counts_of_the_archived_draw(self):
+        """The archive's draw, pinned: a Python release that changes the
+        Mersenne Twister stream or ``randbytes`` fails here by name."""
+        assert _pattern_counts(20_240_006, 10_000, 4) == [
+            598, 619, 604, 664, 584, 644, 604, 600, 634, 615, 669, 644, 626, 639, 603, 653]
 
     def test_single_quoter_closed_form_against_engine(self):
         """Two models of the one-quoter game on the same default grid: the

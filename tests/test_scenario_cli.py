@@ -851,7 +851,7 @@ class TestCli:
 
     def test_commands_run_without_numpy_or_a_process_pool(self, tmp_path):
         """With numpy made unimportable, every command runs, and so do the
-        closed form and the one-quoter check; none starts a pool."""
+        closed form and both best-response checks; none starts a pool."""
         code = textwrap.dedent("""\
             import sys
             sys.modules["numpy"] = None  # any numpy import now raises ImportError
@@ -873,15 +873,18 @@ class TestCli:
             monopoly = StrategyProfile(ClientProfile(order_type="mkt", width_req=f_mcf),
                                        MMProfile(width=f_mcf))
             assert best_response_check(monopoly, n_mms=1).confirmed
+            competitive = StrategyProfile(ClientProfile(order_type="mkt", width_req=f_mcf),
+                                          MMProfile(width=Fraction(1)))
+            assert best_response_check(competitive, n_mms=2, paths=200).confirmed
         """)
         book = tmp_path / "book.json"
         book.write_text(json.dumps(json.loads(GOLDEN_BOOK.read_text())["book"]))
         proc = self.python("-c", code, str(TWO_MM), str(book), str(tmp_path / "out"))
         assert proc.returncode == 0, proc.stderr
 
-    def test_best_response_loads_numpy_and_keeps_archived_verdicts(self):
-        """The one-quoter check leaves numpy unloaded; the two-quoter Monte
-        Carlo check loads it."""
+    def test_best_response_never_loads_numpy_and_keeps_archived_verdicts(self):
+        """Neither the one-quoter check nor the two-quoter Monte Carlo check
+        loads numpy, and the two-quoter check repeats the archived verdicts."""
         code = textwrap.dedent("""\
             import json, sys
             from fractions import Fraction
@@ -899,7 +902,7 @@ class TestCli:
                 archived = json.load(fh)["deviations"]
             assert ([(e.player, e.label, e.improves) for e in rep.entries]
                     == [(d["player"], d["label"], d["improves"]) for d in archived])
-            assert "numpy" in sys.modules
+            assert "numpy" not in sys.modules
         """)
         proc = self.python("-c", code, str(REPORTS / "best_response_n2.json"))
         assert proc.returncode == 0, proc.stderr
