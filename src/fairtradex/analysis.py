@@ -81,11 +81,17 @@ def p_ref_grid(y: float) -> list[float]:
 def p_ref_argmax(x: float, y: float, w: float, delta: float) -> float:
     """Grid argmax of the quoter profit over ``p_ref_grid(y)``; the first
     maximum on a tie.  The arguments are checked once, at the grid's
-    least and greatest points: every point between them passes too."""
+    least and greatest points: every point between them passes too.  The
+    two factors that do not depend on the point are computed once, and
+    each point's profit then takes ``_profit``'s float operations in its
+    order, so every value is ``_profit``'s."""
     grid = p_ref_grid(y)
     mm_expected_profit(x, y, min(grid), w, delta)
     mm_expected_profit(x, y, max(grid), w, delta)
-    return max(grid, key=lambda p: _profit(x, y, p, w, delta))
+    inv_root = 1.0 / delta ** 0.5
+    slope = delta ** 0.5 / w ** 0.5
+    return max(grid, key=lambda p: 0.5 * (x * (inv_root - slope * (y / p)))
+               + 0.5 * (x * (inv_root - slope * (p / y))))
 
 
 def client_utility(trade_price: float, y: float, side: str, f_mcf: float) -> float:
@@ -312,23 +318,34 @@ class _EngineGame:
     token deltas at the fair price y; clients use the signed log-distance
     convention scaled by their filled fraction.
 
-    The tight market and the width filter depend on the strategy profile
-    alone, so ``outcome_table`` quotes, picks the tight market and filters
-    once per profile.  What is left, the tight market and the kept client
-    orders, is the game the table depends on: profiles that differ only
-    outside it share one table.
+    The tight market depends on the quoter strategies alone and the width
+    filter on the client strategies and the tight width alone, so
+    ``outcome_table`` picks each quoter pair's tight market once and
+    filters each client set once per tight width.  What is left, the tight
+    market and the kept client orders, is the game the table depends on:
+    profiles that differ only outside it share one table.
 
     One check builds one ``_EngineGame``, which keeps what the check's
-    profiles repeat: each game's table, each (position, ``ClientProfile``)
-    pair's two orders, each book shape's settled contributions and each
-    ``(cp, side)`` pair's ``client_utility``.  Nothing is kept across
-    checks.
+    profiles repeat in six caches, each keyed by what its value depends on:
+
+    * ``_picks``: the tight market, its two legs and ``w_tight``, by the
+      quoter strategies;
+    * ``_filtered``: the kept client buys and sells, by the client
+      strategies and ``w_tight``;
+    * ``_tables``: each game's table, by the game;
+    * ``_orders``: client i's two orders, by (position, ``ClientProfile``);
+    * ``_shapes``: the settled contributions, by book shape;
+    * ``_utilities``: ``client_utility``, by ``(cp, side)``.
+
+    Nothing is kept across checks.
     """
 
     y: int
     f_mcf: Fraction
     n_clients: int
     client_size_a: int     # A atoms sold by a buyer of the swap
+    _picks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _filtered: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _orders: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _shapes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -339,12 +356,6 @@ class _EngineGame:
         """Every player's utility for each of the 2^k client flow patterns,
         indexed by pattern number: bit i is set when client i buys.
 
-        Each quoter quotes with depth ``10 * n_clients * client_size_a``.
-        ``auction.round_book``, the protocol's own, builds the profile's book
-        from both of each client's orders and the tight market's uncapped
-        legs (oids ``n_clients`` and ``n_clients + 1``), which are each
-        side's last order; ``filter_by_width`` then runs once.
-
         A game is the quoter count, the tight market and each kept client
         order's oid, token and price (widths no longer matter once the
         filter has run); each is built once.  Each flow pattern's book
@@ -352,34 +363,57 @@ class _EngineGame:
         is clear, each side in ascending oid order and ending with its
         tight leg.  A table may be returned to several callers, so it is
         read-only and its columns are tuples."""
-        depth = 10 * self.n_clients * self.client_size_a
-        revealed = []
-        for i, (ref, w) in enumerate(mm_strats):
-            bid, offer = quote(ref, w)
-            revealed.append((f"m{i}", Market(bid=bid, size_bid=depth,
-                                             offer=offer, size_offer=depth)))
-        tight = select_tight_market(revealed)
-        assert tight is not None
-        # client i's buy and sell order (oid i); its direction picks one
-        orders = [self._client_orders(i, cs) for i, cs in enumerate(client_strats)]
-        book = round_book((b for b, _ in orders), (s for _, s in orders), tight, self.n_clients)
-        buy, sell = book.buy_orders[-1], book.sell_orders[-1]
-        kept, _removed = filter_by_width(book)
-        # the tight orders are width ANY, so each side keeps its own last
-        kept_buys, kept_sells = kept.buy_orders[:-1], kept.sell_orders[:-1]
+        tight, buy, sell, w_tight = self._pick(tuple(mm_strats))
+        kept_buys, kept_sells = self._filter(tuple(client_strats), w_tight)
         game = (len(mm_strats), tight,
                 tuple((o.oid, o.tkn, o.price) for o in (*kept_buys, *kept_sells)))
         table = self._tables.get(game)
         if table is None:
             zeros = dict.fromkeys([*(f"m{i}" for i in range(len(mm_strats))),
                                    *(f"c{i}" for i in range(self.n_clients))], 0.0)
-            outcomes = [self._clear(AuctionBook(
-                buy_orders=(*(o for o in kept_buys if bits >> o.oid & 1), buy),
-                sell_orders=(*(o for o in kept_sells if not bits >> o.oid & 1), sell),
-                w_tight=kept.w_tight), zeros) for bits in range(2 ** self.n_clients)]
+            outcomes = [self._clear((*(o for o in kept_buys if bits >> o.oid & 1), buy),
+                                    (*(o for o in kept_sells if not bits >> o.oid & 1), sell),
+                                    w_tight, zeros) for bits in range(2 ** self.n_clients)]
             table = self._tables[game] = MappingProxyType(
                 {player: tuple(u[player] for u in outcomes) for player in zeros})
         return table
+
+    def _pick(self, mm_strats: tuple[tuple[int, Fraction], ...]) -> tuple:
+        """``(tight market, bid leg, offer leg, w_tight)`` for the quoters'
+        ``(ref, width)`` strategies.  Each quoter quotes with depth
+        ``10 * n_clients * client_size_a``, and ``auction.round_book``, the
+        protocol's own, builds the tight market's uncapped legs (oids
+        ``n_clients`` and ``n_clients + 1``)."""
+        pick = self._picks.get(mm_strats)
+        if pick is None:
+            depth = 10 * self.n_clients * self.client_size_a
+            revealed = []
+            for i, (ref, w) in enumerate(mm_strats):
+                bid, offer = quote(ref, w)
+                revealed.append((f"m{i}", Market(bid=bid, size_bid=depth,
+                                                 offer=offer, size_offer=depth)))
+            tight = select_tight_market(revealed)
+            assert tight is not None
+            legs = round_book((), (), tight, self.n_clients)
+            pick = self._picks[mm_strats] = (tight, legs.buy_orders[0], legs.sell_orders[0],
+                                             legs.w_tight)
+        return pick
+
+    def _filter(self, client_strats: tuple[ClientProfile, ...],
+                w_tight: Width) -> tuple[tuple[Order, ...], tuple[Order, ...]]:
+        """The client buys and sells ``filter_by_width`` keeps at
+        ``w_tight``, each in ascending oid order.  The tight legs are width
+        ANY, which the filter always keeps, so its book leaves them out."""
+        key = (client_strats, w_tight)
+        kept = self._filtered.get(key)
+        if kept is None:
+            # client i's buy and sell order (oid i); its direction picks one
+            orders = [self._client_orders(i, cs) for i, cs in enumerate(client_strats)]
+            book, _removed = filter_by_width(AuctionBook(
+                buy_orders=tuple(b for b, _ in orders), sell_orders=tuple(s for _, s in orders),
+                w_tight=w_tight))
+            kept = self._filtered[key] = (book.buy_orders, book.sell_orders)
+        return kept
 
     def _client_orders(self, i: int, cs: ClientProfile) -> tuple[Order, Order]:
         """Client i's buy and sell order under ``cs``."""
@@ -393,9 +427,11 @@ class _EngineGame:
                       price=price, width_req=cs.width_req))
         return orders
 
-    def _clear(self, filtered: AuctionBook, zeros: dict[str, float]) -> dict[str, float]:
+    def _clear(self, buys: tuple[Order, ...], sells: tuple[Order, ...], w_tight: Width,
+               zeros: dict[str, float]) -> dict[str, float]:
         """Every player's utility, starting from ``zeros``, from clearing
-        and settling ``filtered``, each book shape cleared once.
+        and settling the filtered book of ``buys`` and ``sells`` at
+        ``w_tight``, each book shape cleared once.
 
         A book's shape is, for each side, the ``(size, price, owner is a
         quoter)`` of its orders in book order.  Every book ``outcome_table``
@@ -403,17 +439,19 @@ class _EngineGame:
         ``find_clearing_price`` and ``settle`` read oids only through their
         order within a side and never read owners, so books of one shape
         settle alike position by position
-        (``tests/test_auction.py::TestShapeInvariance`` pins this).  The
-        first book of a shape is cleared and settled, and every book of
-        that shape replays its contributions onto its own owners.  Each
-        owner gets at most one addition per fill, in the same order as a
-        clear of its own book, so every float is the same."""
-        sides = (filtered.buy_orders, filtered.sell_orders)
+        (``tests/test_auction.py::TestShapeInvariance`` pins this).  Only
+        the first book of a shape is built as an ``AuctionBook``, cleared
+        and settled, and every book of that shape replays its
+        contributions onto its own owners.  Each owner gets at most one
+        addition per fill, in the same order as a clear of its own book,
+        so every float is the same."""
+        sides = (buys, sells)
         shape = tuple(tuple((o.size, o.price, o.owner.startswith("m")) for o in side)
                       for side in sides)
         contributions = self._shapes.get(shape)
         if contributions is None:
-            contributions = self._shapes[shape] = self._contributions(filtered)
+            contributions = self._shapes[shape] = self._contributions(
+                AuctionBook(buy_orders=buys, sell_orders=sells, w_tight=w_tight))
         utilities = dict(zeros)
         for side, position, value in contributions:
             utilities[sides[side][position].owner] += value
@@ -462,20 +500,28 @@ def _best_response_monte_carlo(profile: StrategyProfile, grid: DeviationGrid,
     """Each deviation's paired gain over common random client flow.
 
     One ``_EngineGame`` serves the whole check, so on the default grid its
-    89 profiles build 15 outcome tables, 97 book clears (of the tables'
-    240 distinct books), 40 client orders and 10 ``client_utility``
-    values.  A path's utilities are its flow pattern's entries in the
-    tables, so every statistic over the paths is a sum over the 16
-    patterns weighted by ``_pattern_counts``: the two path means, the mean
-    paired difference (the gain) and its standard error (``ddof=1``),
-    which sets the tolerance at 2 * SE + 1e-9.  The statistics of each
-    distinct utility column against the base column are computed once and
-    shared by every deviation whose table has that column.  The game and
-    the statistics are local to the call, so nothing outlives it.
+    89 profiles make 72 tight-market picks (one per distinct quoter pair),
+    17 width filters (one per distinct client set and tight width), 15
+    outcome tables, 97 book builds and clears (of the tables' 240 distinct
+    books), 40 client orders and 10 ``client_utility`` values.  A path's
+    utilities are its flow pattern's entries in the tables, so every
+    statistic over the paths is a sum over the 16 patterns weighted by
+    ``_pattern_counts``: the two path means, the mean paired difference
+    (the gain) and its standard error (``ddof=1``), which sets the
+    tolerance at 2 * SE + 1e-9.  The statistics of each distinct utility
+    column against the base column are computed once and shared by every
+    deviation whose table has that column.  The game and the statistics
+    are local to the call, so nothing outlives it.  A grid that gives no
+    deviation from the profile is a ``ValueError``: its report would have
+    no entries and no ``max_gain``.
     """
+    base_ref = profile.mm.ref_price if profile.mm.ref_price is not None else y
+    if not (grid.client_widths or grid.client_limit_prices or any(
+            (ref, w) != (base_ref, profile.mm.width)
+            for w in grid.mm_widths for ref in grid.mm_ref_prices)):
+        raise ValueError(f"grid {grid!r} has no deviation from the profile for n_mms=2")
     # four clients, each sized divisibly by y so seller sizes are exact
     game = _EngineGame(y=y, f_mcf=f_mcf, n_clients=4, client_size_a=10 * y)
-    base_ref = profile.mm.ref_price if profile.mm.ref_price is not None else y
     base_mm = [(base_ref, profile.mm.width), (base_ref, profile.mm.width)]
     base_clients = [profile.client] * game.n_clients
     base = game.outcome_table(base_mm, base_clients)
@@ -539,7 +585,8 @@ def best_response_check(profile: StrategyProfile, n_mms: int,
     (deterministic, epsilon = 1e-9 * notional); two quoters (``n_mms=2``)
     run the auction engine for four clients path by path under common
     random client flow and test each deviation's mean gain against two
-    standard errors, so they need at least two ``paths``.
+    standard errors, so they need at least two ``paths`` and a grid with
+    at least one deviation from the profile.
     """
     if n_mms not in (1, 2):
         raise ValueError(f"n_mms must be 1 or 2, got {n_mms!r}")

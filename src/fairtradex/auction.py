@@ -118,8 +118,9 @@ def select_tight_market(
         eligible = revealed
     if not eligible:
         return None
-    w_tight = min(market_width(m) for _, m in eligible)
-    tied = [e for e in eligible if market_width(e[1]) == w_tight]
+    widths = [market_width(m) for _, m in eligible]
+    w_tight = min(widths)
+    tied = [e for e, w in zip(eligible, widths) if w == w_tight]
     if len(tied) == 1:
         return tied[0]
     seed = tie_break_seed(revealed)

@@ -10,12 +10,12 @@ import pytest
 
 from fairtradex.analysis import (AMM, DIRECTION_REVEALING, FAIRTRADEX,
                                  IDENTITY_REVEALING, P1, P2, ClientProfile,
-                                 CostModel, DEFAULT_IMPACT_TABLE, MMProfile,
+                                 CostModel, DEFAULT_IMPACT_TABLE, DeviationGrid, MMProfile,
                                  StrategyProfile, _closed_form_client_utility, _EngineGame,
-                                 _pattern_counts, best_response_check, client_utility,
+                                 _pattern_counts, _profit, best_response_check, client_utility,
                                  cost_table, default_grid, execution_cost, mm_buyer_leg,
                                  mm_expected_profit, mm_seller_leg, p_ref_argmax, p_ref_grid)
-from fairtradex.auction import AuctionBook, filter_by_width, select_tight_market
+from fairtradex.auction import AuctionBook, filter_by_width, round_book, select_tight_market
 from fairtradex.scenario import Runner, ScenarioError
 from fairtradex.units import ANY, MKT, TOKEN_A, TOKEN_B, Market, Order, market_width, quote
 
@@ -110,10 +110,34 @@ class TestQuoterProfit:
             d = float(rng.uniform(1.0, 1.2))
             assert abs(p_ref_argmax(x, y, w, d) - y) <= y / 1000 + 1e-9
 
-    def test_argmax_keeps_the_first_maximum_on_a_tie(self, monkeypatch):
-        from fairtradex import analysis
-        monkeypatch.setattr(analysis, "_profit", lambda *args: 0.0)
-        assert p_ref_argmax(1.0, 110.0, 1.21, 1.0) == 55.0 == p_ref_grid(110.0)[0]
+    def test_argmax_keeps_the_first_maximum_on_a_tie(self):
+        # at the least subnormal notional every point's profit rounds to
+        # zero, so all 1,501 points tie
+        x, y = 5e-324, 110.0
+        for w, d in ((1.21, 1.0), (1.0, 1.0), (2.42, 1.02)):
+            assert {_profit(x, y, p, w, d) for p in p_ref_grid(y)} == {0.0}
+            assert p_ref_argmax(x, y, w, d) == 55.0 == p_ref_grid(y)[0]
+
+    @staticmethod
+    def _per_point_argmax(x, y, w, d):
+        """The scan that calls ``_profit`` at every grid point."""
+        return max(p_ref_grid(y), key=lambda p: _profit(x, y, p, w, d))
+
+    def test_argmax_equals_the_per_point_scan_on_criterion_5_draws(self):
+        rng = np.random.default_rng(20_240_005)
+        for _ in range(100):
+            x = float(rng.uniform(0.1, 1e6))
+            y = float(rng.uniform(5.0, 5e3))
+            w = float(rng.uniform(1.0, 3.0))
+            d = float(rng.uniform(1.0, 1.5))
+            assert p_ref_argmax(x, y, w, d) == self._per_point_argmax(x, y, w, d)
+
+    @pytest.mark.parametrize("d", [1.0, 1.02])
+    def test_argmax_equals_the_per_point_scan_on_the_default_widths(self, d):
+        for w in default_grid(110, Fraction(121, 100)).mm_widths:
+            for x in (1.0, 1e6):
+                assert p_ref_argmax(x, 110.0, float(w), d) == \
+                    self._per_point_argmax(x, 110.0, float(w), d), (w, x)
 
 
 class TestNumpyReference:
@@ -459,7 +483,7 @@ class TestBestResponse:
             table = game.outcome_table(mms, clients)
             zeros = dict.fromkeys([f"m{i}" for i in range(len(mms))] +
                                   [f"c{i}" for i in range(game.n_clients)], 0.0)
-            loop = [replace(game)._clear(book, zeros)
+            loop = [replace(game)._clear(book.buy_orders, book.sell_orders, book.w_tight, zeros)
                     for book in _reference_books(game, mms, clients)]
             assert set(table) == set(loop[0]), label
             for player, utilities in table.items():
@@ -482,26 +506,29 @@ class TestBestResponse:
             sell_orders=(Order(1, "c1", TOKEN_B, 10, 200, f_mcf),
                          Order(3, "m0", TOKEN_B, 10**4, 121, ANY)),
             w_tight=f_mcf)
-        utilities = game._clear(book, {"m0": 0.0, "c0": 0.0, "c1": 0.0})
+        utilities = game._clear(book.buy_orders, book.sell_orders, book.w_tight,
+                                {"m0": 0.0, "c0": 0.0, "c1": 0.0})
         assert calls == [(121.0, 110.0, "buy", 1.21)]
         assert utilities["c1"] == 0.0 and utilities["m0"] == 99.0
 
     def test_check_clears_each_distinct_book_once(self, monkeypatch):
-        """One competitive check picks the tight market and filters once
-        per profile (the base and its 88 deviations); 26 of those picks
-        meet a width tie and compute a tie-break seed.  It builds one outcome
-        table per distinct game (the tight market and the kept client
-        orders), 15 of them, and clears each distinct book shape once.
-        The tables hold 240 distinct books out of 89 * 16 = 1,424
-        profile-pattern pairs.  A book's shape is each side's (size, price,
-        owner is a quoter) in book order, so books that differ only in which
-        identical clients sit on each side share one: 97 clears.  A second
+        """One competitive check picks the tight market once per distinct
+        quoter pair of its 89 profiles (the base and its 88 deviations), 72
+        picks, of which 9 meet a width tie and compute a tie-break seed.  It
+        filters once per distinct (client set, tight width) pair: 17
+        filters.  It builds one outcome table per distinct game (the tight
+        market and the kept client orders), 15 of them, and builds and
+        clears each distinct book shape once.  The tables hold 240 distinct
+        books out of 89 * 16 = 1,424 profile-pattern pairs.  A book's shape
+        is each side's (size, price, owner is a quoter) in book order, so
+        books that differ only in which identical clients sit on each side
+        share one: 97 clears.  A second
         identical check does all of that work again: nothing is cached
         across calls."""
         from fairtradex import analysis, auction
-        books, tights, seeds, filtered, tables = [], [], [], [], []
+        books, tights, seeds, filtered, tables, made = [], [], [], [], [], []
         oracle, select = analysis.find_clearing_price, analysis.select_tight_market
-        seed = auction.tie_break_seed
+        seed, book_type = auction.tie_break_seed, analysis.AuctionBook
         width_filter, outcome_table = analysis.filter_by_width, _EngineGame.outcome_table
 
         def counted_oracle(book):
@@ -523,20 +550,27 @@ class TestBestResponse:
         def counted_table(game, *args):
             tables.append(outcome_table(game, *args))
             return tables[-1]
+
+        def counted_book(**fields):
+            made.append(fields)
+            return book_type(**fields)
         monkeypatch.setattr(analysis, "find_clearing_price", counted_oracle)
+        monkeypatch.setattr(analysis, "AuctionBook", counted_book)
         monkeypatch.setattr(analysis, "select_tight_market", counted_select)
         monkeypatch.setattr(auction, "tie_break_seed", counted_seed)
         monkeypatch.setattr(analysis, "filter_by_width", counted_filter)
         monkeypatch.setattr(_EngineGame, "outcome_table", counted_table)
         built = []
         for _ in range(2):
-            for log in (books, tights, seeds, filtered):
+            for log in (books, tights, seeds, filtered, made):
                 log.clear()
             rep = best_response_check(COMPETITIVE, n_mms=2, paths=200)
             assert len(rep.entries) == 88
-            assert len(tights) == len(filtered) == 89
-            assert len(seeds) == 26
+            assert len(tights) == 72 and len(filtered) == 17
+            assert len(seeds) == 9
             assert len(books) == len(set(books)) == 97 < 240 < 89 * 16
+            # the engine builds a book for each filter and each new shape alone
+            assert len(made) == 17 + 97
             # every returned table stays referenced, so distinct ids are distinct builds
             built.append({id(t) for t in tables[-89:]})
             assert len(built[-1]) == 15
@@ -587,19 +621,51 @@ class TestBestResponse:
 
     def test_one_game_caches_what_its_profiles_repeat(self):
         """The base profile and the 88 deviations, run through one game,
-        leave 15 tables, 97 settled book shapes, 20 order pairs (40 orders)
-        and 10 ``client_utility`` values in its caches; a copy of the game
-        starts with none."""
+        leave 72 tight-market picks, 17 filtered client sets, 15 tables, 97
+        settled book shapes, 20 order pairs (40 orders) and 10
+        ``client_utility`` values in its caches; a copy of the game starts
+        with none."""
         game, base, deviations = _competitive_deviations()
         for _label, _key, mms, clients in [base] + deviations:
             game.outcome_table(mms, clients)
+        assert len(game._picks) == 72 and len(game._filtered) == 17
         assert len(game._tables) == 15 and len(game._shapes) == 97
         assert len(game._orders) == 20
         assert len({o for pair in game._orders.values() for o in pair}) == 40
         assert len(game._utilities) == 10
         fresh = replace(game)
-        assert fresh == game and not (fresh._tables or fresh._shapes or fresh._orders
-                                      or fresh._utilities)
+        assert fresh == game and not (fresh._picks or fresh._filtered or fresh._tables
+                                      or fresh._shapes or fresh._orders or fresh._utilities)
+
+    def test_cached_pick_equals_a_fresh_selection(self):
+        """For every quoter pair of the default grid, the game's pick, kept
+        from the first profile that plays it, is a fresh
+        ``select_tight_market`` on the same revealed quotes, and its legs
+        and width are ``round_book``'s."""
+        game, base, deviations = _competitive_deviations()
+        pairs = {tuple(mms) for _label, _key, mms, _clients in [base] + deviations}
+        assert len(pairs) == 72
+        for _label, _key, mms, clients in [base] + deviations:
+            game.outcome_table(mms, clients)
+        depth = 10 * game.n_clients * game.client_size_a
+        for mms in pairs:
+            revealed = [(f"m{i}", Market(bid=bid, size_bid=depth, offer=offer, size_offer=depth))
+                        for i, (bid, offer) in enumerate(quote(ref, w) for ref, w in mms)]
+            tight = select_tight_market(revealed)
+            legs = round_book((), (), tight, game.n_clients)
+            assert game._picks[mms] == (tight, *legs.buy_orders, *legs.sell_orders,
+                                        market_width(tight[1])), mms
+
+    @pytest.mark.parametrize("grid", [
+        DeviationGrid((), (), (), ()),
+        DeviationGrid((110,), (Fraction(1),), (), ())], ids=["empty", "base-quote-only"])
+    def test_grid_without_a_deviation_rejected(self, grid):
+        """A two-quoter grid that leaves no deviation from the profile is
+        rejected up front: its report would have no entries and no
+        ``max_gain``.  One quoter always adds its fine-scan entry."""
+        with pytest.raises(ValueError, match="grid"):
+            best_response_check(COMPETITIVE, n_mms=2, grid=grid, paths=10)
+        assert best_response_check(COMPETITIVE, n_mms=1, grid=grid).to_json_dict()["deviations"]
 
     @pytest.mark.parametrize("seed", [7, 20_240_006])
     def test_entries_match_a_fresh_game_per_deviation(self, seed):
