@@ -15,7 +15,7 @@ from fairtradex.chain import (CLIENT_REGISTER, CLIENT_REVEAL, COMMIT_CLIENT,
                               COMMIT_MM, CP, MM_REVEAL, RELAYED, PendingTx, Tx)
 from fairtradex.auction import find_clearing_price
 from fairtradex.ledger import BURN_SINK, PROTOCOL_ACCOUNT, Ledger
-from fairtradex.membership import gen_secret, prove_membership, reg_id
+from fairtradex.membership import gen_secret, prove_membership
 from fairtradex.protocol import (ClientCommitPayload, ClientRevealPayload,
                                  CpPayload, MMCommitPayload, MMRevealPayload,
                                  Protocol, RegisterPayload, client_commitment,
@@ -47,7 +47,7 @@ def deliver(tx, height=0, relayer=None):
 secrets = {pid: gen_secret(i) for i, pid in enumerate(["buyer", "seller"], start=1)}
 for pid, secret in secrets.items():
     deliver(Tx(kind=CLIENT_REGISTER, sender=pid,
-               payload=RegisterPayload(reg_id(secret))))
+               payload=RegisterPayload(secret.reg_id)))
 print(f"registered {len(proto.clients)} clients; protocol holds "
       f"{ledger.balance(PROTOCOL_ACCOUNT, TOKEN_REF)} REF")
 proto.initialise(height=0)
@@ -75,7 +75,7 @@ for pid, (tkn, size, price, width) in orders.items():
                payload=ClientRevealPayload(tkn=tkn, size=size, price=price,
                                            width=width, serial=secrets[pid].s,
                                            randomness=secrets[pid].r,
-                                           reg_id=reg_id(secrets[pid]))),
+                                           reg_id=secrets[pid].reg_id)),
             height=params.t_eff)
 deliver(Tx(kind=MM_REVEAL, sender="quoter", payload=MMRevealPayload(market)),
         height=params.t_eff)

@@ -1,4 +1,2 @@
 """Width-sensitive frequent batch auctions with a commit-reveal escrow
 protocol over a simulated chain, plus the rational-agent analysis harness."""
-
-__version__ = "0.1.0"

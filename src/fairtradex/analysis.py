@@ -147,7 +147,10 @@ class DeviationGrid:
 
 
 def default_grid(y: int, f_mcf: Fraction) -> DeviationGrid:
-    """Coarse cover of p_ref in [y/2, 2y] and widths in [1, 2*f_mcf]."""
+    """Coarse cover of p_ref in [y/2, 2y] and widths in [1, 2*f_mcf].  It
+    lists the price ``y - 2``, so y must be at least 3."""
+    if y < 3:
+        raise ValueError(f"default_grid needs y >= 3 for prices of at least 1 tick, got y={y!r}")
     refs = sorted({y // 2, (3 * y) // 4, y - 2, y - 1, y, y + 1, y + 2, (3 * y) // 2, 2 * y})
     top = 2 * f_mcf
     widths = sorted({Fraction(1), 1 + (top - 1) / 8, 1 + (top - 1) / 4, Fraction(11, 10),
@@ -224,6 +227,10 @@ class BestResponseReport:
 # Closed-form best response: single quoter
 # ---------------------------------------------------------------------------
 
+#: The one-quoter check's client notional, and its tolerance: 1e-9 * notional
+_NOTIONAL = 1.0
+_EPSILON = 1e-9
+
 
 def _closed_form_mm_utility(x: float, y: float, p_ref: float, w: float,
                             delta: float, client_width: float):
@@ -252,31 +259,30 @@ def _closed_form_client_utility(order_type: str, width_req: float,
 
 
 def _best_response_closed_form(profile: StrategyProfile, grid: DeviationGrid,
-                               y: int, f_mcf: Fraction, delta: float,
-                               notional: float, epsilon: float) -> BestResponseReport:
+                               y: int, f_mcf: Fraction, delta: float) -> BestResponseReport:
     fm = float(f_mcf)
     mm_w = float(profile.mm.width)
     mm_ref = float(profile.mm.ref_price if profile.mm.ref_price is not None else y)
     cw = float(profile.client.width_req)
 
-    base_mm = _closed_form_mm_utility(notional, y, mm_ref, mm_w, delta, cw)
+    base_mm = _closed_form_mm_utility(_NOTIONAL, y, mm_ref, mm_w, delta, cw)
     entries: list[DeviationResult] = []
 
     # quoter deviations over the (reference price, width) grid, plus a fine
     # scan of reference prices at the profile width
     for w_dev in grid.mm_widths:
         for p_dev in sorted(set(grid.mm_ref_prices)):
-            u = _closed_form_mm_utility(notional, y, float(p_dev), float(w_dev), delta, cw)
+            u = _closed_form_mm_utility(_NOTIONAL, y, float(p_dev), float(w_dev), delta, cw)
             entries.append(DeviationResult(
                 player="mm", label=f"quote p_ref={p_dev} w={w_dev}",
                 utility_profile=base_mm, utility_deviation=u,
-                gain=u - base_mm, tolerance=epsilon))
-    best_fine = _closed_form_mm_utility(notional, y, p_ref_argmax(notional, y, mm_w, delta),
+                gain=u - base_mm, tolerance=_EPSILON))
+    best_fine = _closed_form_mm_utility(_NOTIONAL, y, p_ref_argmax(_NOTIONAL, y, mm_w, delta),
                                         mm_w, delta, cw)
     entries.append(DeviationResult(
         player="mm", label=f"fine p_ref scan at w={profile.mm.width} ({_P_REF_POINTS} points)",
         utility_profile=base_mm, utility_deviation=best_fine,
-        gain=best_fine - base_mm, tolerance=epsilon))
+        gain=best_fine - base_mm, tolerance=_EPSILON))
 
     # client deviations, checked for both directions
     for side in ("buy", "sell"):
@@ -288,18 +294,18 @@ def _best_response_closed_form(profile: StrategyProfile, grid: DeviationGrid,
             entries.append(DeviationResult(
                 player=f"client-{side}", label=f"mkt width_req={w_dev}",
                 utility_profile=base_c, utility_deviation=u,
-                gain=u - base_c, tolerance=epsilon))
+                gain=u - base_c, tolerance=_EPSILON))
         for lp in grid.client_limit_prices:
             u = _closed_form_client_utility("limit", cw, float(lp), side, y, fm, mm_w, mm_ref)
             entries.append(DeviationResult(
                 player=f"client-{side}", label=f"limit {lp} width_req={profile.client.width_req}",
                 utility_profile=base_c, utility_deviation=u,
-                gain=u - base_c, tolerance=epsilon))
+                gain=u - base_c, tolerance=_EPSILON))
 
     return BestResponseReport(
         mode="closed-form", n_mms=1,
         profile=f"client mkt width {profile.client.width_req}; quoter w={profile.mm.width} at fair price",
-        epsilon_rule=f"epsilon = {epsilon!r} (1e-9 * notional)",
+        epsilon_rule=f"epsilon = {_EPSILON!r} (1e-9 * notional)",
         paths=0, entries=entries)
 
 
@@ -307,13 +313,20 @@ def _best_response_closed_form(profile: StrategyProfile, grid: DeviationGrid,
 # Engine-backed best response: two quoters, Monte Carlo
 # ---------------------------------------------------------------------------
 
+#: The engine game's client count, and each client's size in B lots: a buyer
+#: of the swap sells ``_CLIENT_LOTS * y`` A atoms, a seller ``_CLIENT_LOTS``
+#: B atoms, so seller sizes are exact
+_N_CLIENTS = 4
+_CLIENT_LOTS = 10
+
 
 @dataclass(frozen=True)
 class _EngineGame:
     """Width-sensitive batch auction round, evaluated over client flow patterns.
 
-    Client i sells A (buys the swap) when its direction is +1, with a fixed
-    per-client notional.  Quoter sizes dwarf total client flow, so the
+    ``_N_CLIENTS`` clients play.  Client i sells ``_CLIENT_LOTS * y`` A
+    atoms (buys the swap) when its direction is +1 and ``_CLIENT_LOTS`` B
+    atoms otherwise.  Quoter sizes dwarf total client flow, so the
     selected market always spans the imbalance.  Utilities: quoters mark
     token deltas at the fair price y; clients use the signed log-distance
     convention scaled by their filled fraction.
@@ -326,14 +339,13 @@ class _EngineGame:
     profiles that differ only outside it share one table.
 
     One check builds one ``_EngineGame``, which keeps what the check's
-    profiles repeat in six caches, each keyed by what its value depends on:
+    profiles repeat in five caches, each keyed by what its value depends on:
 
     * ``_picks``: the tight market, its two legs and ``w_tight``, by the
       quoter strategies;
     * ``_filtered``: the kept client buys and sells, by the client
       strategies and ``w_tight``;
     * ``_tables``: each game's table, by the game;
-    * ``_orders``: client i's two orders, by (position, ``ClientProfile``);
     * ``_shapes``: the settled contributions, by book shape;
     * ``_utilities``: ``client_utility``, by ``(cp, side)``.
 
@@ -342,12 +354,9 @@ class _EngineGame:
 
     y: int
     f_mcf: Fraction
-    n_clients: int
-    client_size_a: int     # A atoms sold by a buyer of the swap
     _picks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _filtered: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _orders: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _shapes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _utilities: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -370,10 +379,10 @@ class _EngineGame:
         table = self._tables.get(game)
         if table is None:
             zeros = dict.fromkeys([*(f"m{i}" for i in range(len(mm_strats))),
-                                   *(f"c{i}" for i in range(self.n_clients))], 0.0)
+                                   *(f"c{i}" for i in range(_N_CLIENTS))], 0.0)
             outcomes = [self._clear((*(o for o in kept_buys if bits >> o.oid & 1), buy),
                                     (*(o for o in kept_sells if not bits >> o.oid & 1), sell),
-                                    w_tight, zeros) for bits in range(2 ** self.n_clients)]
+                                    w_tight, zeros) for bits in range(2 ** _N_CLIENTS)]
             table = self._tables[game] = MappingProxyType(
                 {player: tuple(u[player] for u in outcomes) for player in zeros})
         return table
@@ -381,12 +390,12 @@ class _EngineGame:
     def _pick(self, mm_strats: tuple[tuple[int, Fraction], ...]) -> tuple:
         """``(tight market, bid leg, offer leg, w_tight)`` for the quoters'
         ``(ref, width)`` strategies.  Each quoter quotes with depth
-        ``10 * n_clients * client_size_a``, and ``auction.round_book``, the
-        protocol's own, builds the tight market's uncapped legs (oids
-        ``n_clients`` and ``n_clients + 1``)."""
+        ``10 * _N_CLIENTS * _CLIENT_LOTS * y``, and ``auction.round_book``,
+        the protocol's own, builds the tight market's uncapped legs (oids
+        ``_N_CLIENTS`` and ``_N_CLIENTS + 1``)."""
         pick = self._picks.get(mm_strats)
         if pick is None:
-            depth = 10 * self.n_clients * self.client_size_a
+            depth = 10 * _N_CLIENTS * _CLIENT_LOTS * self.y
             revealed = []
             for i, (ref, w) in enumerate(mm_strats):
                 bid, offer = quote(ref, w)
@@ -394,7 +403,7 @@ class _EngineGame:
                                                  offer=offer, size_offer=depth)))
             tight = select_tight_market(revealed)
             assert tight is not None
-            legs = round_book((), (), tight, self.n_clients)
+            legs = round_book((), (), tight, _N_CLIENTS)
             pick = self._picks[mm_strats] = (tight, legs.buy_orders[0], legs.sell_orders[0],
                                              legs.w_tight)
         return pick
@@ -408,24 +417,17 @@ class _EngineGame:
         kept = self._filtered.get(key)
         if kept is None:
             # client i's buy and sell order (oid i); its direction picks one
-            orders = [self._client_orders(i, cs) for i, cs in enumerate(client_strats)]
+            buys, sells = [], []
+            for i, cs in enumerate(client_strats):
+                price = MKT if cs.order_type == "mkt" else cs.limit_price
+                buys.append(Order(oid=i, owner=f"c{i}", tkn=TOKEN_A, size=_CLIENT_LOTS * self.y,
+                                  price=price, width_req=cs.width_req))
+                sells.append(Order(oid=i, owner=f"c{i}", tkn=TOKEN_B, size=_CLIENT_LOTS,
+                                   price=price, width_req=cs.width_req))
             book, _removed = filter_by_width(AuctionBook(
-                buy_orders=tuple(b for b, _ in orders), sell_orders=tuple(s for _, s in orders),
-                w_tight=w_tight))
+                buy_orders=tuple(buys), sell_orders=tuple(sells), w_tight=w_tight))
             kept = self._filtered[key] = (book.buy_orders, book.sell_orders)
         return kept
-
-    def _client_orders(self, i: int, cs: ClientProfile) -> tuple[Order, Order]:
-        """Client i's buy and sell order under ``cs``."""
-        orders = self._orders.get((i, cs))
-        if orders is None:
-            price = MKT if cs.order_type == "mkt" else cs.limit_price
-            orders = self._orders[i, cs] = (
-                Order(oid=i, owner=f"c{i}", tkn=TOKEN_A, size=self.client_size_a,
-                      price=price, width_req=cs.width_req),
-                Order(oid=i, owner=f"c{i}", tkn=TOKEN_B, size=self.client_size_a // self.y,
-                      price=price, width_req=cs.width_req))
-        return orders
 
     def _clear(self, buys: tuple[Order, ...], sells: tuple[Order, ...], w_tight: Width,
                zeros: dict[str, float]) -> dict[str, float]:
@@ -484,12 +486,12 @@ class _EngineGame:
         return tuple(contributions)
 
 
-def _pattern_counts(seed: int, paths: int, n_clients: int) -> list[int]:
-    """How many of ``paths`` drawn paths take each of the 2^n_clients client
-    flow patterns, indexed by pattern number (at most 8 clients).  Path k is
-    byte k of ``random.Random(seed).randbytes(paths)``, and its low
-    ``n_clients`` bits are its pattern: bit i is set when client i buys."""
-    mask = (1 << n_clients) - 1
+def _pattern_counts(seed: int, paths: int) -> list[int]:
+    """How many of ``paths`` drawn paths take each of the 2^_N_CLIENTS client
+    flow patterns, indexed by pattern number.  Path k is byte k of
+    ``random.Random(seed).randbytes(paths)``, and its low ``_N_CLIENTS``
+    bits are its pattern: bit i is set when client i buys."""
+    mask = (1 << _N_CLIENTS) - 1
     drawn = random.Random(seed).randbytes(paths).translate(bytes(b & mask for b in range(256)))
     return [drawn.count(pattern) for pattern in range(mask + 1)]
 
@@ -503,12 +505,12 @@ def _best_response_monte_carlo(profile: StrategyProfile, grid: DeviationGrid,
     89 profiles make 72 tight-market picks (one per distinct quoter pair),
     17 width filters (one per distinct client set and tight width), 15
     outcome tables, 97 book builds and clears (of the tables' 240 distinct
-    books), 40 client orders and 10 ``client_utility`` values.  A path's
-    utilities are its flow pattern's entries in the tables, so every
-    statistic over the paths is a sum over the 16 patterns weighted by
-    ``_pattern_counts``: the two path means, the mean paired difference
-    (the gain) and its standard error (``ddof=1``), which sets the
-    tolerance at 2 * SE + 1e-9.  The statistics of each distinct utility
+    books), 136 client orders (8 per filter) and 10 ``client_utility``
+    values.  A path's utilities are its flow pattern's entries in the
+    tables, so every statistic over the paths is a sum over the 16
+    patterns weighted by ``_pattern_counts``: the two path means, the mean
+    paired difference (the gain) and its standard error (``ddof=1``),
+    which sets the tolerance at 2 * SE + 1e-9.  The statistics of each distinct utility
     column against the base column are computed once and shared by every
     deviation whose table has that column.  The game and the statistics
     are local to the call, so nothing outlives it.  A grid that gives no
@@ -520,14 +522,13 @@ def _best_response_monte_carlo(profile: StrategyProfile, grid: DeviationGrid,
             (ref, w) != (base_ref, profile.mm.width)
             for w in grid.mm_widths for ref in grid.mm_ref_prices)):
         raise ValueError(f"grid {grid!r} has no deviation from the profile for n_mms=2")
-    # four clients, each sized divisibly by y so seller sizes are exact
-    game = _EngineGame(y=y, f_mcf=f_mcf, n_clients=4, client_size_a=10 * y)
+    game = _EngineGame(y=y, f_mcf=f_mcf)
     base_mm = [(base_ref, profile.mm.width), (base_ref, profile.mm.width)]
-    base_clients = [profile.client] * game.n_clients
+    base_clients = [profile.client] * _N_CLIENTS
     base = game.outcome_table(base_mm, base_clients)
 
     # common random numbers: every deviation is read on the same paths
-    counts = _pattern_counts(seed, paths, game.n_clients)
+    counts = _pattern_counts(seed, paths)
 
     def path_mean(column: Sequence[float]) -> float:
         return math.fsum(n * u for n, u in zip(counts, column)) / paths
@@ -577,16 +578,18 @@ def _best_response_monte_carlo(profile: StrategyProfile, grid: DeviationGrid,
 def best_response_check(profile: StrategyProfile, n_mms: int,
                         grid: Optional[DeviationGrid] = None, *,
                         y: int = 110, f_mcf: Fraction = Fraction(121, 100),
-                        delta: float = 1.0, notional: float = 1.0,
+                        delta: float = 1.0,
                         paths: int = 10000, seed: int = 7) -> BestResponseReport:
     """Check a strategy profile for improving unilateral deviations.
 
-    One quoter (``n_mms=1``) uses the closed-form expected profit
-    (deterministic, epsilon = 1e-9 * notional); two quoters (``n_mms=2``)
-    run the auction engine for four clients path by path under common
-    random client flow and test each deviation's mean gain against two
-    standard errors, so they need at least two ``paths`` and a grid with
-    at least one deviation from the profile.
+    One quoter (``n_mms=1``) uses the closed-form expected profit of a
+    client notional of 1 (deterministic, epsilon = 1e-9); two quoters
+    (``n_mms=2``) run the auction engine for four clients path by path
+    under common random client flow and test each deviation's mean gain
+    against two standard errors, so they need at least two ``paths`` and a
+    grid with at least one deviation from the profile.  Every price of the
+    grid must be at least 1 tick and every width at least 1; the default
+    grid needs ``y >= 3``.
     """
     if n_mms not in (1, 2):
         raise ValueError(f"n_mms must be 1 or 2, got {n_mms!r}")
@@ -594,9 +597,11 @@ def best_response_check(profile: StrategyProfile, n_mms: int,
         raise ValueError(f"paths must be at least 2 for n_mms=2, got {paths!r}")
     if grid is None:
         grid = default_grid(y, f_mcf)
+    elif (min((*grid.mm_ref_prices, *grid.client_limit_prices), default=1) < 1
+          or min((*grid.mm_widths, *grid.client_widths), default=1) < 1):
+        raise ValueError(f"grid {grid!r} has a price below 1 tick or a width below 1")
     if n_mms == 1:
-        return _best_response_closed_form(profile, grid, y, f_mcf, delta,
-                                          notional, epsilon=1e-9 * notional)
+        return _best_response_closed_form(profile, grid, y, f_mcf, delta)
     return _best_response_monte_carlo(profile, grid, y, f_mcf, paths, seed)
 
 

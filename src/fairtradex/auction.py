@@ -154,8 +154,9 @@ class _Depth:
     """A book's price structure, from one sort of its limit orders.
 
     A buy limit is eligible at ``cp`` when ``limit >= cp`` and a sell limit
-    when ``limit <= cp``; market orders are eligible at every tick and
-    withdrawals at none.  Buy sizes are summed from the highest limit down
+    when ``limit <= cp``; market orders are eligible at every tick (an
+    order's price is a tick count or ``MKT``: a withdrawal is a reveal,
+    never an order).  Buy sizes are summed from the highest limit down
     and sell sizes from the lowest up, each sum starting from that side's
     market-order total, so both volumes at a tick are two bisections away,
     and the eligible orders are one slice of each sorted side.

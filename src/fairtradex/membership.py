@@ -103,11 +103,6 @@ def gen_secret(seed: int) -> Secret:
     return Secret(s=h(base, b"serial"), r=h(base, b"rand"))
 
 
-def reg_id(secret: Secret) -> bytes:
-    """Registration identifier h(S || r)."""
-    return secret.reg_id
-
-
 def _padded_leaves(reg_ids: Sequence[bytes]) -> list[bytes]:
     if not reg_ids:
         raise EmptySet("cannot accumulate an empty registration set")

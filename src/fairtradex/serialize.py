@@ -67,10 +67,9 @@ def price_to_json(p: Price) -> Any:
 
 
 def price_from_json(v: Any) -> Price:
+    """An order's price: a tick count or ``"mkt"`` (a withdrawal is never an order)."""
     if v == "mkt":
         return MKT
-    if v == "withdraw":
-        return WITHDRAW
     if isinstance(v, int) and not isinstance(v, bool):
         return v
     raise ValueError(f"not a price: {v!r}")

@@ -57,12 +57,6 @@ class _AnyWidth:
     def __repr__(self):
         return "ANY"
 
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("ANY_WIDTH")
-
 
 ANY = _AnyWidth()
 
@@ -89,7 +83,8 @@ class _SpecialPrice:
 
 #: Market order: no limit price, maximally aggressive.
 MKT = _SpecialPrice("MKT")
-#: Withdrawal pseudo-order: reveal consumes the commitment and returns escrow.
+#: Withdrawal: a client reveal at this price consumes the commitment and
+#: returns the escrow.  It is a reveal, never an ``Order``.
 WITHDRAW = _SpecialPrice("WITHDRAW")
 
 Price = Union[int, _SpecialPrice]
@@ -139,7 +134,8 @@ def quote(ref: int, w: Fraction) -> tuple[int, int]:
 @dataclass(frozen=True)
 class Order:
     """A revealed order.  ``tkn`` is the token being sold: selling A buys the
-    swap, selling B sells the swap."""
+    swap, selling B sells the swap.  ``price`` is a tick count or ``MKT``,
+    and ``size`` is at least one atom."""
 
     oid: int
     owner: str
@@ -151,14 +147,11 @@ class Order:
     def __post_init__(self):
         if self.tkn not in (TOKEN_A, TOKEN_B):
             raise QuantityError(f"order token must be A or B, got {self.tkn!r}")
-        check_quantity(self.size)
-        if isinstance(self.price, int):
+        if check_quantity(self.size) == 0:
+            raise QuantityError("order size must be > 0")
+        if self.price is not MKT:
             check_price(self.price)
-        elif self.price is not MKT and self.price is not WITHDRAW:
-            raise QuantityError(f"bad price {self.price!r}")
         check_width(self.width_req)
-        if self.price is not WITHDRAW and self.size == 0:
-            raise QuantityError("order size must be > 0 unless withdrawing")
 
     @property
     def side(self) -> str:

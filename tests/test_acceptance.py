@@ -26,7 +26,7 @@ from fairtradex.chain import (CLIENT_REGISTER, CLIENT_REVEAL, COMMIT_CLIENT,
 from fairtradex.cli import main as cli_main
 from fairtradex.ledger import PROTOCOL_ACCOUNT, Ledger
 from fairtradex.membership import (Registry, accumulate, deserialize_proof, gen_secret,
-                                   prove_membership, reg_id, serialize_proof,
+                                   prove_membership, serialize_proof,
                                    verify_membership, MalformedProof)
 from fairtradex.protocol import (ClientCommitPayload, ClientRevealPayload,
                                  CpPayload, MMCommitPayload, MMRevealPayload,
@@ -100,7 +100,7 @@ def _fuzz_one_round(rng: random.Random) -> tuple[int, bool]:
              a=rng.randint(0, 3_000), b=rng.randint(0, 60))
         clients.append((pid, secret))
         proto.handle(*etx(Tx(kind=CLIENT_REGISTER, sender=pid,
-                            payload=RegisterPayload(reg_id(secret))), height=0))
+                            payload=RegisterPayload(secret.reg_id)), height=0))
     mms = []
     for i in range(n_mms):
         pid = f"m{i}"
@@ -115,7 +115,7 @@ def _fuzz_one_round(rng: random.Random) -> tuple[int, bool]:
 
     committed = {}
     for pid, secret in clients:
-        if rng.random() < 0.15 or reg_id(secret) not in proto.clients:
+        if rng.random() < 0.15 or secret.reg_id not in proto.clients:
             continue
         side = rng.choice(["buy", "buy", "sell", "sell", "withdraw"])
         if side == "withdraw":
@@ -162,7 +162,7 @@ def _fuzz_one_round(rng: random.Random) -> tuple[int, bool]:
         tkn, size, price, width = order
         payload = ClientRevealPayload(
             tkn=tkn, size=size + (1 if mutate else 0), price=price, width=width,
-            serial=secret.s, randomness=secret.r, reg_id=reg_id(secret),
+            serial=secret.s, randomness=secret.r, reg_id=secret.reg_id,
             reg_token_new=None)
         proto.handle(*etx(Tx(kind=CLIENT_REVEAL, sender=pid, payload=payload),
                          height=params.t_eff))
@@ -231,7 +231,7 @@ def _escrow_case(client_reveals: tuple[bool, bool], mm_reveals: tuple[bool, bool
         pid = f"c{i}"
         secrets[pid] = gen_secret(i + 1)
         proto.handle(*etx(Tx(kind=CLIENT_REGISTER, sender=pid,
-                            payload=RegisterPayload(reg_id(secrets[pid]))), height=0))
+                            payload=RegisterPayload(secrets[pid].reg_id)), height=0))
     m = Market(bid=108, size_bid=25_000, offer=112, size_offer=200)
     proto.initialise(0)
 
@@ -256,7 +256,7 @@ def _escrow_case(client_reveals: tuple[bool, bool], mm_reveals: tuple[bool, bool
                                    payload=ClientRevealPayload(
                                        tkn=tkn, size=size, price=price, width=width,
                                        serial=secrets[pid].s, randomness=secrets[pid].r,
-                                       reg_id=reg_id(secrets[pid]), reg_token_new=None)),
+                                       reg_id=secrets[pid].reg_id, reg_token_new=None)),
                                 height=1))["applied"]
     for i, reveals in enumerate(mm_reveals):
         if not reveals:
@@ -342,7 +342,7 @@ def test_criterion_6_best_response_reports(tmp_path):
     f_mcf = Fraction(121, 100)
     monopoly = StrategyProfile(client=ClientProfile(order_type="mkt", width_req=f_mcf),
                                mm=MMProfile(width=f_mcf))
-    rep1 = best_response_check(monopoly, n_mms=1, notional=1.0)
+    rep1 = best_response_check(monopoly, n_mms=1)
     assert rep1.confirmed, [e for e in rep1.entries if e.improves]
     competitive = StrategyProfile(client=ClientProfile(order_type="mkt", width_req=f_mcf),
                                   mm=MMProfile(width=Fraction(1)))
@@ -416,7 +416,7 @@ def test_criterion_9_membership_layer():
     # completeness, exhaustive over set sizes 1..64
     for n in range(1, 65):
         secrets = [gen_secret(s) for s in range(n)]
-        ids = Registry(reg_id(s) for s in secrets)
+        ids = Registry(s.reg_id for s in secrets)
         root = accumulate(ids)
         for sec in secrets:
             proof = prove_membership(sec, ids, b"acceptance")
@@ -424,7 +424,7 @@ def test_criterion_9_membership_layer():
 
     # nullifier replay: 1,000 replays, all rejected
     secrets = [gen_secret(s) for s in range(50)]
-    ids = Registry(reg_id(s) for s in secrets)
+    ids = Registry(s.reg_id for s in secrets)
     root = accumulate(ids)
     nullifiers = set()
     for sec in secrets:

@@ -11,8 +11,8 @@ import pytest
 from fairtradex.analysis import (AMM, DIRECTION_REVEALING, FAIRTRADEX,
                                  IDENTITY_REVEALING, P1, P2, ClientProfile,
                                  CostModel, DEFAULT_IMPACT_TABLE, DeviationGrid, MMProfile,
-                                 StrategyProfile, _closed_form_client_utility, _EngineGame,
-                                 _pattern_counts, _profit, best_response_check, client_utility,
+                                 StrategyProfile, _CLIENT_LOTS, _closed_form_client_utility,
+                                 _EngineGame, _N_CLIENTS, _pattern_counts, _profit, best_response_check, client_utility,
                                  cost_table, default_grid, execution_cost, mm_buyer_leg,
                                  mm_expected_profit, mm_seller_leg, p_ref_argmax, p_ref_grid)
 from fairtradex.auction import AuctionBook, filter_by_width, round_book, select_tight_market
@@ -239,6 +239,11 @@ class TestClientUtility:
                 client_utility(*args)
         assert client_utility(0.5, 0.5, "buy", 1.21) == pytest.approx(math.log(1.1))
 
+    @pytest.mark.parametrize("side", ["hold", "BUY", None])
+    def test_unknown_side_rejected(self, side):
+        with pytest.raises(ValueError, match="side must be 'buy' or 'sell'"):
+            client_utility(110.0, 110.0, side, 1.21)
+
     @pytest.mark.parametrize("side", ["buy", "sell"])
     @pytest.mark.parametrize("position", [0, 1, 3])
     def test_infinity_rejected_in_every_numeric_position(self, position, side):
@@ -328,6 +333,11 @@ class TestExecutionCost:
         assert execution_cost(m, P1, 500_000) == 0
         assert execution_cost(m, P2, 500_000) == 750
 
+    def test_unknown_protocol_rejected(self):
+        m = CostModel("CentralLimitOrderBook", DEFAULT_IMPACT_TABLE)
+        with pytest.raises(ValueError, match="unknown protocol 'CentralLimitOrderBook'"):
+            execution_cost(m, P1, 10_000)
+
     def test_unknown_notional_without_interpolation(self):
         m = CostModel(AMM, DEFAULT_IMPACT_TABLE, slippage=0.005)
         with pytest.raises(KeyError):
@@ -364,7 +374,7 @@ def _competitive_deviations():
     ``(label, utility key, quoter strategies, client strategies)``."""
     y, f_mcf = 110, Fraction(121, 100)
     grid = default_grid(y, f_mcf)
-    game = _EngineGame(y=y, f_mcf=f_mcf, n_clients=4, client_size_a=10 * y)
+    game = _EngineGame(y=y, f_mcf=f_mcf)
     mms = [(y, Fraction(1))] * 2
     clients = [COMPETITIVE.client] * 4
     deviations = [(f"mm0 p_ref={ref} w={w}", "m0", [(ref, w), mms[1]], clients)
@@ -390,27 +400,27 @@ def _drawn_patterns(seed, paths):
 def _reference_books(game, mm_strats, client_strats):
     """Each flow pattern's book, built in full and filtered on its own: the
     tight market's two orders plus each client's order on its side."""
-    depth = 10 * game.n_clients * game.client_size_a
+    depth = 10 * _N_CLIENTS * _CLIENT_LOTS * game.y
     revealed = []
     for i, (ref, w) in enumerate(mm_strats):
         bid, offer = quote(ref, w)
         revealed.append((f"m{i}", Market(bid=bid, size_bid=depth, offer=offer, size_offer=depth)))
     player, m = select_tight_market(revealed)
-    buy = Order(oid=game.n_clients, owner=player, tkn=TOKEN_A, size=depth, price=m.bid,
+    buy = Order(oid=_N_CLIENTS, owner=player, tkn=TOKEN_A, size=depth, price=m.bid,
                 width_req=ANY)
-    sell = Order(oid=game.n_clients + 1, owner=player, tkn=TOKEN_B, size=depth, price=m.offer,
+    sell = Order(oid=_N_CLIENTS + 1, owner=player, tkn=TOKEN_B, size=depth, price=m.offer,
                  width_req=ANY)
     books = []
-    for bits in range(2 ** game.n_clients):
+    for bits in range(2 ** _N_CLIENTS):
         buys, sells = [], []
         for i, cs in enumerate(client_strats):
             price = MKT if cs.order_type == "mkt" else cs.limit_price
             if bits >> i & 1:
-                buys.append(Order(oid=i, owner=f"c{i}", tkn=TOKEN_A, size=game.client_size_a,
-                                  price=price, width_req=cs.width_req))
+                buys.append(Order(oid=i, owner=f"c{i}", tkn=TOKEN_A,
+                                  size=_CLIENT_LOTS * game.y, price=price,
+                                  width_req=cs.width_req))
             else:
-                sells.append(Order(oid=i, owner=f"c{i}", tkn=TOKEN_B,
-                                   size=game.client_size_a // game.y,
+                sells.append(Order(oid=i, owner=f"c{i}", tkn=TOKEN_B, size=_CLIENT_LOTS,
                                    price=price, width_req=cs.width_req))
         filtered, _removed = filter_by_width(AuctionBook(
             buy_orders=(*buys, buy), sell_orders=(*sells, sell), w_tight=market_width(m)))
@@ -482,7 +492,7 @@ class TestBestResponse:
         for label, _key, mms, clients in [base] + deviations:
             table = game.outcome_table(mms, clients)
             zeros = dict.fromkeys([f"m{i}" for i in range(len(mms))] +
-                                  [f"c{i}" for i in range(game.n_clients)], 0.0)
+                                  [f"c{i}" for i in range(_N_CLIENTS)], 0.0)
             loop = [replace(game)._clear(book.buy_orders, book.sell_orders, book.w_tight, zeros)
                     for book in _reference_books(game, mms, clients)]
             assert set(table) == set(loop[0]), label
@@ -498,7 +508,7 @@ class TestBestResponse:
         monkeypatch.setattr(analysis, "client_utility",
                             lambda *args: calls.append(args) or utility(*args))
         f_mcf = Fraction(121, 100)
-        game = _EngineGame(y=110, f_mcf=f_mcf, n_clients=2, client_size_a=1100)
+        game = _EngineGame(y=110, f_mcf=f_mcf)
         # c1's limit sell at 200 is above the clearing price 121
         book = AuctionBook(
             buy_orders=(Order(0, "c0", TOKEN_A, 1100, MKT, f_mcf),
@@ -583,11 +593,12 @@ class TestBestResponse:
             table["m0"] = (0.0,) * 16
 
     def test_check_builds_each_order_and_client_utility_once(self, monkeypatch):
-        """One competitive check builds client i's buy and sell order once
-        per distinct (position, ``ClientProfile``) pair of its 89 profiles:
-        20 pairs, 40 orders, where one set per profile would be 712.  It
-        calls ``client_utility`` once per distinct argument tuple: 10
-        calls, where one per settled client fill would be 888.  A second
+        """One competitive check builds each client's buy and sell order
+        once per width filter, 17 filters of four clients: 136 orders,
+        where one set per profile would be 712.  They take the 20 distinct
+        (position, ``ClientProfile``) pairs of its 89 profiles.  It calls
+        ``client_utility`` once per distinct argument tuple: 10 calls,
+        where one per settled client fill would be 888.  A second
         identical check builds all of it again: the game dies with the
         call."""
         from fairtradex import analysis
@@ -612,8 +623,8 @@ class TestBestResponse:
             utility_args.clear()
             rep = best_response_check(COMPETITIVE, n_mms=2, paths=200)
             assert len(rep.entries) == 88
-            assert len(orders) == 2 * len(pairs) == 40
-            assert sorted(f["tkn"] for f in orders) == [TOKEN_A] * 20 + [TOKEN_B] * 20
+            assert len(orders) == 2 * 4 * 17 == 136
+            assert sorted(f["tkn"] for f in orders) == [TOKEN_A] * 68 + [TOKEN_B] * 68
             assert {(f["oid"], f["price"], f["width_req"]) for f in orders} == {
                 (i, MKT if cs.order_type == "mkt" else cs.limit_price, cs.width_req)
                 for i, cs in pairs}
@@ -622,20 +633,17 @@ class TestBestResponse:
     def test_one_game_caches_what_its_profiles_repeat(self):
         """The base profile and the 88 deviations, run through one game,
         leave 72 tight-market picks, 17 filtered client sets, 15 tables, 97
-        settled book shapes, 20 order pairs (40 orders) and 10
-        ``client_utility`` values in its caches; a copy of the game starts
-        with none."""
+        settled book shapes and 10 ``client_utility`` values in its five
+        caches; a copy of the game starts with none."""
         game, base, deviations = _competitive_deviations()
         for _label, _key, mms, clients in [base] + deviations:
             game.outcome_table(mms, clients)
         assert len(game._picks) == 72 and len(game._filtered) == 17
         assert len(game._tables) == 15 and len(game._shapes) == 97
-        assert len(game._orders) == 20
-        assert len({o for pair in game._orders.values() for o in pair}) == 40
         assert len(game._utilities) == 10
         fresh = replace(game)
         assert fresh == game and not (fresh._picks or fresh._filtered or fresh._tables
-                                      or fresh._shapes or fresh._orders or fresh._utilities)
+                                      or fresh._shapes or fresh._utilities)
 
     def test_cached_pick_equals_a_fresh_selection(self):
         """For every quoter pair of the default grid, the game's pick, kept
@@ -647,12 +655,12 @@ class TestBestResponse:
         assert len(pairs) == 72
         for _label, _key, mms, clients in [base] + deviations:
             game.outcome_table(mms, clients)
-        depth = 10 * game.n_clients * game.client_size_a
+        depth = 10 * _N_CLIENTS * _CLIENT_LOTS * game.y
         for mms in pairs:
             revealed = [(f"m{i}", Market(bid=bid, size_bid=depth, offer=offer, size_offer=depth))
                         for i, (bid, offer) in enumerate(quote(ref, w) for ref, w in mms)]
             tight = select_tight_market(revealed)
-            legs = round_book((), (), tight, game.n_clients)
+            legs = round_book((), (), tight, _N_CLIENTS)
             assert game._picks[mms] == (tight, *legs.buy_orders, *legs.sell_orders,
                                         market_width(tight[1])), mms
 
@@ -666,6 +674,37 @@ class TestBestResponse:
         with pytest.raises(ValueError, match="grid"):
             best_response_check(COMPETITIVE, n_mms=2, grid=grid, paths=10)
         assert best_response_check(COMPETITIVE, n_mms=1, grid=grid).to_json_dict()["deviations"]
+
+    @pytest.mark.parametrize("n_mms", [1, 2])
+    @pytest.mark.parametrize("y", [1, 2])
+    def test_default_grid_below_three_ticks_rejected(self, y, n_mms):
+        """At y 1 and 2 the default grid lists the price y - 2 < 1, which
+        once failed deep inside the model (``n_mms=1``: a p_ref of 0.0,
+        ``n_mms=2``: a quote of 0 ticks); it is a ``ValueError`` naming y
+        before any work."""
+        with pytest.raises(ValueError, match=f"y >= 3.*got y={y}"):
+            default_grid(y, Fraction(121, 100))
+        with pytest.raises(ValueError, match=f"y >= 3.*got y={y}"):
+            best_response_check(COMPETITIVE, n_mms=n_mms, y=y, paths=10)
+
+    def test_default_grid_from_three_ticks_lists_only_prices(self):
+        for y in (3, 4, 5, 110):
+            grid = default_grid(y, Fraction(121, 100))
+            assert min(grid.mm_ref_prices) == min(grid.client_limit_prices) >= 1
+        assert default_grid(3, Fraction(121, 100)).mm_ref_prices == (1, 2, 3, 4, 5, 6)
+
+    @pytest.mark.parametrize("n_mms", [1, 2])
+    @pytest.mark.parametrize("grid", [
+        DeviationGrid((0, 110), (Fraction(1),), (), ()),
+        DeviationGrid((110,), (Fraction(1),), (109, 0), ()),
+        DeviationGrid((110,), (Fraction(1), Fraction(1, 2)), (), ()),
+        DeviationGrid((110,), (Fraction(1),), (), (Fraction(99, 100),))],
+        ids=["quote-price-0", "limit-price-0", "quote-width-1/2", "client-width-99/100"])
+    def test_grid_below_one_tick_or_width_one_rejected(self, grid, n_mms):
+        """An explicit grid with a price below 1 tick or a width below 1 is
+        rejected up front, as an empty grid is, for both quoter counts."""
+        with pytest.raises(ValueError, match="price below 1 tick or a width below 1"):
+            best_response_check(COMPETITIVE, n_mms=n_mms, grid=grid, paths=10)
 
     @pytest.mark.parametrize("seed", [7, 20_240_006])
     def test_entries_match_a_fresh_game_per_deviation(self, seed):
@@ -701,7 +740,7 @@ class TestBestResponse:
         expanded into one pattern number per path."""
         paths = 10_000
         game, (_, _, mms, clients), deviations = _competitive_deviations()
-        pattern = np.repeat(np.arange(16), _pattern_counts(seed, paths, 4))
+        pattern = np.repeat(np.arange(16), _pattern_counts(seed, paths))
         assert len(pattern) == paths
         base = game.outcome_table(mms, clients)
         rep = best_response_check(COMPETITIVE, n_mms=2, paths=paths, seed=seed)
@@ -720,7 +759,7 @@ class TestBestResponse:
     def test_pattern_counts_count_the_drawn_paths(self, seed, paths):
         """Each pattern's count is how many drawn bytes have it as their low
         four bits, so the 16 counts sum to ``paths``."""
-        counts = _pattern_counts(seed, paths, 4)
+        counts = _pattern_counts(seed, paths)
         patterns = _drawn_patterns(seed, paths)
         assert counts == [patterns.count(p) for p in range(16)]
         assert sum(counts) == paths
@@ -728,7 +767,7 @@ class TestBestResponse:
     def test_pattern_counts_of_the_archived_draw(self):
         """The archive's draw, pinned: a Python release that changes the
         Mersenne Twister stream or ``randbytes`` fails here by name."""
-        assert _pattern_counts(20_240_006, 10_000, 4) == [
+        assert _pattern_counts(20_240_006, 10_000) == [
             598, 619, 604, 664, 584, 644, 604, 600, 634, 615, 669, 644, 626, 639, 603, 653]
 
     def test_single_quoter_closed_form_against_engine(self):
@@ -743,7 +782,7 @@ class TestBestResponse:
         tolerance."""
         y, f_mcf = 110, Fraction(121, 100)
         grid = default_grid(y, f_mcf)
-        game = _EngineGame(y=y, f_mcf=f_mcf, n_clients=4, client_size_a=10 * y)
+        game = _EngineGame(y=y, f_mcf=f_mcf)
         mms, clients = [(y, MONOPOLY.mm.width)], [MONOPOLY.client] * 4
         base = game.outcome_table(mms, clients)
 
@@ -789,8 +828,7 @@ class TestBestResponse:
     def test_widening_deviator_loses_flow(self):
         """One quoter widening to 1.1 against a width-1 rival loses the
         tie-break and with it all traded flow; utility never improves."""
-        game = _EngineGame(y=110, f_mcf=Fraction(121, 100), n_clients=4,
-                           client_size_a=1100)
+        game = _EngineGame(y=110, f_mcf=Fraction(121, 100))
         clients = [ClientProfile(order_type="mkt", width_req=Fraction(121, 100))] * 4
         base = [(110, Fraction(1)), (110, Fraction(1))]
         widened = [(110, Fraction(11, 10)), (110, Fraction(1))]
@@ -803,8 +841,7 @@ class TestBestResponse:
     def test_under_fair_limit_buy_loses_fills(self):
         """A limit buy below the fair price under the competitive profile
         never executes; fill probability drops to zero, utility cannot rise."""
-        game = _EngineGame(y=110, f_mcf=Fraction(121, 100), n_clients=4,
-                           client_size_a=1100)
+        game = _EngineGame(y=110, f_mcf=Fraction(121, 100))
         base_clients = [ClientProfile(order_type="mkt", width_req=Fraction(121, 100))] * 4
         dev_clients = [ClientProfile(order_type="limit", width_req=Fraction(121, 100),
                                      limit_price=99)] + base_clients[1:]

@@ -9,15 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fairtradex.auction import (AuctionBook, ClearingCandidate, InvalidClearingPrice,
-                                candidate_prices, filter_by_width,
+from fairtradex.auction import (AuctionBook, ClearingCandidate, Fill, InvalidClearingPrice,
+                                candidate_prices, conservation_problems, filter_by_width,
                                 find_clearing_price, select_tight_market, settle,
                                 tie_break_seed,
                                 validate_clearing_result, verify_clearing_price,
                                 volumes_at)
 from fairtradex.membership import h
 from fairtradex.serialize import book_from_json, dumps_canonical, result_to_json
-from fairtradex.units import (ANY, MKT, TOKEN_A, TOKEN_B, WITHDRAW, Market, Order,
+from fairtradex.units import (ANY, MKT, TOKEN_A, TOKEN_B, Market, Order,
                               encode_market)
 
 from helpers import naive_bound, naive_clear, random_book, ranked_clear, wide_book
@@ -43,9 +43,9 @@ def book_of(buys, sells, w_tight=ANY):
 WIDTHS = st.builds(lambda den, extra: Fraction(den + extra, den),
                    st.integers(1, 10**40), st.integers(0, 10**40))
 
-#: (is_buy, size, price) order lists over ticks 1-30, with market orders and withdrawals
+#: (is_buy, size, price) order lists over ticks 1-30, with market orders
 ORDERS = st.lists(st.tuples(st.booleans(), st.integers(1, 50),
-                            st.one_of(st.just(MKT), st.just(WITHDRAW), st.integers(1, 30))),
+                            st.one_of(st.just(MKT), st.integers(1, 30))),
                   max_size=14)
 
 
@@ -278,7 +278,7 @@ class TestCandidates:
     @example(orders=[])
     @example(orders=[(True, 100, MKT), (False, 3, MKT)])        # one unbounded segment
     @example(orders=[(True, 5, 1), (False, 4, 1), (True, 9, 2), (False, 1, 3)])
-    @example(orders=[(True, 5, 7), (False, 2, WITHDRAW)])        # one side withdrawn
+    @example(orders=[(True, 5, 7)])                              # one side empty
     @settings(max_examples=300, deadline=None)
     def test_one_optimum_per_segment(self, orders):
         """Each segment's best tick under the oracle's ranking, by a dense scan.
@@ -370,8 +370,8 @@ class TestOracle:
     @given(orders=ORDERS)
     @example(orders=[])                                                # empty book
     @example(orders=[(True, 5, MKT), (True, 3, MKT), (False, 2, MKT)])  # market orders only
-    @example(orders=[(True, 5, 7), (False, 2, WITHDRAW), (False, 3, WITHDRAW)])
-    @example(orders=[(True, 5, WITHDRAW), (False, 2, 3), (False, 3, MKT)])
+    @example(orders=[(True, 5, 7)])                                    # buys only
+    @example(orders=[(False, 2, 3), (False, 3, MKT)])                  # sells only
     @example(orders=[(True, 20, 10), (False, 1, 11)])                  # sell limit = buy + 1
     @example(orders=[(True, 20, 10), (False, 1, 11), (False, 2, MKT), (True, 9, 11)])
     @settings(max_examples=300, deadline=None)
@@ -591,6 +591,16 @@ class TestSettle:
         distinct = settle(numbered(lambda k: 2 * k, lambda k: 2 * k + 1), cand.cp)
         assert ([(f.executed, f.received, f.refunded) for f in res.fills]
                 == [(f.executed, f.received, f.refunded) for f in distinct.fills])
+
+    def test_conservation_flags_a_negative_amount(self):
+        """A fill whose legs and sums all balance is still flagged when one
+        of its amounts is negative."""
+        buy_order = Order(0, "a", TOKEN_A, 10, MKT, ANY)
+        sell_order = Order(1, "b", TOKEN_B, 2, MKT, ANY)
+        fills = [Fill(0, 20, 2, -10, buy_order), Fill(1, 2, 20, 0, sell_order)]
+        assert conservation_problems(10, 2, fills) == ["buy fill 0: negative amount"]
+        fills = [Fill(0, 10, 1, 0, buy_order), Fill(1, 1, 10, 1, sell_order)]
+        assert conservation_problems(10, 1, fills) == []
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=300, deadline=None)

@@ -12,6 +12,11 @@ def noop(i, sender="p"):
 
 
 class TestInclusionBound:
+    @pytest.mark.parametrize("t_eff", [0, -1])
+    def test_inclusion_bound_below_one_block_rejected(self, t_eff):
+        with pytest.raises(ValueError, match="t_eff must be >= 1"):
+            Chain(t_eff=t_eff)
+
     @pytest.mark.parametrize("policy_name", sorted(ORDERING_POLICIES))
     @pytest.mark.parametrize("t_eff", [1, 3, 6, 40])
     def test_every_tx_lands_within_t_eff(self, policy_name, t_eff):
@@ -129,6 +134,12 @@ class TestBlockProducer:
 
 
 class TestRelay:
+    def test_no_relayer_refuses_the_tx(self):
+        chain = Chain(t_eff=2)
+        with pytest.raises(InvalidProof, match="no relayer available"):
+            chain.relay(Tx(kind=NOOP, payload=0, sender=RELAYED), lambda tx: True)
+        assert not chain.pending
+
     def test_valid_relayed_tx_gets_exactly_one_relayer(self):
         chain = Chain(t_eff=2)
         chain.register_relayer("r1")

@@ -11,7 +11,7 @@ from fairtradex import membership
 from fairtradex.membership import (DIGEST_SIZE, EmptySet, MalformedProof,
                                    NotAMember, Registry, Secret, accumulate, admit,
                                    authentic, deserialize_proof, gen_secret, h,
-                                   is_proof, prove_membership, reg_id,
+                                   is_proof, prove_membership,
                                    serialize_proof, verify_membership)
 
 GOLDEN = Path(__file__).parent / "golden" / "membership_proof.json"
@@ -39,9 +39,14 @@ class TestSecrets:
             with pytest.raises(ValueError):
                 gen_secret(bad)
 
+    @pytest.mark.parametrize("s_len, r_len", [(31, 32), (32, 33), (0, 32)])
+    def test_components_must_be_32_bytes(self, s_len, r_len):
+        with pytest.raises(ValueError, match="secret components must be 32 bytes"):
+            Secret(s=b"\1" * s_len, r=b"\2" * r_len)
+
     def test_reg_id_is_the_hash_of_serial_and_randomness(self):
         s = gen_secret(7)
-        assert reg_id(s) == s.reg_id == h(s.s, s.r) == raw_h(s.s + s.r)
+        assert s.reg_id == h(s.s, s.r) == raw_h(s.s + s.r)
 
     def test_equality_and_repr_read_serial_and_randomness_only(self):
         s = gen_secret(7)
@@ -55,19 +60,19 @@ class TestSecrets:
 
 class TestAccumulate:
     def test_single_leaf_pads_to_pair(self):
-        L = reg_id(gen_secret(1))
+        L = gen_secret(1).reg_id
         assert accumulate(Registry([L])) == raw_h(L + L)
 
     def test_two_leaves(self):
-        l1, l2 = (reg_id(gen_secret(s)) for s in (1, 2))
+        l1, l2 = (gen_secret(s).reg_id for s in (1, 2))
         assert accumulate(Registry([l1, l2])) == raw_h(l1 + l2)
 
     def test_three_leaves_duplicate_last(self):
-        l1, l2, l3 = (reg_id(gen_secret(s)) for s in (1, 2, 3))
+        l1, l2, l3 = (gen_secret(s).reg_id for s in (1, 2, 3))
         assert accumulate(Registry([l1, l2, l3])) == raw_h(raw_h(l1 + l2) + raw_h(l3 + l3))
 
     def test_order_sensitivity(self):
-        l1, l2 = (reg_id(gen_secret(s)) for s in (1, 2))
+        l1, l2 = (gen_secret(s).reg_id for s in (1, 2))
         assert accumulate(Registry([l1, l2])) != accumulate(Registry([l2, l1]))
 
     def test_empty_set_rejected(self):
@@ -80,7 +85,7 @@ class TestProveVerify:
         # exhaustive for set sizes 1..16 here; 1..64 runs in the acceptance suite
         for n in range(1, 17):
             secrets = [gen_secret(s) for s in range(n)]
-            ids = Registry(reg_id(s) for s in secrets)
+            ids = Registry(s.reg_id for s in secrets)
             root = accumulate(ids)
             for sec in secrets:
                 proof = prove_membership(sec, ids, b"msg")
@@ -90,7 +95,7 @@ class TestProveVerify:
     @settings(max_examples=100, deadline=None)
     def test_every_proof_has_a_proofs_shape(self, n, data):
         secrets = [gen_secret(s) for s in range(n)]
-        reg = Registry(reg_id(s) for s in secrets)
+        reg = Registry(s.reg_id for s in secrets)
         proof = prove_membership(secrets[data.draw(st.integers(0, n - 1))], reg,
                                  data.draw(st.binary(max_size=64)))
         assert is_proof(proof)
@@ -98,13 +103,13 @@ class TestProveVerify:
         assert len(proof.path) == 33 * max(1, (n - 1).bit_length())
 
     def test_unregistered_secret(self):
-        ids = Registry(reg_id(gen_secret(s)) for s in range(4))
+        ids = Registry(gen_secret(s).reg_id for s in range(4))
         with pytest.raises(NotAMember):
             prove_membership(gen_secret(99), ids, b"msg")
 
     def test_replayed_serial_rejected(self):
         secrets = [gen_secret(s) for s in range(4)]
-        ids = Registry(reg_id(s) for s in secrets)
+        ids = Registry(s.reg_id for s in secrets)
         root = accumulate(ids)
         nullifiers = set()
         p1 = prove_membership(secrets[0], ids, b"first")
@@ -115,20 +120,20 @@ class TestProveVerify:
 
     def test_wrong_root_rejected(self):
         secrets = [gen_secret(s) for s in range(4)]
-        ids = Registry(reg_id(s) for s in secrets)
+        ids = Registry(s.reg_id for s in secrets)
         proof = prove_membership(secrets[0], ids, b"msg")
-        other_root = accumulate(Registry(reg_id(s) for s in secrets[:2]))
+        other_root = accumulate(Registry(s.reg_id for s in secrets[:2]))
         assert not verify_membership(proof, other_root, b"msg", set())
 
     def test_tampered_message_rejected(self):
         secrets = [gen_secret(s) for s in range(4)]
-        ids = Registry(reg_id(s) for s in secrets)
+        ids = Registry(s.reg_id for s in secrets)
         proof = prove_membership(secrets[0], ids, b"msg")
         assert not verify_membership(proof, accumulate(ids), b"msh", set())
 
     def test_dry_run_does_not_consume_serial(self):
         secrets = [gen_secret(s) for s in range(2)]
-        ids = Registry(reg_id(s) for s in secrets)
+        ids = Registry(s.reg_id for s in secrets)
         root = accumulate(ids)
         nullifiers = set()
         proof = prove_membership(secrets[0], ids, b"m")
@@ -138,12 +143,12 @@ class TestProveVerify:
 
     def test_pure_half_reads_only_proof_and_message(self):
         secrets = [gen_secret(s) for s in range(5)]
-        ids = Registry(reg_id(s) for s in secrets)
+        ids = Registry(s.reg_id for s in secrets)
         proof = prove_membership(secrets[2], ids, b"m")
         assert authentic(proof, b"m") and not authentic(proof, b"n")
         # a later registration moves the root: the pure half still holds,
         # the state half and the whole check fail
-        ids.append(reg_id(gen_secret(9)))
+        ids.append(gen_secret(9).reg_id)
         new_root = accumulate(ids)
         nullifiers = set()
         assert not admit(proof, new_root, nullifiers)
@@ -182,7 +187,7 @@ class TestNodeMemo:
         for _ in range(data.draw(st.integers(1, 4))):
             # seeds from a small range repeat, so registries hold duplicate ids
             seeds = data.draw(st.lists(st.integers(0, 9), min_size=1, max_size=13))
-            reg = Registry(reg_id(gen_secret(s)) for s in seeds)
+            reg = Registry(gen_secret(s).reg_id for s in seeds)
             secret = gen_secret(data.draw(st.sampled_from(seeds)))
             message = data.draw(st.binary(max_size=16))
             proof = prove_membership(secret, reg, message)
@@ -197,7 +202,7 @@ class TestNodeMemo:
 
     def test_proofs_over_one_tree_hash_each_node_pair_once(self, monkeypatch):
         secrets = [gen_secret(s) for s in range(8)]
-        reg = Registry(reg_id(s) for s in secrets)
+        reg = Registry(s.reg_id for s in secrets)
         proofs = [prove_membership(s, reg, b"m") for s in secrets]
         calls = []
         real = membership.h
@@ -218,11 +223,20 @@ def flip_bit(blob: bytes, bit: int) -> bytes:
 
 
 class TestBinding:
+    def test_a_node_tag_that_is_no_side_is_not_authentic(self):
+        """``is_proof`` refuses a path whose first node is tagged 2 (a
+        serialized leaf's tag); ``authentic``, called on it anyway, says no."""
+        secrets = [gen_secret(s) for s in range(8)]
+        proof = prove_membership(secrets[3], Registry(s.reg_id for s in secrets), b"message")
+        assert authentic(proof, b"message")
+        bad = replace(proof, path=b"\2" + proof.path[1:])
+        assert not is_proof(bad) and not authentic(bad, b"message")
+
     @given(data=st.data())
     @settings(max_examples=300)
     def test_single_bit_mutations_rejected(self, data):
         secrets = [gen_secret(s) for s in range(8)]
-        ids = Registry(reg_id(s) for s in secrets)
+        ids = Registry(s.reg_id for s in secrets)
         root = accumulate(ids)
         idx = data.draw(st.integers(0, 7))
         proof = prove_membership(secrets[idx], ids, b"message")
@@ -239,13 +253,13 @@ class TestBinding:
 class TestSerialization:
     def test_round_trip(self):
         secrets = [gen_secret(s) for s in range(5)]
-        ids = Registry(reg_id(s) for s in secrets)
+        ids = Registry(s.reg_id for s in secrets)
         proof = prove_membership(secrets[3], ids, b"xyz")
         assert deserialize_proof(serialize_proof(proof)) == proof
 
     def test_node_count_boundary(self):
         """A leaf-only proof (one node) round-trips; a blob that declares no node is malformed."""
-        ids = Registry(reg_id(gen_secret(s)) for s in range(2))
+        ids = Registry(gen_secret(s).reg_id for s in range(2))
         bare = replace(prove_membership(gen_secret(0), ids, b"m"), path=b"")
         blob = serialize_proof(bare)
         assert blob[64:68] == (1).to_bytes(4, "big")
@@ -280,7 +294,7 @@ class TestSerialization:
     def test_golden_vector(self):
         doc = json.loads(GOLDEN.read_text())
         secrets = [gen_secret(s) for s in doc["seeds"]]
-        ids = Registry(reg_id(s) for s in secrets)
+        ids = Registry(s.reg_id for s in secrets)
         message = doc["message"].encode()
         proof = prove_membership(secrets[doc["seeds"].index(doc["prover_seed"])], ids, message)
         assert serialize_proof(proof).hex() == doc["proof"]
@@ -295,7 +309,7 @@ class TestTranscriptShape:
         """The public commit transcript leaks no owner-determined field
         beyond the Merkle path (simulation ceiling: paths are not hiding)."""
         secrets = [gen_secret(s) for s in range(4)]
-        ids = Registry(reg_id(s) for s in secrets)
+        ids = Registry(s.reg_id for s in secrets)
         order_bytes = b"ord|A|100|mkt|121/100"
         com = h(order_bytes)
         t1 = prove_membership(secrets[0], ids, com)
@@ -312,7 +326,7 @@ class TestTranscriptShape:
 
 
 POOL = [gen_secret(s) for s in range(6)]
-POOL_IDS = [reg_id(s) for s in POOL]
+POOL_IDS = [s.reg_id for s in POOL]
 
 
 def naive_root(ids: list[bytes]) -> bytes:
@@ -399,7 +413,7 @@ class TestRegistry:
                 eq_calls.append(1)
                 return bytes.__eq__(self, other)
 
-        ids = [CountedId(reg_id(gen_secret(s))) for s in range(1_000)]
+        ids = [CountedId(gen_secret(s).reg_id) for s in range(1_000)]
         reg = Registry(ids)
         eq_calls.clear()
         reg.remove(ids[-1])

@@ -6,7 +6,7 @@ import json
 from pathlib import Path
 
 from fairtradex.ledger import Ledger
-from fairtradex.membership import gen_secret, reg_id
+from fairtradex.membership import gen_secret
 from fairtradex.protocol import Protocol
 from fairtradex.scenario import Runner
 
@@ -51,7 +51,7 @@ def test_tracer_counts_registry_root_leaves():
     tracer = tracer_mod.Tracer()
     proto = Protocol(make_params(), Ledger())
     for seed in range(3):
-        proto.clients.append(reg_id(gen_secret(seed)))
+        proto.clients.append(gen_secret(seed).reg_id)
     tracer_mod.install(tracer)
     try:
         proto.registry_root()

@@ -17,8 +17,7 @@ from fairtradex.chain import (CLIENT_REGISTER, CLIENT_REVEAL, COMMIT_CLIENT,
                               InvalidProof, Tx)
 from fairtradex.cli import _check_report
 from fairtradex.ledger import BURN_SINK, PROTOCOL_ACCOUNT, Ledger
-from fairtradex.membership import (MembershipProof, gen_secret, prove_membership,
-                                   reg_id)
+from fairtradex.membership import MembershipProof, gen_secret, prove_membership
 from fairtradex.protocol import (_KINDS, ClientCommitPayload, ClientRevealPayload,
                                  CpPayload, MMCommitPayload, MMRevealPayload,
                                  Phase, Protocol, RegisterPayload,
@@ -54,7 +53,7 @@ class World:
 
     def register(self, pid):
         return self.proto.handle(*etx(Tx(kind=CLIENT_REGISTER, sender=pid,
-                                        payload=RegisterPayload(reg_id(self.secrets[pid]))),
+                                        payload=RegisterPayload(self.secrets[pid].reg_id)),
                                      height=self.height))
 
     def start(self):
@@ -93,7 +92,7 @@ class World:
             tkn=overrides.get("tkn", tkn), size=overrides.get("size", size),
             price=overrides.get("price", price), width=overrides.get("width", width),
             serial=self.secrets[pid].s, randomness=self.secrets[pid].r,
-            reg_id=reg_id(self.secrets[pid]), reg_token_new=reg_token_new)
+            reg_id=self.secrets[pid].reg_id, reg_token_new=reg_token_new)
         return self.proto.handle(*etx(Tx(kind=CLIENT_REVEAL, sender=pid, payload=payload),
                                      height=self.height))
 
@@ -646,10 +645,10 @@ class TestRevealClient:
         w = self.setup_committed()
         new_secret = gen_secret(42)
         ref_before = w.ledger.balance("c1", TOKEN_REF)
-        eff = w.reveal_client("c1", MKT_BUY, reg_token_new=reg_id(new_secret))
+        eff = w.reveal_client("c1", MKT_BUY, reg_token_new=new_secret.reg_id)
         assert eff["applied"] and eff["re_registered"] and not eff["escrow_returned"]
         assert w.ledger.balance("c1", TOKEN_REF) == ref_before - w.params.f_r
-        assert reg_id(new_secret) in w.proto.clients
+        assert new_secret.reg_id in w.proto.clients
 
     def test_unpaid_re_registration_returns_escrow(self):
         # registering leaves the client exactly f_r REF: too little for the fee
@@ -661,7 +660,7 @@ class TestRevealClient:
         w.next_phase()
         assert w.ledger.balance("c1", TOKEN_REF) == w.params.f_r
         new_secret = gen_secret(42)
-        eff = w.reveal_client("c1", MKT_BUY, reg_token_new=reg_id(new_secret))
+        eff = w.reveal_client("c1", MKT_BUY, reg_token_new=new_secret.reg_id)
         assert eff["applied"] and eff["escrow_returned"] and not eff["re_registered"]
         assert w.ledger.balance("c1", TOKEN_REF) == w.params.f_r + w.params.e_client
         assert len(w.proto.clients) == 0
@@ -673,7 +672,7 @@ class TestRevealClient:
         payload = ClientRevealPayload(tkn=tkn, size=size, price=price, width=width,
                                       serial=secret.s,
                                       randomness=bytes([secret.r[0] ^ 1]) + secret.r[1:],
-                                      reg_id=reg_id(secret))
+                                      reg_id=secret.reg_id)
         snap = w.ledger.snapshot()
         eff = w.proto.handle(*etx(Tx(kind=CLIENT_REVEAL, sender="c1", payload=payload),
                                   height=w.height))

@@ -18,7 +18,8 @@ from fairtradex.chain import COMMIT_CLIENT, ORDERING_POLICIES
 from fairtradex.cli import main
 from fairtradex.ledger import InsufficientBalance
 from fairtradex.protocol import Phase
-from fairtradex.scenario import Runner, ScenarioError, derive_seed, validate_config
+from fairtradex.scenario import (InvariantViolation, Runner, ScenarioError, derive_seed,
+                                 validate_config)
 from fairtradex.serialize import book_from_json, price_to_json
 
 REPO = Path(__file__).resolve().parent.parent
@@ -77,6 +78,7 @@ def stalled_config():
 #: one malformed config per validation rule, and the field its error names
 MALFORMED = [
     pytest.param(lambda cfg: [], "<root>", id="root-not-object"),
+    pytest.param(_set("agents", value={}), "agents", id="agents-not-array"),
     pytest.param(_set("agents", MM1, value="mm1"), "agents.0", id="agent-not-object"),
     pytest.param(_set("agents", MM1, "strategy", value=[]), "strategy", id="strategy-not-object"),
     *(pytest.param(_drop(key), key, id=f"missing-{key}")
@@ -299,6 +301,14 @@ class TestSeedDerivation:
 
 
 class TestRunner:
+    def test_conservation_check_raises_on_a_changed_supply(self):
+        runner = Runner(load())
+        runner._check_conservation()
+        runner._check_conservation()
+        runner.ledger.mint("c1", "A", 1)
+        with pytest.raises(InvariantViolation, match="token conservation broken"):
+            runner._check_conservation()
+
     def test_zero_rounds_completes_empty(self):
         cfg = load()
         cfg["rounds"] = 0
@@ -554,6 +564,23 @@ class TestCli:
         assert self.run_cli("run", str(stall), "--outdir", str(tmp_path / "seeds"),
                             "--seeds", "1,2") == 4
 
+    def test_run_prints_each_warning(self, tmp_path, capsys):
+        cfg = load()
+        cfg["n_psi"] = 100
+        path = tmp_path / "thin.json"
+        path.write_text(json.dumps(cfg))
+        assert self.run_cli("run", str(path), "--outdir", str(tmp_path / "out")) == 0
+        assert ("warning: registrations (4) below the assumed anonymity floor n_psi=100"
+                in capsys.readouterr().err)
+
+    def test_run_invariant_violation_exit_3(self, tmp_path, capsys, monkeypatch):
+        def broken(runner):
+            raise InvariantViolation("token conservation broken: stand-in")
+        monkeypatch.setattr(Runner, "_check_conservation", broken)
+        assert self.run_cli("run", str(TWO_MM), "--outdir", str(tmp_path)) == 3
+        assert ("invariant violation: token conservation broken: stand-in"
+                in capsys.readouterr().err)
+
     def test_tight_market_leg_capped_to_zero_adds_no_order(self, tmp_path):
         # the quoter's escrow buys 0 B atoms at an offer near 66,000 ticks,
         # so its offer leg is empty; its bid leg still trades
@@ -718,6 +745,8 @@ class TestCli:
         (_set("orders", 0, "oid", value=None), "oid"),
         (_set("orders", 0, "side", value="both"), "side"),
         (_set("orders", 0, "price", value=98.5), "price"),
+        # a withdrawal is a reveal, never an order: this used to clear with exit 0
+        (_set("orders", 0, "price", value="withdraw"), "not a price: 'withdraw'"),
         # a width below 1 used to clear with exit 0
         (_set("w_tight", value="1/2"), "w_tight"),
         (_set("w_tight", value=0), "w_tight"),
@@ -730,7 +759,7 @@ class TestCli:
         (_set("orders", 0, value=5), "orders.0"),
         (_set("orders", 0, "owner", value=7), "owner"),
     ], ids=["float-size", "string-size", "bool-size", "bool-oid", "float-oid",
-            "duplicate-oid", "null-oid", "bad-side", "float-price",
+            "duplicate-oid", "null-oid", "bad-side", "float-price", "withdraw-price",
             "half-w_tight", "zero-w_tight", "negative-w_tight", "exponent-w_tight",
             "root-not-object", "orders-not-list", "order-not-object", "int-owner"])
     def test_clear_malformed_book_names_the_field(self, tmp_path, capsys, mutate, field):
@@ -829,13 +858,33 @@ class TestCli:
         lambda reps: reps[0]["fills"][0].update(oid="3"),
         lambda reps: reps[0]["fills"][0].update(owner=5),
         lambda reps: reps[0]["fills"][0].pop("price"),
+        lambda reps: reps[0]["fills"].__setitem__(0, 5),
+        lambda reps: reps[0]["fills"][0].update(price="withdraw"),
     ], ids=["string-amount", "null-cp", "non-object-entry", "unknown-side",
-            "string-price", "string-oid", "non-string-owner", "missing-price"])
+            "string-price", "string-oid", "non-string-owner", "missing-price",
+            "non-object-fill", "withdraw-price"])
     def test_check_malformed_report_exit_2(self, tmp_path, capsys, tamper):
         reports = [self.golden_settlement()[2]]
         tamper(reports)
         assert self.check_exit_code(tmp_path, reports) == 2
         assert "malformed report" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [{}, {"round": 0, "cp": 1, "volume_b": 0, "fills": []}])
+    def test_check_report_not_a_list_exit_2(self, tmp_path, capsys, doc):
+        assert self.check_exit_code(tmp_path, doc) == 2
+        assert "settlement report must be a JSON list" in capsys.readouterr().err
+
+    def test_check_width_removed_row_must_refund_in_full(self, tmp_path, capsys):
+        """A width-removed row stays out of the conservation sums and must
+        refund its whole size."""
+        report = self.golden_settlement()[2]
+        removed = {"oid": 99, "owner": "w", "side": "buy", "price": "mkt", "size": 5,
+                   "executed": 0, "received": 0, "refunded": 5, "width_removed": True}
+        report["fills"].append(removed)
+        assert self.check_exit_code(tmp_path, [report]) == 0
+        removed.update(executed=1, refunded=4)
+        assert self.check_exit_code(tmp_path, [report]) == 3
+        assert "round 0 oid 99: bad width-removed refund" in capsys.readouterr().err
 
     @staticmethod
     def python(*args):

@@ -9,13 +9,18 @@ from hypothesis import strategies as st
 
 from fairtradex.analysis import default_grid
 from fairtradex.units import (ANY, MKT, WITHDRAW, Market, Order, ProtocolParams,
-                              QuantityError, check_quantity, check_width, market_width,
-                              quote)
+                              QuantityError, check_quantity, check_width, encode_width,
+                              market_width, quote)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class TestWidth:
+    def test_encoding(self):
+        assert encode_width(ANY) == b"any"
+        assert encode_width(Fraction(121, 100)) == b"121/100"
+        assert encode_width(Fraction(1)) == b"1/1"
+
     def test_numeric_ordering(self):
         assert Fraction(3, 2) >= Fraction(6, 5)
         assert not Fraction(11, 10) >= Fraction(6, 5)
@@ -94,10 +99,24 @@ class TestQuantity:
 
 
 class TestOrder:
-    def test_zero_size_only_for_withdraw(self):
-        Order(oid=0, owner="p", tkn="A", size=0, price=WITHDRAW, width_req=ANY)
-        with pytest.raises(QuantityError):
-            Order(oid=0, owner="p", tkn="A", size=0, price=MKT, width_req=ANY)
+    def test_withdraw_and_zero_size_rejected(self):
+        """A withdrawal is a reveal, never an order, and every order sells
+        at least one atom, whatever its price."""
+        with pytest.raises(QuantityError, match="price must be an int tick count"):
+            Order(oid=0, owner="p", tkn="A", size=1, price=WITHDRAW, width_req=ANY)
+        for price in (MKT, 7, WITHDRAW):
+            with pytest.raises(QuantityError, match="size must be > 0"):
+                Order(oid=0, owner="p", tkn="A", size=0, price=price, width_req=ANY)
+
+    @pytest.mark.parametrize("tkn", ["C", "REF", "a", None])
+    def test_unknown_token_rejected(self, tkn):
+        with pytest.raises(QuantityError, match="order token must be A or B"):
+            Order(oid=0, owner="p", tkn=tkn, size=5, price=MKT, width_req=ANY)
+
+    @pytest.mark.parametrize("price", ["7", 7.0, None, True, "mkt"])
+    def test_price_must_be_a_tick_count_or_mkt(self, price):
+        with pytest.raises(QuantityError, match="price must be an int tick count"):
+            Order(oid=0, owner="p", tkn="A", size=5, price=price, width_req=ANY)
 
     def test_side_convention(self):
         assert Order(0, "p", "A", 5, MKT, ANY).side == "buy"
@@ -115,6 +134,12 @@ class TestParams:
         p = ProtocolParams(e_client=10, e_mm=200, q_not=100, f_r=1, res_bounty=1,
                            p_a=Fraction(1), t_blocks=10, alpha=Fraction(3, 4))
         assert p.t_eff == 40
+
+    @pytest.mark.parametrize("t_blocks", [0, -3])
+    def test_inclusion_bound_below_one_block_rejected(self, t_blocks):
+        with pytest.raises(QuantityError, match="t_blocks must be >= 1"):
+            ProtocolParams(e_client=10, e_mm=200, q_not=100, f_r=1, res_bounty=1,
+                           p_a=Fraction(1), t_blocks=t_blocks)
 
     def test_e_mm_must_exceed_q_not(self):
         with pytest.raises(QuantityError):
